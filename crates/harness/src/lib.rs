@@ -686,6 +686,26 @@ mod tests {
         assert!(s.contains("fallback after:"));
     }
 
+    /// BAL's schedule must carry every allotted sliver. Here a full
+    /// interval's first machine ends 8e-7 short of its end and job 73's
+    /// last piece is 8e-7 long; stranding that gap drops the piece, the
+    /// schedule fails validation, and no bound is certified.
+    #[test]
+    fn general_n100_tiny_piece_keeps_its_certified_bound() {
+        let inst =
+            ssp_workloads::families::general(100, 4, 2.0).gen(ssp_workloads::subseed(10, 100));
+        assert!(certified_lower_bound(&inst, Budget::unlimited()).is_some());
+    }
+
+    /// The same stranded-gap defect on a weighted agreeable instance: a
+    /// 1.8e-5 gap in an interval of length 18.5 drops job 39's tail.
+    #[test]
+    fn weighted_agreeable_n50_keeps_its_certified_bound() {
+        let inst = ssp_workloads::families::weighted_agreeable(50, 4, 2.0)
+            .gen(ssp_workloads::subseed(3, 168));
+        assert!(certified_lower_bound(&inst, Budget::unlimited()).is_some());
+    }
+
     #[test]
     fn empty_instance_reports_ratio_one() {
         let inst = Instance::new(vec![], 2, 2.0).unwrap();

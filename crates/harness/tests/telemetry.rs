@@ -135,4 +135,14 @@ fn counters_match_solver_accounting() {
         trace.counter("maxflow.warm_reuse") + trace.counter("wap.fast_path") > 0,
         "probes must be answered warm-started or by the sweep fast path"
     );
+    // Every WAP solve of a sweep-kernel solver is answered by exactly one
+    // of: the certified sweep, the first decline's seeded fallback, or the
+    // latched engine's warm repair.
+    assert_eq!(
+        trace.counter("wap.fast_path")
+            + trace.counter("wap.fast_fallback")
+            + trace.counter("wap.sweep_skip"),
+        trace.counter("wap.flow_calls"),
+        "WAP dispatch accounting"
+    );
 }

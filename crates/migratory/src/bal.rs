@@ -387,10 +387,6 @@ pub fn try_bal_with_wap_strategy(
         solver.solve(&pbuf);
         let job_side = solver.jobs_reachable();
         let ival_side = solver.intervals_reachable();
-        // Carry the sweep decline-backoff penalty into the next round's
-        // solver: decline is structural and the post-peel network differs
-        // by one capacity update, so the learned dispatch policy transfers.
-        wap.absorb_dispatch(&solver);
 
         let mut critical: Vec<usize> = remaining.iter().copied().filter(|&i| job_side[i]).collect();
         if critical.is_empty() {

@@ -50,6 +50,13 @@ pub fn mcnaughton(
         .collect();
     let pieces = &pieces_owned[..];
 
+    // A machine is full once the cursor is within rounding noise of `b`:
+    // one rounding error per placed run, a few ulps of the coordinates, and
+    // never more than the tolerance on `L` (an interval that short is all
+    // noise). Any coarser margin strands real time at the end of each
+    // machine that a full interval cannot spare: the last job's tail would
+    // not fit.
+    let wrap_slop = (64.0 * f64::EPSILON * a.abs().max(b.abs())).min(tol.margin(len));
     let mut machine = 0usize;
     let mut cursor = a;
     for &(job, t, speed) in pieces {
@@ -61,8 +68,8 @@ pub fn mcnaughton(
         let t = t.min(len); // clamp tolerated overshoot
         let mut rem = t;
         while rem > 0.0 {
-            // Numerical guard: if we've run past the last machine on pure
-            // rounding slop, drop the sliver (within tolerance of zero).
+            // Numerical guard: past the last machine only rounding slop
+            // can be left (the total is at most `m·L`); drop it.
             if machine >= machines {
                 assert!(
                     tol.is_zero_at(rem, len),
@@ -75,7 +82,7 @@ pub fn mcnaughton(
             schedule.run(job, machine, cursor, cursor + run, speed);
             cursor += run;
             rem -= run;
-            if cursor >= b - tol.margin(len) {
+            if cursor >= b - wrap_slop {
                 machine += 1;
                 cursor = a;
             }
@@ -147,6 +154,25 @@ mod tests {
         assert_eq!(halves.len(), 2);
         let (first, second) = (halves[0], halves[1]);
         assert!(first.end <= second.start + 1e-12 || second.end <= first.start + 1e-12);
+    }
+
+    #[test]
+    fn a_sub_tolerance_gap_before_the_wrap_is_filled_not_stranded() {
+        // Machine 0 ends 8e-7 short of `b` (below the validator's 1e-6
+        // tolerance on L) and the interval is exactly full: the gap must take
+        // the next job's head, or the tiny last piece finds no room.
+        let s = check((0.0, 1.0), 2, &[1.0 - 8e-7, 1.0, 8e-7]);
+        assert!(s.segments().iter().any(|g| g.job == JobId(2)));
+    }
+
+    #[test]
+    fn tiny_interval_at_large_coordinates_does_not_wrap_every_piece() {
+        // L = 5e-12 at t = 1000, where 64 ulps of the coordinates exceed L:
+        // were the wrap slop not capped by the tolerance on L, every piece
+        // would wrap and the third would overflow the two machines.
+        let mut s = Schedule::new(2);
+        mcnaughton((1000.0, 1000.0 + 5e-12), 2, &pieces(&[3e-12; 3]), &mut s);
+        assert!(s.segments().iter().all(|g| g.machine < 2));
     }
 
     #[test]

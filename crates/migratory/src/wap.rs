@@ -36,9 +36,6 @@ pub enum WapKernel {
     /// (it always does for elementary intervals), generic flow otherwise.
     #[default]
     Auto,
-    /// Force the sweep kernel (panics at [`Wap::solver`] if the alive sets
-    /// are not contiguous runs).
-    Sweep,
     /// Force the generic flow engine (used by warm-start experiments and
     /// as the differential referee).
     Flow,
@@ -61,31 +58,6 @@ pub struct Wap {
     contiguous: bool,
     /// Kernel selection policy for solvers built from this instance.
     kernel: WapKernel,
-    /// Learned sweep decline-backoff penalty and the *remaining* skip
-    /// window, folded back from finished solvers via
-    /// [`Wap::absorb_dispatch`] so per-round solvers (BAL) do not relearn
-    /// the dispatch policy from scratch. Carrying the remainder (not a
-    /// fresh window) is what guarantees a re-probe at least every
-    /// `2^SWEEP_BACKOFF_CAP` solves globally: rounds are often shorter
-    /// than the window, and re-arming it each round would lock the sweep
-    /// out permanently once the penalty climbed.
-    sweep_penalty: u32,
-    sweep_skip: u32,
-}
-
-/// Decline-backoff cap: after repeated sweep declines the dispatcher skips
-/// the sweep attempt for up to `2^CAP` consecutive solves before re-probing
-/// it. Whether the greedy certifies is a property of the capacity structure,
-/// which drifts slowly across probes, so outcomes are strongly correlated:
-/// on decline-heavy instances (crossing windows) the attempt is pure
-/// overhead — certified or not, the generic engine must finish the solve —
-/// while the cap keeps at least one re-probe per 32 solves so a structure
-/// that turns sweep-friendly after peeling is picked back up.
-const SWEEP_BACKOFF_CAP: u32 = 5;
-
-/// Solves to skip after the `penalty`-th consecutive failed re-probe.
-fn backoff_window(penalty: u32) -> u32 {
-    1u32 << penalty.min(SWEEP_BACKOFF_CAP)
 }
 
 impl Wap {
@@ -106,8 +78,6 @@ impl Wap {
             capacity,
             contiguous,
             kernel: WapKernel::Auto,
-            sweep_penalty: 0,
-            sweep_skip: 0,
         }
     }
 
@@ -158,21 +128,6 @@ impl Wap {
         self.kernel = kernel;
     }
 
-    /// Fold a finished solver's dispatch feedback back into the instance:
-    /// the next [`Wap::solver`] starts from the learned sweep decline
-    /// penalty instead of relearning it. BAL calls this at the end of each
-    /// round — the post-peel structure is one capacity update away from the
-    /// one the solver just probed, so its decline behaviour carries over.
-    /// Purely a scheduling hint: it changes which engine answers a solve,
-    /// never the answer (both kernels produce identical verdicts, canonical
-    /// cuts, and cut sums).
-    pub fn absorb_dispatch(&mut self, solver: &WapSolver) {
-        if let KernelImpl::Sweep { penalty, skip, .. } = &solver.kernel {
-            self.sweep_penalty = *penalty;
-            self.sweep_skip = *skip;
-        }
-    }
-
     /// Mutate a capacity (BAL's per-round updates). Values below a relative
     /// epsilon of the interval length snap to exactly zero: repeated
     /// `c - |I_j|` updates on non-dyadic lengths leave ~1e-16 residues, and
@@ -217,19 +172,8 @@ impl Wap {
     /// flow fallback (it is built from the sweep's own frozen snapshot,
     /// never from `self`).
     pub fn solver(&self) -> WapSolver {
-        let use_sweep = match self.kernel {
-            WapKernel::Flow => false,
-            WapKernel::Auto => self.contiguous,
-            WapKernel::Sweep => {
-                assert!(
-                    self.contiguous,
-                    "sweep kernel requires contiguous alive sets"
-                );
-                true
-            }
-        };
         let _span = ssp_probe::span("wap.solver_build");
-        let kernel = if use_sweep {
+        let kernel = if self.kernel == WapKernel::Auto && self.contiguous {
             let windows: Vec<(u32, u32)> = self
                 .alive
                 .iter()
@@ -247,13 +191,6 @@ impl Wap {
             KernelImpl::Sweep {
                 sweep: SweepFlow::new(windows, edge_cap, self.capacity.clone()),
                 fallback: None,
-                last: Engine::Sweep,
-                // A learned penalty starts the solver mid-backoff (the new
-                // round's structure is one peel away from the one the sweep
-                // kept declining), resuming the *remaining* window rather
-                // than re-arming a fresh one — see the field docs.
-                skip: self.sweep_skip,
-                penalty: self.sweep_penalty,
             }
         } else {
             KernelImpl::Flow(FlowState::build(
@@ -282,13 +219,6 @@ impl Wap {
         solver.solve(p);
         WapFlow { solver }
     }
-}
-
-/// Which engine produced the last accepted solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    Sweep,
-    Flow,
 }
 
 /// The generic-flow engine state: Horn's network plus the edge handles
@@ -391,9 +321,7 @@ impl FlowState {
     /// Route the demand vector starting from the sweep's water-filling
     /// allocation: seed every edge with the greedy flow (a valid,
     /// near-maximal flow over the same capacities) and augment only the
-    /// undershoot. Each call re-seeds from scratch, so no state leaks
-    /// between fallback solves and warm-repair bookkeeping never enters
-    /// the picture.
+    /// undershoot. The first solve of a freshly built fallback engine.
     fn solve_seeded(&mut self, p: &[f64], sweep: &SweepFlow) -> f64 {
         for (i, &demand) in p.iter().enumerate() {
             self.net.set_capacity(self.source_edges[i], demand);
@@ -483,18 +411,14 @@ fn finish_cut_bound(any_job: bool, w_s: f64, fixed: f64) -> Option<f64> {
 /// The engine state behind a [`WapSolver`].
 #[derive(Debug, Clone)]
 enum KernelImpl {
-    /// Fast path: certificate-gated sweep with a lazily-built generic-flow
-    /// fallback over the same structure snapshot. `skip`/`penalty` drive
-    /// the decline backoff (see [`SWEEP_BACKOFF_CAP`]): while `skip > 0`
-    /// solves route straight to the generic engine without attempting the
-    /// sweep; a certified attempt resets `penalty`, a declined one doubles
-    /// the next window.
+    /// Fast path: certificate-gated sweep. The generic-flow `fallback` over
+    /// the same structure snapshot is built on the sweep's first decline;
+    /// from then on it answers every solve (the decline latch, see
+    /// [`WapSolver::solve`]), so `fallback.is_some()` is both the latch and
+    /// the engine holding the last accepted solve.
     Sweep {
         sweep: SweepFlow,
         fallback: Option<Box<FlowState>>,
-        last: Engine,
-        skip: u32,
-        penalty: u32,
     },
     /// Generic flow only (non-contiguous structure or forced).
     Flow(FlowState),
@@ -505,20 +429,19 @@ enum KernelImpl {
 /// and self-certifies; the generic flow engine warm-starts each solve from
 /// the previous flow (see [`FlowNetwork::max_flow_incremental`]). Counters:
 /// `wap.flow_calls` (every solve), `wap.fast_path` (certified sweep
-/// solves), `wap.fast_fallback` (sweep declined, generic engine re-solved),
-/// `wap.sweep_skip` (sweep not attempted: decline backoff routed the solve
-/// straight to the generic engine), `wap.sweep_confirm` (sweep certified
-/// while the penalty was still draining: the engine answered and the
-/// penalty stepped down), `wap.sweep_ops` (sweep kernel work measure). For
-/// a sweep-kernel solver every solve lands in exactly one of `fast_path`,
-/// `fast_fallback`, `sweep_skip`, or `sweep_confirm`.
+/// solves), `wap.fast_fallback` (the sweep's first decline: the generic
+/// engine was built and seeded from the greedy flow), `wap.sweep_skip`
+/// (latched solves: the sweep was not attempted and the engine
+/// warm-repaired its previous flow), `wap.sweep_ops` (sweep kernel work
+/// measure). For a sweep-kernel solver every solve lands in exactly one of
+/// `fast_path`, `fast_fallback` or `sweep_skip`.
 ///
-/// `Clone` forks the whole parametric state (either kernel, flow, value): a
-/// clone warm-starts from exactly the state its original held, and solving
-/// either side never perturbs the other. The BAL probe ladder leans on this
-/// — each candidate speed of a fan-out solves on its own clone of one
-/// shared base state, so the probe results are bit-identical at any thread
-/// count (a probe can never observe a sibling's flow).
+/// `Clone` forks the whole parametric state (either kernel, flow, latch,
+/// value): a clone warm-starts from exactly the state its original held,
+/// and solving either side never perturbs the other. The BAL probe ladder
+/// leans on this — each candidate speed of a fan-out solves on its own
+/// clone of one shared base state, so the probe results are bit-identical
+/// at any thread count (a probe can never observe a sibling's flow).
 #[derive(Debug, Clone)]
 pub struct WapSolver {
     kernel: KernelImpl,
@@ -536,6 +459,18 @@ enum Active<'a> {
 
 impl WapSolver {
     /// Route the demand vector `p` and return the achieved flow value.
+    ///
+    /// Sweep-kernel dispatch is one rule: try the sweep; a certified sweep
+    /// answers. The first decline builds the generic engine over the
+    /// sweep's snapshot, seeds it with the greedy flow, and latches this
+    /// solver onto the engine for the rest of its life: later solves skip
+    /// the sweep and warm-repair the engine's previous flow, exactly what
+    /// a forced-[`WapKernel::Flow`] solver would do. Whether the greedy
+    /// certifies depends mostly on the capacity structure, which a solver
+    /// never changes: after one decline, later attempts mostly decline too
+    /// and only add sweep work (DESIGN.md §3.14 has the measurements). BAL
+    /// builds a fresh solver every round, so the latch resets exactly when
+    /// the structure changes.
     pub fn solve(&mut self, p: &[f64]) -> f64 {
         let _span = ssp_probe::span("wap.solve");
         ssp_probe::counter!("wap.flow_calls");
@@ -549,90 +484,33 @@ impl WapSolver {
         self.value = match &mut self.kernel {
             KernelImpl::Flow(fs) => fs.solve(p),
             KernelImpl::Sweep {
-                sweep,
-                fallback,
-                last,
-                skip,
-                penalty,
+                fallback: Some(fs), ..
             } => {
-                if *skip > 0 {
-                    // Inside a decline-backoff window: recent attempts kept
-                    // declining, making the sweep pure overhead (the generic
-                    // engine had to finish those solves anyway). Route
-                    // straight to it; its warm repair from the previous
-                    // solve is exactly what a forced-Flow solver would do.
-                    *skip -= 1;
-                    ssp_probe::counter!("wap.sweep_skip");
-                    *last = Engine::Flow;
-                    let fs = fallback.get_or_insert_with(|| {
+                ssp_probe::counter!("wap.sweep_skip");
+                let _s = ssp_probe::span("wap.fallback_solve");
+                fs.solve(p)
+            }
+            KernelImpl::Sweep { sweep, fallback } => {
+                let v = {
+                    let _s = ssp_probe::span("wap.sweep");
+                    sweep.solve(p)
+                };
+                ssp_probe::counter!("wap.sweep_ops", sweep.ops());
+                if sweep.certified() {
+                    ssp_probe::counter!("wap.fast_path");
+                    v
+                } else {
+                    // The greedy undershot (a per-cell cap starved a
+                    // longer-windowed job); finish the solve exactly on the
+                    // frozen structure snapshot, seeded with the greedy flow
+                    // so only the undershoot needs augmenting.
+                    ssp_probe::counter!("wap.fast_fallback");
+                    let fs = fallback.insert({
                         let _s = ssp_probe::span("wap.fallback_build");
                         Box::new(FlowState::build_from_sweep(sweep))
                     });
                     let _s = ssp_probe::span("wap.fallback_solve");
-                    fs.solve(p)
-                } else {
-                    let v = {
-                        let _s = ssp_probe::span("wap.sweep");
-                        sweep.solve(p)
-                    };
-                    ssp_probe::counter!("wap.sweep_ops", sweep.ops());
-                    if sweep.certified() && *penalty == 0 {
-                        ssp_probe::counter!("wap.fast_path");
-                        *last = Engine::Sweep;
-                        v
-                    } else if sweep.certified() {
-                        // Certified, but the penalty is still draining:
-                        // answer from the generic engine anyway and only
-                        // step the penalty down. An isolated certify inside
-                        // a decline-heavy stretch is a net loss for the fast
-                        // path — skipping the engine leaves its warm flow
-                        // stale, and the *next* engine solve repays the
-                        // whole demand gap as extra repair work. Only a
-                        // streak of certified attempts (penalty draining to
-                        // zero) re-promotes the sweep; the confirmation
-                        // solves cost one cheap sweep pass on top of the
-                        // engine work that was being paid anyway.
-                        ssp_probe::counter!("wap.sweep_confirm");
-                        *penalty -= 1;
-                        let fs = fallback.get_or_insert_with(|| {
-                            let _s = ssp_probe::span("wap.fallback_build");
-                            Box::new(FlowState::build_from_sweep(sweep))
-                        });
-                        *last = Engine::Flow;
-                        let _s = ssp_probe::span("wap.fallback_solve");
-                        if fs.solved {
-                            fs.solve(p)
-                        } else {
-                            fs.solve_seeded(p, sweep)
-                        }
-                    } else {
-                        // The greedy undershot (a per-cell cap starved a
-                        // longer-windowed job); finish the solve exactly on
-                        // the frozen structure snapshot, seeded with the
-                        // greedy flow so only the undershoot needs
-                        // augmenting. Back off the next attempts: decline is
-                        // structural, so the following probes would almost
-                        // surely decline too.
-                        ssp_probe::counter!("wap.fast_fallback");
-                        *skip = backoff_window(*penalty);
-                        *penalty = penalty.saturating_add(1);
-                        let fs = fallback.get_or_insert_with(|| {
-                            let _s = ssp_probe::span("wap.fallback_build");
-                            Box::new(FlowState::build_from_sweep(sweep))
-                        });
-                        *last = Engine::Flow;
-                        let _s = ssp_probe::span("wap.fallback_solve");
-                        if fs.solved {
-                            // Warm incremental repair from the previous
-                            // fallback flow — consecutive probes differ only
-                            // in demand scale, so the repair is cheaper than
-                            // re-seeding and re-augmenting the greedy's
-                            // structural undershoot from scratch.
-                            fs.solve(p)
-                        } else {
-                            fs.solve_seeded(p, sweep)
-                        }
-                    }
+                    fs.solve_seeded(p, sweep)
                 }
             }
         };
@@ -645,16 +523,9 @@ impl WapSolver {
         match &self.kernel {
             KernelImpl::Flow(fs) => Active::Flow(fs),
             KernelImpl::Sweep {
-                sweep,
-                fallback,
-                last,
-                ..
-            } => match last {
-                Engine::Sweep => Active::Sweep(sweep),
-                Engine::Flow => {
-                    Active::Flow(fallback.as_deref().expect("fallback engine was built"))
-                }
-            },
+                fallback: Some(fs), ..
+            } => Active::Flow(fs),
+            KernelImpl::Sweep { sweep, .. } => Active::Sweep(sweep),
         }
     }
 
@@ -666,16 +537,6 @@ impl WapSolver {
     /// Total demand `Σ p_i` of the last [`solve`](WapSolver::solve).
     pub fn demand(&self) -> f64 {
         self.demand
-    }
-
-    /// Current sweep decline-backoff penalty (0 = the sweep is attempted on
-    /// every solve; always 0 for the generic-flow kernel). Exposed for
-    /// dispatch-policy tests and [`Wap::absorb_dispatch`] diagnostics.
-    pub fn dispatch_penalty(&self) -> u32 {
-        match &self.kernel {
-            KernelImpl::Sweep { penalty, .. } => *penalty,
-            KernelImpl::Flow(_) => 0,
-        }
     }
 
     /// Feasible iff the flow meets the whole demand (tolerantly: max-flow
@@ -1064,9 +925,9 @@ mod tests {
         assert_eq!(auto.cut_speed_bound(&works), flow.cut_speed_bound(&works));
     }
 
-    /// Satellite regression: after a fallback solve, a later certified
-    /// sweep solve must report *its own* fresh state (no stale engine or
-    /// side sets), and vice versa.
+    /// Satellite regression: after a certified sweep solve, a declined one
+    /// must report the generic engine's fresh state (no stale side sets),
+    /// and a later latched solve the engine's repaired state.
     #[test]
     fn engine_switches_never_serve_stale_state() {
         let wap = starvation_wap();
@@ -1083,21 +944,8 @@ mod tests {
         assert!(s.jobs_reachable().iter().any(|&b| b));
         let routed_total: f64 = (0..4).map(|i| s.routed(i)).sum();
         assert!((routed_total - 14.0).abs() < 1e-9);
-        // 3) feasible again, but inside the decline-backoff window: the
-        // generic engine answers (fresh state, identical verdict).
-        assert_eq!(s.dispatch_penalty(), 1);
-        assert!((s.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert!(s.feasible());
-        assert!(s.jobs_reachable().iter().all(|&b| !b));
-        // 4) window expired: the sweep re-probes and certifies, but the
-        // penalty is still draining, so the engine answers this confirmation
-        // solve (its warm chain stays intact) and the penalty steps to 0.
-        assert!((s.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert_eq!(s.dispatch_penalty(), 0);
-        assert!(s.feasible());
-        assert!(s.jobs_reachable().iter().all(|&b| !b));
-        // 5) penalty drained: the sweep answers outright and reports its own
-        // fresh state.
+        // 3) feasible again: the latched engine answers from its repaired
+        // flow, and every readback reflects this solve, not the last one.
         assert!((s.solve(&p_ok) - 6.0).abs() < 1e-9);
         assert!(s.feasible());
         assert!(s.jobs_reachable().iter().all(|&b| !b));
@@ -1109,55 +957,73 @@ mod tests {
         }
     }
 
-    /// Decline backoff: a declined sweep attempt opens a skip window routed
-    /// straight to the generic engine (identical answers), repeated declines
-    /// double it, a streak of certified re-probes drains it one step per
-    /// certify, and [`Wap::absorb_dispatch`] carries the penalty into fresh
-    /// solvers.
+    fn latched(s: &WapSolver) -> bool {
+        matches!(
+            s.kernel,
+            KernelImpl::Sweep {
+                fallback: Some(_),
+                ..
+            }
+        )
+    }
+
+    /// The decline latch: after the sweep's first decline every later solve
+    /// on that solver skips the sweep (`wap.sweep_skip`) and still matches a
+    /// forced-Flow solver bit for bit on verdict, cut sides and
+    /// `cut_speed_bound`; a fresh solver from the same `Wap` tries the sweep
+    /// again, and a clone carries the latch.
     #[test]
-    fn decline_backoff_skips_sweep_and_persists_across_solvers() {
-        let mut wap = starvation_wap();
-        let mut s = wap.solver();
-        let p_bad = [4.0, 6.0, 0.0, 6.0];
-        let v0 = s.solve(&p_bad); // attempt, decline -> window of 1
-        assert_eq!(s.dispatch_penalty(), 1);
-        let v1 = s.solve(&p_bad); // skipped: warm generic repair
-        assert!((v1 - v0).abs() <= 1e-9 * v0);
-        assert!(!s.feasible());
-        let v2 = s.solve(&p_bad); // re-probe, decline again -> window of 2
-        assert_eq!(s.dispatch_penalty(), 2);
-        assert!((v2 - v0).abs() <= 1e-9 * v0);
-        // The cut stays canonical on skipped and declined solves alike.
+    fn decline_latches_solver_onto_the_flow_engine() {
+        let wap = starvation_wap();
+        let mut flow_wap = wap.clone();
+        flow_wap.set_kernel(WapKernel::Flow);
         let works = [4.0, 6.0, 0.0, 6.0];
-        let bound = s.cut_speed_bound(&works);
-        assert!(bound.is_some());
+        let demands = |v: f64| works.map(|w| w / v);
+        // Counters are process-global and other tests run concurrently, so
+        // deltas are lower bounds; the latch itself is checked on the state.
+        let session = ssp_probe::Session::begin();
+        let skips = || ssp_probe::counter_value("wap.sweep_skip");
 
-        // A fresh solver inherits the penalty and the *remaining* window
-        // (2 solves, not a re-armed 4): the very first solve skips the
-        // sweep yet answers identically.
-        wap.absorb_dispatch(&s);
-        let mut s2 = wap.solver();
-        let v = s2.solve(&p_bad);
-        assert_eq!(s2.dispatch_penalty(), 2);
-        assert!((v - v0).abs() <= 1e-9 * v0);
-        assert_eq!(s2.cut_speed_bound(&works), bound);
+        let mut s = wap.solver();
+        let mut f = flow_wap.solver();
+        s.solve(&demands(1.0)); // declines: builds and latches the engine
+        f.solve(&demands(1.0));
+        assert!(latched(&s));
+        let skips_before = skips();
+        let speeds = [2.0, 1.1, 0.9, 3.0, 1.0, 1.2, 0.5, 1.15];
+        for &v in &speeds {
+            let p = demands(v);
+            s.solve(&p);
+            f.solve(&p);
+            assert_eq!(s.feasible(), f.feasible(), "verdict at v={v}");
+            assert_eq!(s.jobs_reachable(), f.jobs_reachable(), "job side at v={v}");
+            assert_eq!(s.intervals_reachable(), f.intervals_reachable());
+            assert_eq!(
+                s.cut_speed_bound(&works).map(f64::to_bits),
+                f.cut_speed_bound(&works).map(f64::to_bits),
+                "cut bound at v={v}"
+            );
+        }
+        assert!(latched(&s), "the latch holds for the solver's whole life");
+        if session.is_some() {
+            assert!(skips() - skips_before >= speeds.len() as u64);
+        }
 
-        // A certify streak drains the penalty one step at a time (each
-        // confirmation solve is still answered by the engine, keeping its
-        // warm chain intact); only then does the fast path resume. First,
-        // one more skip drains the inherited window.
-        let p_ok = [2.0, 2.0, 0.0, 2.0];
-        assert!((s2.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert_eq!(s2.dispatch_penalty(), 2);
-        assert!((s2.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert_eq!(s2.dispatch_penalty(), 1);
-        assert!((s2.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert_eq!(s2.dispatch_penalty(), 0);
-        assert!(s2.feasible());
-        // Penalty drained: the sweep now answers outright.
-        assert!((s2.solve(&p_ok) - 6.0).abs() < 1e-9);
-        assert!(s2.feasible());
-        assert!(s2.jobs_reachable().iter().all(|&b| !b));
+        // A clone carries the latch (ladder slots and write-backs).
+        let mut c = s.clone();
+        assert!(latched(&c));
+        c.solve(&demands(2.0));
+        assert!(c.feasible() && latched(&c));
+
+        // A fresh solver from the same instance tries the sweep again: a
+        // feasible vector certifies and leaves it unlatched.
+        let mut fresh = wap.solver();
+        assert!(!latched(&fresh));
+        fresh.solve(&demands(2.0));
+        assert!(fresh.feasible() && !latched(&fresh));
+        if let Some(session) = session {
+            let _ = session.end();
+        }
     }
 
     /// Satellite regression: `Wap::set_capacity` after building one solver
@@ -1172,7 +1038,7 @@ mod tests {
         assert!(before.feasible());
         // Close the only interval; a fresh solver must see zero capacity.
         wap.set_capacity(0, 0.0);
-        for kernel in [WapKernel::Auto, WapKernel::Sweep, WapKernel::Flow] {
+        for kernel in [WapKernel::Auto, WapKernel::Flow] {
             let mut w = wap.clone();
             w.set_kernel(kernel);
             let mut s = w.solver();
@@ -1206,7 +1072,8 @@ mod tests {
         );
     }
 
-    /// Forced kernels agree with Auto on elementary-interval instances.
+    /// The forced Flow kernel agrees with Auto on elementary-interval
+    /// instances.
     #[test]
     fn forced_kernels_agree_on_instance_families() {
         let jobs = vec![
@@ -1221,15 +1088,14 @@ mod tests {
         for v in [0.5f64, 0.9, 1.3, 2.0, 4.0] {
             let p: Vec<f64> = instance.jobs().iter().map(|j| j.work / v).collect();
             let mut results = Vec::new();
-            for kernel in [WapKernel::Auto, WapKernel::Sweep, WapKernel::Flow] {
+            for kernel in [WapKernel::Auto, WapKernel::Flow] {
                 let mut w = wap.clone();
                 w.set_kernel(kernel);
                 let mut s = w.solver();
                 s.solve(&p);
                 results.push((s.feasible(), s.jobs_reachable(), s.intervals_reachable()));
             }
-            assert_eq!(results[0], results[1], "auto vs sweep at v={v}");
-            assert_eq!(results[0], results[2], "auto vs flow at v={v}");
+            assert_eq!(results[0], results[1], "auto vs flow at v={v}");
         }
     }
 }

@@ -95,7 +95,10 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 /// changed underneath them (e.g. a guard held across `Session::end`).
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 
-/// Span ids are unique within a session; 0 means "no parent".
+/// Span ids are unique within the process, never reused across sessions, so
+/// a span whose parent was opened under an earlier session can only point
+/// at a missing id (re-rooted at `Session::end`), never at an unrelated
+/// span of the current one; 0 means "no parent".
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Small dense thread labels for the trace (1, 2, 3, … in first-probe order).
@@ -457,7 +460,6 @@ impl Session {
             cell.zero();
         }
         *lock(&g.epoch) = Some(Instant::now());
-        NEXT_SPAN_ID.store(1, Ordering::Relaxed);
         GENERATION.fetch_add(1, Ordering::Relaxed);
         ENABLED.store(true, Ordering::Release);
         Some(Session { finished: false })
@@ -465,7 +467,9 @@ impl Session {
 
     /// Stop recording and return the captured trace. Spans still open on
     /// any thread are dropped silently (their guards notice the generation
-    /// change); counters keep their totals up to this instant.
+    /// change); spans they enclosed that had already closed are kept and
+    /// re-rooted as top-level spans, so the trace always passes
+    /// [`Trace::validate`]. Counters keep their totals up to this instant.
     pub fn end(mut self) -> Trace {
         self.finished = true;
         finish_session()
@@ -556,6 +560,15 @@ fn finish_session() -> Trace {
     let epoch = lock(&g.epoch).take().unwrap_or_else(Instant::now);
     let mut raw = std::mem::take(&mut *lock(&g.spans));
     raw.sort_by_key(|s| (s.start, s.id));
+    // A span still open now is never recorded; re-root the closed spans it
+    // enclosed (on its own thread, or adopted by workers) so no record
+    // references a missing parent. Their own subtrees stay intact.
+    let recorded: std::collections::HashSet<u64> = raw.iter().map(|s| s.id).collect();
+    for s in &mut raw {
+        if !recorded.contains(&s.parent) {
+            s.parent = 0;
+        }
+    }
     // With probe-alloc enabled, surface the session-wide allocation totals
     // (sum of per-span self-allocations) as ordinary counters.
     let (mut alloc_bytes_total, mut alloc_count_total) = (0u64, 0u64);
@@ -847,6 +860,70 @@ mod tests {
             trace.spans.iter().map(|s| s.alloc_bytes).sum::<u64>()
         );
         assert!(trace.counter("alloc.count") >= 2);
+    }
+
+    /// A second thread opens span P, opens and closes a child C, and the
+    /// main thread ends the session while P is still open: the trace drops
+    /// P, keeps C as a root, and validates.
+    #[test]
+    fn closed_children_of_spans_open_at_end_are_re_rooted() {
+        use std::sync::mpsc::channel;
+        let _l = session_lock();
+        let session = Session::begin().unwrap();
+        let (closed_tx, closed_rx) = channel();
+        let (ended_tx, ended_rx) = channel::<()>();
+        let trace = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let _parent = span("parent_open");
+                {
+                    let _child = span("child_closed");
+                    let _grandchild = span("grandchild_closed");
+                }
+                closed_tx.send(()).unwrap();
+                ended_rx.recv().unwrap(); // hold P open across end()
+            });
+            closed_rx.recv().unwrap();
+            let trace = session.end();
+            ended_tx.send(()).unwrap();
+            trace
+        });
+        trace.validate().expect("trace with a span open at end()");
+        assert!(trace.spans.iter().all(|s| s.name != "parent_open"));
+        let child = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "child_closed")
+            .unwrap();
+        let grandchild = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "grandchild_closed")
+            .unwrap();
+        assert_eq!(child.parent, 0, "orphaned child becomes a root");
+        assert_eq!(grandchild.parent, child.id, "its subtree stays intact");
+    }
+
+    /// A span opened under one session and still open in the next leaves
+    /// its later children pointing at an id the new session never records;
+    /// they are re-rooted too.
+    #[test]
+    fn children_of_a_previous_sessions_span_are_re_rooted() {
+        let _l = session_lock();
+        let s1 = Session::begin().unwrap();
+        let stale = span("stale_parent");
+        s1.end();
+        let s2 = Session::begin().unwrap();
+        {
+            // Ids are never reissued, so `filler` cannot take the stale
+            // span's id and end up as its own parent.
+            let _filler = span("filler");
+            let _late = span("late_child");
+        }
+        drop(stale);
+        let trace = s2.end();
+        trace.validate().expect("well-formed");
+        let filler = trace.spans.iter().find(|s| s.name == "filler").unwrap();
+        assert_eq!(filler.parent, 0);
     }
 
     #[test]

@@ -12,11 +12,15 @@
 //! must match a cold from-scratch solve after *arbitrary* randomized
 //! capacity update sequences — the safety net for the warm-started BAL
 //! bisection — and the min-cut certificate must stay valid after every
-//! incremental repair.
+//! incremental repair. Above the engines, the WAP solver's sweep-first
+//! dispatch must answer every solve of a demand sequence exactly as the
+//! forced flow engine does.
 
 use ssp_maxflow::reference::IntFlowNetwork;
 use ssp_maxflow::{EdgeId, FlowNetwork, PushRelabel, SweepFlow};
+use ssp_migratory::wap::{Wap, WapKernel};
 use ssp_prng::{check, Rng, StdRng};
+use ssp_workloads::families;
 
 /// A random directed graph: node count and edge list `(u, v, cap)` with
 /// integer-valued f64 capacities (exact in all three engines).
@@ -526,4 +530,86 @@ fn residual_reachability_consistent_after_updates() {
             }
         }
     });
+}
+
+/// The `WapSolver` dispatch over whole demand sequences: a sweep-first
+/// (`Auto`) solver and a forced-`Flow` solver over the same general,
+/// laminar and crossing WAPs are driven through random speed sequences that
+/// mix feasible and infeasible scales, with some intervals' capacities cut
+/// the way BAL's peeled rounds cut them. After every solve the two must
+/// agree on the verdict, both canonical cut sides and the cut speed bound
+/// (bitwise), and on the flow value up to summation noise — whichever of
+/// the sweep, the seeded fallback or the latched engine answered.
+#[test]
+fn wap_dispatch_sequences_match_the_flow_engine() {
+    let session = ssp_probe::Session::begin();
+    let mut verdicts = [0usize; 2];
+    for (k, family) in ["general", "laminar", "crossing"].iter().enumerate() {
+        check::cases(6, 0xD1FF_0008 + k as u64, |rng| {
+            let n = rng.gen_range(20usize..60);
+            let seed = rng.gen_range(0u64..1 << 32);
+            let instance = match *family {
+                "laminar" => families::laminar_nested(n, 3, 2.0, seed),
+                "crossing" => families::crossing(n, 3, 2.0, seed),
+                _ => families::general(n, 3, 2.0).gen(seed),
+            };
+            let (mut wap, _) = Wap::from_instance(&instance);
+            for j in 0..wap.num_intervals() {
+                if rng.gen_range(0u32..4) == 0 {
+                    let machines_left = rng.gen_range(0u32..3) as f64;
+                    wap.set_capacity(j, machines_left * wap.length(j));
+                }
+            }
+            // Jobs with no open time left take no demand, as in BAL.
+            let works: Vec<f64> = (0..n)
+                .map(|i| {
+                    if wap.open_time_of(i) > 0.0 {
+                        instance.job(i).work
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let v_dens = (0..n)
+                .filter(|&i| works[i] > 0.0)
+                .map(|i| works[i] / wap.open_time_of(i))
+                .fold(0.0f64, f64::max);
+            let mut flow_wap = wap.clone();
+            flow_wap.set_kernel(WapKernel::Flow);
+            let mut auto = wap.solver();
+            let mut flow = flow_wap.solver();
+            for step in 0..12 {
+                let v = v_dens * rng.gen_range(0.5f64..6.0);
+                let p: Vec<f64> = works.iter().map(|&w| w / v).collect();
+                let (va, vf) = (auto.solve(&p), flow.solve(&p));
+                let at = format!("{family} n={n} seed={seed} step {step} v={v}");
+                assert!((va - vf).abs() <= 1e-9 * (1.0 + vf), "{at}: {va} vs {vf}");
+                assert_eq!(auto.feasible(), flow.feasible(), "{at}: verdict");
+                assert_eq!(auto.jobs_reachable(), flow.jobs_reachable(), "{at}");
+                assert_eq!(
+                    auto.intervals_reachable(),
+                    flow.intervals_reachable(),
+                    "{at}"
+                );
+                assert_eq!(
+                    auto.cut_speed_bound(&works).map(f64::to_bits),
+                    flow.cut_speed_bound(&works).map(f64::to_bits),
+                    "{at}: cut speed bound"
+                );
+                verdicts[auto.feasible() as usize] += 1;
+            }
+        });
+    }
+    assert!(
+        verdicts.iter().all(|&c| c > 0),
+        "sequences must mix feasible and infeasible scales: {verdicts:?}"
+    );
+    // Every dispatch branch must have run (other tests in this binary solve
+    // no WAPs, so the session sees only this test's solves).
+    if let Some(session) = session {
+        let trace = session.end();
+        for counter in ["wap.fast_path", "wap.fast_fallback", "wap.sweep_skip"] {
+            assert!(trace.counter(counter) > 0, "{counter} never fired");
+        }
+    }
 }
