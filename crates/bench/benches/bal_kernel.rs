@@ -13,7 +13,7 @@
 //!   `flow_computations` probe count per strategy) is written as JSON. The
 //!   committed `BENCH_bal.json` at the repo root is produced this way;
 //!   `SSP_BENCH_HISTORY=<path>` additionally appends the cells to the
-//!   `BENCH_history.jsonl` trajectory for `speedscale bench-diff`.
+//!   `BENCH_history.jsonl` trajectory (see `ssp_bench::trajectory::emit`).
 //!
 //! Each cell also carries a kernel column (`ladder_dinic_ms` /
 //! `kernel_speedup`): the same ladder run with the WAP interval sweep
@@ -21,8 +21,8 @@
 //! contribution from the ladder's probe-count savings. The two kernels must
 //! agree on the final energy to the bit — asserted on every cell.
 
-use ssp_bench::artifact::{Artifact, CellBuilder, CellMeta};
-use ssp_bench::harness::{BenchmarkId, Criterion};
+use ssp_bench::artifact::{Artifact, CellBuilder};
+use ssp_bench::harness::{trace_once, BenchmarkId, Criterion};
 use ssp_bench::{fixture, trajectory};
 use ssp_migratory::bal::{try_bal_with_wap_strategy, BalSolution, ProbeStrategy};
 use ssp_migratory::wap::{Wap, WapKernel};
@@ -99,11 +99,9 @@ fn timed_cell(instance: &Instance, strategy: ProbeStrategy, kernel: WapKernel) -
     (times[reps / 2], probes)
 }
 
-/// Run the self-timed sweep and collect the cells of the JSON artifact,
-/// plus their diff identities for the in-run regression check.
-fn sweep_artifact() -> (Artifact, Vec<CellMeta>) {
+/// Run the self-timed sweep and collect the cells of the JSON artifact.
+fn sweep_artifact() -> Artifact {
     let mut cells = Vec::new();
-    let mut metas = Vec::new();
     for family in FAMILIES {
         for n in SIZES {
             let instance = family_instance(family, n);
@@ -141,64 +139,41 @@ fn sweep_artifact() -> (Artifact, Vec<CellMeta>) {
                 dinic_e.to_bits(),
                 "kernel energy mismatch on {family} n={n}: sweep={ladder_e} dinic={dinic_e}"
             );
-            let cell = CellBuilder::new(family, n)
-                .metric_ms("ladder_ms", ladder_ms)
-                .metric_ms("bisect_ms", bisect_ms)
-                .metric_ms("ladder_dinic_ms", ladder_dinic_ms)
-                .num("speedup", bisect_ms / ladder_ms, 2)
-                .num("kernel_speedup", ladder_dinic_ms / ladder_ms, 2)
-                .int("ladder_probes", ladder_probes)
-                .int("bisect_probes", bisect_probes)
-                .num("energy", ladder_e, 6);
-            metas.push(cell.meta());
-            cells.push(cell.render());
+            cells.push(
+                CellBuilder::new(family, n)
+                    .metric_ms("ladder_ms", ladder_ms)
+                    .metric_ms("bisect_ms", bisect_ms)
+                    .metric_ms("ladder_dinic_ms", ladder_dinic_ms)
+                    .num("speedup", bisect_ms / ladder_ms, 2)
+                    .num("kernel_speedup", ladder_dinic_ms / ladder_ms, 2)
+                    .int("ladder_probes", ladder_probes)
+                    .int("bisect_probes", bisect_probes)
+                    .num("energy", ladder_e, 6)
+                    .render(),
+            );
         }
     }
-    (
-        Artifact {
-            bench: "bal_kernel".to_string(),
-            alpha: ALPHA,
-            unit: "ms_median".to_string(),
-            cells,
-        },
-        metas,
-    )
+    Artifact {
+        bench: "bal_kernel".to_string(),
+        alpha: ALPHA,
+        unit: "ms_median".to_string(),
+        cells,
+    }
 }
 
 fn main() {
     let mut c = Criterion::from_args();
     kernels(&mut c);
     c.final_summary();
-    let measure = std::env::args().any(|a| a == "--bench");
-    let json = std::env::var("SSP_BENCH_JSON").unwrap_or_default();
-    let history = std::env::var("SSP_BENCH_HISTORY").unwrap_or_default();
-    if measure && (!json.is_empty() || !history.is_empty()) {
-        let (artifact, metas) = sweep_artifact();
-        if !history.is_empty() {
-            // Compare against the trajectory before appending this run; a
-            // regressed cell re-runs once per strategy/kernel variant under
-            // a probe session so the attached trace splits "more flow
-            // probes" from "slower probes".
-            trajectory::check_and_attach("bal_kernel", &metas, &history, |family, n| {
-                let instance = family_instance(family, n);
-                black_box(solve(&instance, ProbeStrategy::Ladder).energy);
-                black_box(solve(&instance, ProbeStrategy::Bisection).energy);
-                black_box(
-                    solve_with_kernel(&instance, ProbeStrategy::Ladder, WapKernel::Flow).energy,
-                );
-            });
-        }
-        if !json.is_empty() {
-            artifact
-                .write_snapshot(&json)
-                .unwrap_or_else(|e| panic!("write {json}: {e}"));
-            eprintln!("wrote {json}");
-        }
-        if !history.is_empty() {
-            artifact
-                .append_history(&history)
-                .unwrap_or_else(|e| panic!("append {history}: {e}"));
-            eprintln!("appended bench_run to {history}");
-        }
-    }
+    // A regressed cell re-runs once per strategy/kernel variant under a
+    // probe session, so the attached trace splits "more flow probes" from
+    // "slower probes".
+    trajectory::emit(sweep_artifact, |family, n| {
+        let instance = family_instance(family, n);
+        trace_once(&mut || {
+            black_box(solve(&instance, ProbeStrategy::Ladder).energy);
+            black_box(solve(&instance, ProbeStrategy::Bisection).energy);
+            black_box(solve_with_kernel(&instance, ProbeStrategy::Ladder, WapKernel::Flow).energy);
+        })
+    });
 }

@@ -3,7 +3,7 @@
 //! the single-processor YDS solver, and the interval decomposition.
 
 use ssp_bench::harness::{BenchmarkId, Criterion};
-use ssp_bench::{criterion_group, fixture};
+use ssp_bench::{criterion_group, fixture, trajectory};
 use ssp_maxflow::{FlowNetwork, PushRelabel};
 use ssp_migratory::wap::Wap;
 use ssp_model::IntervalSet;
@@ -169,5 +169,5 @@ fn main() {
     let mut c = Criterion::from_args();
     micro(&mut c);
     c.final_summary();
-    c.emit_artifact("micro", 2.0);
+    trajectory::emit(|| c.artifact("micro", 2.0), |family, n| c.trace(family, n));
 }

@@ -2,7 +2,7 @@
 //! (wall-clock complement of the flow-count series in `ssp-exper exp6`).
 
 use ssp_bench::harness::{BenchmarkId, Criterion, Throughput};
-use ssp_bench::{criterion_group, fixture};
+use ssp_bench::{criterion_group, fixture, trajectory};
 use ssp_core::assignment::assignment_energy;
 use ssp_core::rr::rr_assignment;
 use ssp_migratory::bal::bal;
@@ -39,5 +39,8 @@ fn main() {
     let mut c = Criterion::from_args();
     scaling(&mut c);
     c.final_summary();
-    c.emit_artifact("scaling", 2.0);
+    trajectory::emit(
+        || c.artifact("scaling", 2.0),
+        |family, n| c.trace(family, n),
+    );
 }

@@ -2,7 +2,7 @@
 //! target times the computational kernel that regenerates the artifact.
 
 use ssp_bench::harness::{BenchmarkId, Criterion};
-use ssp_bench::{criterion_group, fixture};
+use ssp_bench::{criterion_group, fixture, trajectory};
 use ssp_core::assignment::assignment_energy;
 use ssp_core::classified::classified_assignment;
 use ssp_core::classified::classified_assignment_with_base;
@@ -213,5 +213,5 @@ fn main() {
     let mut c = Criterion::from_args();
     tables(&mut c);
     c.final_summary();
-    c.emit_artifact("tables", 2.0);
+    trajectory::emit(|| c.artifact("tables", 2.0), |family, n| c.trace(family, n));
 }

@@ -15,10 +15,11 @@
 //!   root is produced this way. Additionally setting
 //!   `SSP_BENCH_HISTORY=<path>` appends the same cells as one
 //!   `bench_run` line (tagged with the git revision) to the trajectory
-//!   file — the input of the `speedscale bench-diff` regression gate.
+//!   file — the input of `speedscale bench report` (see
+//!   `ssp_bench::trajectory::emit`).
 
-use ssp_bench::artifact::{Artifact, CellBuilder, CellMeta};
-use ssp_bench::harness::{BenchmarkId, Criterion};
+use ssp_bench::artifact::{Artifact, CellBuilder};
+use ssp_bench::harness::{trace_once, BenchmarkId, Criterion};
 use ssp_bench::{fixture, trajectory};
 use ssp_model::Job;
 use ssp_single::yds::{yds, yds_reference};
@@ -84,12 +85,10 @@ fn timed_cell(
     (times[reps / 2], peels, cand)
 }
 
-/// Run the self-timed sweep and collect the cells of the JSON artifact,
-/// plus their diff identities for the in-run regression check.
-fn sweep_artifact() -> (Artifact, Vec<CellMeta>) {
+/// Run the self-timed sweep and collect the cells of the JSON artifact.
+fn sweep_artifact() -> Artifact {
     let session = ssp_probe::Session::begin();
     let mut cells = Vec::new();
-    let mut metas = Vec::new();
     for family in FAMILIES {
         for n in SIZES {
             let jobs = family_jobs(family, n);
@@ -102,63 +101,41 @@ fn sweep_artifact() -> (Artifact, Vec<CellMeta>) {
                 ref_e.to_bits(),
                 "kernel energy mismatch on {family} n={n}"
             );
-            let cell = CellBuilder::new(family, n)
-                .metric_ms("fast_ms", fast_ms)
-                .metric_ms("ref_ms", ref_ms)
-                .num("speedup", ref_ms / fast_ms, 2)
-                .int("peels", ref_peels.max(fast_peels))
-                .int("fast_candidates", fast_cand)
-                .int("ref_candidates", ref_cand)
-                .num("energy", fast_e, 6);
-            metas.push(cell.meta());
-            cells.push(cell.render());
+            cells.push(
+                CellBuilder::new(family, n)
+                    .metric_ms("fast_ms", fast_ms)
+                    .metric_ms("ref_ms", ref_ms)
+                    .num("speedup", ref_ms / fast_ms, 2)
+                    .int("peels", ref_peels.max(fast_peels))
+                    .int("fast_candidates", fast_cand)
+                    .int("ref_candidates", ref_cand)
+                    .num("energy", fast_e, 6)
+                    .render(),
+            );
         }
     }
     if let Some(s) = session {
         let _ = s.end();
     }
-    (
-        Artifact {
-            bench: "yds_kernel".to_string(),
-            alpha: 2.0,
-            unit: "ms_median".to_string(),
-            cells,
-        },
-        metas,
-    )
+    Artifact {
+        bench: "yds_kernel".to_string(),
+        alpha: 2.0,
+        unit: "ms_median".to_string(),
+        cells,
+    }
 }
 
 fn main() {
     let mut c = Criterion::from_args();
     kernels(&mut c);
     c.final_summary();
-    let measure = std::env::args().any(|a| a == "--bench");
-    let json = std::env::var("SSP_BENCH_JSON").unwrap_or_default();
-    let history = std::env::var("SSP_BENCH_HISTORY").unwrap_or_default();
-    if measure && (!json.is_empty() || !history.is_empty()) {
-        let (artifact, metas) = sweep_artifact();
-        if !history.is_empty() {
-            // Compare against the trajectory before appending this run; a
-            // regressed cell gets one untimed probe re-run (both kernels,
-            // so the trace splits "more peels" from "slower peels") stored
-            // under SSP_BENCH_TRACE_DIR.
-            trajectory::check_and_attach("yds_kernel", &metas, &history, |family, n| {
-                let jobs = family_jobs(family, n);
-                black_box(yds(&jobs, 2.0).energy);
-                black_box(yds_reference(&jobs, 2.0).energy);
-            });
-        }
-        if !json.is_empty() {
-            artifact
-                .write_snapshot(&json)
-                .unwrap_or_else(|e| panic!("write {json}: {e}"));
-            eprintln!("wrote {json}");
-        }
-        if !history.is_empty() {
-            artifact
-                .append_history(&history)
-                .unwrap_or_else(|e| panic!("append {history}: {e}"));
-            eprintln!("appended bench_run to {history}");
-        }
-    }
+    // A regressed cell gets one untimed probe re-run of both kernels, so
+    // the attached trace splits "more peels" from "slower peels".
+    trajectory::emit(sweep_artifact, |family, n| {
+        let jobs = family_jobs(family, n);
+        trace_once(&mut || {
+            black_box(yds(&jobs, 2.0).energy);
+            black_box(yds_reference(&jobs, 2.0).energy);
+        })
+    });
 }

@@ -7,12 +7,15 @@
 //! * **Trajectory** (`SSP_BENCH_HISTORY=<path>`): one flat JSON object
 //!   *appended* per run to `BENCH_history.jsonl`, tagged with
 //!   `"type":"bench_run"` and the git revision, so the repo accumulates a
-//!   timing trajectory that `speedscale bench-diff` can gate on.
+//!   timing trajectory that `speedscale bench report` renders.
 //!
 //! Cells are built with [`CellBuilder`]; by convention string fields plus
-//! `n` identify a cell and `*_ms` fields are the gated metrics (see
-//! `docs/OBSERVABILITY.md`).
+//! `n` identify a cell and `*_ms` fields are the gated metrics, read back
+//! by [`crate::benchdata::cell_from`] (see `docs/OBSERVABILITY.md`).
+//! Strings go through the workspace codec's escaper, and a non-finite
+//! number is written as `null` (JSON has no `NaN`).
 
+use ssp_probe::json::{self, Json};
 use std::fmt::Write as _;
 
 /// Incrementally builds one cell object (`{"family": ..., "n": ..., ...}`).
@@ -26,7 +29,7 @@ impl CellBuilder {
     pub fn new(family: &str, n: usize) -> Self {
         CellBuilder {
             fields: vec![
-                ("family".into(), format!("\"{family}\"")),
+                ("family".into(), json::quote(family)),
                 ("n".into(), n.to_string()),
             ],
         }
@@ -34,15 +37,19 @@ impl CellBuilder {
 
     /// Add a timing metric in milliseconds (4 decimals). `name` should end
     /// in `_ms` so `bench-diff` picks it up.
-    pub fn metric_ms(mut self, name: &str, ms: f64) -> Self {
-        self.fields.push((name.into(), format!("{ms:.4}")));
-        self
+    pub fn metric_ms(self, name: &str, ms: f64) -> Self {
+        self.num(name, ms, 4)
     }
 
-    /// Add a contextual float (not gated) with the given decimal places.
+    /// Add a contextual float (not gated) with the given decimal places;
+    /// `null` when non-finite.
     pub fn num(mut self, name: &str, value: f64, decimals: usize) -> Self {
-        self.fields
-            .push((name.into(), format!("{value:.decimals$}")));
+        let text = if value.is_finite() {
+            format!("{value:.decimals$}")
+        } else {
+            "null".to_string()
+        };
+        self.fields.push((name.into(), text));
         self
     }
 
@@ -59,44 +66,11 @@ impl CellBuilder {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{name}\": {value}");
+            let _ = write!(out, "{}: {value}", json::quote(name));
         }
         out.push('}');
         out
     }
-
-    /// The cell's diff identity and gated metrics, derived by the same
-    /// convention the `bench-diff`/`bench report` readers apply: string
-    /// fields plus `n` (in builder order) form the key, `*_ms` fields are
-    /// the metrics. Used by the trajectory layer to compare a freshly
-    /// measured cell against its history without re-parsing the rendered
-    /// JSON.
-    pub fn meta(&self) -> CellMeta {
-        let mut key = String::new();
-        let mut metrics = Vec::new();
-        for (name, value) in &self.fields {
-            if value.starts_with('"') || name == "n" {
-                if !key.is_empty() {
-                    key.push(',');
-                }
-                let _ = write!(key, "{name}={}", value.trim_matches('"'));
-            } else if name.ends_with("_ms") {
-                if let Ok(ms) = value.parse::<f64>() {
-                    metrics.push((name.clone(), ms));
-                }
-            }
-        }
-        CellMeta { key, metrics }
-    }
-}
-
-/// A cell's identity and gated metrics (see [`CellBuilder::meta`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellMeta {
-    /// Stable diff key, e.g. `family=agreeable,n=200`.
-    pub key: String,
-    /// `(name, milliseconds)` for every `*_ms` field, in builder order.
-    pub metrics: Vec<(String, f64)>,
 }
 
 /// One measured bench run, ready to serialize as snapshot and/or history.
@@ -116,10 +90,10 @@ impl Artifact {
     /// Pretty-printed snapshot form (the committed `BENCH_*.json` layout).
     pub fn snapshot_json(&self) -> String {
         format!(
-            "{{\n  \"bench\": \"{}\",\n  \"alpha\": {},\n  \"unit\": \"{}\",\n  \"cells\": [\n{}\n  ]\n}}\n",
-            self.bench,
-            self.alpha,
-            self.unit,
+            "{{\n  \"bench\": {},\n  \"alpha\": {},\n  \"unit\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
+            json::quote(&self.bench),
+            Json::Num(self.alpha).to_string_compact(),
+            json::quote(&self.unit),
             self.cells
                 .iter()
                 .map(|c| format!("    {c}"))
@@ -146,14 +120,14 @@ impl Artifact {
             .map(|t| format!("\"ts\": {t}, "))
             .unwrap_or_default();
         format!(
-            "{{\"type\": \"bench_run\", \"bench\": \"{}\", \"rev\": \"{}\", \"alpha\": {}, \"unit\": \"{}\", {}\"threads\": {}, \"host\": \"{}\", \"cells\": [{}]}}",
-            self.bench,
-            rev,
-            self.alpha,
-            self.unit,
+            "{{\"type\": \"bench_run\", \"bench\": {}, \"rev\": {}, \"alpha\": {}, \"unit\": {}, {}\"threads\": {}, \"host\": {}, \"cells\": [{}]}}",
+            json::quote(&self.bench),
+            json::quote(rev),
+            Json::Num(self.alpha).to_string_compact(),
+            json::quote(&self.unit),
             ts,
             meta.threads,
-            meta.host,
+            json::quote(&meta.host),
             self.cells.join(", ")
         )
     }
@@ -163,18 +137,17 @@ impl Artifact {
     pub fn write_snapshot(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(resolve_artifact_path(path), self.snapshot_json())
     }
+}
 
-    /// Append one history line (with the current git revision) to `path`
-    /// (resolved by [`resolve_artifact_path`]), creating the file if
-    /// needed.
-    pub fn append_history(&self, path: &str) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(resolve_artifact_path(path))?;
-        writeln!(file, "{}", self.history_line(&git_rev()))
-    }
+/// Append one history `line` to `path` (resolved by
+/// [`resolve_artifact_path`]), creating the file if needed.
+pub fn append_history(path: &str, line: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(resolve_artifact_path(path))?;
+    writeln!(file, "{line}")
 }
 
 /// Run-level environment recorded on every `bench_run` history line, so
@@ -265,18 +238,43 @@ pub fn resolve_artifact_path(path: &str) -> std::path::PathBuf {
     }
 }
 
-/// The short git revision of the working tree, or `"unknown"` outside a
-/// repository (artifacts must still be writable from exported tarballs).
+/// The short git revision of the working tree, `<rev>-dirty` when the
+/// measured code is not HEAD's, or `"unknown"` outside a repository
+/// (artifacts must still be writable from exported tarballs).
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(head) if !head.trim().is_empty() => rev_label(
+            head.trim(),
+            &git(&["status", "--porcelain", "--untracked-files=no"]).unwrap_or_default(),
+        ),
+        _ => "unknown".to_string(),
+    }
+}
+
+/// The revision a run is credited to: `head`, or `<head>-dirty` when
+/// `porcelain` (`git status --porcelain --untracked-files=no` output,
+/// repository-relative paths) lists a tracked change other than the root
+/// `BENCH_*` artifacts the benches themselves write.
+fn rev_label(head: &str, porcelain: &str) -> String {
+    let dirty = porcelain.lines().any(|entry| {
+        let paths = entry.get(3..).unwrap_or_default();
+        paths
+            .split(" -> ")
+            .any(|p| !p.starts_with("BENCH_") || p.contains('/'))
+    });
+    if dirty {
+        format!("{head}-dirty")
+    } else {
+        head.to_string()
+    }
 }
 
 #[cfg(test)]
@@ -345,12 +343,14 @@ mod tests {
 
     #[test]
     fn cell_meta_matches_reader_convention() {
-        let meta = CellBuilder::new("agreeable", 50)
+        // A rendered cell reads back through the one keying rule.
+        let rendered = CellBuilder::new("agreeable", 50)
             .metric_ms("fast_ms", 0.0071239)
             .metric_ms("ref_ms", 0.0063)
             .num("speedup", 0.886, 2)
             .int("peels", 12)
-            .meta();
+            .render();
+        let meta = crate::benchdata::cell_from(&json::parse(&rendered).unwrap());
         assert_eq!(meta.key, "family=agreeable,n=50");
         assert_eq!(
             meta.metrics,
@@ -404,8 +404,9 @@ mod tests {
             std::env::temp_dir().join(format!("ssp_bench_hist_{}.jsonl", std::process::id()));
         let p = path.to_string_lossy().into_owned();
         std::fs::remove_file(&path).ok();
-        sample().append_history(&p).unwrap();
-        sample().append_history(&p).unwrap();
+        let line = sample().history_line("abc1234");
+        append_history(&p, &line).unwrap();
+        append_history(&p, &line).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().all(|l| l.contains("\"type\": \"bench_run\"")));
@@ -415,5 +416,37 @@ mod tests {
     #[test]
     fn git_rev_never_panics() {
         assert!(!git_rev().is_empty());
+    }
+
+    #[test]
+    fn rev_label_marks_only_source_changes_dirty() {
+        assert_eq!(rev_label("abc1234", ""), "abc1234");
+        let artifacts = " M BENCH_history.jsonl\nM  BENCH_yds.json\n";
+        assert_eq!(rev_label("abc1234", artifacts), "abc1234");
+        let source = " M BENCH_history.jsonl\n M crates/bench/src/artifact.rs\n";
+        assert_eq!(rev_label("abc1234", source), "abc1234-dirty");
+        // A BENCH_ file below the root is source, not a run artifact.
+        assert_eq!(
+            rev_label("abc1234", " M crates/BENCH_x.json\n"),
+            "abc1234-dirty"
+        );
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        let cell = CellBuilder::new("a\"b", 1)
+            .metric_ms("t_ms", f64::NAN)
+            .num("speedup", f64::INFINITY, 2)
+            .render();
+        assert_eq!(
+            cell,
+            "{\"family\": \"a\\\"b\", \"n\": 1, \"t_ms\": null, \"speedup\": null}"
+        );
+        let artifact = Artifact {
+            alpha: f64::NAN,
+            ..sample()
+        };
+        assert!(artifact.snapshot_json().contains("\"alpha\": null"));
+        json::parse(&artifact.snapshot_json()).expect("snapshot stays JSON");
     }
 }

@@ -1,4 +1,5 @@
-//! Bench artifact parsing and the `bench-diff` regression gate.
+//! The bench-data model: the one reader of everything
+//! [`crate::artifact`] writes, and the `bench-diff` regression gate.
 //!
 //! The bench harness writes two kinds of artifacts (see
 //! `docs/OBSERVABILITY.md`):
@@ -9,258 +10,15 @@
 //!   per line with `"type":"bench_run"`, the git `rev`, and the same cells;
 //!   appended by every measured bench run.
 //!
-//! Both are parsed by the small recursive-descent JSON reader in this
-//! module (the trace JSONL parser in `ssp-probe` is deliberately flat-only,
-//! and bench cells nest). Cells are keyed by their string-valued fields
-//! plus `n` (e.g. `family=agreeable,n=200`) and compared on their `*_ms`
-//! fields; other numeric fields (speedups, counters, energies) ride along
-//! as context but are not gated.
+//! Both are read with the workspace codec ([`ssp_probe::json`]). Cells are
+//! keyed by [`cell_from`] — their string-valued fields plus `n` (e.g.
+//! `family=agreeable,n=200`) — and compared on their `*_ms` fields; other
+//! numeric fields (speedups, counters, energies) ride along as context but
+//! are not gated. The writer emits a non-finite metric as `null`, which
+//! reads back as a `NaN` metric for the readers to drop.
 
+use ssp_probe::json::{self, Json};
 use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// Minimal recursive JSON
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Minimal by design: just enough for bench artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number, as `f64`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, preserving member order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member `key` of an object (`None` for other variants / missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one JSON document (objects, arrays, strings, numbers, booleans,
-/// null). Errors carry a byte offset for context.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", want as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            // Not JSON, but a writer formatting a poisoned f64 emits the
-            // bare token; accepting it lets the reader drop the one metric
-            // instead of rejecting the whole line.
-            Some(b'N') => self.literal("NaN", Json::Num(f64::NAN)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected value at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(hex)
-                                    .ok_or_else(|| "bad \\u codepoint".to_string())?,
-                            );
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?,
-                    );
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Bench artifacts
@@ -295,14 +53,14 @@ pub fn parse_artifact(text: &str) -> Result<BenchArtifact, String> {
     // Snapshots are one (possibly pretty-printed) document; history files
     // are strict JSONL. Try the whole text first, then fall back to the
     // last history line carrying cells (the most recent run).
-    let doc = match parse_json(text.trim()) {
+    let doc = match json::parse(text.trim()) {
         Ok(doc) => doc,
         Err(whole_err) => text
             .lines()
             .map(str::trim)
             .filter(|l| !l.is_empty())
             .rev()
-            .find_map(|l| parse_json(l).ok().filter(|j| j.get("cells").is_some()))
+            .find_map(|l| json::parse(l).ok().filter(|j| j.get("cells").is_some()))
             .ok_or_else(|| {
                 format!(
                     "neither a JSON snapshot ({whole_err}) nor a JSONL history with a 'cells' line"
@@ -327,7 +85,7 @@ pub fn parse_artifact(text: &str) -> Result<BenchArtifact, String> {
 /// One `bench_run` line of a `BENCH_history.jsonl` trajectory, with the
 /// run-level environment metadata newer writers append (`None` on v1
 /// lines, which carried none).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchRun {
     /// Bench id (`"yds_kernel"`).
     pub bench: String,
@@ -359,7 +117,7 @@ pub fn parse_history(text: &str) -> (Vec<BenchRun>, Vec<String>) {
             continue;
         }
         let lineno = idx + 1;
-        let doc = match parse_json(line) {
+        let doc = match json::parse(line) {
             Ok(doc) => doc,
             Err(e) => {
                 warnings.push(format!("line {lineno}: skipped unparseable line ({e})"));
@@ -420,8 +178,10 @@ pub fn parse_history(text: &str) -> (Vec<BenchRun>, Vec<String>) {
     (runs, warnings)
 }
 
-/// Key = string fields plus `n` (in member order); metrics = `*_ms` fields.
-fn cell_from(obj: &Json) -> BenchCell {
+/// The one cell-keying rule: key = string fields plus `n` (in member
+/// order); metrics = `*_ms` fields, a `null` one (the writer's non-finite
+/// value) as `NaN`.
+pub fn cell_from(obj: &Json) -> BenchCell {
     let mut key = String::new();
     let mut metrics = Vec::new();
     if let Json::Obj(members) = obj {
@@ -441,6 +201,9 @@ fn cell_from(obj: &Json) -> BenchCell {
                 }
                 Json::Num(v) if name.ends_with("_ms") => {
                     metrics.push((name.clone(), *v));
+                }
+                Json::Null if name.ends_with("_ms") => {
+                    metrics.push((name.clone(), f64::NAN));
                 }
                 _ => {}
             }
@@ -539,15 +302,24 @@ impl BenchDiff {
 }
 
 /// Compare `new` against the `old` baseline. A row gates (`regressed`)
-/// when its relative slowdown reaches `threshold` and the new median is at
-/// least `min_ms` (sub-floor cells — e.g. the n=50 YDS cells, which sit in
-/// fixed-overhead territory — never gate).
+/// when [`ssp_probe::calib::crosses`] says so with `threshold` as the
+/// band: its relative slowdown reaches `threshold` and the new median is
+/// at least `min_ms` (sub-floor cells — e.g. the n=50 YDS cells, which sit
+/// in fixed-overhead territory — never gate). Artifacts of different
+/// benches, or sharing no metric, are an error: a comparison of nothing
+/// must not pass as a clean one.
 pub fn diff_artifacts(
     old: &BenchArtifact,
     new: &BenchArtifact,
     threshold: f64,
     min_ms: f64,
-) -> BenchDiff {
+) -> Result<BenchDiff, String> {
+    if old.bench != new.bench {
+        return Err(format!(
+            "the artifacts are different benches ('{}' vs '{}')",
+            old.bench, new.bench
+        ));
+    }
     let mut rows = Vec::new();
     let mut missing = Vec::new();
     let mut added = Vec::new();
@@ -571,7 +343,7 @@ pub fn diff_artifacts(
                 old_ms,
                 new_ms: *new_ms,
                 delta,
-                regressed: delta >= threshold && *new_ms >= min_ms && old_ms > 0.0,
+                regressed: ssp_probe::calib::crosses(*new_ms, old_ms, threshold, min_ms),
             });
         }
     }
@@ -580,36 +352,21 @@ pub fn diff_artifacts(
             missing.push(cell.key.clone());
         }
     }
-    BenchDiff {
+    if rows.is_empty() {
+        return Err(format!("the '{}' artifacts share no metric", new.bench));
+    }
+    Ok(BenchDiff {
         rows,
         missing,
         added,
         threshold,
         min_ms,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_parser_handles_nesting_and_numbers() {
-        let doc = parse_json(r#"{"a": [1, -2.5, 3e2], "b": {"c": "x\ny", "d": true, "e": null}}"#)
-            .unwrap();
-        assert_eq!(
-            doc.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(300.0)
-        );
-        assert_eq!(
-            doc.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\ny")
-        );
-        assert_eq!(doc.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("[1,2").is_err());
-        assert!(parse_json("{} trailing").is_err());
-    }
 
     fn snapshot(fast_200: f64) -> String {
         format!(
@@ -647,11 +404,11 @@ mod tests {
     #[test]
     fn unchanged_artifact_passes_and_regression_gates() {
         let old = parse_artifact(&snapshot(0.113)).unwrap();
-        let same = diff_artifacts(&old, &old, 0.10, 0.05);
+        let same = diff_artifacts(&old, &old, 0.10, 0.05).unwrap();
         assert_eq!(same.regressions(), 0);
         // 10% injected regression on the n=200 cell: gates.
         let slow = parse_artifact(&snapshot(0.113 * 1.101)).unwrap();
-        let diff = diff_artifacts(&old, &slow, 0.10, 0.05);
+        let diff = diff_artifacts(&old, &slow, 0.10, 0.05).unwrap();
         assert_eq!(diff.regressions(), 1);
         let row = diff.rows.iter().find(|r| r.regressed).unwrap();
         assert_eq!(row.key, "family=agreeable,n=200");
@@ -666,17 +423,17 @@ mod tests {
         let old = parse_artifact(&snapshot(0.113)).unwrap();
         let mut slow = old.clone();
         slow.cells[0].metrics[0].1 = 0.014;
-        let diff = diff_artifacts(&old, &slow, 0.10, 0.05);
+        let diff = diff_artifacts(&old, &slow, 0.10, 0.05).unwrap();
         assert_eq!(diff.regressions(), 0);
         assert!(diff.render().contains('~'), "visible but not gating");
     }
 
-    /// Writer/reader contract: everything `ssp_bench::artifact` emits —
+    /// Writer/reader contract: everything `crate::artifact` emits —
     /// snapshot and history line alike — must parse back here with the
     /// same keys and gated metrics.
     #[test]
     fn bench_writer_output_round_trips() {
-        use ssp_bench::artifact::{Artifact, CellBuilder};
+        use crate::artifact::{Artifact, CellBuilder};
         let artifact = Artifact {
             bench: "yds_kernel".into(),
             alpha: 2.0,
@@ -765,9 +522,9 @@ mod tests {
 
     #[test]
     fn nan_metrics_are_dropped_with_warning() {
-        // A writer formatting f64::NAN emits the bare token; the line must
+        // The writer emits a non-finite metric as `null`; the line must
         // survive with that one metric dropped.
-        let text = r#"{"type":"bench_run","bench":"b","rev":"aaa","cells":[{"family":"x","n":5,"bad_ms":NaN,"good_ms":1.5}]}"#;
+        let text = r#"{"type":"bench_run","bench":"b","rev":"aaa","cells":[{"family":"x","n":5,"bad_ms":null,"good_ms":1.5}]}"#;
         let (runs, warnings) = parse_history(text);
         assert_eq!(runs[0].cells[0].metrics, vec![("good_ms".to_string(), 1.5)]);
         assert_eq!(warnings.len(), 1);
@@ -778,7 +535,7 @@ mod tests {
     /// emits `ts`/`threads`/`host` and [`parse_history`] reads them back.
     #[test]
     fn history_metadata_round_trips_from_writer() {
-        use ssp_bench::artifact::{Artifact, CellBuilder, RunMeta};
+        use crate::artifact::{Artifact, CellBuilder, RunMeta};
         let artifact = Artifact {
             bench: "yds_kernel".into(),
             alpha: 2.0,
@@ -821,8 +578,119 @@ mod tests {
         let old = parse_artifact(&snapshot(0.113)).unwrap();
         let mut new = old.clone();
         new.cells[0].key = "family=crossing,n=50".to_string();
-        let diff = diff_artifacts(&old, &new, 0.10, 0.05);
+        let diff = diff_artifacts(&old, &new, 0.10, 0.05).unwrap();
         assert_eq!(diff.missing, vec!["family=agreeable,n=50".to_string()]);
         assert_eq!(diff.added, vec!["family=crossing,n=50".to_string()]);
+    }
+
+    #[test]
+    fn comparing_nothing_is_an_error() {
+        let yds = parse_artifact(&snapshot(0.113)).unwrap();
+        let mut other = yds.clone();
+        other.bench = "bal_kernel".to_string();
+        let err = diff_artifacts(&yds, &other, 0.10, 0.05).unwrap_err();
+        assert!(err.contains("different benches"), "{err}");
+        let mut disjoint = yds.clone();
+        for cell in &mut disjoint.cells {
+            cell.key.push_str(",variant=x");
+        }
+        let err = diff_artifacts(&yds, &disjoint, 0.10, 0.05).unwrap_err();
+        assert!(err.contains("share no metric"), "{err}");
+    }
+
+    /// Whatever the writer emits reads back through [`parse_history`]:
+    /// hostile family strings keep their keys, finite metrics round-trip
+    /// at the written precision, each non-finite metric is dropped with
+    /// exactly one warning, and no line is lost.
+    #[test]
+    fn hostile_writer_output_round_trips_through_parse_history() {
+        use crate::artifact::{Artifact, CellBuilder, RunMeta};
+        use ssp_prng::{check, Rng};
+        const CHARS: [char; 12] = [
+            'a', 'Z', '"', '\\', '\n', '\t', '\u{0}', '\u{1f}', ',', '=', 'é', '😀',
+        ];
+        let meta = RunMeta {
+            commit_ts: Some(1754500000),
+            threads: 4,
+            host: "ab12cd34".into(),
+        };
+        check::cases(200, 0xB_E4C4, |rng| {
+            let mut text = String::new();
+            let mut expected = Vec::new();
+            let mut non_finite = 0;
+            for _ in 0..rng.gen_range(1usize..4) {
+                let mut cells = Vec::new();
+                let mut keys = Vec::new();
+                for n in 0..rng.gen_range(1usize..6) {
+                    let family: String =
+                        check::vec_of(rng, 0..8, |r| CHARS[r.gen_range(0..CHARS.len())])
+                            .into_iter()
+                            .collect();
+                    let mut cell = CellBuilder::new(&family, n);
+                    let mut metrics = Vec::new();
+                    for m in 0..rng.gen_range(0usize..4) {
+                        let name = format!("m{m}_ms");
+                        let v = match rng.gen_range(0u32..6) {
+                            0 => f64::NAN,
+                            1 => f64::INFINITY,
+                            2 => f64::NEG_INFINITY,
+                            _ => rng.gen_range(0.0..1e4),
+                        };
+                        if v.is_finite() {
+                            metrics.push((name.clone(), format!("{v:.4}").parse().unwrap()));
+                        } else {
+                            non_finite += 1;
+                        }
+                        cell = cell.metric_ms(&name, v);
+                    }
+                    cells.push(cell.num("ctx", f64::NAN, 2).render());
+                    keys.push((format!("family={family},n={n}"), metrics));
+                }
+                let artifact = Artifact {
+                    bench: "b\"x".into(),
+                    alpha: 2.0,
+                    unit: "ms_median".into(),
+                    cells,
+                };
+                text.push_str(&artifact.history_line_with("r\\1", &meta));
+                text.push('\n');
+                expected.push(keys);
+            }
+            let (runs, warnings) = parse_history(&text);
+            assert_eq!(runs.len(), expected.len(), "a line was lost: {warnings:?}");
+            assert_eq!(warnings.len(), non_finite, "{warnings:?}");
+            assert!(warnings.iter().all(|w| w.contains("non-finite metric")));
+            for (run, keys) in runs.iter().zip(&expected) {
+                assert_eq!((run.bench.as_str(), run.rev.as_str()), ("b\"x", "r\\1"));
+                let got: Vec<_> = run
+                    .cells
+                    .iter()
+                    .map(|c| (c.key.clone(), c.metrics.clone()))
+                    .collect();
+                assert_eq!(&got, keys);
+            }
+        });
+    }
+
+    /// The committed artifacts read through the model without a warning.
+    #[test]
+    fn committed_artifacts_parse_without_warnings() {
+        let read = |name: &str| {
+            std::fs::read_to_string(format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))).unwrap()
+        };
+        let (runs, warnings) = parse_history(&read("BENCH_history.jsonl"));
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert!(!runs.is_empty());
+        for (file, bench) in [
+            ("BENCH_yds.json", "yds_kernel"),
+            ("BENCH_bal.json", "bal_kernel"),
+        ] {
+            let art = parse_artifact(&read(file)).unwrap();
+            assert_eq!(art.bench, bench);
+            assert!(!art.cells.is_empty());
+            for cell in &art.cells {
+                assert!(cell.metrics.iter().all(|(_, v)| v.is_finite()), "{cell:?}");
+            }
+        }
     }
 }

@@ -1,5 +1,7 @@
 //! `ssp bench report` — the perf-trajectory service over
-//! `BENCH_history.jsonl`.
+//! `BENCH_history.jsonl` — and the one regression verdict,
+//! [`trajectory_rows`], which the measured benches also run on their fresh
+//! cells (see [`crate::trajectory`]).
 //!
 //! Where `bench-diff` compares exactly two artifacts under one global
 //! threshold, this module reads the *whole* accumulated trajectory and
@@ -11,20 +13,22 @@
 //! get the band their own run-to-run noise earns.
 //!
 //! Flagged rows are linked to root causes when the bench harness attached
-//! a probe trace (see `ssp_bench::trajectory`): the report looks for
-//! `<trace_dir>/<bench>__<key>.jsonl`, diffs it against
+//! a probe trace (see [`crate::trajectory::attachment_path`]): the report
+//! looks for `<trace_dir>/<bench>__<key>.jsonl`, diffs it against
 //! `<trace_dir>/baseline/<same>.jsonl` when a baseline exists, and folds
 //! the hottest spans otherwise — so "got slower" comes annotated with
 //! "which span / which counter".
 
-use crate::benchdata::BenchRun;
+use crate::benchdata::{parse_history, BenchRun};
+use crate::trajectory::attachment_path;
 use std::fmt::Write as _;
+use std::path::Path;
 
-/// Trailing history runs a cell's noise band is calibrated over (matches
-/// `ssp_bench::trajectory::DEFAULT_WINDOW`).
+/// Trailing history runs a cell's noise band is calibrated over.
 pub const DEFAULT_WINDOW: usize = 8;
 
-/// Default noise floor in milliseconds (same convention as `bench-diff`).
+/// Default noise floor in milliseconds: metrics whose latest value sits
+/// below it never flag (same convention as `bench-diff`).
 pub const DEFAULT_MIN_MS: f64 = 0.05;
 
 /// Sparkline width cap: only the trailing this-many points are drawn.
@@ -104,6 +108,40 @@ pub fn trajectory_rows(runs: &[BenchRun], window: usize, min_ms: f64) -> Vec<Met
         }
     }
     rows
+}
+
+/// The whole `bench report` over history `text`: the reader's warnings
+/// (each naming `source`), the trajectory table, and the attached-trace
+/// section for flagged rows under `trace_dir` (fenced as a code block in
+/// markdown). Returns the text and the number of flagged rows.
+pub fn report(
+    source: &str,
+    text: &str,
+    window: usize,
+    min_ms: f64,
+    markdown: bool,
+    trace_dir: &str,
+) -> (String, usize) {
+    let (runs, warnings) = parse_history(text);
+    let rows = trajectory_rows(&runs, window, min_ms);
+    let mut out = String::new();
+    for w in &warnings {
+        let _ = writeln!(out, "warning: {source}: {w}");
+    }
+    out.push_str(&render(&rows, markdown));
+    let attachments = render_attachments(&rows, trace_dir);
+    if !attachments.is_empty() {
+        if markdown {
+            // Keep the trace section readable inside a GitHub summary.
+            let _ = writeln!(out, "\n```");
+            out.push_str(&attachments);
+            let _ = writeln!(out, "```");
+        } else {
+            out.push('\n');
+            out.push_str(&attachments);
+        }
+    }
+    (out, flagged(&rows))
 }
 
 /// Render a series as a unicode sparkline (trailing `SPARK_POINTS`
@@ -218,21 +256,6 @@ fn band_cell(r: &MetricRow) -> String {
     }
 }
 
-/// A cell key as a filesystem-safe file stem — the same convention
-/// `ssp_bench::trajectory::sanitize_key` applies on the writer side
-/// (asserted equivalent by the round-trip in EXP-25).
-pub fn sanitize_key(key: &str) -> String {
-    key.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
 /// Render the root-cause section for flagged rows: for every flagged cell
 /// with an attached trace under `dir`, either a span/counter/histogram
 /// diff against `dir/baseline/<same file>` (when a baseline trace exists)
@@ -240,17 +263,16 @@ pub fn sanitize_key(key: &str) -> String {
 /// without an attachment are listed so the absence is visible.
 pub fn render_attachments(rows: &[MetricRow], dir: &str) -> String {
     let mut out = String::new();
-    let mut seen: Vec<String> = Vec::new();
+    let mut seen = Vec::new();
     for row in rows.iter().filter(|r| r.flagged) {
-        let stem = format!("{}__{}.jsonl", row.bench, sanitize_key(&row.key));
-        if seen.contains(&stem) {
+        let path = attachment_path(Path::new(dir), &row.bench, &row.key);
+        if seen.contains(&path) {
             continue;
         }
-        seen.push(stem.clone());
+        seen.push(path.clone());
         if out.is_empty() {
             out.push_str("attached traces:\n");
         }
-        let path = std::path::Path::new(dir).join(&stem);
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
             Err(_) => {
@@ -271,7 +293,7 @@ pub fn render_attachments(rows: &[MetricRow], dir: &str) -> String {
                 continue;
             }
         };
-        let base_path = std::path::Path::new(dir).join("baseline").join(&stem);
+        let base_path = attachment_path(&Path::new(dir).join("baseline"), &row.bench, &row.key);
         let base = std::fs::read_to_string(&base_path)
             .ok()
             .and_then(|t| ssp_probe::Trace::parse(&t).ok());
@@ -323,7 +345,6 @@ fn hottest_folded(trace: &ssp_probe::Trace, top: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benchdata::parse_history;
 
     fn history(bench: &str, values: &[f64]) -> String {
         values

@@ -27,7 +27,7 @@ use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 /// One measured benchmark, retained so the run can be serialized as an
-/// artifact after all groups finish (see [`Criterion::emit_artifact`]).
+/// artifact after all groups finish (see [`Criterion::artifact`]).
 struct BenchRecord {
     label: String,
     per_iter_ms: f64,
@@ -50,7 +50,7 @@ impl Criterion {
     ///
     /// Setting [`crate::trajectory::TRACE_DIR_ENV`] also turns probing on:
     /// auto-attaching a trace for a regressed cell requires the trace to
-    /// exist by the time [`Criterion::emit_artifact`] compares against
+    /// exist by the time [`crate::trajectory::emit`] compares against
     /// history, because macro-driven benches cannot re-run a closure after
     /// their group returns.
     pub fn from_args() -> Self {
@@ -92,95 +92,38 @@ impl Criterion {
         println!("{} {} benchmark(s)", mode, self.ran);
     }
 
-    /// Serialize the measured run as a bench artifact, honoring the same
-    /// environment contract as the structured kernel benches:
-    /// `SSP_BENCH_JSON=<path>` writes a snapshot, `SSP_BENCH_HISTORY=<path>`
-    /// appends a `bench_run` trajectory line, and
-    /// [`crate::trajectory::TRACE_DIR_ENV`] stores the captured probe trace
-    /// of every cell that regresses against its own history-calibrated
-    /// noise band. No-op in smoke mode or when neither path is set.
-    ///
-    /// Labels map to cells as `group/123` → `family="group", n=123` when
-    /// the last `/`-segment is an integer, `family=<label>, n=0` otherwise;
-    /// the mean per-iteration time lands in `time_ms`.
-    pub fn emit_artifact(&self, bench: &str, alpha: f64) {
-        use crate::artifact::Artifact;
-        if !self.measure {
-            return;
-        }
-        let snapshot = std::env::var("SSP_BENCH_JSON")
-            .ok()
-            .filter(|p| !p.is_empty());
-        let history = std::env::var("SSP_BENCH_HISTORY")
-            .ok()
-            .filter(|p| !p.is_empty());
-        if snapshot.is_none() && history.is_none() {
-            return;
-        }
-        let builders: Vec<_> = self
-            .records
-            .iter()
-            .map(|r| {
-                let (family, n) = split_label(&r.label);
-                crate::artifact::CellBuilder::new(family, n)
-                    .metric_ms("time_ms", r.per_iter_ms)
-                    .int("iters", r.iters)
-            })
-            .collect();
-        let artifact = Artifact {
+    /// The measured run as a bench artifact, one cell per benchmark, for
+    /// [`crate::trajectory::emit`]. Labels map to cells as `group/123` →
+    /// `family="group", n=123` when the last `/`-segment is an integer,
+    /// `family=<label>, n=0` otherwise; the mean per-iteration time lands
+    /// in `time_ms`.
+    pub fn artifact(&self, bench: &str, alpha: f64) -> crate::artifact::Artifact {
+        crate::artifact::Artifact {
             bench: bench.to_string(),
             alpha,
             unit: "ms_mean".to_string(),
-            cells: builders.iter().map(|b| b.render()).collect(),
-        };
-        // Regression check against the history as it stood *before* this
-        // run is appended, so a fresh slowdown is compared to its past.
-        if let (Some(path), Some(dir)) = (&history, crate::trajectory::trace_dir()) {
-            let prior = std::fs::read_to_string(crate::artifact::resolve_artifact_path(path))
-                .unwrap_or_default();
-            let metas: Vec<_> = builders.iter().map(|b| b.meta()).collect();
-            for reg in crate::trajectory::detect_regressions(
-                bench,
-                &metas,
-                &prior,
-                crate::trajectory::DEFAULT_WINDOW,
-            ) {
-                eprintln!(
-                    "regressed {bench} {} {}: {:.4} ms vs baseline {:.4} ms (+{:.1}% > band {:.1}%)",
-                    reg.key,
-                    reg.metric,
-                    reg.latest,
-                    reg.baseline,
-                    reg.delta * 100.0,
-                    reg.band * 100.0
-                );
-                let trace = metas
-                    .iter()
-                    .position(|m| m.key == reg.key)
-                    .and_then(|i| self.records[i].trace.as_ref());
-                match trace {
-                    Some(trace) => {
-                        match crate::trajectory::write_attachment(&dir, bench, &reg.key, trace) {
-                            Ok(p) => eprintln!("  trace attached: {}", p.display()),
-                            Err(e) => eprintln!("  warning: cannot attach trace: {e}"),
-                        }
-                    }
-                    None => eprintln!("  no probe trace captured for this cell"),
-                }
-            }
+            cells: self
+                .records
+                .iter()
+                .map(|r| {
+                    let (family, n) = split_label(&r.label);
+                    crate::artifact::CellBuilder::new(family, n)
+                        .metric_ms("time_ms", r.per_iter_ms)
+                        .int("iters", r.iters)
+                        .render()
+                })
+                .collect(),
         }
-        if let Some(path) = &snapshot {
-            match artifact.write_snapshot(path) {
-                Ok(()) => println!("wrote snapshot {path}"),
-                Err(e) => eprintln!("warning: cannot write snapshot {path}: {e}"),
-            }
-        }
-        if let Some(path) = &history {
-            match artifact.append_history(path) {
-                Ok(()) => println!("appended history {path}"),
-                Err(e) => eprintln!("warning: cannot append history {path}: {e}"),
-            }
-        }
+    }
+
+    /// The probe trace captured for the [`Criterion::artifact`] cell
+    /// `family`/`n`, if the run probed it.
+    pub fn trace(&self, family: &str, n: usize) -> Option<ssp_probe::Trace> {
+        let record = self
+            .records
+            .iter()
+            .find(|r| split_label(&r.label) == (family, n))?;
+        record.trace.clone()
     }
 }
 
@@ -302,7 +245,7 @@ pub struct Bencher {
 }
 
 /// One untimed, traced invocation; `None` if the probe is busy elsewhere.
-fn trace_once<O>(routine: &mut impl FnMut() -> O) -> Option<ssp_probe::Trace> {
+pub fn trace_once<O>(routine: &mut impl FnMut() -> O) -> Option<ssp_probe::Trace> {
     let session = ssp_probe::Session::begin()?;
     std::hint::black_box(routine());
     Some(session.end())

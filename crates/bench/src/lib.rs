@@ -18,8 +18,13 @@
 //! | `tables` / `exp9_certify` | Table 7 | BAL + KKT certificate |
 //! | `micro` / * | — | max-flow, YDS, interval decomposition primitives |
 //!
-//! This library crate only hosts shared fixtures; the targets live under
-//! `benches/`.
+//! The targets live under `benches/`. This library crate hosts their
+//! shared fixtures and the bench-data layer around them: the artifact
+//! writer ([`artifact`]), the one reader of what it writes ([`benchdata`],
+//! also behind `speedscale bench-diff`), the trajectory verdict and report
+//! ([`benchreport`], behind `speedscale bench report`), and the in-run
+//! check and artifact emission every measured bench ends with
+//! ([`trajectory`]).
 //!
 //! Passing `--probe` after `--bench` (or setting `SSP_BENCH_PROBE=1`)
 //! attaches `ssp-probe` counter deltas to each benchmark: one extra
@@ -32,6 +37,8 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
+pub mod benchdata;
+pub mod benchreport;
 pub mod harness;
 pub mod trajectory;
 

@@ -1,103 +1,25 @@
-//! Bench-side trajectory analysis: history-calibrated regression checks
-//! and auto-attached probe traces.
+//! Bench-side trajectory: the in-run regression check, auto-attached probe
+//! traces, and the one artifact-emission sequence every measured bench
+//! ends with.
 //!
 //! A measured bench run knows two things the offline report does not: it
 //! holds the freshly measured cells *before* they are appended to
-//! `BENCH_history.jsonl`, and it can still re-run any cell. This module
-//! closes that loop. [`detect_regressions`] compares the new cells against
-//! each cell's own trailing history window using the shared
-//! `ssp_probe::calib` noise bands, and [`write_attachment`] stores a probe
-//! trace of a regressed cell next to the artifact (under
-//! [`TRACE_DIR_ENV`]), so `ssp bench report` can later link "got slower"
-//! to "which span / which counter" via `trace diff` without a manual
-//! repro.
-//!
-//! The history scanner here is intentionally a *reader of our own
-//! writer*: it parses the `bench_run` lines `ssp_bench::artifact` emits
-//! and skips anything else. The full artifact parser (snapshots, foreign
-//! layouts, warning diagnostics) lives in the `speedscale` crate's
-//! `benchdata` module — it cannot be used here because `speedscale`
-//! depends on this crate.
+//! `BENCH_history.jsonl`, and it can still trace any cell. [`emit`] closes
+//! that loop: it runs the report's own verdict
+//! ([`crate::benchreport::trajectory_rows`]) over the history plus the
+//! fresh run, and each regressed cell's probe trace is stored at
+//! [`attachment_path`] under [`TRACE_DIR_ENV`], so `ssp bench report` can
+//! later link "got slower" to "which span / which counter" via `trace
+//! diff` without a manual repro.
 
-use crate::artifact::{resolve_artifact_path, CellMeta};
-use std::path::PathBuf;
+use crate::artifact::{append_history, git_rev, resolve_artifact_path, Artifact};
+use crate::benchdata::parse_history;
+use crate::benchreport::{trajectory_rows, MetricRow, DEFAULT_MIN_MS, DEFAULT_WINDOW};
+use std::path::{Path, PathBuf};
 
 /// Environment variable enabling auto-attached traces: the directory
 /// (resolved like artifact paths) regressed-cell traces are written to.
 pub const TRACE_DIR_ENV: &str = "SSP_BENCH_TRACE_DIR";
-
-/// Trailing history runs a cell's noise band is calibrated over.
-pub const DEFAULT_WINDOW: usize = 8;
-
-/// Noise floor in milliseconds: cells whose fresh median sits below this
-/// never count as regressed (same convention as `bench-diff`).
-pub const NOISE_FLOOR_MS: f64 = 0.05;
-
-/// One calibrated crossing: a freshly measured metric outside its cell's
-/// historical noise band.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Cell key (`family=...,n=...`).
-    pub key: String,
-    /// Metric name (`fast_ms`, `ladder_ms`, ...).
-    pub metric: String,
-    /// Freshly measured milliseconds.
-    pub latest: f64,
-    /// Baseline: median of the trailing history window.
-    pub baseline: f64,
-    /// The calibrated relative band the latest value crossed.
-    pub band: f64,
-    /// Relative slowdown, `latest/baseline - 1`.
-    pub delta: f64,
-}
-
-/// Compare freshly measured `cells` of `bench` against `history_text`
-/// (the accumulated `BENCH_history.jsonl`, read *before* appending this
-/// run). For every `*_ms` metric with at least one historical sample, the
-/// baseline is the median of the trailing `window` samples and the band
-/// is `ssp_probe::calib::noise_band` over them; crossings above the
-/// [`NOISE_FLOOR_MS`] floor are returned in cell order.
-pub fn detect_regressions(
-    bench: &str,
-    cells: &[CellMeta],
-    history_text: &str,
-    window: usize,
-) -> Vec<Regression> {
-    let runs = history_cells(history_text, bench);
-    let mut out = Vec::new();
-    for cell in cells {
-        for (metric, latest) in &cell.metrics {
-            let samples: Vec<f64> = runs
-                .iter()
-                .filter_map(|run| {
-                    run.iter()
-                        .find(|(key, _)| key == &cell.key)
-                        .and_then(|(_, metrics)| {
-                            metrics.iter().find(|(m, _)| m == metric).map(|&(_, v)| v)
-                        })
-                })
-                .filter(|v| v.is_finite())
-                .collect();
-            let start = samples.len().saturating_sub(window.max(1));
-            let trailing = &samples[start..];
-            let Some(baseline) = ssp_probe::calib::median(trailing) else {
-                continue;
-            };
-            let band = ssp_probe::calib::noise_band(trailing);
-            if ssp_probe::calib::crosses(*latest, baseline, band, NOISE_FLOOR_MS) {
-                out.push(Regression {
-                    key: cell.key.clone(),
-                    metric: metric.clone(),
-                    latest: *latest,
-                    baseline,
-                    band,
-                    delta: latest / baseline - 1.0,
-                });
-            }
-        }
-    }
-    out
-}
 
 /// The auto-attach trace directory, if enabled via [`TRACE_DIR_ENV`].
 pub fn trace_dir() -> Option<String> {
@@ -118,21 +40,23 @@ pub fn sanitize_key(key: &str) -> String {
         .collect()
 }
 
-/// Where a cell's attached trace lives: `<dir>/<bench>__<key>.jsonl`,
-/// with `dir` resolved like artifact paths (relative → workspace root).
-pub fn attachment_path(dir: &str, bench: &str, key: &str) -> PathBuf {
-    resolve_artifact_path(dir).join(format!("{bench}__{}.jsonl", sanitize_key(key)))
+/// Where a cell's attached trace lives in `dir`:
+/// `<dir>/<bench>__<sanitized key>.jsonl`. The one naming rule the bench
+/// harness (writer) and `bench report` (reader) share.
+pub fn attachment_path(dir: &Path, bench: &str, key: &str) -> PathBuf {
+    dir.join(format!("{bench}__{}.jsonl", sanitize_key(key)))
 }
 
-/// Write a regressed cell's probe trace to [`attachment_path`], creating
-/// the directory if needed. Returns the written path.
+/// Write a regressed cell's probe trace to its [`attachment_path`] in
+/// `dir` (resolved like artifact paths: relative → workspace root),
+/// creating the directory if needed. Returns the written path.
 pub fn write_attachment(
     dir: &str,
     bench: &str,
     key: &str,
     trace: &ssp_probe::Trace,
 ) -> std::io::Result<PathBuf> {
-    let path = attachment_path(dir, bench, key);
+    let path = attachment_path(&resolve_artifact_path(dir), bench, key);
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
@@ -140,36 +64,8 @@ pub fn write_attachment(
     Ok(path)
 }
 
-/// Re-run one untimed iteration of a regressed cell under a probe session
-/// and write the trace. Returns the path, or `None` when the probe is
-/// busy elsewhere or the write failed (attachment is best-effort — it
-/// must never fail the bench run itself).
-pub fn attach_probe_rerun<O>(
-    dir: &str,
-    bench: &str,
-    key: &str,
-    mut rerun: impl FnMut() -> O,
-) -> Option<PathBuf> {
-    let session = ssp_probe::Session::begin()?;
-    std::hint::black_box(rerun());
-    let trace = session.end();
-    match write_attachment(dir, bench, key, &trace) {
-        Ok(path) => {
-            eprintln!(
-                "attached probe trace for regressed cell {key}: {}",
-                path.display()
-            );
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("warning: cannot write trace attachment for {key}: {e}");
-            None
-        }
-    }
-}
-
 /// Parse a `family=...,n=...` cell key back into its parts, so a bench
-/// main can rebuild the regressed instance for a probe re-run.
+/// can trace the regressed cell.
 pub fn parse_family_n(key: &str) -> Option<(String, usize)> {
     let mut family = None;
     let mut n = None;
@@ -184,287 +80,109 @@ pub fn parse_family_n(key: &str) -> Option<(String, usize)> {
     Some((family?, n?))
 }
 
-/// The full in-run gate for a structured kernel bench: compare fresh
-/// cells against the history at `history_path` (as it stands, i.e.
-/// *before* this run is appended), report every calibrated crossing on
-/// stderr, and — when [`TRACE_DIR_ENV`] is set — re-run each regressed
-/// cell once under a probe session via `rerun(family, n)` and attach the
-/// trace. Returns the regressions so the caller can surface them further.
-pub fn check_and_attach(
-    bench: &str,
-    metas: &[CellMeta],
-    history_path: &str,
-    mut rerun: impl FnMut(&str, usize),
-) -> Vec<Regression> {
-    let prior = std::fs::read_to_string(resolve_artifact_path(history_path)).unwrap_or_default();
-    let regs = detect_regressions(bench, metas, &prior, DEFAULT_WINDOW);
-    let mut attached: Vec<String> = Vec::new();
-    for reg in &regs {
-        eprintln!(
-            "regressed {bench} {} {}: {:.4} ms vs baseline {:.4} ms (+{:.1}% > band {:.1}%)",
-            reg.key,
-            reg.metric,
-            reg.latest,
-            reg.baseline,
-            reg.delta * 100.0,
-            reg.band * 100.0
-        );
-        if attached.contains(&reg.key) {
-            continue;
-        }
-        attached.push(reg.key.clone());
-        if let Some(dir) = trace_dir() {
-            if let Some((family, n)) = parse_family_n(&reg.key) {
-                attach_probe_rerun(&dir, bench, &reg.key, || rerun(&family, n));
-            }
-        }
-    }
-    regs
-}
-
-// ---------------------------------------------------------------------------
-// History scanning (self-emitted bench_run lines only)
-// ---------------------------------------------------------------------------
-
-/// One run's cells as `(key, [(metric, ms)])`.
-type RunCells = Vec<(String, Vec<(String, f64)>)>;
-
-/// Per matching run (file order): the run's cells as
-/// `(key, [(metric, ms)])`, keyed by the same convention the artifact
-/// writer and the `speedscale` readers share — string fields plus `n`
-/// identify, `*_ms` fields measure. Lines that fail to parse, belong to
-/// another bench, or carry no cells are skipped silently: this reader
-/// feeds a best-effort in-run check, and the offline report owns the
-/// diagnostics.
-fn history_cells(text: &str, bench: &str) -> Vec<RunCells> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .filter_map(|line| {
-            let v = MiniJson::parse(line)?;
-            if v.member("bench")?.as_str()? != bench {
-                return None;
-            }
-            let cells = v.member("cells")?.as_arr()?;
-            Some(cells.iter().map(cell_key_metrics).collect())
-        })
+/// The in-run check: [`trajectory_rows`] over the runs in `history` (the
+/// accumulated `BENCH_history.jsonl`, read *before* this run is appended)
+/// followed by the fresh run's history `line`, keeping the flagged rows
+/// whose latest point the fresh run measured.
+fn fresh_regressions(history: &str, line: &str) -> Vec<MetricRow> {
+    let (mut runs, _) = parse_history(history);
+    let Some(fresh) = parse_history(line).0.pop() else {
+        return Vec::new();
+    };
+    runs.push(fresh);
+    let fresh = &runs[runs.len() - 1];
+    let measured = |r: &MetricRow| {
+        r.bench == fresh.bench
+            && fresh.cells.iter().any(|c| {
+                c.key == r.key
+                    && c.metrics
+                        .iter()
+                        .any(|(m, v)| *m == r.metric && v.is_finite())
+            })
+    };
+    trajectory_rows(&runs, DEFAULT_WINDOW, DEFAULT_MIN_MS)
+        .into_iter()
+        .filter(|r| r.flagged && measured(r))
         .collect()
 }
 
-/// Key/metric extraction mirroring `speedscale::benchdata::cell_from`.
-fn cell_key_metrics(cell: &MiniJson) -> (String, Vec<(String, f64)>) {
-    use std::fmt::Write as _;
-    let mut key = String::new();
-    let mut metrics = Vec::new();
-    if let MiniJson::Obj(members) = cell {
-        for (name, value) in members {
-            match value {
-                MiniJson::Str(s) => {
-                    if !key.is_empty() {
-                        key.push(',');
-                    }
-                    let _ = write!(key, "{name}={s}");
-                }
-                MiniJson::Num(v) if name == "n" => {
-                    if !key.is_empty() {
-                        key.push(',');
-                    }
-                    let _ = write!(key, "n={v}");
-                }
-                MiniJson::Num(v) if name.ends_with("_ms") => {
-                    metrics.push((name.clone(), *v));
-                }
-                _ => {}
+/// The artifact-emission sequence every measured bench ends with. In a
+/// measured run (`--bench`) with `SSP_BENCH_JSON` and/or
+/// `SSP_BENCH_HISTORY` set, it builds the artifact, checks the fresh cells
+/// against the history as it stands, reports each crossing
+/// on stderr and — with [`TRACE_DIR_ENV`] set — attaches
+/// `trace_of(family, n)` for each regressed cell; then it writes the
+/// snapshot and appends the history line. A failed snapshot or history
+/// write fails the run; a failed attachment only warns.
+pub fn emit(
+    build: impl FnOnce() -> Artifact,
+    mut trace_of: impl FnMut(&str, usize) -> Option<ssp_probe::Trace>,
+) {
+    let var = |name: &str| std::env::var(name).ok().filter(|p| !p.is_empty());
+    let (snapshot, history) = (var("SSP_BENCH_JSON"), var("SSP_BENCH_HISTORY"));
+    if !std::env::args().any(|a| a == "--bench") || (snapshot.is_none() && history.is_none()) {
+        return;
+    }
+    let artifact = build();
+    let bench = &artifact.bench;
+    let line = artifact.history_line(&git_rev());
+    if let Some(path) = &history {
+        let prior = std::fs::read_to_string(resolve_artifact_path(path)).unwrap_or_default();
+        let dir = trace_dir();
+        let mut attached: Vec<String> = Vec::new();
+        for row in fresh_regressions(&prior, &line) {
+            eprintln!(
+                "regressed {bench} {} {}: {:.4} ms vs baseline {:.4} ms (+{:.1}% > band {:.1}%)",
+                row.key,
+                row.metric,
+                row.latest,
+                row.baseline.unwrap_or_default(),
+                row.delta.unwrap_or_default() * 100.0,
+                row.band * 100.0
+            );
+            let Some(dir) = &dir else { continue };
+            if attached.contains(&row.key) {
+                continue;
+            }
+            attached.push(row.key.clone());
+            match parse_family_n(&row.key).and_then(|(family, n)| trace_of(&family, n)) {
+                Some(trace) => match write_attachment(dir, bench, &row.key, &trace) {
+                    Ok(p) => eprintln!("  trace attached: {}", p.display()),
+                    Err(e) => eprintln!("  warning: cannot attach trace: {e}"),
+                },
+                None => eprintln!("  no probe trace captured for this cell"),
             }
         }
     }
-    (key, metrics)
-}
-
-/// Just enough JSON for the self-emitted history lines: objects, arrays,
-/// strings without exotic escapes, numbers (plus a bare `NaN`, which a
-/// broken writer can produce), booleans and null.
-#[derive(Debug, Clone, PartialEq)]
-enum MiniJson {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<MiniJson>),
-    Obj(Vec<(String, MiniJson)>),
-}
-
-impl MiniJson {
-    fn parse(text: &str) -> Option<MiniJson> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = Self::value(bytes, &mut pos)?;
-        Self::skip_ws(bytes, &mut pos);
-        (pos == bytes.len()).then_some(v)
+    if let Some(path) = &snapshot {
+        artifact
+            .write_snapshot(path)
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        eprintln!("wrote {path}");
     }
-
-    fn member(&self, key: &str) -> Option<&MiniJson> {
-        match self {
-            MiniJson::Obj(m) => m.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            MiniJson::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[MiniJson]> {
-        match self {
-            MiniJson::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            *pos += 1;
-        }
-    }
-
-    fn value(bytes: &[u8], pos: &mut usize) -> Option<MiniJson> {
-        Self::skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b'{' => {
-                *pos += 1;
-                let mut members = Vec::new();
-                Self::skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Some(MiniJson::Obj(members));
-                }
-                loop {
-                    Self::skip_ws(bytes, pos);
-                    let key = Self::string(bytes, pos)?;
-                    Self::skip_ws(bytes, pos);
-                    (bytes.get(*pos) == Some(&b':')).then_some(())?;
-                    *pos += 1;
-                    members.push((key, Self::value(bytes, pos)?));
-                    Self::skip_ws(bytes, pos);
-                    match bytes.get(*pos)? {
-                        b',' => *pos += 1,
-                        b'}' => {
-                            *pos += 1;
-                            return Some(MiniJson::Obj(members));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'[' => {
-                *pos += 1;
-                let mut items = Vec::new();
-                Self::skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Some(MiniJson::Arr(items));
-                }
-                loop {
-                    items.push(Self::value(bytes, pos)?);
-                    Self::skip_ws(bytes, pos);
-                    match bytes.get(*pos)? {
-                        b',' => *pos += 1,
-                        b']' => {
-                            *pos += 1;
-                            return Some(MiniJson::Arr(items));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'"' => Some(MiniJson::Str(Self::string(bytes, pos)?)),
-            b't' => Self::literal(bytes, pos, "true", MiniJson::Bool(true)),
-            b'f' => Self::literal(bytes, pos, "false", MiniJson::Bool(false)),
-            b'n' => Self::literal(bytes, pos, "null", MiniJson::Null),
-            b'N' => Self::literal(bytes, pos, "NaN", MiniJson::Num(f64::NAN)),
-            c if *c == b'-' || c.is_ascii_digit() => {
-                let start = *pos;
-                if bytes.get(*pos) == Some(&b'-') {
-                    *pos += 1;
-                }
-                while matches!(bytes.get(*pos), Some(c)
-                    if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&bytes[start..*pos])
-                    .ok()?
-                    .parse::<f64>()
-                    .ok()
-                    .map(MiniJson::Num)
-            }
-            _ => None,
-        }
-    }
-
-    fn literal(bytes: &[u8], pos: &mut usize, word: &str, v: MiniJson) -> Option<MiniJson> {
-        bytes[*pos..].starts_with(word.as_bytes()).then(|| {
-            *pos += word.len();
-            v
-        })
-    }
-
-    fn string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-        (bytes.get(*pos) == Some(&b'"')).then_some(())?;
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match bytes.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        _ => return None,
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    let start = *pos;
-                    *pos += 1;
-                    while *pos < bytes.len() && bytes[*pos] & 0xC0 == 0x80 {
-                        *pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&bytes[start..*pos]).ok()?);
-                }
-            }
-        }
+    if let Some(path) = &history {
+        append_history(path, &line).unwrap_or_else(|e| panic!("append {path}: {e}"));
+        eprintln!("appended bench_run to {path}");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{Artifact, CellBuilder, RunMeta};
+    use crate::artifact::{CellBuilder, RunMeta};
 
-    fn run_line(rev: &str, fast_ms: f64) -> String {
+    fn line(bench: &str, family: &str, fast_ms: f64) -> String {
         Artifact {
-            bench: "yds_kernel".into(),
+            bench: bench.into(),
             alpha: 2.0,
             unit: "ms_median".into(),
-            cells: vec![CellBuilder::new("agreeable", 200)
+            cells: vec![CellBuilder::new(family, 200)
                 .metric_ms("fast_ms", fast_ms)
                 .int("peels", 40)
                 .render()],
         }
         .history_line_with(
-            rev,
+            "rev",
             &RunMeta {
                 commit_ts: Some(1754000000),
                 threads: 4,
@@ -476,73 +194,78 @@ mod tests {
     fn history(values: &[f64]) -> String {
         values
             .iter()
-            .enumerate()
-            .map(|(i, v)| run_line(&format!("rev{i}"), *v))
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n"
+            .map(|v| line("yds_kernel", "agreeable", *v) + "\n")
+            .collect()
     }
 
-    fn fresh(fast_ms: f64) -> Vec<CellMeta> {
-        vec![CellBuilder::new("agreeable", 200)
-            .metric_ms("fast_ms", fast_ms)
-            .meta()]
+    fn fresh(fast_ms: f64) -> String {
+        line("yds_kernel", "agreeable", fast_ms)
     }
 
     #[test]
     fn calibrated_step_is_caught_and_noise_passes() {
         let hist = history(&[0.100, 0.102, 0.098, 0.101, 0.099]);
         // In-noise fresh value: clean.
-        assert!(detect_regressions("yds_kernel", &fresh(0.101), &hist, 8).is_empty());
+        assert!(fresh_regressions(&hist, &fresh(0.101)).is_empty());
         // A 20% step crosses the calibrated band.
-        let hits = detect_regressions("yds_kernel", &fresh(0.120), &hist, 8);
+        let hits = fresh_regressions(&hist, &fresh(0.120));
         assert_eq!(hits.len(), 1);
         let r = &hits[0];
         assert_eq!(r.key, "family=agreeable,n=200");
         assert_eq!(r.metric, "fast_ms");
-        assert!((r.baseline - 0.100).abs() < 1e-12);
-        assert!(r.delta > 0.15 && r.band < r.delta, "{r:?}");
+        assert!((r.baseline.unwrap() - 0.100).abs() < 1e-12);
+        assert!(
+            r.delta.unwrap() > 0.15 && r.band < r.delta.unwrap(),
+            "{r:?}"
+        );
         // Another bench's history is invisible.
-        assert!(detect_regressions("bal_kernel", &fresh(0.120), &hist, 8).is_empty());
+        let other = line("bal_kernel", "agreeable", 0.120);
+        assert!(fresh_regressions(&hist, &other).is_empty());
     }
 
     #[test]
     fn sub_floor_cells_and_unknown_cells_never_regress() {
         let hist = history(&[0.010, 0.010, 0.010, 0.010]);
         // 3x slowdown but under the 0.05 ms floor: not a regression.
-        assert!(detect_regressions("yds_kernel", &fresh(0.030), &hist, 8).is_empty());
+        assert!(fresh_regressions(&hist, &fresh(0.030)).is_empty());
         // A cell with no history at all: nothing to calibrate against.
-        let unknown = vec![CellBuilder::new("crossing", 800)
-            .metric_ms("fast_ms", 9.9)
-            .meta()];
-        assert!(detect_regressions("yds_kernel", &unknown, &hist, 8).is_empty());
+        let unknown = line("yds_kernel", "crossing", 9.9);
+        assert!(fresh_regressions(&hist, &unknown).is_empty());
+        // A regressed history row the fresh run did not measure is not
+        // the fresh run's regression.
+        let stale = history(&[0.100, 0.100, 0.100, 0.300]);
+        assert!(fresh_regressions(&stale, &unknown).is_empty());
     }
 
     #[test]
     fn window_limits_the_calibration_to_trailing_runs() {
-        // Ancient slow epoch followed by a fast quiet one: with a window
-        // of 3 the baseline is the fast epoch, so a return to the old
-        // speed IS a regression.
-        let hist = history(&[0.200, 0.210, 0.190, 0.205, 0.100, 0.101, 0.099]);
-        let hits = detect_regressions("yds_kernel", &fresh(0.200), &hist, 3);
+        // An old slow epoch followed by a full window of fast quiet runs:
+        // the baseline is the fast epoch, so a return to the old speed IS
+        // a regression. Over all 16 runs the median would sit between the
+        // epochs and the bimodal spread would widen the band past the step.
+        let mut values = vec![0.200, 0.210, 0.190, 0.205, 0.200, 0.195, 0.210, 0.200];
+        values.extend([0.100, 0.101, 0.099, 0.100, 0.101, 0.099, 0.100, 0.101]);
+        let hits = fresh_regressions(&history(&values), &fresh(0.200));
         assert_eq!(hits.len(), 1);
-        assert!((hits[0].baseline - 0.1).abs() < 0.01, "{:?}", hits[0]);
-        // The full window is dominated by the slow epoch: baseline sits
-        // high and the bimodal dispersion widens the band past the step.
-        assert!(detect_regressions("yds_kernel", &fresh(0.200), &hist, 100).is_empty());
+        assert!(
+            (hits[0].baseline.unwrap() - 0.1).abs() < 0.01,
+            "{:?}",
+            hits[0]
+        );
+        assert_eq!(hits[0].series.len(), 17);
     }
 
     #[test]
     fn malformed_and_foreign_lines_are_skipped() {
         let hist = format!(
-            "{}\nnot json at all\n{}\n{{\"type\": \"bench_run\", \"bench\": \"yds_kernel\", \"cells\": [{{\"family\": \"agreeable\", \"n\": 200, \"fast_ms\": NaN}}]}}\n{}",
-            run_line("a", 0.100),
+            "{}\nnot json at all\n{}\n{{\"type\": \"bench_run\", \"bench\": \"yds_kernel\", \"cells\": [{{\"family\": \"agreeable\", \"n\": 200, \"fast_ms\": null}}]}}\n{}",
+            fresh(0.100),
             r#"{"type": "other_record", "bench": "yds_kernel"}"#,
-            run_line("b", 0.101)
+            fresh(0.101)
         );
-        // Two usable samples (NaN dropped) → too few for a tight band but
+        // Two usable samples (null dropped) → too few for a tight band but
         // the scan itself must not choke.
-        let hits = detect_regressions("yds_kernel", &fresh(0.2), &hist, 8);
+        let hits = fresh_regressions(&hist, &fresh(0.2));
         assert_eq!(hits.len(), 1, "median of 2 samples still baselines");
     }
 
@@ -563,8 +286,7 @@ mod tests {
             "family_agreeable_n_200"
         );
         let dir = std::env::temp_dir().join(format!("ssp_traj_{}", std::process::id()));
-        let dir_s = dir.to_string_lossy().into_owned();
-        let path = attachment_path(&dir_s, "yds_kernel", "family=agreeable,n=200");
+        let path = attachment_path(&dir, "yds_kernel", "family=agreeable,n=200");
         assert!(path
             .to_string_lossy()
             .ends_with("yds_kernel__family_agreeable_n_200.jsonl"));
@@ -574,8 +296,10 @@ mod tests {
             hists: Vec::new(),
             error: None,
         };
+        let dir_s = dir.to_string_lossy().into_owned();
         let written = write_attachment(&dir_s, "yds_kernel", "family=agreeable,n=200", &trace)
             .expect("attachment writes");
+        assert_eq!(written, path);
         let back = ssp_probe::Trace::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
         assert_eq!(back.counter("demo.events"), 3);
         std::fs::remove_dir_all(&dir).ok();

@@ -27,7 +27,7 @@
 use crate::table::{Cell, Table};
 use crate::RunCfg;
 use ssp_harness::fault::FaultPlan;
-use ssp_serve::json::{self, Json};
+use ssp_probe::json::{self, Json};
 use ssp_serve::{RetryPolicy, ServeOptions, Server};
 use ssp_workloads::{families, subseed};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -5,7 +5,9 @@
 //! with a **per-cell calibrated band**: robust dispersion (median/MAD,
 //! `ssp_probe::calib`) over the cell's own trailing history window. This
 //! runner builds deterministic synthetic trajectories — no timing, no
-//! machine noise — and re-states the service's contracts as assertions:
+//! machine noise — runs them through the report's own verdict
+//! (`ssp_bench::benchreport::trajectory_rows`) and re-states the service's
+//! contracts as assertions:
 //!
 //! 1. **Separation.** On a trajectory with ±2% deterministic run-to-run
 //!    noise, the calibrated band passes every in-noise point but flags a
@@ -14,17 +16,20 @@
 //!    the band (MAD robustness); and a sub-floor cell never flags no
 //!    matter how large its relative step.
 //! 2. **Attachment round-trip.** A flagged cell's auto-attached probe
-//!    trace, written under the `<bench>__<sanitized key>.jsonl` naming
-//!    convention the harness and `bench report` share, parses back and
-//!    its `trace diff` against the baseline trace names the regressed
-//!    span (flagged `!`) — the "got slower" → "which span" link the
-//!    report renders.
+//!    trace, written by the harness's own attachment writer under the
+//!    naming rule `bench report` reads (`ssp_bench::trajectory`), parses
+//!    back and its `trace diff` against the baseline trace names the
+//!    regressed span (flagged `!`) — the "got slower" → "which span" link
+//!    the report renders.
 //!
 //! Everything is derived from `ssp_workloads::subseed` bit-mixing, so the
 //! run is reproducible for any `--seed`.
 
 use crate::table::{Cell, Table};
 use crate::RunCfg;
+use ssp_bench::benchdata::{BenchCell, BenchRun};
+use ssp_bench::benchreport::{trajectory_rows, DEFAULT_MIN_MS};
+use ssp_bench::trajectory::write_attachment;
 use ssp_probe::calib;
 use ssp_workloads::subseed;
 
@@ -33,21 +38,6 @@ use ssp_workloads::subseed;
 fn noise(seed: u64, i: u64, amp: f64) -> f64 {
     let s = subseed(seed, i);
     1.0 + amp * (((s % 401) as f64 - 200.0) / 200.0)
-}
-
-/// The attachment file stem convention shared by `ssp_bench::trajectory`
-/// (writer) and `speedscale::benchreport` (reader): every character
-/// outside `[A-Za-z0-9._-]` becomes `_`.
-fn sanitize_key(key: &str) -> String {
-    key.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// A deterministic two-span probe trace in wire format: a `yds` root of
@@ -70,9 +60,6 @@ struct Scenario {
     latest: f64,
     must_flag: bool,
 }
-
-/// Noise floor in milliseconds (the `bench report` default).
-const MIN_MS: f64 = 0.05;
 
 /// Run EXP-25.
 pub fn run(cfg: &RunCfg) -> Vec<Table> {
@@ -134,9 +121,25 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
     );
 
     for sc in &scenarios {
-        let baseline = calib::median(&sc.history).expect("non-empty history");
-        let band = calib::noise_band(&sc.history);
-        let flagged = calib::crosses(sc.latest, baseline, band, MIN_MS);
+        // The scenario as a one-cell trajectory, judged by `bench report`'s
+        // verdict over a window spanning its whole history.
+        let runs: Vec<BenchRun> = sc
+            .history
+            .iter()
+            .chain([&sc.latest])
+            .map(|&ms| BenchRun {
+                cells: vec![BenchCell {
+                    key: sc.name.to_string(),
+                    metrics: vec![("fast_ms".to_string(), ms)],
+                }],
+                ..BenchRun::default()
+            })
+            .collect();
+        let rows = trajectory_rows(&runs, sc.history.len(), DEFAULT_MIN_MS);
+        assert_eq!(rows.len(), 1, "{}: one cell, one metric", sc.name);
+        let (band, flagged) = (rows[0].band, rows[0].flagged);
+        let baseline = rows[0].baseline.expect("non-empty history");
+        let delta = rows[0].delta.expect("a baseline gives a delta");
         assert_eq!(
             flagged,
             sc.must_flag,
@@ -165,26 +168,27 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
             Cell::Num(baseline, 4),
             Cell::Num(band * 100.0, 1),
             Cell::Num(sc.latest, 4),
-            Cell::Num((sc.latest / baseline - 1.0) * 100.0, 1),
+            Cell::Num(delta * 100.0, 1),
             Cell::Text(if flagged { "yes" } else { "no" }.to_string()),
         ]);
     }
 
     // -- Contract 2: the attachment round-trip -----------------------------
     let key = "family=agreeable,n=200";
-    let stem = format!("yds_kernel__{}.jsonl", sanitize_key(key));
-    assert_eq!(
-        stem, "yds_kernel__family_agreeable_n_200.jsonl",
-        "attachment naming convention drifted"
-    );
     let dir = std::env::temp_dir().join(format!("ssp_exp25_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(&stem);
     // Baseline: 4 µs solve, 3 µs of it peeling, 20 peels. Regressed run:
     // 9 µs / 8 µs / 40 peels — double the work, not slower work.
     let baseline_trace =
         ssp_probe::Trace::parse(&trace_jsonl(4_000, 3_000, 20)).expect("baseline trace parses");
-    std::fs::write(&path, trace_jsonl(9_000, 8_000, 40)).expect("write attachment");
+    let regressed =
+        ssp_probe::Trace::parse(&trace_jsonl(9_000, 8_000, 40)).expect("regressed trace parses");
+    let path = write_attachment(&dir.to_string_lossy(), "yds_kernel", key, &regressed)
+        .expect("write attachment");
+    assert!(
+        path.ends_with("yds_kernel__family_agreeable_n_200.jsonl"),
+        "attachment naming convention drifted: {}",
+        path.display()
+    );
 
     let attached_text = std::fs::read_to_string(&path).expect("read attachment back");
     let attached = ssp_probe::Trace::parse(&attached_text).expect("attachment parses");

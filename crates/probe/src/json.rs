@@ -1,7 +1,9 @@
 //! A minimal JSON value type with a hardened parser and a writer.
 //!
-//! The workspace is deliberately dependency-free, so the serve protocol
-//! carries its own JSON layer rather than pulling in serde. The parser is
+//! The workspace is deliberately dependency-free, so it carries its own
+//! JSON layer rather than pulling in serde, and this module is the only
+//! one: the serve protocol, probe traces and bench artifacts all read and
+//! escape through it (`ssp_serve::json` re-exports it). The parser is
 //! written for a *hostile* wire: it is recursive-descent with an explicit
 //! nesting-depth cap (a 10 kB `[[[[…` bomb must return a parse error, not
 //! blow the worker's stack), rejects trailing garbage, and never panics on
@@ -131,6 +133,15 @@ impl Json {
             }
         }
     }
+}
+
+/// `s` as a JSON string literal: quoted, with quotes, backslashes and
+/// control characters escaped the way [`Json::to_string_compact`] writes
+/// them.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_escaped(s, &mut out);
+    out
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -395,6 +406,7 @@ mod tests {
             "NaN",
             "1e999",
             "--3",
+            "[1,2",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }

@@ -4,8 +4,8 @@
 //!
 //! The wire format is JSON Lines with flat objects only — one `meta` line,
 //! one line per span, one line per counter, one line per histogram, at most
-//! one `error` line — so it round-trips through a hand-rolled parser and
-//! stays greppable:
+//! one `error` line — read and written through the workspace codec
+//! ([`crate::json`]) and greppable:
 //!
 //! ```text
 //! {"type":"meta","version":2,"spans":3,"counters":1,"hists":1}
@@ -21,7 +21,13 @@
 //! Histogram buckets are serialized sparsely as an `"index:count;…"` string
 //! to keep every line a flat object. Version-1 traces (no `hists` meta
 //! field, no histogram/error lines) still parse.
+//!
+//! The codec carries numbers as `f64`, so integer fields must stay at or
+//! below 2^53 − 1; a larger value is rejected rather than silently
+//! rounded. Span times count nanoseconds from session start, so the limit
+//! is about 104 days.
 
+use crate::json::{self, Json};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -29,6 +35,10 @@ use std::fmt::Write as _;
 /// Version 2 added histogram lines, the `error` line, and per-span
 /// allocation fields.
 pub const FORMAT_VERSION: u64 = 2;
+
+/// The largest integer a trace field may hold: 2^53 − 1, the top of the
+/// range an `f64` represents exactly.
+const MAX_EXACT_INT: u64 = (1 << 53) - 1;
 
 /// Number of histogram buckets: bucket 0 holds the value 0 and bucket
 /// `i >= 1` holds values in `[2^(i-1), 2^i)`, so 64 power-of-two buckets
@@ -332,7 +342,7 @@ impl Trace {
                 s.id,
                 s.parent,
                 s.thread,
-                json_string(&s.name),
+                json::quote(&s.name),
                 s.start_ns,
                 s.end_ns
             );
@@ -350,7 +360,7 @@ impl Trace {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"counter\",\"name\":{},\"value\":{}}}",
-                json_string(name),
+                json::quote(name),
                 value
             );
         }
@@ -365,15 +375,15 @@ impl Trace {
             let _ = writeln!(
                 out,
                 "{{\"type\":\"hist\",\"name\":{},\"count\":{},\"sum\":{},\"max\":{},\"buckets\":{}}}",
-                json_string(&h.name),
+                json::quote(&h.name),
                 h.count,
                 h.sum,
                 h.max,
-                json_string(&buckets)
+                json::quote(&buckets)
             );
         }
         if let Some(e) = &self.error {
-            let _ = writeln!(out, "{{\"type\":\"error\",\"message\":{}}}", json_string(e));
+            let _ = writeln!(out, "{{\"type\":\"error\",\"message\":{}}}", json::quote(e));
         }
         out
     }
@@ -390,31 +400,43 @@ impl Trace {
             if line.is_empty() {
                 continue;
             }
-            let fields =
-                parse_flat_object(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let get = |key: &str| -> Option<&JsonValue> {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+            let at = |e: String| format!("line {}: {e}", lineno + 1);
+            let doc = json::parse(line).map_err(at)?;
+            let Json::Obj(fields) = &doc else {
+                return Err(at("not a JSON object".to_string()));
             };
+            // The format is flat: every value is a string or an exact
+            // unsigned integer.
+            for (key, value) in fields {
+                match value {
+                    Json::Str(_) => {}
+                    Json::Num(n) if n.fract() == 0.0 && n.is_sign_positive() => {
+                        if *n > MAX_EXACT_INT as f64 {
+                            return Err(at(format!("integer field '{key}' exceeds 2^53 - 1")));
+                        }
+                    }
+                    _ => {
+                        return Err(at(format!(
+                            "field '{key}' is neither a string nor an unsigned integer"
+                        )))
+                    }
+                }
+            }
             let num = |key: &str| -> Result<u64, String> {
-                match get(key) {
-                    Some(JsonValue::Num(n)) => Ok(*n),
-                    _ => Err(format!("line {}: missing number field '{key}'", lineno + 1)),
+                match doc.get(key) {
+                    Some(Json::Num(n)) => Ok(*n as u64),
+                    _ => Err(at(format!("missing number field '{key}'"))),
                 }
             };
-            let num_or = |key: &str, default: u64| -> u64 {
-                match get(key) {
-                    Some(JsonValue::Num(n)) => *n,
-                    _ => default,
-                }
-            };
+            let num_or = |key: &str, default: u64| -> u64 { num(key).unwrap_or(default) };
             let string = |key: &str| -> Result<String, String> {
-                match get(key) {
-                    Some(JsonValue::Str(s)) => Ok(s.clone()),
-                    _ => Err(format!("line {}: missing string field '{key}'", lineno + 1)),
+                match doc.get(key) {
+                    Some(Json::Str(s)) => Ok(s.clone()),
+                    _ => Err(at(format!("missing string field '{key}'"))),
                 }
             };
-            match get("type") {
-                Some(JsonValue::Str(t)) if t == "meta" => {
+            match doc.get("type") {
+                Some(Json::Str(t)) if t == "meta" => {
                     meta = Some((
                         num("version")?,
                         num("spans")?,
@@ -422,7 +444,7 @@ impl Trace {
                         num_or("hists", 0),
                     ));
                 }
-                Some(JsonValue::Str(t)) if t == "span" => {
+                Some(Json::Str(t)) if t == "span" => {
                     trace.spans.push(SpanRec {
                         id: num("id")?,
                         parent: num("parent")?,
@@ -434,10 +456,10 @@ impl Trace {
                         alloc_count: num_or("alloc_count", 0),
                     });
                 }
-                Some(JsonValue::Str(t)) if t == "counter" => {
+                Some(Json::Str(t)) if t == "counter" => {
                     trace.counters.push((string("name")?, num("value")?));
                 }
-                Some(JsonValue::Str(t)) if t == "hist" => {
+                Some(Json::Str(t)) if t == "hist" => {
                     let mut rec = HistRec {
                         name: string("name")?,
                         count: num("count")?,
@@ -460,10 +482,10 @@ impl Trace {
                     }
                     trace.hists.push(rec);
                 }
-                Some(JsonValue::Str(t)) if t == "error" => {
+                Some(Json::Str(t)) if t == "error" => {
                     trace.error = Some(string("message")?);
                 }
-                Some(JsonValue::Str(_)) => {} // future line types: skip
+                Some(Json::Str(_)) => {} // future line types: skip
                 _ => return Err(format!("line {}: missing 'type' field", lineno + 1)),
             }
         }
@@ -819,133 +841,6 @@ fn format_bytes(b: u64) -> String {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Minimal flat-JSON support (no external dependencies)
-// ---------------------------------------------------------------------------
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-enum JsonValue {
-    Str(String),
-    Num(u64),
-}
-
-/// Parse one flat JSON object (`{"k":v,...}` with string or unsigned
-/// integer values) into key/value pairs. Deliberately minimal: the trace
-/// format never nests.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = line.chars().peekable();
-    let mut fields = Vec::new();
-    skip_ws(&mut chars);
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        expect(&mut chars, ':')?;
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some(c) = chars.peek().copied() {
-                    if let Some(d) = c.to_digit(10) {
-                        n = n
-                            .checked_mul(10)
-                            .and_then(|n| n.checked_add(d as u64))
-                            .ok_or_else(|| "number overflows u64".to_string())?;
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                JsonValue::Num(n)
-            }
-            other => return Err(format!("unexpected value start: {other:?}")),
-        };
-        fields.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    skip_ws(&mut chars);
-    if let Some(c) = chars.next() {
-        return Err(format!("trailing content starting at {c:?}"));
-    }
-    Ok(fields)
-}
-
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while matches!(chars.peek(), Some(' ' | '\t')) {
-        chars.next();
-    }
-}
-
-fn expect(chars: &mut std::iter::Peekable<std::str::Chars<'_>>, want: char) -> Result<(), String> {
-    match chars.next() {
-        Some(c) if c == want => Ok(()),
-        other => Err(format!("expected {want:?}, got {other:?}")),
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    expect(chars, '"')?;
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let d = chars
-                            .next()
-                            .and_then(|c| c.to_digit(16))
-                            .ok_or_else(|| "bad \\u escape".to_string())?;
-                        code = code * 16 + d;
-                    }
-                    out.push(char::from_u32(code).ok_or_else(|| "bad \\u codepoint".to_string())?);
-                }
-                other => return Err(format!("bad escape: {other:?}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1060,6 +955,27 @@ mod tests {
             "{\"type\":\"hist\",\"name\":\"h\",\"count\":1,\"sum\":1,\"max\":1,\"buckets\":\"1\"}\n",
         );
         assert!(Trace::parse(&text).is_err(), "bad bucket entry");
+    }
+
+    #[test]
+    fn integers_are_exact_up_to_2_pow_53_minus_1() {
+        let mut trace = sample();
+        trace.spans[0].end_ns = MAX_EXACT_INT;
+        let text = trace.to_jsonl();
+        assert!(text.contains("\"end_ns\":9007199254740991"));
+        assert_eq!(Trace::parse(&text).unwrap().to_jsonl(), text);
+        // 2^53 + 1 would read back as 2^53: rejected, not rounded.
+        let over = text.replace("9007199254740991", "9007199254740993");
+        let err = Trace::parse(&over).unwrap_err();
+        assert!(err.contains("'end_ns' exceeds 2^53 - 1"), "{err}");
+        // Values outside the flat schema stay errors.
+        for bad in ["-1", "1.5", "true", "null", "[1]"] {
+            let text = sample()
+                .to_jsonl()
+                .replace("\"end_ns\":1000000", &format!("\"end_ns\":{bad}"));
+            assert_ne!(text, sample().to_jsonl());
+            assert!(Trace::parse(&text).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod fingerprint;
-pub mod json;
+pub use ssp_probe::json;
 pub mod protocol;
 pub mod retry;
 pub mod server;

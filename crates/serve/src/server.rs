@@ -573,7 +573,7 @@ fn solve_once(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use ssp_probe::json;
     use std::sync::Mutex as StdMutex;
 
     fn collecting_sink() -> (Sink, Arc<StdMutex<Vec<String>>>) {

@@ -8,7 +8,7 @@
 //! serve-smoke drives the real binary over a Unix socket.
 
 use ssp_harness::fault::{FaultPlan, FAULT_KINDS};
-use ssp_serve::json::{self, Json};
+use ssp_probe::json::{self, Json};
 use ssp_serve::{ServeOptions, Server, Sink};
 use ssp_workloads::families;
 use std::sync::{Arc, Mutex};

@@ -127,7 +127,8 @@ commands:
                                       .json or history .jsonl); exit 1 when any
                                       *_ms median regresses past PCT% (default
                                       10) and is above the X ms noise floor
-                                      (default 0.05)
+                                      (default 0.05), or when the two are
+                                      different benches or share no metric
   bench report <history.jsonl> [--window N] [--min-ms X] [--markdown]
                [--gate] [--trace-dir DIR]
                                       per-cell trajectory over the whole
@@ -799,7 +800,7 @@ fn trace_cmd(parsed: &Parsed) -> Result<String, CliError> {
 /// comparison table; regressions past the threshold make it an exit-1
 /// runtime error (with the same table as the message) so CI can gate on it.
 fn bench_diff_cmd(parsed: &Parsed) -> Result<String, CliError> {
-    use crate::benchdata;
+    use ssp_bench::benchdata;
     let (old_path, new_path) = match (parsed.positional.first(), parsed.positional.get(1)) {
         (Some(a), Some(b)) => (a, b),
         _ => {
@@ -809,7 +810,9 @@ fn bench_diff_cmd(parsed: &Parsed) -> Result<String, CliError> {
         }
     };
     let threshold: f64 = parsed.flag_parse("threshold")?.unwrap_or(10.0);
-    let min_ms: f64 = parsed.flag_parse("min-ms")?.unwrap_or(0.05);
+    let min_ms: f64 = parsed
+        .flag_parse("min-ms")?
+        .unwrap_or(ssp_bench::benchreport::DEFAULT_MIN_MS);
     if threshold.is_nan() || threshold < 0.0 || min_ms.is_nan() || min_ms < 0.0 {
         return Err(CliError::usage("--threshold and --min-ms must be >= 0"));
     }
@@ -822,21 +825,18 @@ fn bench_diff_cmd(parsed: &Parsed) -> Result<String, CliError> {
                 .map_err(|e| CliError::runtime(format!("cannot parse {path}: {e}")))?,
         );
     }
-    let diff = benchdata::diff_artifacts(&artifacts[0], &artifacts[1], threshold / 100.0, min_ms);
-    let mut out = String::new();
-    if !diff.rows.is_empty() || !diff.missing.is_empty() || !diff.added.is_empty() {
-        let _ = writeln!(
-            out,
-            "comparing {} -> {}{}",
-            old_path,
-            new_path,
-            artifacts[1]
-                .rev
-                .as_deref()
-                .map(|r| format!(" (rev {r})"))
-                .unwrap_or_default()
-        );
-    }
+    let diff = benchdata::diff_artifacts(&artifacts[0], &artifacts[1], threshold / 100.0, min_ms)
+        .map_err(|e| {
+        CliError::runtime(format!("cannot compare {old_path} with {new_path}: {e}"))
+    })?;
+    let mut out = format!(
+        "comparing {old_path} -> {new_path}{}\n",
+        artifacts[1]
+            .rev
+            .as_deref()
+            .map(|r| format!(" (rev {r})"))
+            .unwrap_or_default()
+    );
     out.push_str(&diff.render());
     if diff.regressions() > 0 {
         return Err(CliError::runtime(out));
@@ -850,7 +850,7 @@ fn bench_diff_cmd(parsed: &Parsed) -> Result<String, CliError> {
 /// cells. `--gate` turns any flagged cell into an exit-1 runtime error
 /// (with the full report as the message) so CI can gate on it.
 fn bench_cmd(parsed: &Parsed) -> Result<String, CliError> {
-    use crate::{benchdata, benchreport};
+    use ssp_bench::benchreport;
     let sub = parsed
         .positional
         .first()
@@ -892,26 +892,8 @@ fn bench_cmd(parsed: &Parsed) -> Result<String, CliError> {
     };
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
-    let (runs, warnings) = benchdata::parse_history(&text);
-    let rows = benchreport::trajectory_rows(&runs, window, min_ms);
-    let mut out = String::new();
-    for w in &warnings {
-        let _ = writeln!(out, "warning: {path}: {w}");
-    }
-    out.push_str(&benchreport::render(&rows, markdown));
-    let attachments = benchreport::render_attachments(&rows, &trace_dir);
-    if !attachments.is_empty() {
-        if markdown {
-            // Keep the trace section readable inside a GitHub summary.
-            let _ = writeln!(out, "\n```");
-            out.push_str(&attachments);
-            let _ = writeln!(out, "```");
-        } else {
-            out.push('\n');
-            out.push_str(&attachments);
-        }
-    }
-    if gate && benchreport::flagged(&rows) > 0 {
+    let (out, flagged) = benchreport::report(path, &text, window, min_ms, markdown, &trace_dir);
+    if gate && flagged > 0 {
         return Err(CliError::runtime(out));
     }
     Ok(out)
@@ -1165,7 +1147,7 @@ fn serve_drive_cmd(parsed: &Parsed) -> Result<String, CliError> {
     }
     #[cfg(unix)]
     {
-        use ssp_serve::json::Json;
+        use ssp_probe::json::Json;
         use std::io::{BufRead, BufReader, Write};
         use std::os::unix::net::UnixStream;
 
@@ -1233,7 +1215,7 @@ fn serve_drive_cmd(parsed: &Parsed) -> Result<String, CliError> {
                 continue;
             }
             got += 1;
-            match ssp_serve::json::parse(&line) {
+            match ssp_probe::json::parse(&line) {
                 Ok(v) => match v.get("status").and_then(|s| s.as_str()) {
                     Some("ok") => {
                         ok += 1;
@@ -1917,6 +1899,25 @@ mod tests {
         // A looser threshold lets the same pair pass.
         let out = run(&args(&["bench-diff", &old, &new, "--threshold", "25"])).unwrap();
         assert!(out.contains("0 regression(s)"), "{out}");
+
+        // Different benches compare no metric: a runtime error, not a
+        // clean pass — snapshot against snapshot, and snapshot against a
+        // history whose last run is another bench.
+        std::fs::write(&p_new, snapshot(0.113).replace("yds_kernel", "bal_kernel")).unwrap();
+        let err = run(&args(&["bench-diff", &old, &new])).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("different benches"), "{}", err.message);
+        std::fs::write(
+            &p_new,
+            concat!(
+                "{\"type\":\"bench_run\",\"bench\":\"yds_kernel\",\"rev\":\"a\",\"cells\":[{\"family\":\"agreeable\",\"n\":200,\"fast_ms\":0.113}]}\n",
+                "{\"type\":\"bench_run\",\"bench\":\"bal_kernel\",\"rev\":\"b\",\"cells\":[{\"family\":\"crossing\",\"n\":50,\"ladder_ms\":0.3}]}\n"
+            ),
+        )
+        .unwrap();
+        let err = run(&args(&["bench-diff", &old, &new])).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("different benches"), "{}", err.message);
 
         // Usage guardrails.
         assert_eq!(run(&args(&["bench-diff", &old])).unwrap_err().code, 2);

@@ -53,8 +53,6 @@
 
 #![warn(missing_docs)]
 
-pub mod benchdata;
-pub mod benchreport;
 pub mod cli;
 
 pub use ssp_core as core;
