@@ -4,7 +4,7 @@
 
 use ssp_bench::harness::{BenchmarkId, Criterion};
 use ssp_bench::{criterion_group, fixture, trajectory};
-use ssp_maxflow::{FlowNetwork, PushRelabel};
+use ssp_maxflow::FlowNetwork;
 use ssp_migratory::wap::Wap;
 use ssp_model::IntervalSet;
 use ssp_single::yds::yds;
@@ -71,49 +71,6 @@ fn interval_build(c: &mut Criterion) {
     });
 }
 
-/// Engine shoot-out on the WAP-shaped layered networks this workspace
-/// builds: Dinic (the default) vs push-relabel (the cross-check engine).
-fn engine_comparison(c: &mut Criterion) {
-    let mut g = c.benchmark_group("micro_engines");
-    let (jobs, ivals) = (200usize, 50usize);
-    let t = 1 + jobs + ivals;
-    let build_edges = || {
-        let mut edges = Vec::new();
-        for i in 0..jobs {
-            edges.push((0, 1 + i, 1.0 + (i % 7) as f64 * 0.2));
-            for j in 0..ivals {
-                if (i + j) % 3 == 0 {
-                    edges.push((1 + i, 1 + jobs + j, 0.5));
-                }
-            }
-        }
-        for j in 0..ivals {
-            edges.push((1 + jobs + j, t, 4.0));
-        }
-        edges
-    };
-    let edges = build_edges();
-    g.bench_function("dinic", |b| {
-        b.iter(|| {
-            let mut net = FlowNetwork::new(t + 1);
-            for &(u, v, c) in &edges {
-                net.add_edge(u, v, c);
-            }
-            black_box(net.max_flow(0, t))
-        })
-    });
-    g.bench_function("push_relabel", |b| {
-        b.iter(|| {
-            let mut net = PushRelabel::new(t + 1);
-            for &(u, v, c) in &edges {
-                net.add_edge(u, v, c);
-            }
-            black_box(net.max_flow(0, t))
-        })
-    });
-    g.finish();
-}
-
 /// Parametric bisection kernel: a fixed geometric ladder of uniform-speed
 /// probes (the shape of one BAL round), solved by rebuilding the WAP
 /// network per probe (cold) vs re-parameterizing one warm solver — the
@@ -162,7 +119,6 @@ criterion_group!(
     dinic_dense,
     yds_sizes,
     interval_build,
-    engine_comparison,
     parametric_bisection
 );
 fn main() {

@@ -7,9 +7,10 @@
 //!
 //! * **BAL** on a general-family instance — exercises spans (`bal`,
 //!   `bal.round`, `bal.bisect`, `wap.solve`) and the Dinic counters;
-//! * **push-relabel** max-flow on a WAP-shaped layered network — exercises
-//!   the counter-only fast path (`maxflow.pr.*`), which fires orders of
-//!   magnitude more often than any span.
+//! * **Dinic** max-flow on a WAP-shaped layered network — exercises the
+//!   counter-only path (`maxflow.dinic.*`, no spans). Dinic batches its
+//!   counters per solve and its path-length histogram per phase, so one
+//!   solve records a few hundred counter events, not one per push.
 //!
 //! Each repetition times the kernel twice: once with the probe idle and
 //! once inside a fresh session. The *minimum* over repetitions is compared
@@ -23,7 +24,7 @@
 
 use crate::table::{Cell, Table};
 use crate::RunCfg;
-use ssp_maxflow::push_relabel::PushRelabel;
+use ssp_maxflow::FlowNetwork;
 use ssp_migratory::bal::bal;
 use ssp_workloads::{families, subseed};
 use std::time::Instant;
@@ -36,11 +37,11 @@ const QUICK_MODE_MAX_RATIO: f64 = 5.0;
 
 /// A WAP-shaped layered network: source → jobs → intervals → sink, with
 /// deterministic capacities (no RNG needed — the shape, not the values,
-/// drives push-relabel's work).
-fn layered_network(jobs: usize, intervals: usize) -> (PushRelabel, usize, usize) {
+/// drives Dinic's work).
+fn layered_network(jobs: usize, intervals: usize) -> (FlowNetwork, usize, usize) {
     let s = 0;
     let t = 1 + jobs + intervals;
-    let mut net = PushRelabel::new(t + 1);
+    let mut net = FlowNetwork::new(t + 1);
     for j in 0..jobs {
         net.add_edge(s, 1 + j, 1.0 + (j % 7) as f64);
         for i in 0..intervals {
@@ -104,7 +105,7 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
             }),
         ),
         (
-            "push_relabel",
+            "dinic",
             Box::new(|| {
                 let mut net = proto.clone();
                 let v = net.max_flow(s, snk);

@@ -46,7 +46,10 @@ fn speed_bracket(instance: &Instance, wap: &Wap) -> (f64, f64) {
             continue;
         }
         let dens: f64 = (0..n)
-            .filter(|&i| wap.alive_of(i).contains(&j))
+            .filter(|&i| {
+                wap.window_of(i)
+                    .is_some_and(|(lo, hi)| (lo..=hi).contains(&j))
+            })
             .map(|i| instance.job(i).density())
             .sum();
         hi = hi.max(wap.length(j) * dens / wap.capacity(j));

@@ -158,7 +158,7 @@ pub fn registry() -> Vec<Experiment> {
         // test suite (see EXPERIMENTS.md), not the registry.
         Experiment {
             id: "exp17",
-            title: "Probe overhead: enabled vs disabled sessions on BAL and push-relabel",
+            title: "Probe overhead: enabled vs disabled sessions on BAL and Dinic",
             run: exps::exp17::run,
         },
         Experiment {

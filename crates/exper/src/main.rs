@@ -118,9 +118,7 @@ fn main() {
             timings.push(vec![
                 Cell::Text(exp.id.to_string()),
                 Cell::Num(wall, 3),
-                Cell::Int(
-                    (trace.counter("maxflow.dinic.runs") + trace.counter("maxflow.pr.runs")) as i64,
-                ),
+                Cell::Int(trace.counter("maxflow.dinic.runs") as i64),
                 Cell::Int(trace.counter("bal.rounds") as i64),
                 Cell::Int(trace.counter("bal.bisect_steps") as i64),
                 Cell::Int(trace.counter("local_search.evaluations") as i64),

@@ -61,7 +61,7 @@ pub struct FlowNetwork {
     /// are `csr_edges[csr_start[u]..csr_start[u+1]]`, in insertion order.
     csr_start: Vec<u32>,
     csr_edges: Vec<u32>,
-    /// Set by `add_edge`/`add_node`; the next solve rebuilds the CSR.
+    /// Set by `add_edge`; the next solve rebuilds the CSR.
     csr_stale: bool,
     /// Source of the last `max_flow` call (for reachability queries).
     last_source: Option<usize>,
@@ -113,21 +113,6 @@ impl FlowNetwork {
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Number of forward edges.
-    pub fn num_edges(&self) -> usize {
-        self.to.len() / 2
-    }
-
-    /// Append a new node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.num_nodes += 1;
-        self.level.push(-1);
-        self.iter.push(0);
-        self.imbalance.push(0.0);
-        self.csr_stale = true;
-        self.num_nodes - 1
     }
 
     /// Add a directed edge `u → v` with capacity `cap >= 0`.
@@ -729,8 +714,12 @@ impl FlowNetwork {
         0.0
     }
 
-    /// Nodes reachable from `node` in the residual graph of the current flow.
-    pub fn residual_reachable(&self, node: usize) -> Vec<bool> {
+    /// Nodes reachable from the source of the last `max_flow` call in the
+    /// residual graph. After a max flow, this is the source side `X` of the
+    /// canonical minimum cut, and precisely the set of *upstream* nodes
+    /// (nodes on the source side of **every** minimum cut).
+    pub fn residual_reachable_from_source(&self) -> Vec<bool> {
+        let s = self.last_source.expect("call max_flow first");
         let storage;
         let (start, edges): (&[u32], &[u32]) = if self.csr_stale {
             storage = self.build_csr_fresh();
@@ -740,8 +729,8 @@ impl FlowNetwork {
         };
         let mut seen = vec![false; self.num_nodes];
         let mut queue = std::collections::VecDeque::new();
-        seen[node] = true;
-        queue.push_back(node);
+        seen[s] = true;
+        queue.push_back(s);
         while let Some(u) = queue.pop_front() {
             for idx in start[u]..start[u + 1] {
                 let ei = edges[idx as usize] as usize;
@@ -749,48 +738,6 @@ impl FlowNetwork {
                 if self.cap[ei] > self.eps[ei] && !seen[v] {
                     seen[v] = true;
                     queue.push_back(v);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Nodes reachable from the source of the last `max_flow` call in the
-    /// residual graph. After a max flow, this is the source side `X` of the
-    /// canonical minimum cut, and precisely the set of *upstream* nodes
-    /// (nodes on the source side of **every** minimum cut).
-    pub fn residual_reachable_from_source(&self) -> Vec<bool> {
-        let s = self.last_source.expect("call max_flow first");
-        self.residual_reachable(s)
-    }
-
-    /// Nodes from which the sink of the last `max_flow` call is reachable in
-    /// the residual graph (reverse BFS). A node *outside* this set has all of
-    /// its paths to the sink saturated — the criticality test of the
-    /// migratory solver.
-    pub fn residual_coreachable_to_sink(&self) -> Vec<bool> {
-        let t = self.last_sink.expect("call max_flow first");
-        let storage;
-        let (start, edges): (&[u32], &[u32]) = if self.csr_stale {
-            storage = self.build_csr_fresh();
-            (&storage.0, &storage.1)
-        } else {
-            (&self.csr_start, &self.csr_edges)
-        };
-        let mut seen = vec![false; self.num_nodes];
-        let mut queue = std::collections::VecDeque::new();
-        seen[t] = true;
-        queue.push_back(t);
-        while let Some(u) = queue.pop_front() {
-            // Traverse edges *into* u with residual capacity: for each edge
-            // `ei` = u → w in u's adjacency, its partner `ei ^ 1` is w → u.
-            for idx in start[u]..start[u + 1] {
-                let ei = edges[idx as usize] as usize;
-                let partner = ei ^ 1;
-                let w = self.to[ei] as usize;
-                if self.cap[partner] > self.eps[partner] && !seen[w] {
-                    seen[w] = true;
-                    queue.push_back(w);
                 }
             }
         }
@@ -918,38 +865,6 @@ mod tests {
         let (mut g, _) = clrs();
         g.max_flow(0, 5);
         assert!(!g.residual_reachable_from_source()[5]);
-    }
-
-    #[test]
-    fn coreachable_to_sink_identifies_saturated_nodes() {
-        // s → a → t with bottleneck at (a, t); plus s → b → t wide open
-        // ... but b's path saturated too at max flow; then neither a nor b
-        // can reach t. Add an extra non-saturated lane c to check positives.
-        let mut g = FlowNetwork::new(5);
-        g.add_edge(0, 1, 10.0); // s→a
-        g.add_edge(1, 4, 1.0); // a→t (bottleneck, saturated)
-        g.add_edge(0, 2, 1.0); // s→b (bottleneck, saturated)
-        g.add_edge(2, 4, 10.0); // b→t (slack remains)
-        let v = g.max_flow(0, 4);
-        assert!((v - 2.0).abs() < 1e-12);
-        let co = g.residual_coreachable_to_sink();
-        assert!(co[4]);
-        assert!(!co[1], "a's only path to t is saturated");
-        assert!(co[2], "b still has residual capacity to t");
-        // And s can reach t through nobody (max flow), though s→a has slack:
-        assert!(!g.residual_reachable_from_source()[4]);
-    }
-
-    #[test]
-    fn add_node_grows_network() {
-        let mut g = FlowNetwork::new(2);
-        let v = g.add_node();
-        assert_eq!(v, 2);
-        g.add_edge(0, 2, 3.0);
-        g.add_edge(2, 1, 2.0);
-        assert!((g.max_flow(0, 1) - 2.0).abs() < 1e-12);
-        assert_eq!(g.num_nodes(), 3);
-        assert_eq!(g.num_edges(), 2);
     }
 
     #[test]
@@ -1121,7 +1036,6 @@ mod tests {
         g.add_edge(0, 4, 0.0); // zero-cap: reachability unchanged
         let after = g.residual_reachable_from_source();
         assert_eq!(before, after);
-        assert!(!g.residual_coreachable_to_sink()[0]);
     }
 
     #[test]

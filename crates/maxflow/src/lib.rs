@@ -18,9 +18,10 @@
 //! previous flow (draining overflow after decreases, resuming augmentation
 //! after increases) instead of solving from scratch — the BAL bisection
 //! sweeps hundreds of probes over the same network this way. A slow exact
-//! integer Ford–Fulkerson reference lives in [`mod@reference`] and property
-//! tests cross-check the engines on random graphs (see also the root-level
-//! `tests/flow_differential.rs` suite).
+//! integer Edmonds–Karp reference lives in [`mod@reference`], and property
+//! tests check Dinic against it and against the min-cut certificate on
+//! random graphs (see also the root-level `tests/flow_differential.rs`
+//! suite).
 //!
 //! The scheduling networks are *layered* (longest path ≤ 4 edges), where
 //! Dinic's blocking-flow phases terminate very quickly in practice; `f(n)` in
@@ -28,18 +29,16 @@
 //! WAP shape specifically, [`mod@sweep`] decides feasibility without any
 //! flow search at all: the consecutive-ones structure of the alive sets
 //! admits an `O(n log n)` deadline-ordered water-filling sweep whose value
-//! and canonical min-cut side match the generic engines bit for bit in the
-//! quantities downstream consumers read (verdicts, cut sides, cut sums).
+//! and canonical min-cut side match Dinic bit for bit in the quantities
+//! downstream consumers read (verdicts, cut sides, cut sums).
 
 #![warn(missing_docs)]
 
 pub mod graph;
-pub mod push_relabel;
 pub mod reference;
 pub mod sweep;
 
 pub use graph::{EdgeId, FlowNetwork};
-pub use push_relabel::PushRelabel;
 pub use sweep::SweepFlow;
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Structure-aware feasibility kernel for interval-bipartite flow networks
 //! (the `P|r_j, d_j, pmtn|−` / WAP shape of Horn's reduction).
 //!
-//! The general solvers in this crate ([`crate::FlowNetwork`],
-//! [`crate::PushRelabel`]) decide feasibility of the 3-layer network
+//! The general solver in this crate ([`crate::FlowNetwork`]) decides
+//! feasibility of the 3-layer network
 //!
 //! ```text
 //!   source --(p_i)--> job_i --(min(|I_j|, c_j))--> cell_j --(c_j)--> sink
@@ -31,8 +31,7 @@
 //! exactly, so downstream cut consumers (Newton probes, criticality
 //! classification) work unchanged. A feasible sweep (every demand routed)
 //! is trivially certified. The crate's differential tests pin all of this
-//! against Dinic, push–relabel, and the integer reference on every
-//! workload family.
+//! against Dinic and the integer reference on every workload family.
 //!
 //! Complexity: each cell pops at most `⌈c_j / min(|I_j|, c_j)⌉ + 1` jobs
 //! beyond the ones it finishes (a popped-but-unfinished job either consumed

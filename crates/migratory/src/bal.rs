@@ -385,8 +385,7 @@ pub fn try_bal_with_wap_strategy(
             pbuf[i] = instance.job(i).work / probe;
         }
         solver.solve(&pbuf);
-        let job_side = solver.jobs_reachable();
-        let ival_side = solver.intervals_reachable();
+        let (job_side, ival_side) = solver.cut_sides();
 
         let mut critical: Vec<usize> = remaining.iter().copied().filter(|&i| job_side[i]).collect();
         if critical.is_empty() {

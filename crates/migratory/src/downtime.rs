@@ -76,16 +76,12 @@ pub fn bal_with_downtime(
         })
         .collect();
 
-    let lengths: Vec<f64> = (0..intervals.len()).map(|j| intervals.length(j)).collect();
-    let capacity: Vec<f64> = up_machines
+    let capacity = up_machines
         .iter()
-        .zip(&lengths)
-        .map(|(up, &len)| up.len() as f64 * len)
+        .enumerate()
+        .map(|(j, up)| up.len() as f64 * intervals.length(j))
         .collect();
-    let alive: Vec<Vec<usize>> = (0..instance.len())
-        .map(|i| intervals.intervals_of(i).to_vec())
-        .collect();
-    let wap = Wap::new(alive, lengths, capacity.clone());
+    let wap = Wap::over(instance, &intervals, capacity);
 
     // Feasibility: every job needs some open capacity.
     for i in 0..instance.len() {

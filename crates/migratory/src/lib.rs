@@ -56,4 +56,4 @@ pub use bounded::{bal_bounded, min_peak_speed};
 pub use downtime::{bal_with_downtime, Downtime};
 pub use kkt::{certify, KktViolation};
 pub use mbal::{mbal, MbalSolution};
-pub use wap::{schedule_with_processing_times, Wap, WapFlow};
+pub use wap::{schedule_with_processing_times, Wap};

@@ -13,15 +13,15 @@
 //!
 //! equals `Σ p_i`. For the uniform-speed question of the papers, `p_i = w_i/v`.
 //!
-//! Two interchangeable kernels decide the question (see [`WapKernel`]):
-//! the structure-aware **sweep** ([`ssp_maxflow::SweepFlow`]) exploits the
-//! consecutive-ones property of elementary intervals and runs in
-//! `O(n log n)` per probe, self-certifying its result; the generic **flow**
-//! engine ([`FlowNetwork`]) handles everything else and serves as the
-//! fallback when the sweep cannot certify maximality. Both expose identical
-//! verdicts, canonical cut sides, and cut sums, so every downstream
-//! consumer (Newton probes, criticality classification, schedule readback)
-//! is kernel-agnostic.
+//! Two kernels decide the question (see [`WapKernel`]). The
+//! structure-aware **sweep** ([`ssp_maxflow::SweepFlow`]) exploits the
+//! consecutive-ones property of elementary intervals (a job is alive on one
+//! contiguous run of them) and runs in `O(n log n)` per probe,
+//! self-certifying its result; **Dinic** ([`FlowNetwork`]) over the same
+//! network answers when the sweep cannot certify maximality. Both expose
+//! identical verdicts, canonical cut sides, and cut sums, so every
+//! downstream consumer (Newton probes, criticality classification, schedule
+//! readback) is kernel-agnostic.
 
 use ssp_maxflow::{EdgeId, FlowNetwork, SweepFlow};
 use ssp_model::numeric::Tol;
@@ -32,73 +32,77 @@ use crate::mcnaughton::mcnaughton;
 /// Kernel selection policy for [`Wap::solver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WapKernel {
-    /// Sweep when the alive structure has the consecutive-ones property
-    /// (it always does for elementary intervals), generic flow otherwise.
+    /// Sweep first; the first decline latches the solver onto Dinic.
     #[default]
     Auto,
-    /// Force the generic flow engine (used by warm-start experiments and
-    /// as the differential referee).
+    /// Dinic from the first solve: a solver latched at birth (used by
+    /// warm-start experiments and as the differential referee).
     Flow,
 }
 
-/// A WAP instance: the bipartite alive structure plus capacities.
+/// A WAP instance: per-job alive windows plus capacities.
 ///
 /// Job indexing is the caller's (for [`Wap::from_instance`] it is the
 /// instance's internal indexing); interval indexing refers to the interval
-/// set the structure was built from.
+/// set the structure was built from. Every job is alive on one contiguous
+/// run of intervals ([`IntervalSet::intervals_of`]), stored as its window.
 #[derive(Debug, Clone)]
 pub struct Wap {
-    /// `alive[i]` = interval indices where job `i` may run, ascending.
-    alive: Vec<Vec<usize>>,
+    /// `windows[i] = (lo, hi)`: job `i` is alive on intervals `lo..=hi`
+    /// (`lo > hi` when it is alive nowhere).
+    windows: Vec<(u32, u32)>,
     /// Interval lengths `|I_j|`.
     lengths: Vec<f64>,
     /// Remaining processor-time capacity `c_j` of each interval.
     capacity: Vec<f64>,
-    /// Does every alive set form a contiguous run of interval indices?
-    contiguous: bool,
     /// Kernel selection policy for solvers built from this instance.
     kernel: WapKernel,
 }
 
 impl Wap {
-    /// Build from explicit parts.
-    pub fn new(alive: Vec<Vec<usize>>, lengths: Vec<f64>, capacity: Vec<f64>) -> Self {
+    /// Build from explicit parts: `windows[i] = (lo, hi)` is job `i`'s
+    /// inclusive alive window (`lo > hi` for a job alive nowhere).
+    pub fn new(windows: Vec<(u32, u32)>, lengths: Vec<f64>, capacity: Vec<f64>) -> Self {
         assert_eq!(lengths.len(), capacity.len());
-        for ivals in &alive {
-            for &j in ivals {
-                assert!(j < lengths.len(), "alive interval out of range");
-            }
+        for &(lo, hi) in &windows {
+            assert!(
+                lo > hi || (hi as usize) < lengths.len(),
+                "alive window out of range"
+            );
         }
-        let contiguous = alive
-            .iter()
-            .all(|ivals| ivals.windows(2).all(|w| w[1] == w[0] + 1));
         Wap {
-            alive,
+            windows,
             lengths,
             capacity,
-            contiguous,
             kernel: WapKernel::Auto,
         }
+    }
+
+    /// Build over `intervals` (a decomposition of `instance`'s jobs) with
+    /// per-interval capacities `capacity`.
+    pub fn over(instance: &Instance, intervals: &IntervalSet, capacity: Vec<f64>) -> Self {
+        let lengths = (0..intervals.len()).map(|j| intervals.length(j)).collect();
+        let windows = (0..instance.len())
+            .map(|i| match intervals.intervals_of(i) {
+                [] => (1, 0), // alive nowhere
+                run => (run[0] as u32, run[run.len() - 1] as u32),
+            })
+            .collect();
+        Wap::new(windows, lengths, capacity)
     }
 
     /// Build from an instance: intervals are the canonical elementary
     /// intervals, every capacity starts at `m·|I_j|`.
     pub fn from_instance(instance: &Instance) -> (Self, IntervalSet) {
         let ivals = IntervalSet::from_jobs(instance.jobs());
-        let lengths: Vec<f64> = (0..ivals.len()).map(|j| ivals.length(j)).collect();
-        let capacity: Vec<f64> = lengths
-            .iter()
-            .map(|l| l * instance.machines() as f64)
-            .collect();
-        let alive: Vec<Vec<usize>> = (0..instance.len())
-            .map(|i| ivals.intervals_of(i).to_vec())
-            .collect();
-        (Wap::new(alive, lengths, capacity), ivals)
+        let m = instance.machines() as f64;
+        let capacity = (0..ivals.len()).map(|j| ivals.length(j) * m).collect();
+        (Wap::over(instance, &ivals, capacity), ivals)
     }
 
     /// Number of jobs.
     pub fn num_jobs(&self) -> usize {
-        self.alive.len()
+        self.windows.len()
     }
 
     /// Number of intervals.
@@ -138,17 +142,17 @@ impl Wap {
         self.capacity[j] = if c <= 1e-9 * self.lengths[j] { 0.0 } else { c };
     }
 
-    /// Alive intervals of job `i`.
-    pub fn alive_of(&self, i: usize) -> &[usize] {
-        &self.alive[i]
+    /// Job `i`'s alive window `(lo, hi)` (inclusive), `None` when it is
+    /// alive nowhere.
+    pub fn window_of(&self, i: usize) -> Option<(usize, usize)> {
+        let (lo, hi) = self.windows[i];
+        (lo <= hi).then_some((lo as usize, hi as usize))
     }
 
     /// Intervals of job `i` that still have positive capacity.
     pub fn open_intervals_of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        self.alive[i]
-            .iter()
-            .copied()
-            .filter(|&j| self.capacity[j] > 0.0)
+        let (lo, hi) = self.windows[i];
+        (lo as usize..=hi as usize).filter(|&j| self.capacity[j] > 0.0)
     }
 
     /// Total open (positive-capacity ∩ alive) time of job `i` — the maximum
@@ -158,78 +162,53 @@ impl Wap {
         self.open_intervals_of(i).map(|j| self.lengths[j]).sum()
     }
 
-    /// Build a persistent solver over the *current* capacities. With the
-    /// sweep kernel each [`WapSolver::solve`] is an independent
-    /// `O(n log n)` pass; with the generic flow engine the feasibility
-    /// network is constructed once and each solve re-parameterizes the
-    /// source edges and repairs the previous max flow — the hot path of
-    /// the BAL bisection, where consecutive probes differ only in a
-    /// monotone demand scale.
+    /// Build a persistent solver over the *current* capacities: a sweep
+    /// snapshot of the structure (each sweep solve is an independent
+    /// `O(n log n)` pass) plus, once latched, a Dinic engine over the same
+    /// snapshot that re-parameterizes the source edges and repairs its
+    /// previous max flow on every solve — the hot path of the BAL probe
+    /// ladder, where consecutive probes differ only in a monotone demand
+    /// scale. A [`WapKernel::Flow`] solver is latched at birth.
     ///
     /// Snapshot semantics: later [`Wap::set_capacity`] calls do **not**
-    /// propagate into an existing solver; build a fresh one per round.
-    /// This holds for *both* kernels, including the sweep kernel's lazy
-    /// flow fallback (it is built from the sweep's own frozen snapshot,
-    /// never from `self`).
+    /// propagate into an existing solver; build a fresh one per round. The
+    /// Dinic engine is built from the sweep's frozen snapshot, never from
+    /// `self`.
     pub fn solver(&self) -> WapSolver {
         let _span = ssp_probe::span("wap.solver_build");
-        let kernel = if self.kernel == WapKernel::Auto && self.contiguous {
-            let windows: Vec<(u32, u32)> = self
-                .alive
-                .iter()
-                .map(|ivals| match (ivals.first(), ivals.last()) {
-                    (Some(&lo), Some(&hi)) => (lo as u32, hi as u32),
-                    _ => (1, 0), // alive nowhere
-                })
-                .collect();
-            let edge_cap: Vec<f64> = self
-                .lengths
-                .iter()
-                .zip(&self.capacity)
-                .map(|(&len, &c)| if c > 0.0 { len.min(c) } else { 0.0 })
-                .collect();
-            KernelImpl::Sweep {
-                sweep: SweepFlow::new(windows, edge_cap, self.capacity.clone()),
-                fallback: None,
-            }
-        } else {
-            KernelImpl::Flow(FlowState::build(
-                self.alive
-                    .iter()
-                    .map(|v| Box::new(v.iter().copied()) as Box<dyn Iterator<Item = usize> + '_>),
-                &self.lengths,
-                &self.capacity,
-            ))
-        };
+        let edge_cap: Vec<f64> = self
+            .lengths
+            .iter()
+            .zip(&self.capacity)
+            .map(|(&len, &c)| if c > 0.0 { len.min(c) } else { 0.0 })
+            .collect();
+        let sweep = SweepFlow::new(self.windows.clone(), edge_cap, self.capacity.clone());
+        let engine = (self.kernel == WapKernel::Flow).then(|| Box::new(FlowState::build(&sweep)));
         WapSolver {
-            kernel,
-            num_jobs: self.alive.len(),
-            num_intervals: self.lengths.len(),
+            sweep,
+            engine,
             value: 0.0,
             demand: 0.0,
         }
     }
 
-    /// Solve the packing with per-job demands `p` (max-flow) and return the
-    /// annotated flow for feasibility tests / allotment readback /
-    /// residual-reachability queries. One-shot; for repeated queries over
-    /// varying demands use [`Wap::solver`].
-    pub fn solve(&self, p: &[f64]) -> WapFlow {
+    /// Solve the packing with per-job demands `p` once and return the solved
+    /// solver for feasibility tests, allotment readback and cut queries. For
+    /// repeated queries over varying demands keep one [`Wap::solver`].
+    pub fn solve(&self, p: &[f64]) -> WapSolver {
         let mut solver = self.solver();
         solver.solve(p);
-        WapFlow { solver }
+        solver
     }
 }
 
-/// The generic-flow engine state: Horn's network plus the edge handles
-/// needed for re-parameterization and readback.
+/// Dinic's engine state: Horn's network plus the edge handles needed for
+/// re-parameterization and readback. Node layout: 0 = source, `1..=n`
+/// jobs, `n+1..=n+l` intervals, `n+l+1` sink.
 #[derive(Debug, Clone)]
 struct FlowState {
     net: FlowNetwork,
-    source: usize,
     sink: usize,
-    num_jobs: usize,
-    num_intervals: usize,
     source_edges: Vec<EdgeId>,
     job_edges: Vec<Vec<(usize, EdgeId)>>,
     sink_edges: Vec<EdgeId>,
@@ -237,70 +216,33 @@ struct FlowState {
 }
 
 impl FlowState {
-    /// Build Horn's network: job edges exist only into open intervals, with
-    /// capacity `min(|I_j|, c_j)`.
-    fn build<'a>(
-        alive: impl Iterator<Item = Box<dyn Iterator<Item = usize> + 'a>>,
-        lengths: &[f64],
-        capacity: &[f64],
-    ) -> FlowState {
-        let l = lengths.len();
-        let alive: Vec<Box<dyn Iterator<Item = usize> + 'a>> = alive.collect();
-        let n = alive.len();
-        // Node layout: 0 = source, 1..=n jobs, n+1..=n+l intervals, n+l+1 sink.
-        let source = 0usize;
+    /// Build Horn's network over a sweep snapshot: job edges exist only into
+    /// open intervals, with the snapshot's capacity `min(|I_j|, c_j)`.
+    fn build(sweep: &SweepFlow) -> FlowState {
+        let (n, l) = (sweep.num_jobs(), sweep.num_cells());
         let sink = n + l + 1;
         let mut net = FlowNetwork::new(n + l + 2);
-        let mut source_edges = Vec::with_capacity(n);
+        // Demands arrive per solve; start the parametric edges at zero.
+        let source_edges: Vec<EdgeId> = (0..n).map(|i| net.add_edge(0, 1 + i, 0.0)).collect();
         let mut job_edges: Vec<Vec<(usize, EdgeId)>> = vec![Vec::new(); n];
-        for i in 0..n {
-            // Demands arrive per solve; start the parametric edges at zero.
-            source_edges.push(net.add_edge(source, 1 + i, 0.0));
-        }
-        for (i, ivals) in alive.into_iter().enumerate() {
-            for j in ivals {
-                if capacity[j] > 0.0 {
-                    let cap = lengths[j].min(capacity[j]);
-                    let e = net.add_edge(1 + i, 1 + n + j, cap);
-                    job_edges[i].push((j, e));
+        for (i, edges) in job_edges.iter_mut().enumerate() {
+            if let Some((lo, hi)) = sweep.window(i) {
+                for j in (lo..=hi).filter(|&j| sweep.cell_cap(j) > 0.0) {
+                    edges.push((j, net.add_edge(1 + i, 1 + n + j, sweep.edge_cap(j))));
                 }
             }
         }
-        let mut sink_edges = Vec::with_capacity(l);
-        for (j, &c) in capacity.iter().enumerate() {
-            sink_edges.push(net.add_edge(1 + n + j, sink, c));
-        }
+        let sink_edges = (0..l)
+            .map(|j| net.add_edge(1 + n + j, sink, sweep.cell_cap(j)))
+            .collect();
         FlowState {
             net,
-            source,
             sink,
-            num_jobs: n,
-            num_intervals: l,
             source_edges,
             job_edges,
             sink_edges,
             solved: false,
         }
-    }
-
-    /// Build from a sweep kernel's frozen structure snapshot — used when
-    /// the sweep declines to certify and the dispatcher needs the generic
-    /// engine over the *same* capacities the sweep saw (never the possibly
-    /// re-parameterized originating [`Wap`]).
-    fn build_from_sweep(sweep: &SweepFlow) -> FlowState {
-        let l = sweep.num_cells();
-        let lengths: Vec<f64> = (0..l).map(|j| sweep.edge_cap(j)).collect();
-        let capacity: Vec<f64> = (0..l).map(|j| sweep.cell_cap(j)).collect();
-        // `edge_cap` already is `min(|I_j|, c_j)` (0 for closed cells), so
-        // passing it as "lengths" reproduces the exact same edge caps.
-        FlowState::build(
-            (0..sweep.num_jobs()).map(|i| match sweep.window(i) {
-                Some((lo, hi)) => Box::new(lo..=hi) as Box<dyn Iterator<Item = usize> + 'static>,
-                None => Box::new(std::iter::empty()) as Box<dyn Iterator<Item = usize> + 'static>,
-            }),
-            &lengths,
-            &capacity,
-        )
     }
 
     /// Route the demand vector: cold max-flow on the first call, warm
@@ -310,9 +252,9 @@ impl FlowState {
             self.net.set_capacity(self.source_edges[i], demand);
         }
         let value = if self.solved {
-            self.net.max_flow_incremental(self.source, self.sink)
+            self.net.max_flow_incremental(0, self.sink)
         } else {
-            self.net.max_flow(self.source, self.sink)
+            self.net.max_flow(0, self.sink)
         };
         self.solved = true;
         value
@@ -321,7 +263,7 @@ impl FlowState {
     /// Route the demand vector starting from the sweep's water-filling
     /// allocation: seed every edge with the greedy flow (a valid,
     /// near-maximal flow over the same capacities) and augment only the
-    /// undershoot. The first solve of a freshly built fallback engine.
+    /// undershoot. The first solve of an engine built at a sweep decline.
     fn solve_seeded(&mut self, p: &[f64], sweep: &SweepFlow) -> f64 {
         for (i, &demand) in p.iter().enumerate() {
             self.net.set_capacity(self.source_edges[i], demand);
@@ -351,7 +293,7 @@ impl FlowState {
         for (j, &e) in self.sink_edges.iter().enumerate() {
             self.net.set_flow(e, sweep.cell_usage(j));
         }
-        let value = self.net.resume_max_flow(self.source, self.sink);
+        let value = self.net.resume_max_flow(0, self.sink);
         self.solved = true;
         value
     }
@@ -371,172 +313,100 @@ impl FlowState {
     fn interval_usage(&self, j: usize) -> f64 {
         self.net.flow(self.sink_edges[j])
     }
-
-    fn cut_speed_bound(&self, works: &[f64]) -> Option<f64> {
-        let side = self.net.residual_reachable_from_source();
-        let mut w_s = 0.0f64;
-        let mut fixed = 0.0f64;
-        let mut any_job = false;
-        for i in 0..self.num_jobs {
-            if !side[1 + i] {
-                continue;
-            }
-            any_job = true;
-            w_s += works[i];
-            for &(j, e) in &self.job_edges[i] {
-                if !side[1 + self.num_jobs + j] {
-                    fixed += self.net.capacity(e);
-                }
-            }
-        }
-        for j in 0..self.num_intervals {
-            if side[1 + self.num_jobs + j] {
-                fixed += self.net.capacity(self.sink_edges[j]);
-            }
-        }
-        finish_cut_bound(any_job, w_s, fixed)
-    }
 }
 
-/// Shared tail of the cut-bound computation (identical across kernels).
-fn finish_cut_bound(any_job: bool, w_s: f64, fixed: f64) -> Option<f64> {
-    // NaN sums fall through here and are caught by the is_finite gate.
-    if !any_job || w_s <= 0.0 || fixed <= 0.0 {
-        return None;
-    }
-    let v = w_s / fixed;
-    v.is_finite().then_some(v)
-}
-
-/// The engine state behind a [`WapSolver`].
-#[derive(Debug, Clone)]
-enum KernelImpl {
-    /// Fast path: certificate-gated sweep. The generic-flow `fallback` over
-    /// the same structure snapshot is built on the sweep's first decline;
-    /// from then on it answers every solve (the decline latch, see
-    /// [`WapSolver::solve`]), so `fallback.is_some()` is both the latch and
-    /// the engine holding the last accepted solve.
-    Sweep {
-        sweep: SweepFlow,
-        fallback: Option<Box<FlowState>>,
-    },
-    /// Generic flow only (non-contiguous structure or forced).
-    Flow(FlowState),
-}
-
-/// A persistent WAP feasibility solver behind a kernel-agnostic API: the
-/// sweep kernel re-solves each demand vector from scratch in `O(n log n)`
-/// and self-certifies; the generic flow engine warm-starts each solve from
-/// the previous flow (see [`FlowNetwork::max_flow_incremental`]). Counters:
+/// A persistent WAP feasibility solver: a certificate-gated sweep over a
+/// frozen structure snapshot, latched onto a warm-started Dinic engine over
+/// the same snapshot at its first decline (see [`WapSolver::solve`]); a
+/// [`WapKernel::Flow`] solver is latched at birth. Counters:
 /// `wap.flow_calls` (every solve), `wap.fast_path` (certified sweep
-/// solves), `wap.fast_fallback` (the sweep's first decline: the generic
-/// engine was built and seeded from the greedy flow), `wap.sweep_skip`
-/// (latched solves: the sweep was not attempted and the engine
-/// warm-repaired its previous flow), `wap.sweep_ops` (sweep kernel work
-/// measure). For a sweep-kernel solver every solve lands in exactly one of
-/// `fast_path`, `fast_fallback` or `sweep_skip`.
+/// solves), `wap.fast_fallback` (the sweep's first decline: the engine was
+/// built and seeded from the greedy flow), `wap.sweep_skip` (latched
+/// solves, forced-`Flow` ones included: the sweep was not attempted and the
+/// engine solved cold or warm-repaired its previous flow), `wap.sweep_ops`
+/// (sweep kernel work measure). Every solve lands in exactly one of
+/// `fast_path`, `fast_fallback` or `sweep_skip`, so the three sum to
+/// `flow_calls` for every solver.
 ///
-/// `Clone` forks the whole parametric state (either kernel, flow, latch,
-/// value): a clone warm-starts from exactly the state its original held,
-/// and solving either side never perturbs the other. The BAL probe ladder
+/// `Clone` forks the whole parametric state (sweep, engine, latch, value):
+/// a clone warm-starts from exactly the state its original held, and
+/// solving either side never perturbs the other. The BAL probe ladder
 /// leans on this — each candidate speed of a fan-out solves on its own
 /// clone of one shared base state, so the probe results are bit-identical
 /// at any thread count (a probe can never observe a sibling's flow).
 #[derive(Debug, Clone)]
 pub struct WapSolver {
-    kernel: KernelImpl,
-    num_jobs: usize,
-    num_intervals: usize,
+    /// The structure snapshot and the fast path.
+    sweep: SweepFlow,
+    /// Dinic over the same snapshot; once present it answers every solve
+    /// (`is_some()` is the latch) and holds the last accepted solve.
+    engine: Option<Box<FlowState>>,
     value: f64,
     demand: f64,
-}
-
-/// The engine holding the last accepted solve's state.
-enum Active<'a> {
-    Sweep(&'a SweepFlow),
-    Flow(&'a FlowState),
 }
 
 impl WapSolver {
     /// Route the demand vector `p` and return the achieved flow value.
     ///
-    /// Sweep-kernel dispatch is one rule: try the sweep; a certified sweep
-    /// answers. The first decline builds the generic engine over the
-    /// sweep's snapshot, seeds it with the greedy flow, and latches this
-    /// solver onto the engine for the rest of its life: later solves skip
-    /// the sweep and warm-repair the engine's previous flow, exactly what
-    /// a forced-[`WapKernel::Flow`] solver would do. Whether the greedy
-    /// certifies depends mostly on the capacity structure, which a solver
-    /// never changes: after one decline, later attempts mostly decline too
-    /// and only add sweep work (DESIGN.md §3.14 has the measurements). BAL
-    /// builds a fresh solver every round, so the latch resets exactly when
-    /// the structure changes.
+    /// Dispatch is one rule: an unlatched solver tries the sweep, and a
+    /// certified sweep answers. The first decline builds the Dinic engine
+    /// over the sweep's snapshot, seeds it with the greedy flow, and latches
+    /// this solver onto the engine for the rest of its life: later solves
+    /// skip the sweep and warm-repair the engine's previous flow, exactly
+    /// what a forced-[`WapKernel::Flow`] solver does from its first solve.
+    /// Whether the greedy certifies depends mostly on the capacity
+    /// structure, which a solver never changes: after one decline, later
+    /// attempts mostly decline too and only add sweep work (DESIGN.md §3.14
+    /// has the measurements). BAL builds a fresh solver every round, so the
+    /// latch resets exactly when the structure changes.
     pub fn solve(&mut self, p: &[f64]) -> f64 {
         let _span = ssp_probe::span("wap.solve");
         ssp_probe::counter!("wap.flow_calls");
-        assert_eq!(p.len(), self.num_jobs, "demand vector length mismatch");
+        assert_eq!(
+            p.len(),
+            self.sweep.num_jobs(),
+            "demand vector length mismatch"
+        );
         for &demand in p {
             assert!(
                 demand >= 0.0 && demand.is_finite(),
                 "demand must be finite/nonnegative"
             );
         }
-        self.value = match &mut self.kernel {
-            KernelImpl::Flow(fs) => fs.solve(p),
-            KernelImpl::Sweep {
-                fallback: Some(fs), ..
-            } => {
-                ssp_probe::counter!("wap.sweep_skip");
+        self.value = if let Some(fs) = &mut self.engine {
+            ssp_probe::counter!("wap.sweep_skip");
+            let _s = ssp_probe::span("wap.fallback_solve");
+            fs.solve(p)
+        } else {
+            let v = {
+                let _s = ssp_probe::span("wap.sweep");
+                self.sweep.solve(p)
+            };
+            ssp_probe::counter!("wap.sweep_ops", self.sweep.ops());
+            if self.sweep.certified() {
+                ssp_probe::counter!("wap.fast_path");
+                v
+            } else {
+                // The greedy undershot (a per-cell cap starved a
+                // longer-windowed job); finish the solve exactly on the
+                // frozen snapshot, seeded with the greedy flow so only the
+                // undershoot needs augmenting.
+                ssp_probe::counter!("wap.fast_fallback");
+                let fs = self.engine.insert({
+                    let _s = ssp_probe::span("wap.fallback_build");
+                    Box::new(FlowState::build(&self.sweep))
+                });
                 let _s = ssp_probe::span("wap.fallback_solve");
-                fs.solve(p)
-            }
-            KernelImpl::Sweep { sweep, fallback } => {
-                let v = {
-                    let _s = ssp_probe::span("wap.sweep");
-                    sweep.solve(p)
-                };
-                ssp_probe::counter!("wap.sweep_ops", sweep.ops());
-                if sweep.certified() {
-                    ssp_probe::counter!("wap.fast_path");
-                    v
-                } else {
-                    // The greedy undershot (a per-cell cap starved a
-                    // longer-windowed job); finish the solve exactly on the
-                    // frozen structure snapshot, seeded with the greedy flow
-                    // so only the undershoot needs augmenting.
-                    ssp_probe::counter!("wap.fast_fallback");
-                    let fs = fallback.insert({
-                        let _s = ssp_probe::span("wap.fallback_build");
-                        Box::new(FlowState::build_from_sweep(sweep))
-                    });
-                    let _s = ssp_probe::span("wap.fallback_solve");
-                    fs.solve_seeded(p, sweep)
-                }
+                fs.solve_seeded(p, &self.sweep)
             }
         };
         self.demand = p.iter().sum();
         self.value
     }
 
-    /// The engine that produced the last accepted solve.
-    fn active(&self) -> Active<'_> {
-        match &self.kernel {
-            KernelImpl::Flow(fs) => Active::Flow(fs),
-            KernelImpl::Sweep {
-                fallback: Some(fs), ..
-            } => Active::Flow(fs),
-            KernelImpl::Sweep { sweep, .. } => Active::Sweep(sweep),
-        }
-    }
-
     /// Achieved max-flow value of the last [`solve`](WapSolver::solve).
     pub fn value(&self) -> f64 {
         self.value
-    }
-
-    /// Total demand `Σ p_i` of the last [`solve`](WapSolver::solve).
-    pub fn demand(&self) -> f64 {
-        self.demand
     }
 
     /// Feasible iff the flow meets the whole demand (tolerantly: max-flow
@@ -548,56 +418,48 @@ impl WapSolver {
     /// Time allotted to job `i` in each of its open intervals: `(j, t_ij)`,
     /// skipping zero allotments.
     pub fn allotment(&self, i: usize) -> Vec<(usize, f64)> {
-        match self.active() {
-            Active::Sweep(s) => s.allotment(i),
-            Active::Flow(fs) => fs.allotment(i),
+        match &self.engine {
+            Some(fs) => fs.allotment(i),
+            None => self.sweep.allotment(i),
         }
     }
 
     /// Demand actually routed for job `i`.
     pub fn routed(&self, i: usize) -> f64 {
-        match self.active() {
-            Active::Sweep(s) => s.routed(i),
-            Active::Flow(fs) => fs.routed(i),
-        }
-    }
-
-    /// For each job: is its node residual-reachable from the source? On an
-    /// *infeasible* instance just below the critical speed, the reachable
-    /// jobs are exactly the **critical jobs** (Lemma 5 of the migratory
-    /// analysis). The canonical min cut is invariant across max flows, so
-    /// the classification is identical whichever kernel produced the flow
-    /// (the sweep only reports sides it has certified).
-    pub fn jobs_reachable(&self) -> Vec<bool> {
-        match self.active() {
-            Active::Sweep(s) => s.job_side().to_vec(),
-            Active::Flow(fs) => {
-                let side = fs.net.residual_reachable_from_source();
-                (0..self.num_jobs).map(|i| side[1 + i]).collect()
-            }
-        }
-    }
-
-    /// For each interval: is its node residual-reachable from the source?
-    /// On the same infeasible instance these are the **saturated intervals**
-    /// (their `(y_j, sink)` edge lies in the canonical minimum cut).
-    pub fn intervals_reachable(&self) -> Vec<bool> {
-        match self.active() {
-            Active::Sweep(s) => s.cell_side().to_vec(),
-            Active::Flow(fs) => {
-                let side = fs.net.residual_reachable_from_source();
-                (0..self.num_intervals)
-                    .map(|j| side[1 + self.num_jobs + j])
-                    .collect()
-            }
+        match &self.engine {
+            Some(fs) => fs.routed(i),
+            None => self.sweep.routed(i),
         }
     }
 
     /// Flow into the sink from interval `j` (total time handed out there).
     pub fn interval_usage(&self, j: usize) -> f64 {
-        match self.active() {
-            Active::Sweep(s) => s.cell_usage(j),
-            Active::Flow(fs) => fs.interval_usage(j),
+        match &self.engine {
+            Some(fs) => fs.interval_usage(j),
+            None => self.sweep.cell_usage(j),
+        }
+    }
+
+    /// The source side of the canonical minimum cut of the last solve:
+    /// `(jobs, intervals)`, each flag true when the node is
+    /// residual-reachable from the source. On an *infeasible* instance just
+    /// below the critical speed the reachable jobs are exactly the
+    /// **critical jobs** (Lemma 5 of the migratory analysis) and the
+    /// reachable intervals the **saturated intervals** (their sink edge lies
+    /// in the cut). The canonical min cut is invariant across max flows, so
+    /// the sides are identical whichever kernel produced the flow (the sweep
+    /// only reports sides it has certified).
+    pub fn cut_sides(&self) -> (Vec<bool>, Vec<bool>) {
+        match &self.engine {
+            Some(fs) => {
+                let side = fs.net.residual_reachable_from_source();
+                let n = self.sweep.num_jobs();
+                (side[1..=n].to_vec(), side[n + 1..fs.sink].to_vec())
+            }
+            None => (
+                self.sweep.job_side().to_vec(),
+                self.sweep.cell_side().to_vec(),
+            ),
         }
     }
 
@@ -619,99 +481,43 @@ impl WapSolver {
     /// distinct cut instead of one bit per bisection probe.
     ///
     /// `works` must hold each job's work (0 for jobs with zero demand in
-    /// the last solve). Cut capacities are read from the edge *parameters*
-    /// (not the noisy flow values), so the bound is exact up to one
-    /// summation — and the summation order is identical across kernels, so
-    /// the bound is bit-identical whichever engine produced the cut.
+    /// the last solve). Cut capacities are the snapshot's edge *parameters*
+    /// (not the noisy flow values), summed in one order whichever kernel
+    /// produced the cut, so the bound is exact up to one summation and
+    /// bit-identical across kernels.
     pub fn cut_speed_bound(&self, works: &[f64]) -> Option<f64> {
-        assert_eq!(works.len(), self.num_jobs, "works vector length mismatch");
-        match self.active() {
-            Active::Flow(fs) => fs.cut_speed_bound(works),
-            Active::Sweep(s) => {
-                let js = s.job_side();
-                let cs = s.cell_side();
-                let mut w_s = 0.0f64;
-                let mut fixed = 0.0f64;
-                let mut any_job = false;
-                for (i, &w) in works.iter().enumerate() {
-                    if !js[i] {
-                        continue;
-                    }
-                    any_job = true;
-                    w_s += w;
-                    if let Some((lo, hi)) = s.window(i) {
-                        for (j, &cut) in cs.iter().enumerate().take(hi + 1).skip(lo) {
-                            let ec = s.edge_cap(j);
-                            if ec > 0.0 && !cut {
-                                fixed += ec;
-                            }
-                        }
+        let s = &self.sweep;
+        assert_eq!(works.len(), s.num_jobs(), "works vector length mismatch");
+        let (job_side, cell_side) = self.cut_sides();
+        let mut w_s = 0.0f64;
+        let mut fixed = 0.0f64;
+        let mut any_job = false;
+        for (i, &w) in works.iter().enumerate() {
+            if !job_side[i] {
+                continue;
+            }
+            any_job = true;
+            w_s += w;
+            if let Some((lo, hi)) = s.window(i) {
+                for (j, &cut) in cell_side.iter().enumerate().take(hi + 1).skip(lo) {
+                    let ec = s.edge_cap(j);
+                    if ec > 0.0 && !cut {
+                        fixed += ec;
                     }
                 }
-                for (j, &side) in cs.iter().enumerate() {
-                    if side {
-                        fixed += s.cell_cap(j);
-                    }
-                }
-                finish_cut_bound(any_job, w_s, fixed)
             }
         }
-    }
-}
-
-/// A solved WAP flow with readback accessors (a one-shot
-/// [`WapSolver`] frozen after its first solve).
-#[derive(Debug)]
-pub struct WapFlow {
-    solver: WapSolver,
-}
-
-impl WapFlow {
-    /// Achieved max-flow value.
-    pub fn value(&self) -> f64 {
-        self.solver.value()
-    }
-
-    /// Total demand `Σ p_i`.
-    pub fn demand(&self) -> f64 {
-        self.solver.demand()
-    }
-
-    /// Feasible iff the flow meets the whole demand (tolerantly: max-flow
-    /// arithmetic accumulates `O(E·eps)` error).
-    pub fn feasible(&self) -> bool {
-        self.solver.feasible()
-    }
-
-    /// Time allotted to job `i` in each of its open intervals: `(j, t_ij)`,
-    /// skipping zero allotments.
-    pub fn allotment(&self, i: usize) -> Vec<(usize, f64)> {
-        self.solver.allotment(i)
-    }
-
-    /// Demand actually routed for job `i`.
-    pub fn routed(&self, i: usize) -> f64 {
-        self.solver.routed(i)
-    }
-
-    /// For each job: is its node residual-reachable from the source? On an
-    /// *infeasible* instance just below the critical speed, the reachable
-    /// jobs are exactly the **critical jobs** (Lemma 5 of the migratory
-    /// analysis).
-    pub fn jobs_reachable(&self) -> Vec<bool> {
-        self.solver.jobs_reachable()
-    }
-
-    /// For each interval: is its node residual-reachable from the source?
-    /// On the same infeasible instance these are the **saturated intervals**
-    /// (their `(y_j, sink)` edge lies in the canonical minimum cut).
-    pub fn intervals_reachable(&self) -> Vec<bool> {
-        self.solver.intervals_reachable()
-    }
-
-    /// Flow into the sink from interval `j` (total time handed out there).
-    pub fn interval_usage(&self, j: usize) -> f64 {
-        self.solver.interval_usage(j)
+        for (j, &side) in cell_side.iter().enumerate() {
+            if side {
+                fixed += s.cell_cap(j);
+            }
+        }
+        // NaN sums fall through here and are caught by the is_finite gate.
+        if !any_job || w_s <= 0.0 || fixed <= 0.0 {
+            return None;
+        }
+        let v = w_s / fixed;
+        v.is_finite().then_some(v)
     }
 }
 
@@ -879,7 +685,7 @@ mod tests {
         let (wap, _) = Wap::from_instance(&instance);
         let flow = wap.solve(&[1.05, 1.0]);
         assert!(!flow.feasible());
-        let jr = flow.jobs_reachable();
+        let (jr, _) = flow.cut_sides();
         assert!(
             jr[0],
             "the overloaded job must sit on the source side of the cut"
@@ -892,7 +698,7 @@ mod tests {
     /// produce exactly what a forced-Flow solver produces.
     fn starvation_wap() -> Wap {
         Wap::new(
-            vec![vec![0, 1], vec![0, 1], vec![0, 1], vec![0, 1, 2]],
+            vec![(0, 1), (0, 1), (0, 1), (0, 2)],
             vec![4.0, 3.0, 1.0],
             vec![8.0, 6.0, 0.0],
         )
@@ -919,8 +725,7 @@ mod tests {
         );
         assert!((va - 14.0).abs() < 1e-9);
         assert!(!auto.feasible());
-        assert_eq!(auto.jobs_reachable(), flow.jobs_reachable());
-        assert_eq!(auto.intervals_reachable(), flow.intervals_reachable());
+        assert_eq!(auto.cut_sides(), flow.cut_sides());
         let works = [4.0, 6.0, 0.0, 6.0];
         assert_eq!(auto.cut_speed_bound(&works), flow.cut_speed_bound(&works));
     }
@@ -936,19 +741,19 @@ mod tests {
         let p_ok = [2.0, 2.0, 0.0, 2.0];
         assert!((s.solve(&p_ok) - 6.0).abs() < 1e-9);
         assert!(s.feasible());
-        assert!(s.jobs_reachable().iter().all(|&b| !b));
+        assert!(s.cut_sides().0.iter().all(|&b| !b));
         // 2) starvation demands: fallback path, cut appears.
         let p_bad = [4.0, 6.0, 0.0, 6.0];
         s.solve(&p_bad);
         assert!(!s.feasible());
-        assert!(s.jobs_reachable().iter().any(|&b| b));
+        assert!(s.cut_sides().0.iter().any(|&b| b));
         let routed_total: f64 = (0..4).map(|i| s.routed(i)).sum();
         assert!((routed_total - 14.0).abs() < 1e-9);
         // 3) feasible again: the latched engine answers from its repaired
         // flow, and every readback reflects this solve, not the last one.
         assert!((s.solve(&p_ok) - 6.0).abs() < 1e-9);
         assert!(s.feasible());
-        assert!(s.jobs_reachable().iter().all(|&b| !b));
+        assert!(s.cut_sides().0.iter().all(|&b| !b));
         let routed_total: f64 = (0..4).map(|i| s.routed(i)).sum();
         assert!((routed_total - 6.0).abs() < 1e-9);
         for (i, &pk) in p_ok.iter().enumerate() {
@@ -958,20 +763,14 @@ mod tests {
     }
 
     fn latched(s: &WapSolver) -> bool {
-        matches!(
-            s.kernel,
-            KernelImpl::Sweep {
-                fallback: Some(_),
-                ..
-            }
-        )
+        s.engine.is_some()
     }
 
     /// The decline latch: after the sweep's first decline every later solve
     /// on that solver skips the sweep (`wap.sweep_skip`) and still matches a
-    /// forced-Flow solver bit for bit on verdict, cut sides and
-    /// `cut_speed_bound`; a fresh solver from the same `Wap` tries the sweep
-    /// again, and a clone carries the latch.
+    /// forced-Flow solver, latched at birth, bit for bit on verdict, cut
+    /// sides and `cut_speed_bound`; a fresh solver from the same `Wap` tries
+    /// the sweep again, and a clone carries the latch.
     #[test]
     fn decline_latches_solver_onto_the_flow_engine() {
         let wap = starvation_wap();
@@ -986,6 +785,7 @@ mod tests {
 
         let mut s = wap.solver();
         let mut f = flow_wap.solver();
+        assert!(latched(&f) && !latched(&s));
         s.solve(&demands(1.0)); // declines: builds and latches the engine
         f.solve(&demands(1.0));
         assert!(latched(&s));
@@ -996,8 +796,7 @@ mod tests {
             s.solve(&p);
             f.solve(&p);
             assert_eq!(s.feasible(), f.feasible(), "verdict at v={v}");
-            assert_eq!(s.jobs_reachable(), f.jobs_reachable(), "job side at v={v}");
-            assert_eq!(s.intervals_reachable(), f.intervals_reachable());
+            assert_eq!(s.cut_sides(), f.cut_sides(), "cut sides at v={v}");
             assert_eq!(
                 s.cut_speed_bound(&works).map(f64::to_bits),
                 f.cut_speed_bound(&works).map(f64::to_bits),
@@ -1006,7 +805,8 @@ mod tests {
         }
         assert!(latched(&s), "the latch holds for the solver's whole life");
         if session.is_some() {
-            assert!(skips() - skips_before >= speeds.len() as u64);
+            // Both solvers are latched: each of their solves is a skip.
+            assert!(skips() - skips_before >= 2 * speeds.len() as u64);
         }
 
         // A clone carries the latch (ladder slots and write-backs).
@@ -1093,9 +893,16 @@ mod tests {
                 w.set_kernel(kernel);
                 let mut s = w.solver();
                 s.solve(&p);
-                results.push((s.feasible(), s.jobs_reachable(), s.intervals_reachable()));
+                results.push((s.feasible(), s.cut_sides()));
             }
             assert_eq!(results[0], results[1], "auto vs flow at v={v}");
         }
+    }
+
+    /// Every alive window must lie inside the interval set.
+    #[test]
+    #[should_panic(expected = "alive window out of range")]
+    fn new_rejects_a_window_past_the_last_interval() {
+        Wap::new(vec![(0, 1), (1, 2)], vec![1.0, 1.0], vec![1.0, 1.0]);
     }
 }

@@ -49,9 +49,16 @@ impl SpeedLevels {
     }
 
     /// A geometric grid: `count` levels from `min` to `max` — the standard
-    /// shape of real DVFS tables.
+    /// shape of real DVFS tables. Needs `count >= 2`, a finite positive
+    /// `min` and `max > min`.
     pub fn geometric(min: f64, max: f64, count: usize) -> Result<Self, ModelError> {
-        assert!(count >= 2 && max > min && min > 0.0);
+        let grid_ok = count >= 2 && min > 0.0 && min.is_finite() && max > min;
+        if !grid_ok {
+            return Err(ModelError::Parse {
+                line: 0,
+                message: format!("bad geometric grid: {count} levels over [{min}, {max}]"),
+            });
+        }
         let ratio = (max / min).powf(1.0 / (count - 1) as f64);
         let levels = (0..count).map(|k| min * ratio.powi(k as i32)).collect();
         SpeedLevels::new(levels)
@@ -237,6 +244,27 @@ mod tests {
         let r0 = g.levels()[1] / g.levels()[0];
         let r1 = g.levels()[2] / g.levels()[1];
         assert!((r0 - r1).abs() < 1e-9);
+        // Bad arguments are typed errors, never panics: too few levels, a
+        // non-positive or non-finite `min`, `max <= min`, and NaN bounds.
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        for (min, max, count) in [
+            (0.5, 4.0, 1),
+            (0.5, 4.0, 0),
+            (0.0, 4.0, 4),
+            (-1.0, 4.0, 4),
+            (inf, 0.0, 4), // an empty schedule's speed range
+            (inf, inf, 4),
+            (nan, 4.0, 4),
+            (0.5, nan, 4),
+            (2.0, 2.0, 4),
+            (4.0, 0.5, 4),
+        ] {
+            assert!(
+                SpeedLevels::geometric(min, max, count).is_err(),
+                "geometric({min}, {max}, {count}) must be rejected"
+            );
+        }
     }
 
     #[test]

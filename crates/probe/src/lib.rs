@@ -19,8 +19,8 @@
 //! All of them are **near-zero overhead when disabled**: every probe site
 //! first performs a relaxed load of one global [`AtomicBool`] and returns
 //! immediately when no telemetry session is active. This is the shipping
-//! default; EXP-17 measures the residual cost on the BAL and push-relabel
-//! kernels at well under the 2% acceptance threshold.
+//! default; EXP-17 measures the residual cost on the BAL and Dinic kernels
+//! at well under the 2% acceptance threshold.
 //!
 //! ## Allocation attribution (`probe-alloc`)
 //!
@@ -245,7 +245,7 @@ impl CounterCell {
 }
 
 /// Bump a named monotonic counter: `counter!("bal.flow_calls")` adds 1,
-/// `counter!("maxflow.pr.pushes", pushes)` adds an accumulated total. The
+/// `counter!("maxflow.dinic.phases", phases)` adds an accumulated total. The
 /// name must be a string literal (it keys the counter in the trace). When no
 /// session is active this compiles to a relaxed atomic load and a branch.
 #[macro_export]

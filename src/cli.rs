@@ -18,13 +18,6 @@
 //! `local` (greedy + local search), `exact` (n ≤ 16), `bal` (migratory),
 //! `avr`, `oa` (online, migratory).
 
-use ssp_core::assignment::{assignment_schedule, Assignment};
-use ssp_core::classified::classified_assignment;
-use ssp_core::exact::exact_nonmigratory;
-use ssp_core::list::{least_loaded, marginal_energy_greedy};
-use ssp_core::online::{avr_m, oa_m};
-use ssp_core::relax::relax_round;
-use ssp_core::rr::rr_assignment;
 use ssp_migratory::bal::bal;
 use ssp_migratory::mbal::mbal;
 use ssp_model::render::{gantt, GanttOptions};
@@ -286,50 +279,20 @@ fn generate(parsed: &Parsed) -> Result<String, CliError> {
     }
 }
 
-/// Resolve an algorithm name into a schedule + label. Migratory/online
-/// algorithms build their own schedules; assignment policies go through
-/// per-machine YDS.
-fn schedule_for(inst: &Instance, algo: &str) -> Result<(Schedule, &'static str), CliError> {
-    let assignment: Option<(Assignment, &'static str)> = match algo {
-        "rr" => Some((rr_assignment(inst), "round-robin + YDS (non-migratory)")),
-        "classified" => Some((
-            classified_assignment(inst),
-            "classified RR + YDS (non-migratory)",
-        )),
-        "least-loaded" => Some((least_loaded(inst), "least-loaded + YDS (non-migratory)")),
-        "relax" => Some((relax_round(inst), "relax-and-round + YDS (non-migratory)")),
-        "greedy" => Some((
-            marginal_energy_greedy(inst),
-            "marginal-energy greedy (non-migratory)",
-        )),
-        "exact" => {
-            if inst.len() > 16 {
-                return Err(CliError::runtime("exact solver limited to n <= 16"));
-            }
-            Some((
-                exact_nonmigratory(inst).assignment,
-                "exact optimum (non-migratory)",
-            ))
-        }
-        "local" => {
-            let seed = marginal_energy_greedy(inst);
-            let improved = ssp_core::local_search::improve(inst, &seed, Default::default());
-            Some((improved.assignment, "greedy + local search (non-migratory)"))
-        }
-        _ => None,
-    };
-    if let Some((a, label)) = assignment {
-        return Ok((assignment_schedule(inst, &a), label));
-    }
-    match algo {
-        "bal" => {
-            let sol = bal(inst);
-            Ok((sol.schedule(inst), "BAL optimum (migratory)"))
-        }
-        "avr" => Ok((avr_m(inst), "AVR-m (online, migratory)")),
-        "oa" => Ok((oa_m(inst), "OA-m (online, migratory)")),
-        other => Err(CliError::usage(format!("unknown algorithm '{other}'"))),
-    }
+/// Resolve an `--algo` name through the harness registry.
+fn algo_named(name: &str) -> Result<ssp_harness::Algo, CliError> {
+    ssp_harness::Algo::from_name(name)
+        .map_err(|_| CliError::usage(format!("unknown algorithm '{name}'")))
+}
+
+/// Run a registered algorithm once behind the panic boundary and return
+/// its schedule and label.
+fn schedule_for(inst: &Instance, name: &str) -> Result<(Schedule, &'static str), CliError> {
+    use ssp_harness::{run_algorithm, SolveOptions};
+    let algo = algo_named(name)?;
+    let run = run_algorithm(inst, algo, &SolveOptions::default())
+        .map_err(|e| CliError::runtime(e.to_string()))?;
+    Ok((run.schedule, algo.label()))
 }
 
 /// Writes a probe trace to disk when dropped, unless defused by an explicit
@@ -380,11 +343,9 @@ impl Drop for TelemetryFlushGuard {
 /// `--timeout-ms` and `--retries` map onto the same deadline/retry
 /// machinery the serve daemon uses (`ssp_serve::retry`).
 fn solve(parsed: &Parsed) -> Result<String, CliError> {
-    use ssp_harness::{Algo, SolveOptions};
+    use ssp_harness::SolveOptions;
     let inst = load(parsed)?;
-    let name = parsed.flag("algo").unwrap_or("rr");
-    let algo = Algo::from_name(name)
-        .map_err(|_| CliError::usage(format!("unknown algorithm '{name}'")))?;
+    let algo = algo_named(parsed.flag("algo").unwrap_or("rr"))?;
     let timeout_ms: Option<u64> = parsed.flag_parse("timeout-ms")?;
     let max_retries: u32 = parsed.flag_parse("retries")?.unwrap_or(0);
     let inject: u32 = parsed.flag_parse("inject-transient")?.unwrap_or(0);
@@ -549,6 +510,12 @@ fn budget(parsed: &Parsed) -> Result<String, CliError> {
     let energy: f64 = parsed
         .flag_parse("energy")?
         .ok_or_else(|| CliError::usage("budget needs --energy"))?;
+    let energy_ok = energy > 0.0 && energy.is_finite();
+    if !energy_ok {
+        return Err(CliError::usage(format!(
+            "--energy must be finite and > 0, got {energy}"
+        )));
+    }
     let (label, makespan, used, schedule) = if parsed.has("non-migratory") {
         use ssp_core::budget::{makespan_under_budget, InnerSolver};
         let solver = if inst.len() <= 16 {
@@ -1572,6 +1539,16 @@ mod tests {
         std::fs::write(&path, io::emit(&tight)).unwrap();
         let err = run(&args(&["budget", &p, "--energy", "0.000001"])).unwrap_err();
         assert_eq!(err.code, 1);
+        // Zero, NaN and infinite budgets are usage errors on both paths.
+        for energy in ["0", "nan", "inf"] {
+            for extra in [None, Some("--non-migratory")] {
+                let mut argv = vec!["budget", &p, "--energy", energy];
+                argv.extend(extra);
+                let err = run(&args(&argv)).unwrap_err();
+                assert_eq!(err.code, 2, "--energy {energy} {extra:?}: {}", err.message);
+                assert!(err.message.contains("--energy"), "{}", err.message);
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1663,6 +1640,20 @@ mod tests {
             2
         );
         std::fs::remove_file(&p).ok();
+        // An empty instance has no speed range to build a grid over: a
+        // typed runtime error, not a panic.
+        let empty = Instance::new(vec![], 2, 2.0).unwrap();
+        let path = std::env::temp_dir().join(format!("ssp_cli_empty_{}.ssp", std::process::id()));
+        std::fs::write(&path, io::emit(&empty)).unwrap();
+        let p = path.to_string_lossy().into_owned();
+        let err = run(&args(&["quantize", &p, "--levels", "4"])).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(
+            err.message.contains("cannot build level grid"),
+            "{}",
+            err.message
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
