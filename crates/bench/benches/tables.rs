@@ -10,7 +10,7 @@ use ssp_core::exact::exact_nonmigratory;
 use ssp_core::hardness::crossing;
 use ssp_core::online::{avr_m_energy, oa_m};
 use ssp_core::relax::relax_round;
-use ssp_core::relax::{relax_round_with, RoundingOrder};
+use ssp_core::relax::{round_relaxation, RoundingOrder};
 use ssp_core::rr::rr_assignment;
 use ssp_core::throughput::max_throughput_greedy;
 use ssp_migratory::bal::bal;
@@ -143,7 +143,7 @@ fn exp10_ablations(c: &mut Criterion) {
         b.iter(|| {
             black_box(assignment_energy(
                 &unit,
-                &relax_round_with(&unit, RoundingOrder::LongestRelaxedTime),
+                &round_relaxation(&unit, &bal(&unit).speeds, RoundingOrder::LongestRelaxedTime),
             ))
         })
     });

@@ -6,7 +6,10 @@
 //!
 //! 1. **Relax**: drop the no-migration constraint and solve optimally with
 //!    BAL. This yields per-job speeds `s_i` — and the certified lower bound
-//!    `E_mig ≤ OPT_nonmig` used by the experiments.
+//!    `E_mig ≤ OPT_nonmig` used by the experiments. A caller that already
+//!    holds that BAL solution (the harness's lower bound, an experiment's
+//!    ratio denominator) passes its speeds to [`round_relaxation`] instead
+//!    of solving it again; [`relax_round`] runs BAL itself.
 //! 2. **Round**: walk jobs in earliest-deadline order and put each on the
 //!    machine with the least accumulated processing time (`p_i = w_i/s_i`)
 //!    *inside the job's window* — the Graham `(2 − 1/m)` step specialized to
@@ -22,7 +25,7 @@
 
 use crate::assignment::Assignment;
 use ssp_migratory::bal::bal;
-use ssp_model::Instance;
+use ssp_model::{Instance, SpeedAssignment};
 
 /// Placement order used by the rounding step — an ablation axis (EXP-10):
 /// the `(2 - 1/m)` list-scheduling argument needs *some* deterministic
@@ -39,17 +42,27 @@ pub enum RoundingOrder {
     LongestRelaxedTime,
 }
 
-/// The relax-and-round assignment (see module docs). Works for arbitrary
+/// The relax-and-round assignment (see module docs): BAL, then
+/// [`round_relaxation`] in earliest-deadline order. Works for arbitrary
 /// works too; the paper's guarantee regime is unit works.
 pub fn relax_round(instance: &Instance) -> Assignment {
-    relax_round_with(instance, RoundingOrder::EarliestDeadline)
+    round_relaxation(
+        instance,
+        &bal(instance).speeds,
+        RoundingOrder::EarliestDeadline,
+    )
 }
 
-/// [`relax_round`] with an explicit rounding order (ablation entry point).
-pub fn relax_round_with(instance: &Instance, rounding: RoundingOrder) -> Assignment {
-    let relaxed = bal(instance);
+/// Step 2 (Round) on a relaxed optimum the caller already holds: `speeds`
+/// are the per-job speeds of BAL's migratory optimum of `instance`, and
+/// `rounding` is the placement order (an ablation axis, EXP-10).
+pub fn round_relaxation(
+    instance: &Instance,
+    speeds: &SpeedAssignment,
+    rounding: RoundingOrder,
+) -> Assignment {
     let p: Vec<f64> = (0..instance.len())
-        .map(|i| instance.job(i).work / relaxed.speeds.get(i))
+        .map(|i| instance.job(i).work / speeds.get(i))
         .collect();
 
     let mut order: Vec<usize> = (0..instance.len()).collect();

@@ -13,7 +13,7 @@ use crate::par::par_map;
 use crate::table::{max, mean, Table};
 use crate::RunCfg;
 use ssp_core::classified::classified_assignment_with_base;
-use ssp_core::relax::{relax_round_with, RoundingOrder};
+use ssp_core::relax::{round_relaxation, RoundingOrder};
 use ssp_migratory::bal::bal;
 use ssp_workloads::{families, subseed};
 
@@ -42,8 +42,12 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
         let items: Vec<u64> = (0..seeds as u64).collect();
         let ratios = par_map(items, |&s| {
             let inst = families::unit_arbitrary(n, m, alpha).gen(subseed(cfg.seed ^ 0x10A, s));
-            let lb = bal(&inst).energy;
-            super::ratio_of(&inst, &relax_round_with(&inst, order), lb)
+            let sol = bal(&inst);
+            super::ratio_of(
+                &inst,
+                &round_relaxation(&inst, &sol.speeds, order),
+                sol.energy,
+            )
         });
         assert!(ratios.iter().all(|&r| r >= 1.0 - 1e-6));
         t1.push(vec![name.into(), mean(&ratios).into(), max(&ratios).into()]);

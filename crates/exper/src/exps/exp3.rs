@@ -13,7 +13,7 @@ use crate::par::par_map;
 use crate::table::{max, mean, Table};
 use crate::RunCfg;
 use ssp_core::list::{least_loaded, marginal_energy_greedy};
-use ssp_core::relax::relax_round;
+use ssp_core::relax::{round_relaxation, RoundingOrder};
 use ssp_core::rr::rr_assignment;
 use ssp_migratory::bal::bal;
 use ssp_workloads::{families, subseed};
@@ -45,9 +45,11 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
                     cfg.seed ^ 0x31,
                     s * 31 + m as u64 * 7 + (alpha * 10.0) as u64,
                 ));
-                let lb = bal(&inst).energy;
+                let sol = bal(&inst);
+                let lb = sol.energy;
+                let order = RoundingOrder::EarliestDeadline;
                 (
-                    super::ratio_of(&inst, &relax_round(&inst), lb),
+                    super::ratio_of(&inst, &round_relaxation(&inst, &sol.speeds, order), lb),
                     super::ratio_of(&inst, &rr_assignment(&inst), lb),
                     super::ratio_of(&inst, &least_loaded(&inst), lb),
                     super::ratio_of(&inst, &marginal_energy_greedy(&inst), lb),

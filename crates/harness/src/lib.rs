@@ -49,14 +49,15 @@ use ssp_core::exact::exact_nonmigratory;
 use ssp_core::list::{least_loaded, marginal_energy_greedy};
 use ssp_core::local_search::{improve, LocalSearchOptions};
 use ssp_core::online::{avr_m, oa_m};
-use ssp_core::relax::relax_round;
+use ssp_core::relax::{round_relaxation, RoundingOrder::EarliestDeadline};
 use ssp_core::rr::rr_assignment;
-use ssp_migratory::bal::try_bal;
+use ssp_migratory::bal::{try_bal, BalSolution};
 use ssp_migratory::kkt::certify;
 use ssp_model::numeric::Tol;
 use ssp_model::resource::Budget;
 use ssp_model::schedule::ValidationOptions;
 use ssp_model::{Instance, Schedule, ScheduleStats, SolveError};
+use std::borrow::Cow;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -186,10 +187,17 @@ pub struct AlgoRun {
 
 /// Run one registered algorithm behind the panic boundary. Returns the raw
 /// (not yet validated) schedule or a typed error; never panics.
+///
+/// `relaxation` is a completed (not budget-exhausted) BAL run on
+/// `instance`, when the caller has one — the lower bound's, see
+/// [`certified_lower_bound`]. `relax` rounds its speeds and `bal` reports
+/// its schedule instead of running BAL again; every other algorithm
+/// ignores it.
 pub fn run_algorithm(
     instance: &Instance,
     algo: Algo,
     opts: &SolveOptions,
+    relaxation: Option<&BalSolution>,
 ) -> Result<AlgoRun, SolveError> {
     let budget = opts.budget.clone();
     let max_exact_jobs = opts.max_exact_jobs;
@@ -198,11 +206,18 @@ pub fn run_algorithm(
             schedule: assignment_schedule(instance, &a),
             budget_exhausted: None,
         };
+        let relaxed = |budget| match relaxation {
+            Some(sol) => Ok(Cow::Borrowed(sol)),
+            None => try_bal(instance, budget).map(Cow::Owned),
+        };
         Ok(match algo {
             Algo::Rr => from_assignment(rr_assignment(instance)),
             Algo::Classified => from_assignment(classified_assignment(instance)),
             Algo::LeastLoaded => from_assignment(least_loaded(instance)),
-            Algo::Relax => from_assignment(relax_round(instance)),
+            Algo::Relax => {
+                let speeds = &relaxed(Budget::unlimited())?.speeds;
+                from_assignment(round_relaxation(instance, speeds, EarliestDeadline))
+            }
             Algo::Greedy => from_assignment(marginal_energy_greedy(instance)),
             Algo::Exact => {
                 if instance.len() > max_exact_jobs {
@@ -235,7 +250,7 @@ pub fn run_algorithm(
                 }
             }
             Algo::Bal => {
-                let sol = try_bal(instance, budget)?;
+                let sol = relaxed(budget)?;
                 AlgoRun {
                     schedule: sol.schedule(instance),
                     budget_exhausted: sol.budget_exhausted,
@@ -253,18 +268,21 @@ pub fn run_algorithm(
     })
 }
 
-/// The certified lower bound: a full (non-budget-exhausted) BAL run whose
-/// KKT certificate verifies. `None` when either step fails — the harness
-/// then simply has no bound to compare against.
-pub fn certified_lower_bound(instance: &Instance, budget: Budget) -> Option<f64> {
-    boundary::catch(|| {
-        let sol = try_bal(instance, budget)?;
-        if let Some(resource) = sol.budget_exhausted {
-            return Err(SolveError::BudgetExhausted {
-                resource,
-                message: "lower-bound BAL run did not converge".into(),
-            });
-        }
+/// The certified lower bound and the BAL run behind it. The bound is a
+/// full (non-budget-exhausted) BAL run whose KKT certificate verifies and
+/// whose schedule validates; `None` when any step fails — the harness then
+/// simply has no bound to compare against. The run itself is returned
+/// whenever BAL completed, certified or not, for [`run_algorithm`] to
+/// reuse: `relax` and `bal` would compute that same solution again.
+pub fn certified_lower_bound(
+    instance: &Instance,
+    budget: Budget,
+) -> (Option<f64>, Option<BalSolution>) {
+    let sol = match boundary::catch(|| try_bal(instance, budget)) {
+        Ok(sol) if sol.budget_exhausted.is_none() => sol,
+        _ => return (None, None),
+    };
+    let bound = boundary::catch(|| {
         certify(instance, &sol, Tol::rel(1e-6)).map_err(|v| SolveError::Numeric {
             message: format!("KKT certificate failed: {v}"),
         })?;
@@ -277,7 +295,8 @@ pub fn certified_lower_bound(instance: &Instance, budget: Budget) -> Option<f64>
             .map_err(SolveError::from)?;
         Ok(sol.energy.min(stats.energy))
     })
-    .ok()
+    .ok();
+    (bound, Some(sol))
 }
 
 /// One attempt in the degradation chain.
@@ -398,11 +417,11 @@ pub fn degradation_chain(requested: Algo) -> Vec<Algo> {
 /// returns a report, never panics.
 pub fn solve(instance: &Instance, requested: Algo, opts: &SolveOptions) -> SolveReport {
     let _solve_span = ssp_probe::span("solve");
-    let lower_bound = if opts.lower_bound {
+    let (lower_bound, relaxation) = if opts.lower_bound {
         let _lb_span = ssp_probe::span("lower_bound");
         certified_lower_bound(instance, opts.budget.clone())
     } else {
-        None
+        (None, None)
     };
     let chain = if opts.degrade {
         degradation_chain(requested)
@@ -419,7 +438,7 @@ pub fn solve(instance: &Instance, requested: Algo, opts: &SolveOptions) -> Solve
             // Span named after the algorithm, so every fallback step shows
             // up as its own phase under `solve`.
             let _attempt_span = ssp_probe::span(algo.name());
-            attempt(instance, algo, opts, lower_bound)
+            attempt(instance, algo, opts, lower_bound, relaxation.as_ref())
         };
         let wall = start.elapsed();
         // Attempt latency distribution across the whole session (gauntlets
@@ -506,8 +525,9 @@ fn attempt(
     algo: Algo,
     opts: &SolveOptions,
     lower_bound: Option<f64>,
+    relaxation: Option<&BalSolution>,
 ) -> Result<(Schedule, ScheduleStats, Option<&'static str>), SolveError> {
-    let run = run_algorithm(instance, algo, opts)?;
+    let run = run_algorithm(instance, algo, opts, relaxation)?;
     let vopts = if algo.non_migratory() {
         ValidationOptions::non_migratory()
     } else {
@@ -694,7 +714,8 @@ mod tests {
     fn general_n100_tiny_piece_keeps_its_certified_bound() {
         let inst =
             ssp_workloads::families::general(100, 4, 2.0).gen(ssp_workloads::subseed(10, 100));
-        assert!(certified_lower_bound(&inst, Budget::unlimited()).is_some());
+        let (bound, _) = certified_lower_bound(&inst, Budget::unlimited());
+        assert!(bound.is_some());
     }
 
     /// The same stranded-gap defect on a weighted agreeable instance: a
@@ -703,7 +724,90 @@ mod tests {
     fn weighted_agreeable_n50_keeps_its_certified_bound() {
         let inst = ssp_workloads::families::weighted_agreeable(50, 4, 2.0)
             .gen(ssp_workloads::subseed(3, 168));
-        assert!(certified_lower_bound(&inst, Budget::unlimited()).is_some());
+        let (bound, _) = certified_lower_bound(&inst, Budget::unlimited());
+        assert!(bound.is_some());
+    }
+
+    /// Bitwise identity: the `Debug` forms of `f64`s round-trip, so equal
+    /// strings mean equal bits.
+    fn same<T: fmt::Debug>(a: &T, b: &T) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    /// `relax` and `bal` reuse the lower bound's BAL run. Their answers
+    /// must be bit for bit those of a BAL of their own: with the bound,
+    /// without it, and under a budget the bound's run exhausts (then there
+    /// is no bound, relax still rounds a full BAL, and bal keeps its
+    /// exhaustion marker).
+    #[test]
+    fn relax_and_bal_reuse_the_bound_bal_bit_for_bit() {
+        use ssp_core::relax::relax_round;
+        use ssp_workloads::families;
+        let no_bound = SolveOptions {
+            lower_bound: false,
+            ..Default::default()
+        };
+        let short = SolveOptions {
+            budget: Budget::iterations(2),
+            ..Default::default()
+        };
+        for n in [30, 100] {
+            for (family, inst) in [
+                ("general", families::general(n, 4, 2.0).gen(7)),
+                ("unit-arbitrary", families::unit_arbitrary(n, 4, 2.0).gen(7)),
+                ("weighted", families::weighted_agreeable(n, 4, 2.0).gen(7)),
+                ("laminar", families::laminar_nested(n, 4, 2.0, 7)),
+            ] {
+                // Reference answers: each attempt runs a BAL of its own.
+                let relax = assignment_schedule(&inst, &relax_round(&inst));
+                let relax_stats = relax
+                    .validate(&inst, ValidationOptions::non_migratory())
+                    .unwrap();
+                let bal = |budget: &Budget| {
+                    let sol = try_bal(&inst, budget.clone()).unwrap();
+                    let schedule = sol.schedule(&inst);
+                    let stats = schedule.validate(&inst, ValidationOptions::default());
+                    (sol, schedule, stats.unwrap())
+                };
+                let (sol, _, stats) = bal(&Budget::unlimited());
+                certify(&inst, &sol, Tol::rel(1e-6)).unwrap();
+                let bound = Some(sol.energy.min(stats.energy));
+                for (opts, bound, marker) in [
+                    (&SolveOptions::default(), bound, None),
+                    (&no_bound, None, None),
+                    (&short, None, Some("iterations")),
+                ] {
+                    let (sol, bal_schedule, bal_stats) = bal(&opts.budget);
+                    assert_eq!(sol.budget_exhausted, marker);
+                    for (algo, schedule, stats, marker) in [
+                        (Algo::Relax, &relax, &relax_stats, None),
+                        (Algo::Bal, &bal_schedule, &bal_stats, marker),
+                    ] {
+                        let report = solve(&inst, algo, opts);
+                        let out = report.outcome.as_ref().unwrap();
+                        let case = format!("{algo} on {family} n={n}, {opts:?}");
+                        assert_eq!(out.algorithm, algo, "{case}");
+                        assert!(same(&out.schedule, schedule), "{case}");
+                        assert!(same(&out.stats, stats), "{case}");
+                        assert!(same(&report.lower_bound, &bound), "{case}");
+                        assert_eq!(out.budget_exhausted, marker, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A job of density 1e600 overflows BAL's opening speed bracket. Relax
+    /// reports BAL's typed numeric error, as `bal` does, not a panic.
+    #[test]
+    fn relax_reports_a_failed_relaxation_as_numeric() {
+        let jobs = vec![Job::new(0, 1e300, 0.0, 1e-300), Job::new(1, 1.0, 0.0, 2.0)];
+        let inst = Instance::new(jobs, 2, 2.0).unwrap();
+        for algo in [Algo::Relax, Algo::Bal] {
+            let report = solve(&inst, algo, &SolveOptions::default());
+            let error = report.attempts[0].error.as_ref().unwrap();
+            assert_eq!(error.kind(), "numeric", "{algo}: {error}");
+        }
     }
 
     #[test]

@@ -146,3 +146,22 @@ fn counters_match_solver_accounting() {
         "WAP dispatch accounting"
     );
 }
+
+/// `relax` rounds and `bal` reports the lower bound's own BAL run, so a
+/// traced relax or bal solve counts the BAL work of an rr solve, whose
+/// only BAL is the bound's.
+#[test]
+fn relax_and_bal_solves_run_bal_once() {
+    let _lock = session_lock();
+    let instance = ssp_workloads::families::general(30, 4, 2.0).gen(7);
+    let bal_work = |algo| {
+        let report = solve_traced(&instance, algo, &SolveOptions::default());
+        assert_eq!(report.outcome.map(|o| o.algorithm), Some(algo));
+        let trace = report.telemetry.expect("telemetry captured");
+        (trace.counter("bal.rounds"), trace.counter("bal.flow_calls"))
+    };
+    let rr = bal_work(Algo::Rr);
+    assert!(rr.0 > 0, "the bound runs BAL");
+    assert_eq!(bal_work(Algo::Relax), rr, "relax: (rounds, flow calls)");
+    assert_eq!(bal_work(Algo::Bal), rr, "bal: (rounds, flow calls)");
+}

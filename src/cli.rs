@@ -18,9 +18,10 @@
 //! `local` (greedy + local search), `exact` (n ≤ 16), `bal` (migratory),
 //! `avr`, `oa` (online, migratory).
 
-use ssp_migratory::bal::bal;
+use ssp_migratory::bal::{try_bal, BalSolution};
 use ssp_migratory::mbal::mbal;
 use ssp_model::render::{gantt, GanttOptions};
+use ssp_model::resource::Budget;
 use ssp_model::{io, Instance, Schedule};
 use ssp_workloads::families;
 use std::fmt::Write as _;
@@ -286,11 +287,16 @@ fn algo_named(name: &str) -> Result<ssp_harness::Algo, CliError> {
 }
 
 /// Run a registered algorithm once behind the panic boundary and return
-/// its schedule and label.
-fn schedule_for(inst: &Instance, name: &str) -> Result<(Schedule, &'static str), CliError> {
+/// its schedule and label. `relaxation` is a BAL run on `inst` the caller
+/// already holds (see [`ssp_harness::run_algorithm`]).
+fn schedule_for(
+    inst: &Instance,
+    name: &str,
+    relaxation: Option<&BalSolution>,
+) -> Result<(Schedule, &'static str), CliError> {
     use ssp_harness::{run_algorithm, SolveOptions};
     let algo = algo_named(name)?;
-    let run = run_algorithm(inst, algo, &SolveOptions::default())
+    let run = run_algorithm(inst, algo, &SolveOptions::default(), relaxation)
         .map_err(|e| CliError::runtime(e.to_string()))?;
     Ok((run.schedule, algo.label()))
 }
@@ -578,7 +584,9 @@ fn budget(parsed: &Parsed) -> Result<String, CliError> {
 
 fn compare(parsed: &Parsed) -> Result<String, CliError> {
     let inst = load(parsed)?;
-    let lb = bal(&inst).energy;
+    let relaxation = try_bal(&inst, Budget::unlimited())
+        .map_err(|e| CliError::runtime(format!("cannot compute the lower bound: {e}")))?;
+    let lb = relaxation.energy;
     let mut out = String::new();
     let _ = writeln!(out, "{:<42} {:>14} {:>8}", "algorithm", "energy", "vs LB");
     let _ = writeln!(
@@ -598,7 +606,7 @@ fn compare(parsed: &Parsed) -> Result<String, CliError> {
         algos.push("exact");
     }
     for algo in algos {
-        let (schedule, label) = schedule_for(&inst, algo)?;
+        let (schedule, label) = schedule_for(&inst, algo, Some(&relaxation))?;
         let e = schedule.energy(inst.alpha());
         let _ = writeln!(out, "{:<42} {:>14.6} {:>8.3}", label, e, e / lb);
     }
@@ -610,7 +618,7 @@ fn analyze(parsed: &Parsed) -> Result<String, CliError> {
     use ssp_model::render::speed_sparkline;
     let inst = load(parsed)?;
     let algo = parsed.flag("algo").unwrap_or("bal");
-    let (schedule, label) = schedule_for(&inst, algo)?;
+    let (schedule, label) = schedule_for(&inst, algo, None)?;
     schedule
         .validate(&inst, Default::default())
         .map_err(|e| CliError::runtime(format!("schedule failed validation: {e}")))?;
@@ -678,7 +686,7 @@ fn quantize_cmd(parsed: &Parsed) -> Result<String, CliError> {
     if levels < 2 {
         return Err(CliError::usage("--levels must be at least 2"));
     }
-    let (schedule, label) = schedule_for(&inst, algo)?;
+    let (schedule, label) = schedule_for(&inst, algo, None)?;
     let continuous = schedule.energy(inst.alpha());
     let smin = schedule
         .segments()
@@ -1484,6 +1492,24 @@ mod tests {
         assert!(out.contains("exact optimum"));
         assert!(out.contains("lower bound"));
         std::fs::remove_file(&p).ok();
+    }
+
+    /// A job of density 1e600 overflows BAL's opening speed bracket: the
+    /// lower bound fails with a typed error, and `compare` exits 1 instead
+    /// of panicking.
+    #[test]
+    fn compare_reports_a_failed_lower_bound() {
+        let path = std::env::temp_dir().join(format!("ssp_cli_dense_{}.ssp", std::process::id()));
+        std::fs::write(
+            &path,
+            "machines 2\nalpha 2.0\njob 0 1e300 0 1e-300\njob 1 1 0 2\n",
+        )
+        .unwrap();
+        let p = path.to_string_lossy().into_owned();
+        let err = run(&args(&["compare", &p])).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("not finite"), "{}", err.message);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
