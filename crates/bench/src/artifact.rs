@@ -161,8 +161,8 @@ pub struct RunMeta {
     /// age, unlike the run's wall clock.
     pub commit_ts: Option<u64>,
     /// Effective worker thread count: `SSP_THREADS` when set (the knob the
-    /// parallel probe ladder honors), the machine's available parallelism
-    /// otherwise.
+    /// experiment sweeps' `par_map` honors), the machine's available
+    /// parallelism otherwise.
     pub threads: u64,
     /// Short host fingerprint (hex hash of hostname/OS/arch/cpu count):
     /// cross-host timing comparisons are noise, and the fingerprint lets

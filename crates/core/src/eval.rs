@@ -670,13 +670,6 @@ impl<'a> YdsEval<'a> {
         min_speed_over(&self.profiles[p], r, d, floor)
     }
 
-    /// Memoized YDS energy of an arbitrary ordered job-index list (used by
-    /// the branch-and-bound frontier expansion, which prices prefixes that
-    /// are not the oracle's own state).
-    pub fn list_energy(&mut self, jobs: &[u32]) -> f64 {
-        self.list_energy_key(jobs)
-    }
-
     /// Price `candidate`: `(first_machine, second_machine, e_first,
     /// e_second)` where the energies are for the post-candidate contents.
     fn price(&mut self, candidate: Candidate) -> (usize, usize, f64, f64) {

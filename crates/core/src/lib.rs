@@ -35,7 +35,6 @@ pub mod hardness;
 pub mod list;
 pub mod local_search;
 pub mod online;
-pub mod parallel;
 pub mod relax;
 pub mod rr;
 pub mod throughput;
@@ -49,7 +48,6 @@ pub use exact::exact_nonmigratory;
 pub use list::{least_loaded, marginal_energy_greedy};
 pub use local_search::{improve, LocalSearchOptions};
 pub use online::dispatch_oa_nonmigratory;
-pub use parallel::exact_nonmigratory_parallel;
 pub use relax::relax_round;
 pub use rr::{rr_assignment, rr_yds};
 pub use throughput::{max_throughput_exact, max_throughput_greedy};

@@ -1,12 +1,11 @@
-//! EXP-23 — the parallel probe ladder vs plain bisection, and the
+//! EXP-23 — the probe ladder vs plain bisection, and the
 //! thread-invariance wall measured in the open.
 //!
 //! The BAL peeling loop locates each round's critical speed with one of
-//! two drivers: the default cut-guided probe **ladder** (a deterministic
-//! fan-out of Newton-bound and splitter candidates, solved on per-probe
-//! scratch copies of one warm base state) or the retained budgeted
-//! **bisection** baseline. This experiment quantifies the gap the ladder
-//! buys and re-states its two contracts as assertions:
+//! two drivers: the default cut-guided probe **ladder** (one warm probe
+//! per step at a Newton bound, the density opener or a splitter) or the
+//! retained budgeted **bisection** baseline. This experiment quantifies
+//! the gap the ladder buys and re-states its two contracts as assertions:
 //!
 //! 1. **Agreement.** Both drivers stop inside the feasibility classifier's
 //!    `1e-9` relative tolerance, so their energies must agree to `1e-8`
@@ -14,15 +13,15 @@
 //!    is the point).
 //! 2. **Thread invariance.** For the ladder, the full probe transcript
 //!    (every `(speed, feasible)` pair, every round) and the energy bits
-//!    must be identical at fan-out widths 1 and 8: parallelism may change
-//!    wall time only. The differential wall pins this per commit; the
-//!    table reports it per family so the property is visible next to the
-//!    probe counts it protects.
+//!    must be identical at pinned widths 1 and 8: no solver kernel starts
+//!    a thread, so the width must not reach a solve. The differential wall
+//!    pins this per commit; the table reports it per family so the
+//!    property is visible next to the probe counts it protects.
 //!
 //! The headline column is the probe ratio (bisection probes / ladder
 //! probes): every feasibility probe is a parametric max-flow solve, so the
 //! ratio is the algorithmic speedup available to any machine, independent
-//! of this box's core count (`BENCH_bal.json` carries the wall-clock side).
+//! of its core count (`BENCH_bal.json` carries the wall-clock side).
 
 use crate::table::{Cell, Table};
 use crate::RunCfg;

@@ -188,7 +188,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "exp23",
-            title: "Parallel probe ladder vs bisection: probe counts + thread invariance",
+            title: "Probe ladder vs bisection: probe counts + thread invariance",
             run: exps::exp23::run,
         },
         Experiment {

@@ -1,9 +1,8 @@
 //! Scoped-thread parallel map for parameter sweeps.
 //!
-//! The implementation moved to [`ssp_model::par`] so solver kernels (the
-//! BAL probe ladder) can share it; this module re-exports it for the
-//! experiment runners. The fan-out width obeys `SSP_THREADS` and the
-//! in-process [`ssp_model::par::set_thread_override`] pin — see the model
-//! module docs for the bit-identity contract parallel callers must keep.
+//! The implementation lives in [`ssp_model::par`]; this module re-exports
+//! it for the experiment runners. The fan-out width obeys `SSP_THREADS`
+//! and the in-process [`ssp_model::par::set_thread_override`] pin — see the
+//! model module docs for the contract parallel callers must keep.
 
-pub use ssp_model::par::{par_map, par_map_mut, set_thread_override, thread_count};
+pub use ssp_model::par::{par_map, set_thread_override, thread_count};

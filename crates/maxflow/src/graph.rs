@@ -1067,8 +1067,7 @@ mod tests {
 
     /// Cloning a solved network forks the parametric state: the clone warm
     /// repairs independently, and solving the clone leaves the original's
-    /// flow, value, and residual structure bit-identical. This is the
-    /// contract the parallel probe ladder relies on (one probe per clone).
+    /// flow, value, and residual structure bit-identical.
     #[test]
     fn clone_split_solves_are_independent_and_bit_identical() {
         let mut g = FlowNetwork::new(6);

@@ -52,7 +52,7 @@ const EPS_REL: f64 = 1e-12;
 /// [`solve`](SweepFlow::solve) routes a fresh demand vector from scratch —
 /// a solve is cheap enough that warm-starting would add bookkeeping without
 /// winning anything.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SweepFlow {
     num_jobs: usize,
     num_cells: usize,

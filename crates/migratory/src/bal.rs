@@ -30,7 +30,6 @@ use crate::mcnaughton::mcnaughton;
 use crate::wap::{Wap, WapSolver};
 use ssp_maxflow::FlowNetwork;
 use ssp_model::numeric::{bisect_threshold_budgeted, BINARY_SEARCH_REL_WIDTH};
-use ssp_model::par::par_map_mut;
 use ssp_model::resource::{Budget, Meter};
 use ssp_model::{Instance, IntervalSet, Schedule, SolveError, SpeedAssignment};
 
@@ -46,9 +45,9 @@ pub struct BalRound {
     /// The round's speed-search probe transcript: every feasibility probe
     /// (speed, feasible) in execution order — the upper-bound re-establish
     /// probes followed by the ladder/bisection probes. The transcript is a
-    /// pure function of the instance and the [`ProbeStrategy`]; in
-    /// particular it is **bit-identical at every thread count** (the
-    /// differential wall replays it under pinned widths).
+    /// pure function of the instance and the [`ProbeStrategy`]: every probe
+    /// runs on the calling thread, so `SSP_THREADS` cannot reach it (the
+    /// differential wall replays it under pinned widths to keep it so).
     pub probes: Vec<(f64, bool)>,
 }
 
@@ -56,18 +55,12 @@ pub struct BalRound {
 /// bound and the previous round's (feasible) speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeStrategy {
-    /// Cut-guided probe ladder (the default): every iteration plans a small
-    /// deterministic fan-out of candidate speeds — the discrete-Newton bound
-    /// read from the last infeasible cut ([`WapSolver::cut_speed_bound`])
-    /// plus a geometric splitter while the bracket is wide — and solves
-    /// each candidate on its own bitwise copy of one shared warm base state
-    /// (per-probe scratch slots refreshed by `clone_from`, fanned out via
-    /// [`ssp_model::par::par_map_mut`]). The reduction is
-    /// serial in plan order (smallest feasible probe → new upper bound,
-    /// largest infeasible probe's slot → new base), so transcripts and
-    /// energies are bit-identical at any `SSP_THREADS`. Converges in
-    /// roughly one fan-out per distinct cut instead of ~40 bisection probes
-    /// per round.
+    /// Cut-guided probe ladder (the default): every step picks one
+    /// candidate speed — the discrete-Newton bound read from the last
+    /// infeasible cut ([`WapSolver::cut_speed_bound`]), the density opener,
+    /// or a geometric splitter — and probes it on the round's warm solver
+    /// in place. Converges in roughly one probe per distinct cut instead of
+    /// ~40 bisection probes per round.
     #[default]
     Ladder,
     /// Plain budgeted bisection
@@ -237,10 +230,6 @@ pub fn try_bal_with_wap_strategy(
         });
     }
     let mut budget_exhausted = None;
-    // Per-probe scratch solvers for the ladder fan-outs, owned across
-    // rounds: each fan-out refreshes them with `clone_from`, which reuses
-    // the adjacency/edge allocations sized by earlier rounds.
-    let mut ladder_slots: Vec<WapSolver> = Vec::new();
 
     while !remaining.is_empty() {
         let _round_span = ssp_probe::span("bal.round");
@@ -262,10 +251,9 @@ pub fn try_bal_with_wap_strategy(
 
         // Build the feasibility network once for this round; every probe
         // below re-parameterizes its source edges and warm-starts the max
-        // flow from the previous one (serial probes) or from a clone of the
-        // shared base state (ladder fan-outs). Interval capacities change
-        // only *between* rounds, so a fresh solver per round both stays
-        // exact and resets any accumulated floating-point drift.
+        // flow from the previous one. Interval capacities change only
+        // *between* rounds, so a fresh solver per round both stays exact
+        // and resets any accumulated floating-point drift.
         let mut solver = wap.solver();
         let mut pbuf = vec![0.0; n];
         let mut probe_log: Vec<(f64, bool)> = Vec::new();
@@ -329,7 +317,7 @@ pub fn try_bal_with_wap_strategy(
                     instance,
                     &remaining,
                     &mut solver,
-                    &mut ladder_slots,
+                    &mut pbuf,
                     lo,
                     hi,
                     &mut meter,
@@ -557,47 +545,33 @@ fn probe_on(
 /// The cut-guided probe ladder: locate the round's critical speed inside
 /// `(lo, hi]` (with `hi` already probed feasible on `base`).
 ///
-/// Every iteration plans a deterministic fan-out of candidate speeds from
-/// the current bracket and cut state alone — never from the thread count:
+/// Every step picks one candidate speed from the current bracket and cut
+/// state alone and probes it on the warm `base` solver in place:
 ///
-/// * the discrete-Newton bound [`WapSolver::cut_speed_bound`] of the last
-///   infeasible base state (a certified lower bound on the critical speed,
-///   strictly above the state's own speed), and
-/// * a geometric splitter toward `hi` (two geometric trisection points
-///   while no cut exists yet), which bounds the iteration count even when
-///   the Newton bound stalls.
+/// * when `base` holds an infeasible solve, the discrete-Newton bound
+///   [`WapSolver::cut_speed_bound`] of its cut (a certified lower bound on
+///   the critical speed, strictly above the state's own speed); a bound
+///   within the closing tolerance of `hi` ends the search without a probe;
+/// * when it holds none (before the first probe, or after a feasible one),
+///   the bracket's low end — at first the density lower bound, which on
+///   peel rounds often *is* the critical speed;
+/// * otherwise a geometric splitter toward `hi`, or the midpoint when the
+///   splitter is not strictly inside the bracket, which bounds the step
+///   count even when the Newton bound stalls.
 ///
-/// A single-candidate plan probes the warm base in place (a one-probe
-/// fan-out is serial at every width, so no copy is needed for
-/// thread-invariance). Wider plans solve each candidate on its **own copy
-/// of the same base state** — also at width 1, so a serial run replays
-/// exactly what any parallel run computes (warm-repairing probes
-/// sequentially would let one probe's final flow perturb the next result
-/// near the feasibility boundary). The copies live in `slots`, per-probe
-/// scratch solvers owned
-/// by the round driver and refreshed with `clone_from` each fan-out:
-/// `Vec::clone_from` reuses the adjacency/edge allocations already sized by
-/// an earlier fan-out, so after warm-up a probe costs no heap traffic on
-/// top of the flow work itself. Slot state after the refresh is bitwise
-/// equal to `base`, so which slot (and which worker thread, under
-/// [`par_map_mut`]'s chunk partition) runs a probe cannot change its
-/// result. The reduction is serial in plan order: every smallest feasible
-/// probe lowers `hi`, the largest infeasible probe's slot is copied back
-/// into the base (its cut feeds the next Newton step). The ladder
-/// terminates when the bracket closes below [`BINARY_SEARCH_REL_WIDTH`] or
-/// when the Newton bound certifies `hi` itself; on budget exhaustion it
-/// returns the best feasible speed so far with `meter.exhausted()` set, the
-/// same salvage contract as [`bisect_threshold_budgeted`].
-///
-/// `base` is left holding the last adopted infeasible state (or the round's
-/// initial state if every probe was feasible); the caller's classification
-/// probe warm-starts from it deterministically.
+/// A feasible probe lowers `hi`; an infeasible one raises `lo`, and its cut
+/// feeds the next Newton step. The ladder terminates when the bracket
+/// closes below [`BINARY_SEARCH_REL_WIDTH`] or when the Newton bound
+/// certifies `hi` itself; on budget exhaustion it returns the best feasible
+/// speed so far with `meter.exhausted()` set, the same salvage contract as
+/// [`bisect_threshold_budgeted`]. `base` is left holding the last probe's
+/// solve, from which the caller's classification probe warm-starts.
 #[allow(clippy::too_many_arguments)]
 fn ladder_search(
     instance: &Instance,
     remaining: &[usize],
     base: &mut WapSolver,
-    slots: &mut Vec<WapSolver>,
+    pbuf: &mut [f64],
     lo: f64,
     hi: f64,
     meter: &mut Meter,
@@ -619,177 +593,65 @@ fn ladder_search(
         works[i] = instance.job(i).work;
     }
 
-    // Each iteration either returns or strictly shrinks the bracket (the
-    // geometric splitter alone closes it in O(log log-ratio / rel)
-    // iterations), so this bound is a pure backstop.
+    // Each step either returns or strictly shrinks the bracket (the
+    // geometric splitter alone closes it in O(log log-ratio / rel) steps),
+    // so this bound is a pure backstop.
     for _ in 0..10_000 {
         if v_hi - v_lo <= rel * v_hi.abs().max(1e-300) {
             return Ok(v_hi);
         }
-
-        // Plan the fan-out (ascending speeds).
         let newton = if base_infeasible {
             base.cut_speed_bound(&works)
         } else {
             None
         };
-        if let Some(vn) = newton {
-            if vn >= v_hi * (1.0 - rel) {
-                // The cut certifies critical speed >= vn ≈ v_hi, and v_hi
-                // is already probed feasible: converged without a probe.
-                return Ok(v_hi);
-            }
-        }
-        let mut plan: Vec<f64> = Vec::with_capacity(2);
-        match newton {
-            Some(vn) if vn > v_lo => {
-                plan.push(vn);
-                // Pair the Newton bound with a geometric splitter only
-                // while the bracket is still wide: once vn is within 2x of
-                // v_hi the Newton steps converge superlinearly on their own
-                // and the splitter would mostly buy probes, not rounds.
-                if v_hi > 2.0 * vn {
-                    let g = (vn * v_hi).sqrt();
-                    if g.is_finite() && g > vn && g < v_hi {
-                        plan.push(g);
-                    }
-                }
-            }
-            _ if !base_infeasible && v_lo > 0.0 => {
-                // Opening probe: the density lower bound alone. On peel
-                // rounds where the previous critical job pinned the speed
-                // it *is* the critical speed, ending the round in a single
-                // probe (mirroring bisection's early exit); when it is
-                // infeasible instead, its cut seeds the Newton steps.
-                plan.push(v_lo);
-            }
+        let v = match newton {
+            // The cut certifies critical speed >= vn ≈ v_hi, and v_hi is
+            // already probed feasible: converged without a probe.
+            Some(vn) if vn >= v_hi * (1.0 - rel) => return Ok(v_hi),
+            Some(vn) if vn > v_lo => vn,
+            // Opening probe: the density lower bound alone. On peel rounds
+            // where the previous critical job pinned the speed it *is* the
+            // critical speed, ending the round in a single probe (mirroring
+            // bisection's early exit); when it is infeasible instead, its
+            // cut seeds the Newton steps.
+            _ if !base_infeasible && v_lo > 0.0 => v_lo,
+            // Infeasible base but no usable cut bound: split the bracket so
+            // it still shrinks.
             _ => {
-                // Infeasible base but no usable cut bound: fall back to a
-                // geometric splitter so the bracket still shrinks.
-                if v_lo > 0.0 {
-                    let g = (v_lo * v_hi).sqrt();
-                    if g.is_finite() && g > v_lo && g < v_hi {
-                        plan.push(g);
-                    }
+                let g = (v_lo * v_hi).sqrt();
+                let mid = 0.5 * (v_lo + v_hi);
+                if g.is_finite() && g > v_lo && g < v_hi {
+                    g
+                } else if mid > v_lo && mid < v_hi {
+                    mid
+                } else {
+                    return Ok(v_hi); // f64 exhausted
                 }
             }
-        }
-        if plan.is_empty() {
-            let mid = 0.5 * (v_lo + v_hi);
-            if !(mid > v_lo && mid < v_hi) {
-                return Ok(v_hi); // f64 exhausted
-            }
-            plan.push(mid);
-        }
-
-        // Budget: charge one tick per planned probe *before* launching, so
-        // the charge is thread-invariant; truncate the plan to what the
-        // budget still covers.
-        let mut allowed = 0usize;
-        for _ in 0..plan.len() {
-            if !meter.tick() {
-                break;
-            }
-            allowed += 1;
-        }
-        plan.truncate(allowed);
-        if plan.is_empty() {
+        };
+        if !meter.tick() {
             return Ok(v_hi); // exhausted: salvage the feasible end
         }
-        ssp_probe::counter!("bal.par_probes", plan.len() as u64);
-        ssp_probe::histogram!("bal.ladder.fanout", plan.len() as u64);
-
-        // Single-candidate plans (the dominant shape: the opening density
-        // probe, or a lone Newton step once the bracket narrows) probe the
-        // warm base directly — no copy, no fan-out. A one-probe "fan-out"
-        // is serial at every width, so transcripts stay thread-invariant,
-        // and the round costs exactly one warm incremental solve.
-        if plan.len() == 1 {
-            let v = plan[0];
-            let mut p = vec![0.0f64; works.len()];
-            for (pi, &w) in p.iter_mut().zip(&works) {
-                if w > 0.0 {
-                    *pi = w / v;
-                }
-            }
-            base.solve(&p);
-            let ok = base.feasible();
-            *flow_computations += 1;
-            probe_log.push((v, ok));
-            if ok {
-                v_hi = v_hi.min(v);
-                // The probe overwrote the base with a feasible state; its
-                // residual cut no longer certifies anything.
-                base_infeasible = false;
-            } else {
-                base_infeasible = true;
-                if v >= v_lo {
-                    v_lo = v;
-                }
-            }
-            if v_lo > v_hi {
-                return Ok(v_hi); // tolerance fringe, as below
-            }
-            if meter.exhausted().is_some() {
-                return Ok(v_hi);
-            }
-            continue;
+        *flow_computations += 1;
+        let ok = probe_on(instance, remaining, base, pbuf, v);
+        probe_log.push((v, ok));
+        if ok {
+            v_hi = v_hi.min(v);
+        } else if v >= v_lo {
+            // `>=`: an infeasible probe at exactly `v_lo` (the density
+            // bound) does not move the bracket but its cut seeds the
+            // Newton steps.
+            v_lo = v;
         }
-
-        // Fan out: refresh one scratch slot per probe to a bitwise copy of
-        // the base (`clone_from` reuses each slot's allocations after the
-        // first fan-out) and solve the slots in parallel.
-        for k in 0..plan.len() {
-            if k < slots.len() {
-                slots[k].clone_from(base);
-            } else {
-                slots.push(base.clone());
-            }
-        }
-        let works_ref: &[f64] = &works;
-        let mut items: Vec<(f64, &mut WapSolver)> = plan
-            .iter()
-            .copied()
-            .zip(slots[..plan.len()].iter_mut())
-            .collect();
-        let results: Vec<(f64, bool)> = par_map_mut(&mut items, |(v, s)| {
-            let mut p = vec![0.0f64; works_ref.len()];
-            for (pi, &w) in p.iter_mut().zip(works_ref) {
-                if w > 0.0 {
-                    *pi = w / *v;
-                }
-            }
-            s.solve(&p);
-            (*v, s.feasible())
-        });
-        drop(items);
-        *flow_computations += results.len();
-
-        // Serial reduction in plan order.
-        let mut adopt: Option<usize> = None;
-        for (k, &(v, ok)) in results.iter().enumerate() {
-            probe_log.push((v, ok));
-            if ok {
-                v_hi = v_hi.min(v);
-            } else if v >= v_lo {
-                // `>=`: an infeasible probe at exactly `v_lo` (the density
-                // bound) does not move the bracket but its cut seeds the
-                // Newton steps.
-                v_lo = v;
-                adopt = Some(k);
-            }
-        }
-        if let Some(k) = adopt {
-            base.clone_from(&slots[k]);
-            base_infeasible = true;
-        }
-        if v_lo > v_hi {
-            // Tolerance fringe: an infeasible probe above a feasible one.
-            // Both sit within the feasibility tolerance of the true
-            // critical speed; the feasible end is the answer.
-            return Ok(v_hi);
-        }
-        if meter.exhausted().is_some() {
+        // A feasible probe overwrote the base; its residual cut no longer
+        // certifies anything.
+        base_infeasible = !ok;
+        if v_lo > v_hi || meter.exhausted().is_some() {
+            // Tolerance fringe (an infeasible probe above a feasible one:
+            // both sit within the feasibility tolerance of the true
+            // critical speed) or an exhausted budget: the feasible end is
+            // the answer.
             return Ok(v_hi);
         }
     }

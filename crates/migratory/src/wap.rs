@@ -205,7 +205,7 @@ impl Wap {
 /// Dinic's engine state: Horn's network plus the edge handles needed for
 /// re-parameterization and readback. Node layout: 0 = source, `1..=n`
 /// jobs, `n+1..=n+l` intervals, `n+l+1` sink.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FlowState {
     net: FlowNetwork,
     sink: usize,
@@ -327,14 +327,7 @@ impl FlowState {
 /// (sweep kernel work measure). Every solve lands in exactly one of
 /// `fast_path`, `fast_fallback` or `sweep_skip`, so the three sum to
 /// `flow_calls` for every solver.
-///
-/// `Clone` forks the whole parametric state (sweep, engine, latch, value):
-/// a clone warm-starts from exactly the state its original held, and
-/// solving either side never perturbs the other. The BAL probe ladder
-/// leans on this — each candidate speed of a fan-out solves on its own
-/// clone of one shared base state, so the probe results are bit-identical
-/// at any thread count (a probe can never observe a sibling's flow).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WapSolver {
     /// The structure snapshot and the fast path.
     sweep: SweepFlow,
@@ -770,7 +763,7 @@ mod tests {
     /// on that solver skips the sweep (`wap.sweep_skip`) and still matches a
     /// forced-Flow solver, latched at birth, bit for bit on verdict, cut
     /// sides and `cut_speed_bound`; a fresh solver from the same `Wap` tries
-    /// the sweep again, and a clone carries the latch.
+    /// the sweep again.
     #[test]
     fn decline_latches_solver_onto_the_flow_engine() {
         let wap = starvation_wap();
@@ -809,12 +802,6 @@ mod tests {
             assert!(skips() - skips_before >= 2 * speeds.len() as u64);
         }
 
-        // A clone carries the latch (ladder slots and write-backs).
-        let mut c = s.clone();
-        assert!(latched(&c));
-        c.solve(&demands(2.0));
-        assert!(c.feasible() && latched(&c));
-
         // A fresh solver from the same instance tries the sweep again: a
         // feasible vector certifies and leaves it unlatched.
         let mut fresh = wap.solver();
@@ -847,29 +834,6 @@ mod tests {
         }
         // The pre-existing solver keeps its snapshot (documented contract).
         assert!(before.solve(&[2.0]) >= 2.0 - 1e-12);
-    }
-
-    /// Cloned solvers fork the full dispatch state: solving a clone (even
-    /// across an engine switch) never perturbs the original.
-    #[test]
-    fn clones_fork_kernel_state_independently() {
-        let wap = starvation_wap();
-        let mut base = wap.solver();
-        let p_ok = [2.0, 2.0, 0.0, 2.0];
-        base.solve(&p_ok);
-        let v0 = base.value();
-        let mut probe = base.clone();
-        probe.solve(&[4.0, 6.0, 0.0, 6.0]); // forces the clone through fallback
-        assert!(!probe.feasible());
-        assert_eq!(base.value().to_bits(), v0.to_bits());
-        assert!(base.feasible());
-        // Identical clones solve identically (ladder determinism).
-        let mut a = base.clone();
-        let mut b = base.clone();
-        assert_eq!(
-            a.solve(&[3.0, 3.0, 0.0, 3.0]).to_bits(),
-            b.solve(&[3.0, 3.0, 0.0, 3.0]).to_bits()
-        );
     }
 
     /// The forced Flow kernel agrees with Auto on elementary-interval

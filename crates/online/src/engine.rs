@@ -48,10 +48,11 @@
 use crate::dispatch::Policy;
 use crate::machine::{AvrMachine, OaMachine, Sched};
 use ssp_core::LiveEval;
-use ssp_migratory::bal::bal;
+use ssp_migratory::bal::try_bal;
 use ssp_model::arrival::validate_arrival;
 use ssp_model::numeric::pow_alpha;
-use ssp_model::{Instance, Job, ModelError};
+use ssp_model::resource::Budget;
+use ssp_model::{Instance, Job, ModelError, SolveError};
 use ssp_single::yds::yds;
 
 /// Which per-machine online scheduler the engine runs.
@@ -235,7 +236,10 @@ struct ChunkLb {
 }
 
 impl ChunkLb {
-    fn flush(&mut self) -> Result<(), ModelError> {
+    /// Add the buffered chunk's bound to the sum. A chunk BAL cannot solve
+    /// (e.g. a window so narrow that its speed bound overflows) is a typed
+    /// [`SolveError`], never a panic.
+    fn flush(&mut self) -> Result<(), SolveError> {
         if self.jobs.is_empty() {
             return Ok(());
         }
@@ -243,7 +247,7 @@ impl ChunkLb {
         let lb = if self.jobs.len() <= self.bal_cap {
             let chunk = Instance::new(std::mem::take(&mut self.jobs), self.machines, self.alpha)?;
             self.jobs = Vec::with_capacity(chunk.len());
-            bal(&chunk).energy
+            try_bal(&chunk, Budget::unlimited())?.energy
         } else {
             let pooled = yds(&self.jobs, self.alpha).energy;
             self.jobs.clear();
@@ -328,8 +332,11 @@ impl StreamEngine {
     /// Absorb one arrival and return the machine it was dispatched to.
     /// Jobs must satisfy the trace contract (valid fields, non-decreasing
     /// releases); the engine is total — a bad job is a typed error, not a
-    /// panic, and leaves the engine state unchanged.
-    pub fn push(&mut self, job: Job) -> Result<usize, ModelError> {
+    /// panic, and leaves the engine state unchanged. The arrival may also
+    /// close a lower-bound chunk that BAL cannot bound; that is a typed
+    /// [`SolveError`] as well, after which the run has no certified bound
+    /// and the engine should be dropped.
+    pub fn push(&mut self, job: Job) -> Result<usize, SolveError> {
         validate_arrival(&job, self.last_release)?;
         ssp_probe::counter!("online.arrivals");
         self.arrivals += 1;
@@ -375,7 +382,7 @@ impl StreamEngine {
         Ok(p)
     }
 
-    fn compact(&mut self) -> Result<(), ModelError> {
+    fn compact(&mut self) -> Result<(), SolveError> {
         if let Some(lb) = &mut self.lb {
             lb.flush()?;
         }
@@ -445,7 +452,7 @@ impl StreamEngine {
 
     /// Drain every machine (simulate to the last deadline), flush the
     /// final chunk, and report.
-    pub fn finish(mut self) -> Result<StreamReport, ModelError> {
+    pub fn finish(mut self) -> Result<StreamReport, SolveError> {
         for s in &mut self.scheds {
             s.advance(f64::INFINITY);
         }
@@ -572,6 +579,17 @@ mod tests {
         let r = engine.finish().unwrap();
         assert_eq!(r.arrivals, 1);
         assert!(r.energy > 0.0);
+    }
+
+    #[test]
+    fn a_chunk_bal_cannot_bound_is_a_typed_error() {
+        // A 1e-300-wide window of work 1e300 overflows the chunk's initial
+        // speed bound; the final flush must report it, not panic.
+        let mut engine = StreamEngine::new(EngineOptions::new(2, 2.0)).unwrap();
+        engine.push(Job::new(0, 1e300, 0.0, 1e-300)).unwrap();
+        engine.push(Job::new(1, 1.0, 0.0, 2.0)).unwrap();
+        let err = engine.finish().unwrap_err();
+        assert_eq!(err.kind(), "numeric", "{err}");
     }
 
     #[test]

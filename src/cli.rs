@@ -2338,6 +2338,23 @@ mod tests {
     }
 
     #[test]
+    fn stream_reports_a_chunk_bal_cannot_bound_as_a_runtime_error() {
+        // The first job's window is so narrow that its chunk's BAL speed
+        // bound overflows: a typed numeric failure, exit 1, not a panic.
+        let path = std::env::temp_dir().join(format!("ssp_cli_hostile_{}.sst", std::process::id()));
+        std::fs::write(
+            &path,
+            "machines 2\nalpha 2.0\njob 0 1e300 0 1e-300\njob 1 1 0 2\n",
+        )
+        .unwrap();
+        let t = path.to_string_lossy().into_owned();
+        let err = run(&args(&["stream", &t, "--check"])).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("numeric"), "{}", err.message);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn stream_usage_errors() {
         assert_eq!(run(&args(&["stream"])).unwrap_err().code, 2);
         assert_eq!(

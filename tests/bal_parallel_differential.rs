@@ -1,13 +1,15 @@
-//! Differential test wall for the parallel BAL probe ladder (tier-1).
+//! Differential test wall for the BAL probe ladder (tier-1).
 //!
-//! The ladder fans out each round's candidate speeds onto per-probe scratch
-//! solvers via `par_map_mut`. Parallelism is required to change **wall time
-//! only**: for a fixed instance and strategy, the probe transcript (every
-//! `(speed, feasible)` pair in order), the per-round peel sets, the speeds,
-//! and the total energy must be bit-identical at every thread count. These
-//! tests replay the same instances under pinned widths 1, 2, and 8 (via
-//! `set_thread_override`, which takes precedence over `SSP_THREADS`) and
-//! compare the full transcripts.
+//! Every ladder step is one warm probe on the round's solver, on the
+//! calling thread, so the thread count must change nothing: for a fixed
+//! instance and strategy, the probe transcript (every `(speed, feasible)`
+//! pair in order), the per-round peel sets, the speeds, and the total
+//! energy must be bit-identical at every width. These tests replay the same
+//! instances under pinned widths 1, 2, and 8 (via `set_thread_override`,
+//! which takes precedence over `SSP_THREADS`) and compare the full
+//! transcripts; a probe session checks that no span of a solve leaves the
+//! calling thread. Together they keep a thread dependence from coming back
+//! unnoticed.
 //!
 //! A second wall cross-checks the two probe strategies: `Ladder` and
 //! `Bisection` take different probe paths, but both stop inside the
@@ -20,7 +22,26 @@ use ssp_migratory::wap::Wap;
 use ssp_model::par::set_thread_override;
 use ssp_model::resource::Budget;
 use ssp_model::Instance;
-use ssp_workloads::families;
+use ssp_probe::SpanRec;
+use ssp_workloads::{families, subseed};
+use std::collections::HashMap;
+use std::sync::Mutex;
+
+/// Serializes the tests that pin the width: the override is process-global
+/// and the tests of this binary run concurrently, so without the lock one
+/// test's pin could leak into another's solve.
+static WIDTH_PIN: Mutex<()> = Mutex::new(());
+
+/// Run `f` with the thread count pinned at `width`. A test that panics
+/// while pinned poisons the lock but leaves nothing to repair: every
+/// holder sets its own width.
+fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    let _pin = WIDTH_PIN.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = set_thread_override(Some(width));
+    let out = f();
+    set_thread_override(prev);
+    out
+}
 
 fn solve(instance: &Instance, strategy: ProbeStrategy) -> BalSolution {
     let (wap, intervals) = Wap::from_instance(instance);
@@ -29,10 +50,7 @@ fn solve(instance: &Instance, strategy: ProbeStrategy) -> BalSolution {
 }
 
 fn solve_at_width(instance: &Instance, strategy: ProbeStrategy, width: usize) -> BalSolution {
-    let prev = set_thread_override(Some(width));
-    let sol = solve(instance, strategy);
-    set_thread_override(prev);
-    sol
+    at_width(width, || solve(instance, strategy))
 }
 
 /// Assert two solutions of the same instance + strategy are bit-identical:
@@ -96,16 +114,39 @@ fn assert_transcripts_identical(a: &BalSolution, b: &BalSolution, ctx: &str) {
     }
 }
 
+/// Two inputs on which an earlier ladder fanned its probes out onto worker
+/// threads, with the energy bits that ladder produced.
+fn former_fan_out_inputs() -> Vec<(&'static str, Instance, u64)> {
+    vec![
+        (
+            "weighted",
+            families::weighted_agreeable(20, 4, 2.0).gen(subseed(1, 2)),
+            0x4025f30726a3d8f6,
+        ),
+        (
+            "bursty n=60",
+            families::bursty(60, 3, 2.0).gen(0xC0FFEE),
+            0x4049e15e02e268c7,
+        ),
+    ]
+}
+
 /// The instance matrix for the walls: one per family, sized so every ladder
 /// code path fires (multi-round peels, Newton cuts, fringe exits) while
-/// keeping tier-1 fast.
+/// keeping tier-1 fast, plus the former fan-out inputs.
 fn instances() -> Vec<(&'static str, Instance)> {
-    vec![
+    let mut all = vec![
         ("general", families::general(48, 3, 2.0).gen(0xBA101)),
         ("laminar", families::laminar_nested(48, 3, 2.0, 0xBA102)),
         ("crossing", families::crossing(48, 3, 2.0, 0xBA103)),
         ("bursty", families::bursty(40, 4, 2.5).gen(0xBA104)),
-    ]
+    ];
+    all.extend(
+        former_fan_out_inputs()
+            .into_iter()
+            .map(|(name, instance, _)| (name, instance)),
+    );
+    all
 }
 
 #[test]
@@ -164,23 +205,21 @@ fn ladder_and_bisection_agree_on_energy() {
 #[test]
 fn ladder_budget_salvage_is_thread_count_invariant() {
     // Budget exhaustion mid-ladder takes the salvage path (fix remaining
-    // jobs at the feasible bracket end); the truncation point is charged
-    // per planned probe *before* the fan-out, so it too must be
-    // width-invariant.
+    // jobs at the feasible bracket end); the meter is ticked once per
+    // probe, so the truncation point must be width-invariant too.
     let instance = families::laminar_nested(32, 2, 2.0, 0xBA105);
     let solve_budgeted = |width: usize| {
-        let prev = set_thread_override(Some(width));
-        let (wap, intervals) = Wap::from_instance(&instance);
-        let sol = try_bal_with_wap_strategy(
-            &instance,
-            wap,
-            intervals,
-            Budget::iterations(25),
-            ProbeStrategy::Ladder,
-        )
-        .expect("budgeted solve must salvage");
-        set_thread_override(prev);
-        sol
+        at_width(width, || {
+            let (wap, intervals) = Wap::from_instance(&instance);
+            try_bal_with_wap_strategy(
+                &instance,
+                wap,
+                intervals,
+                Budget::iterations(25),
+                ProbeStrategy::Ladder,
+            )
+            .expect("budgeted solve must salvage")
+        })
     };
     let serial = solve_budgeted(1);
     assert_eq!(
@@ -192,5 +231,56 @@ fn ladder_budget_salvage_is_thread_count_invariant() {
         let parallel = solve_budgeted(width);
         let ctx = format!("budget salvage @ width {width}");
         assert_transcripts_identical(&serial, &parallel, &ctx);
+    }
+}
+
+/// No BAL solve starts a thread: with the width pinned at 8, every span in
+/// a solve's subtree carries the thread of the span the test opened around
+/// it. The subtree, not the whole trace, because other tests in this binary
+/// run BAL concurrently. The energies stay the bits the former fan-out
+/// produced on these inputs.
+#[test]
+fn bal_never_leaves_the_calling_thread() {
+    let session =
+        ssp_probe::Session::begin().expect("no other test in this binary opens a probe session");
+    let energies: Vec<_> = at_width(8, || {
+        former_fan_out_inputs()
+            .into_iter()
+            .map(|(name, instance, bits)| {
+                let _root = ssp_probe::span("test.bal_on_one_thread");
+                (name, solve(&instance, ProbeStrategy::Ladder).energy, bits)
+            })
+            .collect()
+    });
+    let trace = session.end();
+
+    for (name, energy, bits) in energies {
+        assert_eq!(energy.to_bits(), bits, "{name}: energy {energy} moved");
+    }
+    let mut children: HashMap<u64, Vec<&SpanRec>> = HashMap::new();
+    for span in &trace.spans {
+        children.entry(span.parent).or_default().push(span);
+    }
+    let roots: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "test.bal_on_one_thread")
+        .collect();
+    assert_eq!(roots.len(), 2, "one root span per input");
+    for root in roots {
+        let mut stack = vec![root.id];
+        let mut bal_spans = 0;
+        while let Some(id) = stack.pop() {
+            for &child in children.get(&id).into_iter().flatten() {
+                assert_eq!(
+                    child.thread, root.thread,
+                    "span {} ran on thread {}, the solve on {}",
+                    child.name, child.thread, root.thread
+                );
+                bal_spans += usize::from(child.name == "bal");
+                stack.push(child.id);
+            }
+        }
+        assert_eq!(bal_spans, 1, "the root must enclose exactly one BAL solve");
     }
 }

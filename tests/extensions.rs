@@ -1,13 +1,12 @@
 //! Integration tests for the extension features, exercised through the
 //! facade crate: discrete DVFS quantization, bounded speed + throughput,
-//! timeline decomposition, local search, the parallel exact solver, and the
+//! timeline decomposition, local search, the exact solvers, and the
 //! flow-time objective — all composed with the audited validator.
 
 use speedscale::core::assignment::{assignment_energy, assignment_schedule};
 use speedscale::core::decompose::exact_decomposed;
 use speedscale::core::exact::exact_nonmigratory;
 use speedscale::core::local_search::{improve, LocalSearchOptions};
-use speedscale::core::parallel::exact_nonmigratory_parallel;
 use speedscale::core::rr::rr_assignment;
 use speedscale::core::throughput::{max_throughput_exact, max_throughput_greedy};
 use speedscale::migratory::bal::bal;
@@ -78,7 +77,7 @@ fn bounded_speed_story_is_consistent() {
     );
 }
 
-/// Decomposed exact, monolithic exact and the parallel exact solver agree.
+/// Decomposed exact and monolithic exact agree.
 #[test]
 fn three_exact_solvers_agree() {
     use speedscale::workloads::{ArrivalDist, Spec, WindowDist, WorkDist};
@@ -93,9 +92,7 @@ fn three_exact_solvers_agree() {
         let inst = spec.gen(subseed(0xE8, seed));
         let mono = exact_nonmigratory(&inst).energy;
         let deco = exact_decomposed(&inst).energy;
-        let par = exact_nonmigratory_parallel(&inst).energy;
         assert!((mono - deco).abs() <= 1e-9 * mono);
-        assert!((mono - par).abs() <= 1e-9 * mono);
     }
 }
 
