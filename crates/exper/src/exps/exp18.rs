@@ -2,13 +2,13 @@
 //!
 //! The BAL bisection evaluates a ladder of uniform-speed feasibility
 //! probes that differ only in the source-edge capacities of the WAP
-//! network. PR 3 made the flow kernel parametric (`set_capacity` +
-//! `max_flow_incremental`), so a probe repairs the previous flow instead
-//! of rebuilding it. This runner replays the *same* bisection transcript
-//! both ways on EXP-6's workload family and compares the total
-//! augmentation work (probe counters `maxflow.dinic.augmentations` +
-//! `maxflow.dinic.drain_paths` — drains are charged to the warm side) and
-//! wall time.
+//! network. A latched WAP solver carries its previous max flow to each
+//! probe's demands (clamp the source edges, cancel the overflow, resume
+//! Dinic) instead of rebuilding it. This runner replays the *same*
+//! bisection transcript both ways on EXP-6's workload family and compares
+//! the total augmentation work (probe counters
+//! `maxflow.dinic.augmentations` + `maxflow.dinic.drain_paths` — the
+//! carry's cancels are charged to the warm side) and wall time.
 //!
 //! Asserted acceptance: warm-start cuts the total augmentation work by at
 //! least **2×** aggregated over the size sweep, both searches converge to

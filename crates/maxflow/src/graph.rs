@@ -1,10 +1,13 @@
 //! Dinic's max-flow over `f64` capacities, with residual-reachability
-//! queries, per-edge flow readback, and **parametric warm restarts**:
-//! [`FlowNetwork::set_capacity`] re-parameterizes an edge while keeping the
-//! stored flow valid, and [`FlowNetwork::max_flow_incremental`] repairs the
-//! previous maximum flow instead of recomputing it from scratch — the
-//! primitive behind the warm-started BAL bisection (see
-//! `DESIGN.md` §"Parametric max-flow").
+//! queries, per-edge flow readback, and **one warm start**: the caller
+//! loads a valid flow into the edges and
+//! [`FlowNetwork::resume_max_flow`] augments it to a maximum one instead of
+//! solving from scratch. The flow is either seeded edge by edge
+//! ([`FlowNetwork::set_flow`]) or a solved flow carried to new capacities
+//! ([`FlowNetwork::set_capacity`] clamps and reports the overflow,
+//! [`FlowNetwork::cancel_path`] removes it) — the primitives behind the
+//! warm-started BAL probe ladder (see `DESIGN.md` §"Parametric max-flow").
+//! Both leave conservation to the caller, which knows the network's shape.
 //!
 //! Layout: the edge store is flat structure-of-arrays (`to`/`cap`/`orig`/
 //! `eps`, pairs at `2k`/`2k+1`) and adjacency is a CSR index built from the
@@ -21,18 +24,6 @@ pub struct EdgeId(usize);
 
 /// Relative per-edge saturation threshold.
 const EDGE_EPS_REL: f64 = 1e-12;
-
-/// A per-node drain budget during [`FlowNetwork::repair`]: the node's
-/// recorded surplus, consumed as repair passes route it away.
-#[derive(Debug, Clone, Copy)]
-struct Budget {
-    node: usize,
-    /// Remaining un-drained amount.
-    rem: f64,
-    /// Exhaustion threshold (`initial · EDGE_EPS_REL`), fixed at collection
-    /// exactly like a helper edge's epsilon would be at `add_edge`.
-    eps: f64,
-}
 
 /// A directed flow network. Nodes are `0..n`; parallel edges are allowed.
 ///
@@ -63,28 +54,13 @@ pub struct FlowNetwork {
     csr_edges: Vec<u32>,
     /// Set by `add_edge`; the next solve rebuilds the CSR.
     csr_stale: bool,
-    /// Source of the last `max_flow` call (for reachability queries).
+    /// Source of the last solve (for reachability queries).
     last_source: Option<usize>,
-    /// Sink of the last `max_flow` call.
-    last_sink: Option<usize>,
-    /// Value of the flow currently stored on the edges.
-    flow_value: f64,
-    /// Set when a drain could not fully repair the stored flow (see
-    /// [`FlowNetwork::set_capacity`]); forces the next incremental solve to
-    /// fall back to a cold rebuild.
-    needs_rebuild: bool,
     // Scratch buffers reused across blocking-flow phases.
     level: Vec<i32>,
     /// Per-node DFS cursor: an absolute index into `csr_edges`, running to
-    /// `csr_start[u+1]` (one past, for the virtual drain edge — see
-    /// [`FlowNetwork::repair`]).
+    /// `csr_start[u+1]`.
     iter: Vec<u32>,
-    /// Per-node conservation imbalance (inflow − outflow) accumulated by
-    /// draining [`FlowNetwork::set_capacity`] calls, repaired lazily by the
-    /// next [`FlowNetwork::max_flow_incremental`]. Positive = surplus.
-    imbalance: Vec<f64>,
-    /// Nodes with a recorded imbalance (sparse index into `imbalance`).
-    dirty: Vec<usize>,
 }
 
 impl FlowNetwork {
@@ -100,13 +76,8 @@ impl FlowNetwork {
             csr_edges: Vec::new(),
             csr_stale: false,
             last_source: None,
-            last_sink: None,
-            flow_value: 0.0,
-            needs_rebuild: false,
             level: vec![-1; n],
             iter: vec![0; n],
-            imbalance: vec![0.0; n],
-            dirty: Vec::new(),
         }
     }
 
@@ -219,39 +190,37 @@ impl FlowNetwork {
     /// Compute a maximum `s → t` flow (Dinic) and return its value. Resets
     /// any previous flow first, so the call is idempotent.
     pub fn max_flow(&mut self, s: usize, t: usize) -> f64 {
+        self.begin_solve(s, t);
+        self.cap.copy_from_slice(&self.orig);
+        let (value, phases, augmentations) = self.dinic_augment(s, t);
+        ssp_probe::counter!("maxflow.dinic.runs");
+        ssp_probe::counter!("maxflow.dinic.phases", phases);
+        ssp_probe::counter!("maxflow.dinic.augmentations", augmentations);
+        ssp_probe::counter!("maxflow.rebuild");
+        value
+    }
+
+    /// Check the terminals, refresh the CSR and remember the source for the
+    /// reachability queries: the common prologue of both solves.
+    fn begin_solve(&mut self, s: usize, t: usize) {
         assert!(
             s < self.num_nodes && t < self.num_nodes,
             "terminal out of range"
         );
         assert_ne!(s, t, "source and sink must differ");
         self.ensure_csr();
-        self.cap.copy_from_slice(&self.orig);
-        for &u in &self.dirty {
-            self.imbalance[u] = 0.0;
-        }
-        self.dirty.clear();
         self.last_source = Some(s);
-        self.last_sink = Some(t);
-        self.needs_rebuild = false;
-        let (added, phases, augmentations) = self.dinic_augment(s, t);
-        self.flow_value = added;
-        ssp_probe::counter!("maxflow.dinic.runs");
-        ssp_probe::counter!("maxflow.dinic.phases", phases);
-        ssp_probe::counter!("maxflow.dinic.augmentations", augmentations);
-        ssp_probe::counter!("maxflow.rebuild");
-        self.flow_value
     }
 
     /// Augment the *current* residual graph to a blocking state repeatedly
     /// (the Dinic phase loop). Returns `(value added, phases, augmenting
     /// paths)` on top of whatever flow the edges already carry; callers flush
-    /// the counts to the probe counters that fit their context. Shared by
-    /// cold solves, warm solves, and the drain-repair passes.
+    /// the counts to the probe counters. Shared by cold and warm solves.
     fn dinic_augment(&mut self, s: usize, t: usize) -> (f64, u64, u64) {
         let mut added = 0.0;
         let (mut phases, mut augmentations) = (0u64, 0u64);
         loop {
-            self.build_levels(&[s]);
+            self.build_levels(s);
             if self.level[t] < 0 {
                 break;
             }
@@ -272,17 +241,6 @@ impl FlowNetwork {
             ssp_probe::histogram!("maxflow.dinic.path_len", path_len, augmentations - before);
         }
         (added, phases, augmentations)
-    }
-
-    /// Value of the flow currently stored on the edges, as of the last solve
-    /// (cold or incremental). Draining [`set_capacity`] calls made since are
-    /// reflected at the *next* [`max_flow_incremental`], which repairs the
-    /// flow and recomputes the value exactly from the source's edges.
-    ///
-    /// [`set_capacity`]: FlowNetwork::set_capacity
-    /// [`max_flow_incremental`]: FlowNetwork::max_flow_incremental
-    pub fn flow_value(&self) -> f64 {
-        self.flow_value
     }
 
     /// Overwrite the flow carried by a forward edge: its residual becomes
@@ -307,54 +265,34 @@ impl FlowNetwork {
     }
 
     /// Run Dinic *without* resetting the carried flow: augment whatever the
-    /// edges currently hold (a flow seeded via
-    /// [`set_flow`](FlowNetwork::set_flow)) to maximality and return the
-    /// exact source outflow. The caller guarantees the carried flow is
-    /// valid — within capacities and conserving at every non-terminal; any
-    /// pending [`set_capacity`](FlowNetwork::set_capacity) imbalance
-    /// records are discarded, since the seeded flow supersedes them.
+    /// edges currently hold to maximality and return the exact source
+    /// outflow. Any valid flow extends to a maximum one by augmenting its
+    /// residual, so this reaches a cold [`max_flow`](FlowNetwork::max_flow)'s
+    /// value while doing work proportional to what the carried flow lacks.
+    /// The caller guarantees the carried flow is valid — within capacities
+    /// and conserving at every non-terminal (see
+    /// [`set_flow`](FlowNetwork::set_flow),
+    /// [`set_capacity`](FlowNetwork::set_capacity) and
+    /// [`cancel_path`](FlowNetwork::cancel_path)).
     pub fn resume_max_flow(&mut self, s: usize, t: usize) -> f64 {
-        assert!(
-            s < self.num_nodes && t < self.num_nodes,
-            "terminal out of range"
-        );
-        assert_ne!(s, t, "source and sink must differ");
-        self.ensure_csr();
-        for &u in &self.dirty {
-            self.imbalance[u] = 0.0;
-        }
-        self.dirty.clear();
-        self.last_source = Some(s);
-        self.last_sink = Some(t);
-        self.needs_rebuild = false;
+        self.begin_solve(s, t);
         let (_, phases, augmentations) = self.dinic_augment(s, t);
-        self.flow_value = self.net_source_flow(s);
-        ssp_probe::counter!("maxflow.dinic.seeded_resumes");
         ssp_probe::counter!("maxflow.dinic.phases", phases);
         ssp_probe::counter!("maxflow.dinic.augmentations", augmentations);
-        self.flow_value
+        self.net_source_flow(s)
     }
 
-    /// Re-parameterize a forward edge to capacity `cap`.
-    ///
-    /// * **Increase / slack decrease** — only the residual widens or
-    ///   narrows; the stored flow is untouched.
-    /// * **Decrease below the carried flow** — the edge's flow is clamped to
-    ///   `cap` and the overflow is recorded as a per-node conservation
-    ///   imbalance (a surplus at the tail, a shortfall at the head). The
-    ///   next [`max_flow_incremental`] *drains* all recorded overflow in one
-    ///   batched repair before resuming augmentation — deferring the drain
-    ///   is what makes a bisection probe that shrinks hundreds of source
-    ///   edges cost a constant number of level-graph passes rather than a
-    ///   residual search per edge.
-    ///
-    /// Flows produced by augmenting-path solvers decompose into source→sink
-    /// paths, for which the drain always succeeds; if numerical slivers ever
-    /// leave it short, the network is flagged and the next incremental solve
-    /// silently falls back to a cold rebuild.
-    ///
-    /// [`max_flow_incremental`]: FlowNetwork::max_flow_incremental
-    pub fn set_capacity(&mut self, e: EdgeId, cap: f64) {
+    /// Re-parameterize a forward edge to capacity `cap` and return the
+    /// overflow clamped away: a carried flow above `cap` is cut to `cap`
+    /// (the edge becomes saturated) and `flow − cap` is returned; a flow
+    /// that fits is kept and 0 is returned. Like
+    /// [`set_flow`](FlowNetwork::set_flow) this leaves conservation to the
+    /// caller: a clamp leaves the edge's head short of the returned amount,
+    /// which the caller cancels downstream
+    /// ([`cancel_path`](FlowNetwork::cancel_path)) before
+    /// [`resume_max_flow`](FlowNetwork::resume_max_flow), or discards with a
+    /// cold [`max_flow`](FlowNetwork::max_flow).
+    pub fn set_capacity(&mut self, e: EdgeId, cap: f64) -> f64 {
         assert!(
             cap >= 0.0 && cap.is_finite(),
             "capacity must be finite and >= 0, got {cap}"
@@ -367,212 +305,38 @@ impl FlowNetwork {
         self.eps[id ^ 1] = eps;
         if flow <= cap {
             self.cap[id] = cap - flow;
-            return;
+            return 0.0;
         }
-        // Clamp the flow to the new capacity; the edge becomes saturated.
         self.cap[id] = 0.0;
         self.cap[id ^ 1] = cap;
-        let u = self.to[id ^ 1] as usize;
-        let v = self.to[id] as usize;
-        if u != v {
-            // Self-loop flow never affected conservation or the value.
-            let excess = flow - cap;
-            self.record_imbalance(u, excess);
-            self.record_imbalance(v, -excess);
-        }
+        flow - cap
     }
 
-    /// Record that `node`'s conservation balance changed by `delta`.
-    fn record_imbalance(&mut self, node: usize, delta: f64) {
-        if self.imbalance[node] == 0.0 {
-            self.dirty.push(node);
-        }
-        self.imbalance[node] += delta;
-    }
-
-    /// Drain all recorded overflow in one batched repair, restoring
-    /// conservation at every non-terminal node.
-    ///
-    /// Conceptually a super-source feeds each surplus node its excess and a
-    /// super-sink absorbs each shortfall node's deficit; three Dinic passes
-    /// fix the pseudo-flow:
-    ///
-    /// 1. surplus → shortfall: reroute excess into shortfalls through the
-    ///    residual graph (value-preserving; covers cycle flow and alternate
-    ///    routes);
-    /// 2. surplus → `s`: cancel un-reroutable surplus back along the flow
-    ///    that fed it;
-    /// 3. `t` → shortfall: cancel each remaining shortfall's downstream
-    ///    flow from the sink side.
-    ///
-    /// Unlike the old implementation this never materializes the super
-    /// nodes: the budgets live in side arrays, the BFS seeds every
-    /// budget-positive surplus node at level 0, and the DFS treats a node
-    /// with remaining shortfall budget at the virtual sink level as one
-    /// extra adjacency slot (so the CSR layout is never invalidated by a
-    /// repair). Helper reverse residuals are frozen *by construction* — a
-    /// later pass cannot undo an earlier pass's repair because budget slots
-    /// have no traversable reverse direction. Any leftover budget beyond
-    /// tolerance flags the network for a cold rebuild; the caller recomputes
-    /// the flow value from the source's edges (conservation everywhere else
-    /// makes the s- and t-side values agree automatically).
-    fn repair(&mut self, s: usize, t: usize) {
-        let dirty = std::mem::take(&mut self.dirty);
-        let mut sources: Vec<Budget> = Vec::new();
-        let mut sinks: Vec<Budget> = Vec::new();
-        let mut total = 0.0;
-        for &u in &dirty {
-            let b = self.imbalance[u];
-            self.imbalance[u] = 0.0;
-            // Terminals are exempt: their imbalance *is* the value change,
-            // recomputed from the edges afterwards.
-            if u == s || u == t || b == 0.0 {
-                continue;
+    /// Cancel up to `limit` units of flow along `path`, a chain of forward
+    /// edges (each edge's head is the next one's tail), and return the
+    /// amount cancelled: the minimum of `limit` and every edge's carried
+    /// flow (its reverse residual), or 0 when some edge carries no more
+    /// than its epsilon. Conservation is kept at the interior nodes; the
+    /// first tail loses that much outflow and the last head that much
+    /// inflow.
+    pub fn cancel_path(&mut self, path: &[EdgeId], limit: f64) -> f64 {
+        debug_assert!(
+            path.windows(2)
+                .all(|w| self.to[w[0].0] == self.to[w[1].0 ^ 1]),
+            "cancel path is not a chain"
+        );
+        let mut amount = limit;
+        for &EdgeId(id) in path {
+            if self.cap[id ^ 1] <= self.eps[id ^ 1] {
+                return 0.0;
             }
-            total += b.abs();
-            let budget = Budget {
-                node: u,
-                rem: b.abs(),
-                eps: b.abs() * EDGE_EPS_REL,
-            };
-            if b > 0.0 {
-                sources.push(budget);
-            } else {
-                sinks.push(budget);
-            }
+            amount = amount.min(self.cap[id ^ 1]);
         }
-        let mut drain_paths = 0u64;
-        if !sources.is_empty() && !sinks.is_empty() {
-            drain_paths += self.drain_pass(Some(&mut sources), s, Some(&mut sinks), t, true);
+        for &EdgeId(id) in path {
+            self.cap[id] += amount;
+            self.cap[id ^ 1] -= amount;
         }
-        if !sources.is_empty() {
-            // Virtual sources to the real source node `s`.
-            drain_paths += self.drain_pass(Some(&mut sources), s, None, s, false);
-        }
-        if !sinks.is_empty() {
-            // The real sink node `t` to the virtual sinks.
-            drain_paths += self.drain_pass(None, t, Some(&mut sinks), t, true);
-        }
-        let shortfall: f64 = sources
-            .iter()
-            .chain(&sinks)
-            .map(|b| if b.rem > b.eps { b.rem } else { 0.0 })
-            .sum();
-        if shortfall > total * 1e-9 + 1e-12 {
-            self.needs_rebuild = true;
-        }
-        ssp_probe::counter!("maxflow.dinic.drain_paths", drain_paths);
-    }
-
-    /// One Dinic sub-solve of [`FlowNetwork::repair`]: from virtual budgeted
-    /// sources (or the single real node `real_s`) to virtual budgeted sinks
-    /// (or the single real node `real_t`, when `virtual_sink` is false).
-    /// Returns the number of augmenting paths.
-    fn drain_pass(
-        &mut self,
-        mut sources: Option<&mut Vec<Budget>>,
-        real_s: usize,
-        mut sinks: Option<&mut Vec<Budget>>,
-        real_t: usize,
-        virtual_sink: bool,
-    ) -> u64 {
-        let mut augmentations = 0u64;
-        // Dense sink-budget view for O(1) lookup inside the DFS.
-        let (mut sink_rem, mut sink_eps) = (Vec::new(), Vec::new());
-        if virtual_sink {
-            sink_rem = vec![0.0; self.num_nodes];
-            sink_eps = vec![f64::INFINITY; self.num_nodes];
-            for b in sinks.as_deref().unwrap() {
-                sink_rem[b.node] = b.rem;
-                sink_eps[b.node] = b.eps;
-            }
-        }
-        loop {
-            // Level graph from the (virtual or real) source side.
-            match sources.as_deref() {
-                Some(srcs) => {
-                    let seeds: Vec<usize> = srcs
-                        .iter()
-                        .filter(|b| b.rem > b.eps)
-                        .map(|b| b.node)
-                        .collect();
-                    if seeds.is_empty() {
-                        break;
-                    }
-                    self.build_levels(&seeds);
-                }
-                None => self.build_levels(&[real_s]),
-            }
-            // Virtual sink level: one past the closest budget-positive sink.
-            let vt = if virtual_sink {
-                let min_level = sinks
-                    .as_deref()
-                    .unwrap()
-                    .iter()
-                    .filter(|b| b.rem > b.eps && self.level[b.node] >= 0)
-                    .map(|b| self.level[b.node])
-                    .min();
-                match min_level {
-                    Some(l) => l + 1,
-                    None => break,
-                }
-            } else {
-                if self.level[real_t] < 0 {
-                    break;
-                }
-                self.level[real_t]
-            };
-            let before = augmentations;
-            self.reset_cursors();
-            match sources.as_deref_mut() {
-                Some(srcs) => {
-                    for b in srcs.iter_mut() {
-                        while b.rem > b.eps {
-                            let pushed = if virtual_sink {
-                                self.blocking_dfs_vsink(b.node, vt, b.rem, &mut sink_rem, &sink_eps)
-                            } else {
-                                self.blocking_dfs(b.node, real_t, b.rem)
-                            };
-                            if pushed <= 0.0 {
-                                break;
-                            }
-                            b.rem -= pushed;
-                            augmentations += 1;
-                        }
-                    }
-                }
-                None => loop {
-                    let pushed = self.blocking_dfs_vsink(
-                        real_s,
-                        vt,
-                        f64::INFINITY,
-                        &mut sink_rem,
-                        &sink_eps,
-                    );
-                    if pushed <= 0.0 {
-                        break;
-                    }
-                    augmentations += 1;
-                },
-            }
-            ssp_probe::histogram!(
-                "maxflow.dinic.path_len",
-                vt.max(0) as u64,
-                augmentations - before
-            );
-            if augmentations == before {
-                // A blocking phase that found no path: the remaining budget
-                // is unreachable; the shortfall check decides what it means.
-                break;
-            }
-            // Write the consumed budgets back for the next level rebuild.
-            if let Some(sks) = sinks.as_deref_mut() {
-                for b in sks.iter_mut() {
-                    b.rem = sink_rem[b.node];
-                }
-            }
-        }
-        augmentations
+        amount
     }
 
     /// Net flow out of `s` read directly off its incident edges.
@@ -591,52 +355,13 @@ impl FlowNetwork {
         val
     }
 
-    /// Recompute a maximum `s → t` flow *warm*: repair the stored flow if
-    /// draining [`set_capacity`] calls left recorded overflow, then augment
-    /// from the residual graph. Any valid flow extends to a maximum one by
-    /// augmenting its residual, so this returns the same value as a cold
-    /// [`max_flow`] while doing work proportional to the *change*.
-    ///
-    /// Falls back to a cold solve when the terminals differ from the last
-    /// solve, no solve has run yet, or a drain repair fell short.
-    ///
-    /// [`set_capacity`]: FlowNetwork::set_capacity
-    /// [`max_flow`]: FlowNetwork::max_flow
-    pub fn max_flow_incremental(&mut self, s: usize, t: usize) -> f64 {
-        assert!(
-            s < self.num_nodes && t < self.num_nodes,
-            "terminal out of range"
-        );
-        assert_ne!(s, t, "source and sink must differ");
-        if self.needs_rebuild || self.last_source != Some(s) || self.last_sink != Some(t) {
-            return self.max_flow(s, t);
-        }
-        self.ensure_csr();
-        if !self.dirty.is_empty() {
-            self.repair(s, t);
-            if self.needs_rebuild {
-                return self.max_flow(s, t);
-            }
-        }
-        let (_, phases, augmentations) = self.dinic_augment(s, t);
-        ssp_probe::counter!("maxflow.dinic.phases", phases);
-        ssp_probe::counter!("maxflow.dinic.augmentations", augmentations);
-        ssp_probe::counter!("maxflow.warm_reuse");
-        self.flow_value = self.net_source_flow(s);
-        self.flow_value
-    }
-
-    /// BFS on the residual graph from `seeds` (all at level 0), building the
-    /// level structure. The caller must have ensured the CSR is fresh.
-    fn build_levels(&mut self, seeds: &[usize]) {
+    /// BFS on the residual graph from `s`, building the level structure.
+    /// The caller must have ensured the CSR is fresh.
+    fn build_levels(&mut self, s: usize) {
         self.level.iter_mut().for_each(|l| *l = -1);
         let mut queue = std::collections::VecDeque::new();
-        for &s in seeds {
-            if self.level[s] < 0 {
-                self.level[s] = 0;
-                queue.push_back(s);
-            }
-        }
+        self.level[s] = 0;
+        queue.push_back(s);
         while let Some(u) = queue.pop_front() {
             for idx in self.csr_start[u]..self.csr_start[u + 1] {
                 let ei = self.csr_edges[idx as usize] as usize;
@@ -672,44 +397,6 @@ impl FlowNetwork {
                 }
             }
             self.iter[u] += 1;
-        }
-        0.0
-    }
-
-    /// [`FlowNetwork::blocking_dfs`] against the virtual budgeted sink of a
-    /// repair pass: a node with remaining sink budget at level `vt - 1`
-    /// carries one extra adjacency slot (cursor position `csr_start[u+1]`)
-    /// that absorbs flow into its budget instead of an edge.
-    fn blocking_dfs_vsink(
-        &mut self,
-        u: usize,
-        vt: i32,
-        limit: f64,
-        sink_rem: &mut [f64],
-        sink_eps: &[f64],
-    ) -> f64 {
-        while self.iter[u] < self.csr_start[u + 1] {
-            let ei = self.csr_edges[self.iter[u] as usize] as usize;
-            let (to, cap, eps) = (self.to[ei] as usize, self.cap[ei], self.eps[ei]);
-            if cap > eps && self.level[to] == self.level[u] + 1 {
-                let pushed = self.blocking_dfs_vsink(to, vt, limit.min(cap), sink_rem, sink_eps);
-                if pushed > 0.0 {
-                    self.cap[ei] -= pushed;
-                    self.cap[ei ^ 1] += pushed;
-                    return pushed;
-                }
-            }
-            self.iter[u] += 1;
-        }
-        if self.iter[u] == self.csr_start[u + 1] {
-            if self.level[u] + 1 == vt && sink_rem[u] > sink_eps[u] {
-                let take = limit.min(sink_rem[u]);
-                sink_rem[u] -= take;
-                // Keep the cursor on the budget slot: it may absorb the
-                // next path too.
-                return take;
-            }
-            self.iter[u] += 1; // budget exhausted or inadmissible
         }
         0.0
     }
@@ -900,122 +587,75 @@ mod tests {
     fn warm_increase_resumes_augmentation() {
         let (mut g, ids) = clrs();
         assert!((g.max_flow(0, 5) - 23.0).abs() < 1e-9);
-        // Widen the (4,5) sink edge: 4.0 → 10.0 opens more throughput.
-        g.set_capacity(ids[9], 10.0);
-        let warm = g.max_flow_incremental(0, 5);
+        // Widen the (4,5) sink edge: 4.0 → 10.0 opens more throughput, and
+        // the carried flow still fits, so there is nothing to cancel.
+        assert_eq!(g.set_capacity(ids[9], 10.0), 0.0);
+        let warm = g.resume_max_flow(0, 5);
         assert!((warm - cold_value(&g, 0, 5)).abs() < 1e-9);
         assert!(warm > 23.0);
-        assert!((g.flow_value() - warm).abs() < 1e-12);
     }
 
+    /// `cancel_path` cancels the minimum of its limit and the path's
+    /// carried flows, nothing when an edge carries nothing, and keeps the
+    /// interior nodes balanced; clamp + cancel + `resume_max_flow` then
+    /// reaches the cold maximum with a certifying cut.
     #[test]
-    fn warm_decrease_drains_overflow() {
-        let (mut g, ids) = clrs();
-        g.max_flow(0, 5);
-        // Choke the (3,5) edge far below the ~19 units it carries.
-        g.set_capacity(ids[8], 2.0);
-        let warm = g.max_flow_incremental(0, 5);
-        assert!((warm - cold_value(&g, 0, 5)).abs() < 1e-9);
-        assert!((warm - 6.0).abs() < 1e-9, "cut is 2.0 + 4.0, got {warm}");
-        assert!(g.flow(ids[8]) <= 2.0 + 1e-12);
-    }
+    fn cancel_path_takes_the_path_minimum_and_keeps_conservation() {
+        // s → a → t and s → b → t, plus an a → b edge Dinic leaves idle
+        // (a and b share a BFS level).
+        let mut g = FlowNetwork::new(4);
+        let sa = g.add_edge(0, 1, 3.0);
+        let sb = g.add_edge(0, 2, 2.0);
+        let at = g.add_edge(1, 3, 5.0);
+        let bt = g.add_edge(2, 3, 5.0);
+        let ab = g.add_edge(1, 2, 1.0);
+        assert_eq!(g.max_flow(0, 3), 5.0);
+        assert_eq!(g.flow(ab), 0.0);
+        // An edge carrying nothing blocks the cancel and changes nothing.
+        assert_eq!(g.cancel_path(&[sa, ab, bt], 1.0), 0.0);
+        assert_eq!((g.flow(sa), g.flow(bt)), (3.0, 2.0));
+        // The amount is the minimum of the limit and the carried flows.
+        assert_eq!(g.cancel_path(&[sb, bt], 0.5), 0.5);
+        assert_eq!(g.cancel_path(&[sa, at], 10.0), 3.0);
+        // The interior nodes stay balanced.
+        assert_eq!((g.flow(sb), g.flow(bt)), (1.5, 1.5));
+        assert_eq!((g.flow(sa), g.flow(at)), (0.0, 0.0));
 
-    #[test]
-    fn warm_matches_cold_through_update_sequence() {
-        let (mut g, ids) = clrs();
-        g.max_flow(0, 5);
-        let updates = [
-            (0usize, 4.0), // shrink s→1 below its flow
-            (9, 9.0),      // widen 4→5
-            (6, 3.0),      // shrink 2→4
-            (0, 16.0),     // restore s→1
-            (8, 11.0),     // shrink 3→5
-            (1, 20.0),     // widen s→2
-        ];
-        for &(k, cap) in &updates {
-            g.set_capacity(ids[k], cap);
-            let warm = g.max_flow_incremental(0, 5);
-            let cold = cold_value(&g, 0, 5);
-            assert!(
-                (warm - cold).abs() < 1e-9,
-                "after set_capacity(#{k}, {cap}): warm {warm} != cold {cold}"
-            );
-            assert!((g.flow_value() - warm).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn drain_to_zero_empties_the_flow() {
-        let (mut g, ids) = clrs();
-        g.max_flow(0, 5);
-        g.set_capacity(ids[0], 0.0);
-        g.set_capacity(ids[1], 0.0);
-        let warm = g.max_flow_incremental(0, 5);
-        assert!(warm.abs() < 1e-9);
-        assert!(g.flow_value().abs() < 1e-9);
-        // The clamped edges must be empty; elsewhere a zero-value
-        // circulation may legitimately remain (it is still a valid flow),
-        // but every edge must respect its capacity.
-        assert!(g.flow(ids[0]) < 1e-12);
-        assert!(g.flow(ids[1]) < 1e-12);
-        for &id in &ids {
-            assert!(g.flow(id) <= g.capacity(id) + 1e-12);
-        }
-    }
-
-    #[test]
-    fn min_cut_valid_after_incremental_updates() {
-        let (mut g, ids) = clrs();
-        g.max_flow(0, 5);
-        g.set_capacity(ids[8], 5.0);
-        g.set_capacity(ids[9], 2.0);
-        let warm = g.max_flow_incremental(0, 5);
-        // The canonical min cut must certify the warm flow exactly as it
-        // would a cold one: capacities sum to the value, every cut edge is
-        // saturated, and the sink stays unreachable.
+        // Narrow s → a below its flow, cancel the overflow downstream of a
+        // and resume: the cold maximum, certified by the canonical cut.
+        assert_eq!(g.max_flow(0, 3), 5.0);
+        assert_eq!(g.set_capacity(sa, 1.0), 2.0);
+        assert_eq!(g.cancel_path(&[at], 2.0), 2.0);
+        assert_eq!(g.flow(sa), g.flow(at));
+        let warm = g.resume_max_flow(0, 3);
+        assert_eq!(warm, 3.0);
+        assert_eq!(warm, cold_value(&g, 0, 3));
         let cut = g.min_cut_edges();
-        let cap: f64 = cut.iter().map(|&e| g.capacity(e)).sum();
-        assert!((cap - warm).abs() < 1e-9, "cut {cap} != warm value {warm}");
-        for e in cut {
-            assert!(g.is_saturated(e));
-        }
-        let side = g.residual_reachable_from_source();
-        assert!(side[0] && !side[5]);
+        let cut_cap: f64 = cut.iter().map(|&e| g.capacity(e)).sum();
+        assert_eq!(cut_cap, warm);
+        assert!(cut.iter().all(|&e| g.is_saturated(e)));
     }
 
     #[test]
     fn residual_reachability_flips_with_capacity() {
-        // s → a → t: saturating and unsaturating the middle edge must flip
-        // a's membership in the source side of the cut.
+        // s → a → t: saturating and unsaturating an edge must flip a's
+        // membership in the source side of the cut.
         let mut g = FlowNetwork::new(3);
         let sa = g.add_edge(0, 1, 5.0);
         let at = g.add_edge(1, 2, 5.0);
         g.max_flow(0, 2);
         assert!(!g.residual_reachable_from_source()[1], "s→a saturated");
-        g.set_capacity(sa, 8.0);
-        g.max_flow_incremental(0, 2);
+        assert_eq!(g.set_capacity(sa, 8.0), 0.0);
+        g.resume_max_flow(0, 2);
         assert!(g.residual_reachable_from_source()[1], "slack on s→a now");
         assert!(g.is_saturated(at));
-        g.set_capacity(at, 1.0);
-        let v = g.max_flow_incremental(0, 2);
+        // Choke a→t below its flow: the clamp leaves a with 4 units of
+        // surplus, cancelled back along s→a before resuming.
+        assert_eq!(g.set_capacity(at, 1.0), 4.0);
+        assert_eq!(g.cancel_path(&[sa], 4.0), 4.0);
+        let v = g.resume_max_flow(0, 2);
         assert!((v - 1.0).abs() < 1e-12);
         assert_eq!(g.min_cut_edges(), vec![at]);
-    }
-
-    #[test]
-    fn incremental_with_new_terminals_falls_back_cold() {
-        let (mut g, _) = clrs();
-        g.max_flow(0, 5);
-        // Different terminals: must not try to reuse the stored flow.
-        let v = g.max_flow_incremental(0, 3);
-        assert!((v - cold_value(&g, 0, 3)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn incremental_without_prior_solve_is_cold() {
-        let (mut g, _) = clrs();
-        let v = g.max_flow_incremental(0, 5);
-        assert!((v - 23.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1065,9 +705,28 @@ mod tests {
         assert!((cut_cap - v).abs() < 1e-6);
     }
 
-    /// Cloning a solved network forks the parametric state: the clone warm
-    /// repairs independently, and solving the clone leaves the original's
-    /// flow, value, and residual structure bit-identical.
+    /// Carry `g`'s solved flow to source capacity `cap` on every `s_edges`
+    /// edge the way the WAP solver does: clamp, cancel each overflow along
+    /// the edge's `mid → out` path, resume.
+    fn carry(
+        g: &mut FlowNetwork,
+        s_edges: &[EdgeId],
+        mid: &[EdgeId],
+        out: EdgeId,
+        cap: f64,
+    ) -> f64 {
+        for (&e, &m) in s_edges.iter().zip(mid) {
+            let overflow = g.set_capacity(e, cap);
+            if overflow > 0.0 {
+                assert_eq!(g.cancel_path(&[m, out], overflow), overflow);
+            }
+        }
+        g.resume_max_flow(0, 5)
+    }
+
+    /// Cloning a solved network forks its flow: the clone carries and
+    /// resumes independently, and solving the clone leaves the original's
+    /// flow and residual structure bit-identical.
     #[test]
     fn clone_split_solves_are_independent_and_bit_identical() {
         let mut g = FlowNetwork::new(6);
@@ -1075,36 +734,28 @@ mod tests {
         let mid: Vec<EdgeId> = (1..=3).map(|i| g.add_edge(i, 4, 0.8)).collect();
         let out = g.add_edge(4, 5, 2.0);
         g.max_flow(0, 5);
-        let value0 = g.flow_value();
+        let value0 = g.flow(out);
         let flows0: Vec<u64> = mid.iter().map(|&e| g.flow(e).to_bits()).collect();
 
         // Fork two clones and re-parameterize them differently.
         let mut a = g.clone();
         let mut b = g.clone();
-        for &e in &s_edges {
-            a.set_capacity(e, 0.4);
-            b.set_capacity(e, 1.5);
-        }
-        let va = a.max_flow_incremental(0, 5);
-        let vb = b.max_flow_incremental(0, 5);
+        let va = carry(&mut a, &s_edges, &mid, out, 0.4);
+        let vb = carry(&mut b, &s_edges, &mid, out, 1.5);
         assert!((va - 1.2).abs() < 1e-9, "clone a value {va}");
         assert!((vb - 2.0).abs() < 1e-9, "clone b value {vb}");
 
         // The original is untouched, bit for bit.
-        assert_eq!(g.flow_value().to_bits(), value0.to_bits());
+        assert_eq!(g.flow(out).to_bits(), value0.to_bits());
         let flows_after: Vec<u64> = mid.iter().map(|&e| g.flow(e).to_bits()).collect();
         assert_eq!(flows_after, flows0);
         assert_eq!(g.capacity(out).to_bits(), 2.0f64.to_bits());
-        // And identical clones repair to identical flows (determinism).
+        // And identical clones carry to identical flows (determinism).
         let mut c = g.clone();
         let mut d = g.clone();
-        for &e in &s_edges {
-            c.set_capacity(e, 0.9);
-            d.set_capacity(e, 0.9);
-        }
         assert_eq!(
-            c.max_flow_incremental(0, 5).to_bits(),
-            d.max_flow_incremental(0, 5).to_bits()
+            carry(&mut c, &s_edges, &mid, out, 0.5).to_bits(),
+            carry(&mut d, &s_edges, &mid, out, 0.5).to_bits()
         );
         for &e in &mid {
             assert_eq!(c.flow(e).to_bits(), d.flow(e).to_bits());

@@ -13,11 +13,15 @@
 //!
 //! The engine is Dinic's algorithm over `f64` capacities with an explicit
 //! epsilon (capacities in this workspace are times/works, inherently real).
-//! It is **parametric**: [`FlowNetwork::set_capacity`] re-parameterizes an
-//! edge in place and [`FlowNetwork::max_flow_incremental`] repairs the
-//! previous flow (draining overflow after decreases, resuming augmentation
-//! after increases) instead of solving from scratch — the BAL bisection
-//! sweeps hundreds of probes over the same network this way. A slow exact
+//! It has **one warm start**: [`FlowNetwork::resume_max_flow`] augments
+//! whatever valid flow the edges carry to a maximum one instead of solving
+//! from scratch. The caller loads that flow — seeded edge by edge with
+//! [`FlowNetwork::set_flow`], or a solved flow carried to new capacities
+//! with [`FlowNetwork::set_capacity`] (which clamps and reports the
+//! overflow) and [`FlowNetwork::cancel_path`] (which cancels it along a
+//! path) — and keeps it conserving, since only the caller knows the
+//! network's shape. The BAL probe ladder runs hundreds of probes over the
+//! same WAP network this way. A slow exact
 //! integer Edmonds–Karp reference lives in [`mod@reference`], and property
 //! tests check Dinic against it and against the min-cut certificate on
 //! random graphs (see also the root-level `tests/flow_differential.rs`

@@ -250,8 +250,8 @@ pub fn try_bal_with_wap_strategy(
         }
 
         // Build the feasibility network once for this round; every probe
-        // below re-parameterizes its source edges and warm-starts the max
-        // flow from the previous one. Interval capacities change only
+        // below sets new demands on its source edges and warm-starts the
+        // max flow from the previous one. Interval capacities change only
         // *between* rounds, so a fresh solver per round both stays exact
         // and resets any accumulated floating-point drift.
         let mut solver = wap.solver();

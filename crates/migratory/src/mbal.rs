@@ -12,9 +12,10 @@
 //! `X_UB = max_i r_i + (W^α/E)^(1/(α-1))` (serial execution after the last
 //! release at the uniform speed that exactly spends `E`).
 
-use crate::bal::{bal, BalSolution};
+use crate::bal::{try_bal, BalSolution};
 use ssp_model::numeric::{bisect_threshold, BINARY_SEARCH_REL_WIDTH};
-use ssp_model::{Instance, Schedule};
+use ssp_model::{Budget, Instance, Schedule, SolveError};
+use std::cell::RefCell;
 
 /// Output of [`mbal`].
 #[derive(Debug, Clone)]
@@ -53,18 +54,25 @@ impl MbalSolution {
 /// assert!((sol.makespan - 2.0 / s).abs() < 1e-6);
 /// ```
 pub fn mbal(instance: &Instance, budget: f64) -> Option<MbalSolution> {
+    try_mbal(instance, budget).expect("BAL failed on what should be a feasible instance")
+}
+
+/// Fallible [`mbal`]: every BAL solve runs through [`try_bal`], so an
+/// instance BAL cannot bound (e.g. a speed bound that overflows) returns
+/// its [`SolveError`] instead of panicking.
+pub fn try_mbal(instance: &Instance, budget: f64) -> Result<Option<MbalSolution>, SolveError> {
     assert!(
         budget > 0.0 && budget.is_finite(),
         "budget must be positive"
     );
+    let bal = |inst: &Instance| try_bal(inst, Budget::unlimited());
     if instance.is_empty() {
-        let sol = bal(instance);
-        return Some(MbalSolution {
+        return Ok(Some(MbalSolution {
             makespan: 0.0,
             energy: 0.0,
-            solution: sol,
+            solution: bal(instance)?,
             clamped: instance.clone(),
-        });
+        }));
     }
     let w: f64 = instance.total_work();
     let alpha = instance.alpha();
@@ -80,34 +88,44 @@ pub fn mbal(instance: &Instance, budget: f64) -> Option<MbalSolution> {
     // Existing deadlines may *cap* the usable makespan: clamping beyond the
     // latest deadline changes nothing, so the search is still well-defined;
     // but the budget may be unreachable if deadlines alone force E* > budget.
-    let unclamped_energy = bal(instance).energy;
+    let unclamped_energy = bal(instance)?.energy;
     if unclamped_energy > budget * (1.0 + 1e-9) {
-        return None;
+        return Ok(None);
     }
     // Ensure the upper endpoint is feasible for the *clamped* problem too
     // (deadline interactions can shift the threshold slightly upward).
     // Each probe runs a full BAL solve, so cache the last feasible one: the
     // bisection's returned `hi` is always its most recent feasible probe,
-    // letting the final re-solve below be skipped.
+    // letting the final re-solve below be skipped. A failed probe is kept
+    // and reads as infeasible until the search returns it.
     let mut last_feasible: Option<(f64, BalSolution, Instance)> = None;
+    let failure = RefCell::new(None);
     let mut feasible = |x: f64| -> bool {
-        if x <= max_release {
+        if x <= max_release || failure.borrow().is_some() {
             return false;
         }
         match instance.clamp_deadlines(x) {
             Err(_) => false,
-            Ok(clamped) => {
-                let sol = bal(&clamped);
-                let ok = sol.energy <= budget * (1.0 + 1e-9);
-                if ok {
-                    last_feasible = Some((x, sol, clamped));
+            Ok(clamped) => match bal(&clamped) {
+                Err(e) => {
+                    *failure.borrow_mut() = Some(e);
+                    false
                 }
-                ok
-            }
+                Ok(sol) => {
+                    let ok = sol.energy <= budget * (1.0 + 1e-9);
+                    if ok {
+                        last_feasible = Some((x, sol, clamped));
+                    }
+                    ok
+                }
+            },
         }
     };
     let mut guard = 0;
     while !feasible(x_ub) {
+        if let Some(e) = failure.take() {
+            return Err(e);
+        }
         x_ub = max_release + (x_ub - max_release) * 2.0;
         guard += 1;
         assert!(
@@ -117,6 +135,9 @@ pub fn mbal(instance: &Instance, budget: f64) -> Option<MbalSolution> {
     }
     let lo = x_lb.min(x_ub).max(max_release * (1.0 + 1e-15));
     let (_, x) = bisect_threshold(lo, x_ub, BINARY_SEARCH_REL_WIDTH.max(1e-11), feasible);
+    if let Some(e) = failure.into_inner() {
+        return Err(e);
+    }
     let (solution, clamped) = match last_feasible {
         Some((xf, sol, cl)) if xf == x => (sol, cl),
         _ => {
@@ -125,16 +146,16 @@ pub fn mbal(instance: &Instance, budget: f64) -> Option<MbalSolution> {
             let cl = instance
                 .clamp_deadlines(x)
                 .expect("feasible x clamps validly");
-            (bal(&cl), cl)
+            (bal(&cl)?, cl)
         }
     };
     let energy = solution.energy;
-    Some(MbalSolution {
+    Ok(Some(MbalSolution {
         makespan: x,
         solution,
         energy,
         clamped,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -151,6 +172,18 @@ mod tests {
             .map(|(i, (w, r))| Job::new(i as u32, w, r, horizon))
             .collect();
         Instance::new(jobs, m, alpha).unwrap()
+    }
+
+    /// An instance BAL cannot bound (its speed bound overflows) is a typed
+    /// numeric failure, not a panic.
+    #[test]
+    fn unboundable_instance_is_a_numeric_error() {
+        let jobs = vec![Job::new(0, 1e300, 0.0, 1e-300), Job::new(1, 1.0, 0.0, 2.0)];
+        let inst = Instance::new(jobs, 2, 2.0).unwrap();
+        assert!(matches!(
+            try_mbal(&inst, 10.0),
+            Err(SolveError::Numeric { .. })
+        ));
     }
 
     #[test]

@@ -165,10 +165,10 @@ impl Wap {
     /// Build a persistent solver over the *current* capacities: a sweep
     /// snapshot of the structure (each sweep solve is an independent
     /// `O(n log n)` pass) plus, once latched, a Dinic engine over the same
-    /// snapshot that re-parameterizes the source edges and repairs its
-    /// previous max flow on every solve — the hot path of the BAL probe
-    /// ladder, where consecutive probes differ only in a monotone demand
-    /// scale. A [`WapKernel::Flow`] solver is latched at birth.
+    /// snapshot that carries its previous max flow to each new demand
+    /// vector and resumes from it — the hot path of the BAL probe ladder,
+    /// where consecutive probes differ only in a monotone demand scale. A
+    /// [`WapKernel::Flow`] solver is latched at birth.
     ///
     /// Snapshot semantics: later [`Wap::set_capacity`] calls do **not**
     /// propagate into an existing solver; build a fresh one per round. The
@@ -202,9 +202,12 @@ impl Wap {
     }
 }
 
-/// Dinic's engine state: Horn's network plus the edge handles needed for
-/// re-parameterization and readback. Node layout: 0 = source, `1..=n`
-/// jobs, `n+1..=n+l` intervals, `n+l+1` sink.
+/// Dinic's engine state: Horn's network plus the edge handles needed to
+/// carry a solved flow to new demands and to read it back. Node layout:
+/// 0 = source, `1..=n` jobs, `n+1..=n+l` intervals, `n+l+1` sink. Only the
+/// source edges ever change capacity, so how a solved flow follows new
+/// demands is decided here, where the network's shape is known; the
+/// engine's one warm start, `resume_max_flow`, takes it from there.
 #[derive(Debug)]
 struct FlowState {
     net: FlowNetwork,
@@ -245,19 +248,46 @@ impl FlowState {
         }
     }
 
-    /// Route the demand vector: cold max-flow on the first call, warm
-    /// repair afterwards.
+    /// Route the demand vector: cold max-flow on the first call; afterwards
+    /// carry the previous max flow to the new demands and resume from it.
+    ///
+    /// The carry: each job's source edge is clamped to its new demand, and
+    /// the overflow a clamp removes is cancelled along the job's own
+    /// `job → cell → sink` paths, cells ascending. A cell's sink edge
+    /// carries at least what each of its job edges does, so in exact
+    /// arithmetic the job's cells always absorb its overflow; rounding
+    /// slivers are left below the overflow's own `1e-12` epsilon. The result
+    /// is a valid flow for the new demands, which `resume_max_flow` augments
+    /// to a maximum one. A leftover beyond `1e-9` of the total overflow
+    /// means the carried flow was not what this shape guarantees, and the
+    /// solve falls back to cold. (Before the first solve no flow is carried,
+    /// so nothing overflows.)
     fn solve(&mut self, p: &[f64]) -> f64 {
+        let (mut total, mut leftover, mut cancels) = (0.0, 0.0, 0u64);
         for (i, &demand) in p.iter().enumerate() {
-            self.net.set_capacity(self.source_edges[i], demand);
+            let overflow = self.net.set_capacity(self.source_edges[i], demand);
+            total += overflow;
+            let (mut rem, eps) = (overflow, overflow * 1e-12);
+            for &(j, e) in &self.job_edges[i] {
+                if rem <= eps {
+                    break;
+                }
+                let c = self.net.cancel_path(&[e, self.sink_edges[j]], rem);
+                if c > 0.0 {
+                    rem -= c;
+                    cancels += 1;
+                }
+            }
+            if rem > eps {
+                leftover += rem;
+            }
         }
-        let value = if self.solved {
-            self.net.max_flow_incremental(0, self.sink)
-        } else {
-            self.net.max_flow(0, self.sink)
-        };
-        self.solved = true;
-        value
+        ssp_probe::counter!("maxflow.dinic.drain_paths", cancels);
+        if !std::mem::replace(&mut self.solved, true) || leftover > total * 1e-9 + 1e-12 {
+            return self.net.max_flow(0, self.sink);
+        }
+        ssp_probe::counter!("maxflow.warm_reuse");
+        self.net.resume_max_flow(0, self.sink)
     }
 
     /// Route the demand vector starting from the sweep's water-filling
@@ -293,9 +323,9 @@ impl FlowState {
         for (j, &e) in self.sink_edges.iter().enumerate() {
             self.net.set_flow(e, sweep.cell_usage(j));
         }
-        let value = self.net.resume_max_flow(0, self.sink);
+        ssp_probe::counter!("maxflow.dinic.seeded_resumes");
         self.solved = true;
-        value
+        self.net.resume_max_flow(0, self.sink)
     }
 
     fn allotment(&self, i: usize) -> Vec<(usize, f64)> {
@@ -323,7 +353,7 @@ impl FlowState {
 /// solves), `wap.fast_fallback` (the sweep's first decline: the engine was
 /// built and seeded from the greedy flow), `wap.sweep_skip` (latched
 /// solves, forced-`Flow` ones included: the sweep was not attempted and the
-/// engine solved cold or warm-repaired its previous flow), `wap.sweep_ops`
+/// engine solved cold or carried its previous flow), `wap.sweep_ops`
 /// (sweep kernel work measure). Every solve lands in exactly one of
 /// `fast_path`, `fast_fallback` or `sweep_skip`, so the three sum to
 /// `flow_calls` for every solver.
@@ -345,8 +375,9 @@ impl WapSolver {
     /// certified sweep answers. The first decline builds the Dinic engine
     /// over the sweep's snapshot, seeds it with the greedy flow, and latches
     /// this solver onto the engine for the rest of its life: later solves
-    /// skip the sweep and warm-repair the engine's previous flow, exactly
-    /// what a forced-[`WapKernel::Flow`] solver does from its first solve.
+    /// skip the sweep and carry the engine's previous flow to the new
+    /// demands, exactly what a forced-[`WapKernel::Flow`] solver does after
+    /// its first, cold solve.
     /// Whether the greedy certifies depends mostly on the capacity
     /// structure, which a solver never changes: after one decline, later
     /// attempts mostly decline too and only add sweep work (DESIGN.md §3.14
@@ -725,7 +756,7 @@ mod tests {
 
     /// Satellite regression: after a certified sweep solve, a declined one
     /// must report the generic engine's fresh state (no stale side sets),
-    /// and a later latched solve the engine's repaired state.
+    /// and a later latched solve the engine's carried state.
     #[test]
     fn engine_switches_never_serve_stale_state() {
         let wap = starvation_wap();
@@ -742,7 +773,7 @@ mod tests {
         assert!(s.cut_sides().0.iter().any(|&b| b));
         let routed_total: f64 = (0..4).map(|i| s.routed(i)).sum();
         assert!((routed_total - 14.0).abs() < 1e-9);
-        // 3) feasible again: the latched engine answers from its repaired
+        // 3) feasible again: the latched engine answers from its carried
         // flow, and every readback reflects this solve, not the last one.
         assert!((s.solve(&p_ok) - 6.0).abs() < 1e-9);
         assert!(s.feasible());
@@ -752,6 +783,29 @@ mod tests {
         for (i, &pk) in p_ok.iter().enumerate() {
             let total: f64 = s.allotment(i).iter().map(|&(_, t)| t).sum();
             assert!((total - pk).abs() < 1e-9);
+        }
+    }
+
+    /// Fault recovery: when the cancels cannot absorb a clamp's overflow
+    /// (here every sink edge's flow was zeroed behind the solver's back),
+    /// the carry gives up and solves cold, matching a fresh solver bit for
+    /// bit instead of resuming from an invalid flow.
+    #[test]
+    fn carry_that_cannot_cancel_its_overflow_solves_cold() {
+        let mut wap = starvation_wap();
+        wap.set_kernel(WapKernel::Flow);
+        let mut s = wap.solver();
+        s.solve(&[4.0, 6.0, 0.0, 6.0]);
+        let fs = s.engine.as_mut().expect("a Flow solver is latched");
+        for &e in &fs.sink_edges {
+            fs.net.set_flow(e, 0.0);
+        }
+        let p = [2.0, 3.0, 0.0, 3.0];
+        let mut fresh = wap.solver();
+        assert_eq!(s.solve(&p).to_bits(), fresh.solve(&p).to_bits());
+        for j in 0..wap.num_intervals() {
+            let (a, b) = (s.interval_usage(j), fresh.interval_usage(j));
+            assert_eq!(a.to_bits(), b.to_bits(), "interval {j}");
         }
     }
 

@@ -162,9 +162,12 @@ impl Schedule {
         self.segments.is_empty()
     }
 
-    /// Total energy under power `s^alpha`.
+    /// Total energy under power `s^alpha`. Folds from `+0.0`: the `f64`
+    /// `Sum` of an empty iterator is `-0.0`, which would print as `-0`.
     pub fn energy(&self, alpha: f64) -> f64 {
-        self.segments.iter().map(|s| s.energy(alpha)).sum()
+        self.segments
+            .iter()
+            .fold(0.0, |acc, s| acc + s.energy(alpha))
     }
 
     /// Total work scheduled for one job.
@@ -355,6 +358,12 @@ mod tests {
             2.0,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn empty_schedule_energy_is_positive_zero() {
+        let e = Schedule::new(2).energy(2.0);
+        assert_eq!(e.to_bits(), 0.0f64.to_bits(), "energy {e}");
     }
 
     #[test]

@@ -624,6 +624,19 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_instance_answers_positive_zero_energy() {
+        let mut server = Server::start(ServeOptions {
+            workers: 1,
+            ..Default::default()
+        });
+        let (sink, lines) = collecting_sink();
+        assert!(server.submit(&request_line("empty", "rr", 0), sink));
+        drain(&mut server);
+        let lines = lines.lock().unwrap();
+        assert!(lines[0].contains(r#""energy":0"#), "{}", lines[0]);
+    }
+
+    #[test]
     fn overload_rejects_with_a_typed_response() {
         // No workers draining fast enough: 1 worker, tiny queue, slow-ish
         // jobs; overflow must reject synchronously.

@@ -19,7 +19,7 @@
 //! `avr`, `oa` (online, migratory).
 
 use ssp_migratory::bal::{try_bal, BalSolution};
-use ssp_migratory::mbal::mbal;
+use ssp_migratory::mbal::try_mbal;
 use ssp_model::render::{gantt, GanttOptions};
 use ssp_model::resource::Budget;
 use ssp_model::{io, Instance, Schedule};
@@ -260,6 +260,7 @@ fn generate(parsed: &Parsed) -> Result<String, CliError> {
         .ok_or_else(|| CliError::usage("generate needs --m"))?;
     let alpha: f64 = parsed.flag_parse("alpha")?.unwrap_or(2.0);
     let seed: u64 = parsed.flag_parse("seed")?.unwrap_or(0);
+    Instance::new(Vec::new(), m, alpha).map_err(|e| CliError::usage(e.to_string()))?;
     let spec = match family.as_str() {
         "unit-agreeable" => families::unit_agreeable(n, m, alpha),
         "unit-arbitrary" => families::unit_arbitrary(n, m, alpha),
@@ -547,7 +548,9 @@ fn budget(parsed: &Parsed) -> Result<String, CliError> {
             ),
         }
     } else {
-        match mbal(&inst, energy) {
+        let solved = try_mbal(&inst, energy)
+            .map_err(|e| CliError::runtime(format!("cannot solve under the budget: {e}")))?;
+        match solved {
             None => {
                 return Err(CliError::runtime(format!(
                     "no schedule meets deadlines within energy budget {energy}"
@@ -1247,6 +1250,10 @@ fn stream_cmd(parsed: &Parsed) -> Result<String, CliError> {
         Some(name) => SchedulerKind::parse(name)
             .ok_or_else(|| CliError::usage(format!("unknown scheduler '{name}' (oa|avr)")))?,
     };
+    let window_cap: Option<usize> = parsed.flag_parse("window-cap")?;
+    if window_cap == Some(0) {
+        return Err(CliError::usage("--window-cap must be positive"));
+    }
 
     // Source: a trace file (header supplies m/alpha unless overridden) or a
     // generated family (needs --family/--n/--m).
@@ -1319,7 +1326,7 @@ fn stream_cmd(parsed: &Parsed) -> Result<String, CliError> {
     let mut opts = EngineOptions::new(machines, alpha)
         .policy(policy)
         .scheduler(scheduler);
-    if let Some(cap) = parsed.flag_parse("window-cap")? {
+    if let Some(cap) = window_cap {
         opts = opts.window_cap(cap);
     }
     if parsed.has("no-lb") {
@@ -1425,9 +1432,14 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    /// A fresh file per call: tests run in parallel and each removes its
+    /// own copy when done.
     fn tmp_instance() -> String {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let inst = families::general(8, 2, 2.0).gen(3);
-        let path = std::env::temp_dir().join(format!("ssp_cli_test_{}.ssp", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("ssp_cli_test_{}_{k}.ssp", std::process::id()));
         std::fs::write(&path, io::emit(&inst)).unwrap();
         path.to_string_lossy().into_owned()
     }
@@ -2385,5 +2397,58 @@ mod tests {
                 .code,
             1
         );
+    }
+
+    /// Exit code of a command line given as one space-separated string.
+    fn code_of(line: &str) -> i32 {
+        match run(&args(&line.split(' ').collect::<Vec<_>>())) {
+            Ok(_) => 0,
+            Err(e) => e.code,
+        }
+    }
+
+    #[test]
+    fn generate_rejects_zero_machines_as_usage() {
+        assert_eq!(code_of("generate general --n 5 --m 0"), 2);
+    }
+
+    #[test]
+    fn generate_rejects_bad_alpha_as_usage() {
+        for alpha in ["1", "0.5", "nan", "inf"] {
+            let line = format!("generate general --n 5 --m 2 --alpha {alpha}");
+            assert_eq!(code_of(&line), 2, "--alpha {alpha}");
+        }
+    }
+
+    #[test]
+    fn stream_rejects_zero_window_cap_as_usage() {
+        let line = "stream --family bursty --n 10 --m 2 --window-cap 0";
+        assert_eq!(code_of(line), 2);
+    }
+
+    #[test]
+    fn budget_reports_an_instance_bal_cannot_bound_as_a_runtime_error() {
+        let path = std::env::temp_dir().join(format!("ssp_cli_budget_{}.ssp", std::process::id()));
+        std::fs::write(
+            &path,
+            "machines 2\nalpha 2.0\njob 0 1e300 0 1e-300\njob 1 1 0 2\n",
+        )
+        .unwrap();
+        let p = path.to_string_lossy().into_owned();
+        let err = run(&args(&["budget", &p, "--energy", "10"])).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("numeric failure"), "{}", err.message);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn solve_prints_positive_zero_energy_for_an_empty_instance() {
+        let path = std::env::temp_dir().join(format!("ssp_cli_empty_{}.ssp", std::process::id()));
+        std::fs::write(&path, "machines 2\nalpha 2.0\n").unwrap();
+        let p = path.to_string_lossy().into_owned();
+        let out = run(&args(&["solve", &p])).unwrap();
+        assert!(out.contains("energy 0.000000"), "{out}");
+        assert!(!out.contains("-0"), "{out}");
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -3,25 +3,24 @@
 //! Two independent oracles check every flow the production engine
 //! computes on the same seeded random networks:
 //!
-//! * `FlowNetwork` — the production f64 Dinic engine (with its parametric
-//!   warm-restart path) — is checked against
+//! * `FlowNetwork` — the production f64 Dinic engine — is checked against
 //! * `IntFlowNetwork` — the exact integer Edmonds–Karp reference — on
 //!   integer-valued (or integer after scaling) capacities, and against
 //! * the min-cut certificate (`certify` below): the canonical cut's
 //!   capacity equals the flow value, every cut edge is saturated, and flow
 //!   is conserved at every inner node.
 //!
-//! On top of that, the warm-restart path (`set_capacity` +
-//! `max_flow_incremental`) must match a cold from-scratch solve after
-//! *arbitrary* randomized capacity update sequences — the safety net for
-//! the warm-started BAL bisection — and the min-cut certificate must stay
-//! valid after every incremental repair. Above the engines, the WAP solver's sweep-first
-//! dispatch must answer every solve of a demand sequence exactly as the
-//! forced flow engine does.
+//! On top of that, the engine's warm start must hold in the two ways the
+//! WAP solver uses it: a forced-`Flow` solver that carries its flow along a
+//! bisection ladder of demands must match the exact reference and certify
+//! at every step, and a flow seeded from the sweep's greedy allocation
+//! must resume to the exact value. Above the engines, the WAP solver's
+//! sweep-first dispatch must answer every solve of a demand sequence
+//! exactly as the forced flow engine does.
 
 use ssp_maxflow::reference::IntFlowNetwork;
 use ssp_maxflow::{EdgeId, FlowNetwork, SweepFlow};
-use ssp_migratory::wap::{Wap, WapKernel};
+use ssp_migratory::wap::{Wap, WapKernel, WapSolver};
 use ssp_prng::{check, Rng, StdRng};
 use ssp_workloads::families;
 
@@ -116,103 +115,6 @@ fn dinic_agrees_with_the_exact_reference_on_random_networks() {
             "dinic {f_dinic} vs exact {f_exact}"
         );
         certify(&dinic, &edges, &ids, f_dinic);
-    });
-}
-
-/// Warm-start == cold-start after randomized capacity update sequences,
-/// with the min-cut certificate re-validated after every repair.
-#[test]
-fn warm_start_matches_cold_after_random_updates() {
-    check::cases(96, 0xD1FF_0002, |rng| {
-        let (n, mut edges) = random_graph(rng);
-        if edges.is_empty() {
-            return;
-        }
-        let (s, t) = (0, n - 1);
-        let (mut warm, ids) = build_dinic(n, &edges);
-        warm.max_flow(s, t);
-        for _round in 0..6 {
-            // Mutate a few capacities: mix of shrinks (often below the
-            // carried flow), growths, zeroings, and fractional values.
-            for _ in 0..rng.gen_range(1usize..4) {
-                let k = rng.gen_range(0usize..edges.len());
-                let cap = match rng.gen_range(0u32..4) {
-                    0 => 0.0,
-                    1 => rng.gen_range(0u32..100) as f64,
-                    2 => edges[k].2 * rng.gen_range(0.0f64..1.0),
-                    _ => edges[k].2 + rng.gen_range(0.0f64..50.0),
-                };
-                edges[k].2 = cap;
-                warm.set_capacity(ids[k], cap);
-            }
-            let warm_value = warm.max_flow_incremental(s, t);
-            // Cold baseline: same topology and current capacities, fresh
-            // from-scratch solve.
-            let (mut cold, _) = build_dinic(n, &edges);
-            let cold_value = cold.max_flow(s, t);
-            assert!(
-                (warm_value - cold_value).abs() <= 1e-9 * (1.0 + cold_value.abs()),
-                "warm {warm_value} vs cold {cold_value}"
-            );
-            assert!(
-                (warm.flow_value() - warm_value).abs() <= 1e-12 * (1.0 + warm_value.abs()),
-                "flow_value accessor drifted"
-            );
-            certify(&warm, &edges, &ids, warm_value);
-        }
-    });
-}
-
-/// The BAL access pattern: a WAP-shaped layered network whose source
-/// capacities sweep down and up a bisection ladder. Warm values must track
-/// cold values and the exact reference at every step, and the min cut must
-/// keep certifying the warm flow. Demands, capacities and scales sit on a
-/// 1/16 grid, so every capacity of every step is an integer after scaling
-/// by 256 and the integer reference stays exact on fractional inputs.
-#[test]
-fn warm_bisection_ladder_on_wap_shaped_networks() {
-    let sixteenths = |rng: &mut StdRng, lo: u32, hi: u32| rng.gen_range(lo..hi) as f64 / 16.0;
-    check::cases(48, 0xD1FF_0003, |rng| {
-        let jobs = rng.gen_range(3usize..10);
-        let ivals = rng.gen_range(2usize..6);
-        let s = 0usize;
-        let t = 1 + jobs + ivals;
-        let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-        let demands: Vec<f64> = (0..jobs).map(|_| sixteenths(rng, 16, 128)).collect();
-        for (i, &d) in demands.iter().enumerate() {
-            edges.push((s, 1 + i, d));
-            for j in 0..ivals {
-                if rng.gen_range(0u32..3) > 0 {
-                    edges.push((1 + i, 1 + jobs + j, sixteenths(rng, 8, 64)));
-                }
-            }
-        }
-        for j in 0..ivals {
-            edges.push((1 + jobs + j, t, sixteenths(rng, 16, 160)));
-        }
-        let (mut warm, ids) = build_dinic(t + 1, &edges);
-        warm.max_flow(s, t);
-        // Walk the demand scale down then back up, as a bisection would.
-        for &scale in &[0.8125, 0.5, 0.3125, 0.4375, 0.6875, 1.0, 1.3125] {
-            // Source edges were pushed first, so edge `i` is job `i`'s.
-            for (i, &d) in demands.iter().enumerate() {
-                edges[i].2 = d * scale;
-                warm.set_capacity(ids[i], d * scale);
-            }
-            let warm_value = warm.max_flow_incremental(s, t);
-            let (mut cold, _) = build_dinic(t + 1, &edges);
-            let cold_value = cold.max_flow(s, t);
-            let exact = exact_scaled(t + 1, t, &edges, 256.0);
-            assert!(
-                (warm_value - cold_value).abs() <= 1e-9 * (1.0 + cold_value),
-                "scale {scale}: warm {warm_value} vs cold {cold_value}"
-            );
-            assert!(
-                (warm_value - exact).abs() <= 1e-9 * (1.0 + exact),
-                "scale {scale}: warm {warm_value} vs exact {exact}"
-            );
-            certify(&warm, &edges, &ids, warm_value);
-        }
     });
 }
 
@@ -333,6 +235,101 @@ fn exact_value(shape: &WapShape) -> f64 {
     exact.max_flow(s, t) as f64
 }
 
+/// Certify a WAP solver's last solve as a maximum flow for demands `p` on
+/// `shape`: allotments stay inside each job's window and under their edge
+/// caps, sum to the job's routed demand (at most `p_i`) and to each cell's
+/// usage (at most its cap), the routed total is the value, and the
+/// canonical cut's capacity equals the value.
+fn certify_wap(solver: &WapSolver, shape: &WapShape, p: &[f64], value: f64) {
+    let tol = 1e-9 * (1.0 + value);
+    let mut usage = vec![0.0; shape.cell_cap.len()];
+    let mut routed_total = 0.0;
+    for (i, &(lo, hi)) in shape.windows.iter().enumerate() {
+        let mut allotted = 0.0;
+        for (j, t) in solver.allotment(i) {
+            assert!(
+                lo as usize <= j && j <= hi as usize,
+                "job {i} outside its window"
+            );
+            assert!(
+                t <= shape.edge_cap[j] + tol,
+                "job {i} over its cap in cell {j}"
+            );
+            allotted += t;
+            usage[j] += t;
+        }
+        let routed = solver.routed(i);
+        assert!(
+            (allotted - routed).abs() <= tol,
+            "job {i} does not conserve"
+        );
+        assert!(routed <= p[i] + tol, "job {i} routed past its demand");
+        routed_total += routed;
+    }
+    for (j, &u) in usage.iter().enumerate() {
+        assert!(
+            (u - solver.interval_usage(j)).abs() <= tol,
+            "cell {j} does not conserve"
+        );
+        assert!(u <= shape.cell_cap[j] + tol, "cell {j} over its cap");
+    }
+    assert!(
+        (routed_total - value).abs() <= tol,
+        "{routed_total} routed, value {value}"
+    );
+    let (job_side, cell_side) = solver.cut_sides();
+    let mut cut = 0.0;
+    for (i, &(lo, hi)) in shape.windows.iter().enumerate() {
+        if !job_side[i] {
+            cut += p[i];
+        } else if lo <= hi {
+            cut += (lo as usize..=hi as usize)
+                .filter(|&j| !cell_side[j])
+                .map(|j| shape.edge_cap[j])
+                .sum::<f64>();
+        }
+    }
+    for (j, &side) in cell_side.iter().enumerate() {
+        if side {
+            cut += shape.cell_cap[j];
+        }
+    }
+    assert!((cut - value).abs() <= tol, "cut {cut} vs value {value}");
+}
+
+/// The BAL access pattern: a forced-`Flow` WAP solver, which carries its
+/// flow from one solve to the next, walks a random contiguous shape's
+/// demands down and back up a bisection ladder. At every step the value
+/// must equal the exact reference and the solver's readback must certify
+/// it. Scales sit on a 1/16 grid over integer shapes, so the integer
+/// reference stays exact after scaling by 16.
+#[test]
+fn warm_bisection_ladder_on_wap_shaped_networks() {
+    check::cases(48, 0xD1FF_0003, |rng| {
+        let mut shape = random_wap_shape(rng);
+        let t = 1 + shape.windows.len() + shape.cell_cap.len();
+        let mut wap = Wap::new(
+            shape.windows.clone(),
+            shape.edge_cap.clone(),
+            shape.cell_cap.clone(),
+        );
+        wap.set_kernel(WapKernel::Flow);
+        let mut solver = wap.solver();
+        let demands = shape.demands.clone();
+        for &scale in &[1.0, 0.8125, 0.5, 0.3125, 0.4375, 0.6875, 1.0, 1.3125] {
+            shape.demands = demands.iter().map(|&d| d * scale).collect();
+            let value = solver.solve(&shape.demands);
+            let (_, edges, ..) = build_wap_network(&shape);
+            let exact = exact_scaled(t + 1, t, &edges, 16.0);
+            assert!(
+                (value - exact).abs() <= 1e-9 * (1.0 + exact),
+                "scale {scale}: carried {value} vs exact {exact}"
+            );
+            certify_wap(&solver, &shape, &shape.demands, value);
+        }
+    });
+}
+
 /// The interval sweep kernel against Dinic and the exact reference on
 /// random contiguous WAP instances. A certified sweep must reproduce the exact max
 /// flow value *and* the canonical min-cut sides a residual BFS on the Dinic
@@ -378,19 +375,14 @@ fn sweep_matches_engines_on_random_wap_instances() {
 }
 
 /// Randomized capacity re-parameterizations: each round rescales demands and
-/// caps, the sweep is rebuilt (its constructor is the re-parameterization
-/// path the `WapSolver` uses), and the warm Dinic engine repairs in place.
-/// Certified sweep values, warm values, and the cold exact reference must
-/// all agree at every round.
+/// caps and the sweep is rebuilt (its constructor is the re-parameterization
+/// path the `WapSolver` uses). A certified sweep must match the exact
+/// reference at every round, and an uncertified one must never exceed it.
 #[test]
 fn sweep_reparameterization_tracks_warm_and_exact_engines() {
     check::cases(64, 0xD1FF_0006, |rng| {
         let mut shape = random_wap_shape(rng);
-        let n = shape.windows.len();
         let m = shape.cell_cap.len();
-        let (s, t) = (0usize, 1 + n + m);
-        let (mut warm, _, _, job_cell_ids, source_ids, sink_ids) = build_wap_network(&shape);
-        warm.max_flow(s, t);
         for _round in 0..5 {
             for d in shape.demands.iter_mut() {
                 if rng.gen_range(0u32..3) == 0 {
@@ -403,23 +395,7 @@ fn sweep_reparameterization_tracks_warm_and_exact_engines() {
                     shape.edge_cap[j] = shape.edge_cap[j].min(shape.cell_cap[j]);
                 }
             }
-            for (i, &d) in shape.demands.iter().enumerate() {
-                warm.set_capacity(source_ids[i], d);
-            }
-            for cells in &job_cell_ids {
-                for &(j, e) in cells {
-                    warm.set_capacity(e, shape.edge_cap[j]);
-                }
-            }
-            for (j, &e) in sink_ids.iter().enumerate() {
-                warm.set_capacity(e, shape.cell_cap[j]);
-            }
-            let warm_value = warm.max_flow_incremental(s, t);
             let exact = exact_value(&shape);
-            assert!(
-                (warm_value - exact).abs() <= 1e-9 * (1.0 + exact),
-                "warm {warm_value} vs exact {exact}"
-            );
             let mut sweep = SweepFlow::new(
                 shape.windows.clone(),
                 shape.edge_cap.clone(),
@@ -493,10 +469,11 @@ fn seeded_resume_from_sweep_matches_cold_engines() {
     });
 }
 
-/// Residual reachability after incremental updates answers the question the
-/// BAL classification asks: which source edges can still grow. Every
-/// unsaturated source edge must keep its job node on the source side, and
-/// on fully-routed (feasible) networks the whole demand must be routed.
+/// Residual reachability after capacity updates answers the question the
+/// BAL classification asks: which source edges can still grow. After each
+/// update and a cold solve, every unsaturated source edge must keep its
+/// head on the source side, and a positive flow must leave the sink cut
+/// away.
 #[test]
 fn residual_reachability_consistent_after_updates() {
     check::cases(48, 0xD1FF_0004, |rng| {
@@ -510,7 +487,7 @@ fn residual_reachability_consistent_after_updates() {
         for _ in 0..4 {
             let k = rng.gen_range(0usize..edges.len());
             net.set_capacity(ids[k], rng.gen_range(0u32..100) as f64);
-            let value = net.max_flow_incremental(s, t);
+            let value = net.max_flow(s, t);
             let side = net.residual_reachable_from_source();
             // An edge out of the source with residual slack keeps its head
             // on the source side (one residual hop).
@@ -593,8 +570,10 @@ fn wap_dispatch_sequences_match_the_flow_engine() {
         verdicts.iter().all(|&c| c > 0),
         "sequences must mix feasible and infeasible scales: {verdicts:?}"
     );
-    // Every dispatch branch must have run (other tests in this binary solve
-    // no WAPs, so the session sees only this test's solves).
+    // Every dispatch branch must have run. The other WAP solves in this
+    // binary are forced-`Flow` ones, which fire neither `wap.fast_path` nor
+    // `wap.fast_fallback`; this test's own forced solver fires
+    // `wap.sweep_skip` on every solve either way.
     if let Some(session) = session {
         let trace = session.end();
         for counter in ["wap.fast_path", "wap.fast_fallback", "wap.sweep_skip"] {
