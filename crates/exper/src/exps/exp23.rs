@@ -5,7 +5,7 @@
 //! two drivers: the default cut-guided probe **ladder** (one warm probe
 //! per step at a Newton bound, the density opener or a splitter) or the
 //! retained budgeted **bisection** baseline. This experiment quantifies
-//! the gap the ladder buys and re-states its two contracts as assertions:
+//! the gap the ladder buys and re-states its three contracts as assertions:
 //!
 //! 1. **Agreement.** Both drivers stop inside the feasibility classifier's
 //!    `1e-9` relative tolerance, so their energies must agree to `1e-8`
@@ -17,6 +17,9 @@
 //!    a thread, so the width must not reach a solve. The differential wall
 //!    pins this per commit; the table reports it per family so the
 //!    property is visible next to the probe counts it protects.
+//! 3. **No repeated probe.** The ladder keeps the Newton bound of the last
+//!    infeasible cut across feasible probes, so no round's transcript
+//!    probes one speed twice; a re-probe of `v_lo` coming back fails here.
 //!
 //! The headline column is the probe ratio (bisection probes / ladder
 //! probes): every feasibility probe is a parametric max-flow solve, so the
@@ -60,6 +63,18 @@ fn transcripts_identical(a: &BalSolution, b: &BalSolution) -> bool {
                     .zip(&rb.probes)
                     .all(|(pa, pb)| pa.0.to_bits() == pb.0.to_bits() && pa.1 == pb.1)
         })
+}
+
+/// The first speed some round of `sol` probes twice, if any.
+fn repeated_probe(sol: &BalSolution) -> Option<f64> {
+    sol.rounds.iter().find_map(|round| {
+        let mut speeds: Vec<u64> = round.probes.iter().map(|p| p.0.to_bits()).collect();
+        speeds.sort_unstable();
+        speeds
+            .windows(2)
+            .find(|w| w[0] == w[1])
+            .map(|w| f64::from_bits(w[0]))
+    })
 }
 
 /// Run EXP-23.
@@ -111,6 +126,11 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
                 transcripts_identical(&ladder, &wide),
                 "{family}/n={n}: ladder transcript changed with the thread count"
             );
+
+            // Contract 3: no round probes one speed twice.
+            if let Some(v) = repeated_probe(&ladder) {
+                panic!("{family}/n={n}: a ladder round probed speed {v} twice");
+            }
 
             table.push(vec![
                 Cell::Text(family.to_string()),

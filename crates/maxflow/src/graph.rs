@@ -58,6 +58,12 @@ pub struct FlowNetwork {
     last_source: Option<usize>,
     // Scratch buffers reused across blocking-flow phases.
     level: Vec<i32>,
+    /// Set when a solve ends, cleared by every later change to the edges:
+    /// `level` then holds the last solve's final BFS, which never reached
+    /// the sink and so labelled exactly the residual-reachable nodes.
+    levels_current: bool,
+    /// BFS queue: each node is pushed at most once per BFS.
+    queue: Vec<u32>,
     /// Per-node DFS cursor: an absolute index into `csr_edges`, running to
     /// `csr_start[u+1]`.
     iter: Vec<u32>,
@@ -77,6 +83,8 @@ impl FlowNetwork {
             csr_stale: false,
             last_source: None,
             level: vec![-1; n],
+            levels_current: false,
+            queue: Vec::with_capacity(n),
             iter: vec![0; n],
         }
     }
@@ -107,6 +115,7 @@ impl FlowNetwork {
         self.orig.push(0.0);
         self.eps.push(eps);
         self.csr_stale = true;
+        self.levels_current = false;
         EdgeId(id)
     }
 
@@ -210,18 +219,21 @@ impl FlowNetwork {
         assert_ne!(s, t, "source and sink must differ");
         self.ensure_csr();
         self.last_source = Some(s);
+        self.levels_current = false;
     }
 
     /// Augment the *current* residual graph to a blocking state repeatedly
     /// (the Dinic phase loop). Returns `(value added, phases, augmenting
     /// paths)` on top of whatever flow the edges already carry; callers flush
     /// the counts to the probe counters. Shared by cold and warm solves.
+    /// The loop ends on a BFS that ran to completion without reaching the
+    /// sink, whose levels are kept for the reachability queries.
     fn dinic_augment(&mut self, s: usize, t: usize) -> (f64, u64, u64) {
         let mut added = 0.0;
         let (mut phases, mut augmentations) = (0u64, 0u64);
         loop {
-            self.build_levels(s);
-            if self.level[t] < 0 {
+            if !self.build_levels(s, t) {
+                self.levels_current = true;
                 break;
             }
             phases += 1;
@@ -262,6 +274,7 @@ impl FlowNetwork {
         let f = f.clamp(0.0, self.orig[id]);
         self.cap[id] = self.orig[id] - f;
         self.cap[id ^ 1] = f;
+        self.levels_current = false;
     }
 
     /// Run Dinic *without* resetting the carried flow: augment whatever the
@@ -300,6 +313,7 @@ impl FlowNetwork {
         let id = e.0;
         let flow = (self.orig[id] - self.cap[id]).max(0.0);
         let eps = cap * EDGE_EPS_REL;
+        self.levels_current = false;
         self.orig[id] = cap;
         self.eps[id] = eps;
         self.eps[id ^ 1] = eps;
@@ -336,6 +350,7 @@ impl FlowNetwork {
             self.cap[id] += amount;
             self.cap[id ^ 1] -= amount;
         }
+        self.levels_current = false;
         amount
     }
 
@@ -355,23 +370,35 @@ impl FlowNetwork {
         val
     }
 
-    /// BFS on the residual graph from `s`, building the level structure.
-    /// The caller must have ensured the CSR is fresh.
-    fn build_levels(&mut self, s: usize) {
-        self.level.iter_mut().for_each(|l| *l = -1);
-        let mut queue = std::collections::VecDeque::new();
+    /// BFS on the residual graph from `s`, building the level structure, and
+    /// report whether it reached `t`. It stops as soon as it labels `t`: the
+    /// nodes it leaves unlabelled sit at `t`'s level or beyond, where no
+    /// blocking-flow path can continue, so the DFS finds the same paths.
+    /// A BFS that misses `t` runs to completion and labels exactly the
+    /// residual-reachable nodes. The caller must have ensured the CSR is
+    /// fresh.
+    fn build_levels(&mut self, s: usize, t: usize) -> bool {
+        self.level.fill(-1);
+        self.queue.clear();
         self.level[s] = 0;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
+        self.queue.push(s as u32);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let u = u as usize;
             for idx in self.csr_start[u]..self.csr_start[u + 1] {
                 let ei = self.csr_edges[idx as usize] as usize;
                 let v = self.to[ei] as usize;
                 if self.cap[ei] > self.eps[ei] && self.level[v] < 0 {
                     self.level[v] = self.level[u] + 1;
-                    queue.push_back(v);
+                    if v == t {
+                        return true;
+                    }
+                    self.queue.push(v as u32);
                 }
             }
         }
+        false
     }
 
     /// Reset the per-node DFS cursors to the start of each CSR range.
@@ -404,9 +431,14 @@ impl FlowNetwork {
     /// Nodes reachable from the source of the last `max_flow` call in the
     /// residual graph. After a max flow, this is the source side `X` of the
     /// canonical minimum cut, and precisely the set of *upstream* nodes
-    /// (nodes on the source side of **every** minimum cut).
+    /// (nodes on the source side of **every** minimum cut). Right after a
+    /// solve this reads the solve's last BFS; once an edge has changed it
+    /// runs a BFS of its own.
     pub fn residual_reachable_from_source(&self) -> Vec<bool> {
         let s = self.last_source.expect("call max_flow first");
+        if self.levels_current {
+            return self.level.iter().map(|&l| l >= 0).collect();
+        }
         let storage;
         let (start, edges): (&[u32], &[u32]) = if self.csr_stale {
             storage = self.build_csr_fresh();
@@ -676,6 +708,104 @@ mod tests {
         g.add_edge(0, 4, 0.0); // zero-cap: reachability unchanged
         let after = g.residual_reachable_from_source();
         assert_eq!(before, after);
+    }
+
+    /// Residual reachability from the last source by a full BFS over the
+    /// edge list, independent of the CSR and the kept levels.
+    fn full_bfs(g: &FlowNetwork) -> Vec<bool> {
+        let mut seen = vec![false; g.num_nodes];
+        seen[g.last_source.expect("solved")] = true;
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for id in 0..g.to.len() {
+                let (u, v) = (g.to[id ^ 1] as usize, g.to[id] as usize);
+                if seen[u] && !seen[v] && g.cap[id] > g.eps[id] {
+                    seen[v] = true;
+                    grew = true;
+                }
+            }
+        }
+        seen
+    }
+
+    /// The source side is read from a solve's last BFS, so every edge
+    /// change after a solve must reach the next query without a solve in
+    /// between; right after `max_flow` and `resume_max_flow` the kept side
+    /// equals a full BFS.
+    #[test]
+    fn reachability_follows_every_edge_change_after_a_solve() {
+        // s → a → t, both edges saturated by the max flow: a is cut off.
+        let solved = || {
+            let mut g = FlowNetwork::new(3);
+            let sa = g.add_edge(0, 1, 5.0);
+            g.add_edge(1, 2, 5.0);
+            assert_eq!(g.max_flow(0, 2), 5.0);
+            assert!(g.levels_current);
+            assert_eq!(g.residual_reachable_from_source(), full_bfs(&g));
+            assert_eq!(g.residual_reachable_from_source(), [true, false, false]);
+            (g, sa)
+        };
+
+        let (mut g, sa) = solved();
+        assert_eq!(g.set_capacity(sa, 8.0), 0.0);
+        assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
+
+        let (mut g, sa) = solved();
+        g.set_flow(sa, 4.0);
+        assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
+
+        let (mut g, sa) = solved();
+        assert_eq!(g.cancel_path(&[sa], 1.0), 1.0);
+        assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
+
+        let (mut g, _) = solved();
+        g.add_edge(0, 1, 1.0);
+        assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
+
+        // After a resume the kept side is current again, and equals a full
+        // BFS.
+        let (mut g, sa) = solved();
+        g.set_capacity(sa, 8.0);
+        assert_eq!(g.resume_max_flow(0, 2), 5.0);
+        assert!(g.levels_current);
+        assert_eq!(g.residual_reachable_from_source(), full_bfs(&g));
+        assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
+    }
+
+    /// On a network where the sink is found long before the BFS could
+    /// finish, the early-exit phases still end in a kept side equal to a
+    /// full BFS, for cold and resumed solves alike.
+    #[test]
+    fn kept_side_equals_a_full_bfs_after_cold_and_resumed_solves() {
+        let (mut g, ids) = clrs();
+        g.max_flow(0, 5);
+        assert_eq!(g.residual_reachable_from_source(), full_bfs(&g));
+        assert_eq!(g.set_capacity(ids[9], 10.0), 0.0);
+        g.resume_max_flow(0, 5);
+        assert_eq!(g.residual_reachable_from_source(), full_bfs(&g));
+
+        let (jobs, ivals) = (60usize, 20usize);
+        let t = 1 + jobs + ivals;
+        let mut g = FlowNetwork::new(t + 1);
+        let src: Vec<EdgeId> = (0..jobs).map(|i| g.add_edge(0, 1 + i, 1.0)).collect();
+        for i in 0..jobs {
+            for j in (0..ivals).filter(|j| (i + j) % 3 == 0) {
+                g.add_edge(1 + i, 1 + jobs + j, 0.5);
+            }
+        }
+        for j in 0..ivals {
+            g.add_edge(1 + jobs + j, t, 2.0 + j as f64 * 0.25);
+        }
+        g.max_flow(0, t);
+        let side = g.residual_reachable_from_source();
+        assert_eq!(side, full_bfs(&g));
+        assert!(side.iter().any(|&b| b) && !side[t]);
+        for (i, &e) in src.iter().enumerate() {
+            assert_eq!(g.set_capacity(e, 1.0 + (i % 4) as f64 * 0.5), 0.0);
+        }
+        g.resume_max_flow(0, t);
+        assert_eq!(g.residual_reachable_from_source(), full_bfs(&g));
     }
 
     #[test]

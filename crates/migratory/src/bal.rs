@@ -548,19 +548,20 @@ fn probe_on(
 /// Every step picks one candidate speed from the current bracket and cut
 /// state alone and probes it on the warm `base` solver in place:
 ///
-/// * when `base` holds an infeasible solve, the discrete-Newton bound
-///   [`WapSolver::cut_speed_bound`] of its cut (a certified lower bound on
-///   the critical speed, strictly above the state's own speed); a bound
-///   within the closing tolerance of `hi` ends the search without a probe;
-/// * when it holds none (before the first probe, or after a feasible one),
-///   the bracket's low end — at first the density lower bound, which on
-///   peel rounds often *is* the critical speed;
+/// * the discrete-Newton bound [`WapSolver::cut_speed_bound`] of the last
+///   infeasible probe's cut (a certified lower bound on the critical speed,
+///   strictly above that probe's speed); a bound within the closing
+///   tolerance of `hi` ends the search without a probe. The bound is kept
+///   across feasible probes, which overwrite `base` but not what its cut
+///   proved, so the cut at `lo` is read once and never probed again;
+/// * before the first probe, the density lower bound `lo`, which on peel
+///   rounds often *is* the critical speed;
 /// * otherwise a geometric splitter toward `hi`, or the midpoint when the
 ///   splitter is not strictly inside the bracket, which bounds the step
 ///   count even when the Newton bound stalls.
 ///
 /// A feasible probe lowers `hi`; an infeasible one raises `lo`, and its cut
-/// feeds the next Newton step. The ladder terminates when the bracket
+/// feeds the next Newton steps. The ladder terminates when the bracket
 /// closes below [`BINARY_SEARCH_REL_WIDTH`] or when the Newton bound
 /// certifies `hi` itself; on budget exhaustion it returns the best feasible
 /// speed so far with `meter.exhausted()` set, the same salvage contract as
@@ -586,8 +587,10 @@ fn ladder_search(
     let rel = BINARY_SEARCH_REL_WIDTH;
     let mut v_lo = lo;
     let mut v_hi = hi;
-    // Does `base` hold an infeasible solve whose cut is worth reading?
-    let mut base_infeasible = false;
+    // The Newton bound of the last infeasible probe's cut: `None` before
+    // the first infeasible probe, `Some(None)` when that cut bounds
+    // nothing.
+    let mut newton: Option<Option<f64>> = None;
     let mut works = vec![0.0f64; instance.len()];
     for &i in remaining {
         works[i] = instance.job(i).work;
@@ -600,24 +603,18 @@ fn ladder_search(
         if v_hi - v_lo <= rel * v_hi.abs().max(1e-300) {
             return Ok(v_hi);
         }
-        let newton = if base_infeasible {
-            base.cut_speed_bound(&works)
-        } else {
-            None
-        };
         let v = match newton {
             // The cut certifies critical speed >= vn ≈ v_hi, and v_hi is
             // already probed feasible: converged without a probe.
-            Some(vn) if vn >= v_hi * (1.0 - rel) => return Ok(v_hi),
-            Some(vn) if vn > v_lo => vn,
+            Some(Some(vn)) if vn >= v_hi * (1.0 - rel) => return Ok(v_hi),
+            Some(Some(vn)) if vn > v_lo => vn,
             // Opening probe: the density lower bound alone. On peel rounds
             // where the previous critical job pinned the speed it *is* the
             // critical speed, ending the round in a single probe (mirroring
             // bisection's early exit); when it is infeasible instead, its
             // cut seeds the Newton steps.
-            _ if !base_infeasible && v_lo > 0.0 => v_lo,
-            // Infeasible base but no usable cut bound: split the bracket so
-            // it still shrinks.
+            None if v_lo > 0.0 => v_lo,
+            // No usable cut bound: split the bracket so it still shrinks.
             _ => {
                 let g = (v_lo * v_hi).sqrt();
                 let mid = 0.5 * (v_lo + v_hi);
@@ -638,15 +635,15 @@ fn ladder_search(
         probe_log.push((v, ok));
         if ok {
             v_hi = v_hi.min(v);
-        } else if v >= v_lo {
+        } else {
             // `>=`: an infeasible probe at exactly `v_lo` (the density
             // bound) does not move the bracket but its cut seeds the
             // Newton steps.
-            v_lo = v;
+            if v >= v_lo {
+                v_lo = v;
+            }
+            newton = Some(base.cut_speed_bound(&works));
         }
-        // A feasible probe overwrote the base; its residual cut no longer
-        // certifies anything.
-        base_infeasible = !ok;
         if v_lo > v_hi || meter.exhausted().is_some() {
             // Tolerance fringe (an infeasible probe above a feasible one:
             // both sit within the feasibility tolerance of the true
@@ -725,16 +722,18 @@ fn route_residues(
     let l = saturated.len();
     // Node layout: 0 source, 1..=k criticals, k+1..=k+l intervals, k+l+1 sink.
     let mut net = FlowNetwork::new(k + l + 2);
-    let ival_pos: std::collections::HashMap<usize, usize> = saturated
-        .iter()
-        .enumerate()
-        .map(|(pos, &j)| (j, pos))
-        .collect();
+    // Position of each saturated interval in `saturated`; `usize::MAX` for
+    // the rest.
+    let mut ival_pos = vec![usize::MAX; intervals.len()];
+    for (pos, &j) in saturated.iter().enumerate() {
+        ival_pos[j] = pos;
+    }
     let mut edge_of: Vec<Vec<(usize, ssp_maxflow::EdgeId)>> = vec![Vec::new(); k];
     for (c, (&i, &res)) in critical.iter().zip(residues).enumerate() {
         net.add_edge(0, 1 + c, res);
         for j in wap.open_intervals_of(i) {
-            if let Some(&pos) = ival_pos.get(&j) {
+            let pos = ival_pos[j];
+            if pos != usize::MAX {
                 let e = net.add_edge(1 + c, 1 + k + pos, intervals.length(j));
                 edge_of[c].push((j, e));
             }

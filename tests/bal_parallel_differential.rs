@@ -16,6 +16,9 @@
 //! feasibility classifier's 1e-9 relative tolerance, so their energies must
 //! agree to ~1e-8 relative (not bit-for-bit — the transcripts legitimately
 //! differ).
+//!
+//! A third pins the ladder's contract that a cut once read is never probed
+//! again: no round's transcript holds one speed twice.
 
 use ssp_migratory::bal::{try_bal_with_wap_strategy, BalSolution, ProbeStrategy};
 use ssp_migratory::wap::Wap;
@@ -157,6 +160,27 @@ fn ladder_transcripts_are_thread_count_invariant() {
             let parallel = solve_at_width(&instance, ProbeStrategy::Ladder, width);
             let ctx = format!("{name} @ width {width}");
             assert_transcripts_identical(&serial, &parallel, &ctx);
+        }
+    }
+}
+
+/// Every probe is a max-flow solve, and the ladder keeps the Newton bound
+/// of the last infeasible cut across feasible probes, so no round needs a
+/// speed it has already probed (the density opener `v_lo` included).
+#[test]
+fn ladder_never_probes_one_speed_twice() {
+    for (name, instance) in instances() {
+        let sol = solve(&instance, ProbeStrategy::Ladder);
+        for (r, round) in sol.rounds.iter().enumerate() {
+            let mut speeds: Vec<u64> = round.probes.iter().map(|p| p.0.to_bits()).collect();
+            speeds.sort_unstable();
+            if let Some(w) = speeds.windows(2).find(|w| w[0] == w[1]) {
+                panic!(
+                    "{name}: round {r} probed speed {} twice in {:?}",
+                    f64::from_bits(w[0]),
+                    round.probes
+                );
+            }
         }
     }
 }
