@@ -5,7 +5,7 @@
 //! two drivers: the default cut-guided probe **ladder** (one warm probe
 //! per step at a Newton bound, the density opener or a splitter) or the
 //! retained budgeted **bisection** baseline. This experiment quantifies
-//! the gap the ladder buys and re-states its three contracts as assertions:
+//! the gap the ladder buys and re-states its four contracts as assertions:
 //!
 //! 1. **Agreement.** Both drivers stop inside the feasibility classifier's
 //!    `1e-9` relative tolerance, so their energies must agree to `1e-8`
@@ -20,6 +20,10 @@
 //! 3. **No repeated probe.** The ladder keeps the Newton bound of the last
 //!    infeasible cut across feasible probes, so no round's transcript
 //!    probes one speed twice; a re-probe of `v_lo` coming back fails here.
+//! 4. **Lazy upper end.** A round's upper end is the previous round's
+//!    speed, and the ladder probes it only when the round ends on it, so a
+//!    round that settles strictly below it never probes it; an eager probe
+//!    of the upper end coming back fails here.
 //!
 //! The headline column is the probe ratio (bisection probes / ladder
 //! probes): every feasibility probe is a parametric max-flow solve, so the
@@ -77,6 +81,20 @@ fn repeated_probe(sol: &BalSolution) -> Option<f64> {
     })
 }
 
+/// The first round of `sol` that settles strictly below the previous
+/// round's speed yet probes it, with that speed.
+fn probed_previous_speed(sol: &BalSolution) -> Option<(usize, f64)> {
+    sol.rounds.windows(2).enumerate().find_map(|(r, pair)| {
+        let (prev, round) = (&pair[0], &pair[1]);
+        (round.speed < prev.speed
+            && round
+                .probes
+                .iter()
+                .any(|p| p.0.to_bits() == prev.speed.to_bits()))
+        .then_some((r + 1, prev.speed))
+    })
+}
+
 /// Run EXP-23.
 pub fn run(cfg: &RunCfg) -> Vec<Table> {
     let machines = 3;
@@ -130,6 +148,11 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
             // Contract 3: no round probes one speed twice.
             if let Some(v) = repeated_probe(&ladder) {
                 panic!("{family}/n={n}: a ladder round probed speed {v} twice");
+            }
+
+            // Contract 4: a round below its upper end never probes it.
+            if let Some((r, v)) = probed_previous_speed(&ladder) {
+                panic!("{family}/n={n}: round {r} settled below {v} yet probed it");
             }
 
             table.push(vec![

@@ -43,8 +43,11 @@ pub struct BalRound {
     /// Interval indices whose capacity was saturated (zeroed) this round.
     pub saturated: Vec<usize>,
     /// The round's speed-search probe transcript: every feasibility probe
-    /// (speed, feasible) in execution order — the upper-bound re-establish
-    /// probes followed by the ladder/bisection probes. The transcript is a
+    /// (speed, feasible) in execution order. The round's upper end, the
+    /// previous round's speed, is probed only where it must be: bisection
+    /// opens with the probes that establish it feasible, while the ladder
+    /// probes it only if the round ends on it, so a ladder round that
+    /// settles below it never probes it. The transcript is a
     /// pure function of the instance and the [`ProbeStrategy`]: every probe
     /// runs on the calling thread, so `SSP_THREADS` cannot reach it (the
     /// differential wall replays it under pinned widths to keep it so).
@@ -52,7 +55,7 @@ pub struct BalRound {
 }
 
 /// How each round locates its critical speed between the density lower
-/// bound and the previous round's (feasible) speed.
+/// bound and the previous round's speed (feasible up to boundary noise).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProbeStrategy {
     /// Cut-guided probe ladder (the default): every step picks one
@@ -257,54 +260,26 @@ pub fn try_bal_with_wap_strategy(
         let mut solver = wap.solver();
         let mut pbuf = vec![0.0; n];
         let mut probe_log: Vec<(f64, bool)> = Vec::new();
+        let mut prober = Prober {
+            instance,
+            remaining: &remaining,
+            solver: &mut solver,
+            pbuf: &mut pbuf,
+            flow_computations: &mut flow_computations,
+            log: &mut probe_log,
+        };
 
-        // The previous round's speed should be feasible; tolerate boundary
-        // noise by nudging upward a few times before growing aggressively.
-        // Budget exhaustion cannot abort this loop — without a feasible
-        // upper bound there is no best-so-far answer to salvage — but the
-        // loop is bounded by the guard either way.
-        let mut guard = 0;
-        while {
-            meter.tick();
-            flow_computations += 1;
-            let ok = probe_on(instance, &remaining, &mut solver, &mut pbuf, hi);
-            probe_log.push((hi, ok));
-            !ok
-        } {
-            hi *= if guard < 4 { 1.0 + 1e-9 } else { 2.0 };
-            guard += 1;
-            if guard >= 80 {
-                return Err(SolveError::Numeric {
-                    message: format!(
-                        "could not re-establish a feasible upper bound (reached {hi})"
-                    ),
-                });
-            }
+        // `hi`, the previous round's speed, is feasible up to boundary
+        // noise but not yet probed on this round's network. Bisection needs
+        // it probed feasible before its first step; the ladder probes it
+        // only if it would end the round on it.
+        if strategy == ProbeStrategy::Bisection {
+            let mut upper = UpperEnd::new(hi);
+            while !upper.verify(&mut prober, &mut meter)? {}
+            hi = upper.v;
         }
         if lo > hi {
             lo = hi; // effective density can slightly exceed hi by tolerance
-        }
-
-        // Out of budget: fix everything still open at the known-feasible
-        // uniform speed `hi` and stop peeling.
-        if meter.exhausted().is_some() {
-            fix_remaining_at(
-                instance,
-                &wap,
-                hi,
-                &remaining,
-                &mut speeds,
-                &mut allotments,
-                &mut flow_computations,
-            )?;
-            rounds.push(BalRound {
-                speed: hi,
-                jobs: remaining.clone(),
-                saturated: Vec::new(),
-                probes: probe_log,
-            });
-            budget_exhausted = meter.exhausted();
-            break;
         }
 
         // Locate the critical speed. Either driver ticks the meter once per
@@ -313,23 +288,13 @@ pub fn try_bal_with_wap_strategy(
         let searched = {
             let _bisect_span = ssp_probe::span("bal.bisect");
             match strategy {
-                ProbeStrategy::Ladder => ladder_search(
-                    instance,
-                    &remaining,
-                    &mut solver,
-                    &mut pbuf,
-                    lo,
-                    hi,
-                    &mut meter,
-                    &mut flow_computations,
-                    &mut probe_log,
-                ),
+                ProbeStrategy::Ladder => ladder_search(&mut prober, lo, hi, &mut meter),
+                // Out of budget already: salvage the established upper end
+                // (bisection would probe both ends whatever the budget).
+                ProbeStrategy::Bisection if meter.exhausted().is_some() => Ok(hi),
                 ProbeStrategy::Bisection => {
                     bisect_threshold_budgeted(lo, hi, BINARY_SEARCH_REL_WIDTH, &mut meter, |v| {
-                        flow_computations += 1;
-                        let ok = probe_on(instance, &remaining, &mut solver, &mut pbuf, v);
-                        probe_log.push((v, ok));
-                        ok
+                        prober.probe(v)
                     })
                     .map(|(_, v_hi)| v_hi)
                 }
@@ -339,7 +304,8 @@ pub fn try_bal_with_wap_strategy(
         ssp_probe::histogram!("bal.bisect.probes", meter.used() - meter_before);
         let v_crit = searched?;
         if meter.exhausted().is_some() {
-            // Truncated search: `v_crit` is the feasible end of the bracket.
+            // Out of budget: fix everything still open at `v_crit`, the
+            // feasible end of the bracket, and stop peeling.
             fix_remaining_at(
                 instance,
                 &wap,
@@ -526,58 +492,118 @@ pub fn try_bal_with_wap_strategy(
     })
 }
 
-/// One warm feasibility probe at uniform speed `v` on `solver` (demands
-/// `w_i / v` for the remaining jobs, 0 elsewhere).
-fn probe_on(
-    instance: &Instance,
-    remaining: &[usize],
-    solver: &mut WapSolver,
-    pbuf: &mut [f64],
-    v: f64,
-) -> bool {
-    for &i in remaining {
-        pbuf[i] = instance.job(i).work / v;
+/// One round's feasibility probes: each solves the round's warm WAP at one
+/// uniform speed (demands `w_i / v` for the remaining jobs, 0 elsewhere),
+/// counts one max-flow computation and joins the round's transcript.
+struct Prober<'a> {
+    instance: &'a Instance,
+    remaining: &'a [usize],
+    solver: &'a mut WapSolver,
+    pbuf: &'a mut [f64],
+    flow_computations: &'a mut usize,
+    log: &'a mut Vec<(f64, bool)>,
+}
+
+impl Prober<'_> {
+    /// Probe uniform speed `v`; `true` when it is feasible.
+    fn probe(&mut self, v: f64) -> bool {
+        *self.flow_computations += 1;
+        for &i in self.remaining {
+            self.pbuf[i] = self.instance.job(i).work / v;
+        }
+        self.solver.solve(self.pbuf);
+        let ok = self.solver.feasible();
+        self.log.push((v, ok));
+        ok
     }
-    solver.solve(pbuf);
-    solver.feasible()
+}
+
+/// A round's upper end: the previous round's critical speed (the routing
+/// bound in round 0) until a feasible probe replaces it. It is feasible up
+/// to boundary noise, but interval capacities change between rounds, so
+/// only a probe on this round's network proves it.
+struct UpperEnd {
+    v: f64,
+    probed: bool,
+    nudges: u32,
+}
+
+impl UpperEnd {
+    fn new(v: f64) -> Self {
+        UpperEnd {
+            v,
+            probed: false,
+            nudges: 0,
+        }
+    }
+
+    /// Prove `v` feasible before a search returns it: probe it unless a
+    /// probe already has. The probe ticks the meter but ignores the budget —
+    /// without a feasible upper end there is no best-so-far answer to
+    /// salvage. `Ok(false)` means `v` was infeasible: its cut is on the
+    /// solver, and `v` has moved up to tolerate the boundary noise, by
+    /// ×(1 + 1e-9) for the first four nudges and ×2 after; the 80th nudge,
+    /// or one that leaves no finite speed, is an error.
+    fn verify(&mut self, prober: &mut Prober<'_>, meter: &mut Meter) -> Result<bool, SolveError> {
+        if self.probed {
+            return Ok(true);
+        }
+        meter.tick();
+        if prober.probe(self.v) {
+            self.probed = true;
+            return Ok(true);
+        }
+        self.v *= if self.nudges < 4 { 1.0 + 1e-9 } else { 2.0 };
+        self.nudges += 1;
+        if self.nudges >= 80 || !self.v.is_finite() {
+            return Err(SolveError::Numeric {
+                message: format!(
+                    "could not re-establish a feasible upper bound (reached {})",
+                    self.v
+                ),
+            });
+        }
+        Ok(false)
+    }
 }
 
 /// The cut-guided probe ladder: locate the round's critical speed inside
-/// `(lo, hi]` (with `hi` already probed feasible on `base`).
+/// `(lo, hi]`, where `hi` is the round's unprobed [`UpperEnd`].
 ///
-/// Every step picks one candidate speed from the current bracket and cut
-/// state alone and probes it on the warm `base` solver in place:
+/// Every step picks one candidate speed strictly below the upper end from
+/// the current bracket and cut state alone, and probes it on the warm
+/// solver in place:
 ///
 /// * the discrete-Newton bound [`WapSolver::cut_speed_bound`] of the last
 ///   infeasible probe's cut (a certified lower bound on the critical speed,
 ///   strictly above that probe's speed); a bound within the closing
-///   tolerance of `hi` ends the search without a probe. The bound is kept
-///   across feasible probes, which overwrite `base` but not what its cut
-///   proved, so the cut at `lo` is read once and never probed again;
+///   tolerance of the upper end ends the search there. The bound is kept
+///   across feasible probes, which overwrite the solver but not what its
+///   cut proved, so the cut at `lo` is read once and never probed again;
 /// * before the first probe, the density lower bound `lo`, which on peel
 ///   rounds often *is* the critical speed;
-/// * otherwise a geometric splitter toward `hi`, or the midpoint when the
-///   splitter is not strictly inside the bracket, which bounds the step
-///   count even when the Newton bound stalls.
+/// * otherwise a geometric splitter toward the upper end, or the midpoint
+///   when the splitter is not strictly inside the bracket, which bounds the
+///   step count even when the Newton bound stalls.
 ///
-/// A feasible probe lowers `hi`; an infeasible one raises `lo`, and its cut
-/// feeds the next Newton steps. The ladder terminates when the bracket
-/// closes below [`BINARY_SEARCH_REL_WIDTH`] or when the Newton bound
-/// certifies `hi` itself; on budget exhaustion it returns the best feasible
-/// speed so far with `meter.exhausted()` set, the same salvage contract as
-/// [`bisect_threshold_budgeted`]. `base` is left holding the last probe's
-/// solve, from which the caller's classification probe warm-starts.
-#[allow(clippy::too_many_arguments)]
+/// A feasible probe replaces the upper end; an infeasible one raises `lo`,
+/// and its cut feeds the next Newton steps. The ladder ends on the upper
+/// end when the bracket closes below [`BINARY_SEARCH_REL_WIDTH`], when the
+/// Newton bound certifies it, when f64 runs out of speeds between the
+/// ends, or when the budget runs out (returning the feasible end with
+/// `meter.exhausted()` set, the same salvage contract as
+/// [`bisect_threshold_budgeted`]). Nearly every round finds a feasible
+/// speed of its own below `hi`, so `hi` is probed only when the ladder ends
+/// on it unreplaced ([`UpperEnd::verify`]); an infeasible verdict there
+/// raises `lo`, feeds its cut to the Newton steps and nudges the upper end,
+/// and the search goes on. No speed is probed twice. The solver is left
+/// holding the last probe's solve, from which the caller's classification
+/// probe warm-starts.
 fn ladder_search(
-    instance: &Instance,
-    remaining: &[usize],
-    base: &mut WapSolver,
-    pbuf: &mut [f64],
+    prober: &mut Prober<'_>,
     lo: f64,
     hi: f64,
     meter: &mut Meter,
-    flow_computations: &mut usize,
-    probe_log: &mut Vec<(f64, bool)>,
 ) -> Result<f64, SolveError> {
     if !(lo.is_finite() && hi.is_finite()) || lo > hi {
         return Err(SolveError::Numeric {
@@ -586,71 +612,71 @@ fn ladder_search(
     }
     let rel = BINARY_SEARCH_REL_WIDTH;
     let mut v_lo = lo;
-    let mut v_hi = hi;
+    let mut upper = UpperEnd::new(hi);
     // The Newton bound of the last infeasible probe's cut: `None` before
     // the first infeasible probe, `Some(None)` when that cut bounds
     // nothing.
     let mut newton: Option<Option<f64>> = None;
-    let mut works = vec![0.0f64; instance.len()];
-    for &i in remaining {
-        works[i] = instance.job(i).work;
+    let mut works = vec![0.0f64; prober.instance.len()];
+    for &i in prober.remaining {
+        works[i] = prober.instance.job(i).work;
     }
 
     // Each step either returns or strictly shrinks the bracket (the
     // geometric splitter alone closes it in O(log log-ratio / rel) steps),
     // so this bound is a pure backstop.
     for _ in 0..10_000 {
-        if v_hi - v_lo <= rel * v_hi.abs().max(1e-300) {
-            return Ok(v_hi);
-        }
-        let v = match newton {
-            // The cut certifies critical speed >= vn ≈ v_hi, and v_hi is
-            // already probed feasible: converged without a probe.
-            Some(Some(vn)) if vn >= v_hi * (1.0 - rel) => return Ok(v_hi),
-            Some(Some(vn)) if vn > v_lo => vn,
-            // Opening probe: the density lower bound alone. On peel rounds
-            // where the previous critical job pinned the speed it *is* the
-            // critical speed, ending the round in a single probe (mirroring
-            // bisection's early exit); when it is infeasible instead, its
-            // cut seeds the Newton steps.
-            None if v_lo > 0.0 => v_lo,
-            // No usable cut bound: split the bracket so it still shrinks.
-            _ => {
-                let g = (v_lo * v_hi).sqrt();
-                let mid = 0.5 * (v_lo + v_hi);
-                if g.is_finite() && g > v_lo && g < v_hi {
-                    g
-                } else if mid > v_lo && mid < v_hi {
-                    mid
-                } else {
-                    return Ok(v_hi); // f64 exhausted
+        let v_hi = upper.v;
+        // The next speed to probe; `None` ends the search on the upper end.
+        let next = if v_hi - v_lo <= rel * v_hi.abs().max(1e-300) {
+            None
+        } else {
+            match newton {
+                // The cut certifies critical speed >= vn ≈ v_hi: converged.
+                Some(Some(vn)) if vn >= v_hi * (1.0 - rel) => None,
+                Some(Some(vn)) if vn > v_lo => Some(vn),
+                // Opening probe: the density lower bound alone. On peel
+                // rounds where the previous critical job pinned the speed it
+                // *is* the critical speed, ending the round in a single
+                // probe (mirroring bisection's early exit); when it is
+                // infeasible instead, its cut seeds the Newton steps.
+                None if v_lo > 0.0 => Some(v_lo),
+                // No usable cut bound: split the bracket so it still shrinks.
+                _ => {
+                    let g = (v_lo * v_hi).sqrt();
+                    let mid = 0.5 * (v_lo + v_hi);
+                    if g.is_finite() && g > v_lo && g < v_hi {
+                        Some(g)
+                    } else if mid > v_lo && mid < v_hi {
+                        Some(mid)
+                    } else {
+                        None // f64 exhausted
+                    }
                 }
             }
         };
-        if !meter.tick() {
-            return Ok(v_hi); // exhausted: salvage the feasible end
-        }
-        *flow_computations += 1;
-        let ok = probe_on(instance, remaining, base, pbuf, v);
-        probe_log.push((v, ok));
-        if ok {
-            v_hi = v_hi.min(v);
-        } else {
-            // `>=`: an infeasible probe at exactly `v_lo` (the density
-            // bound) does not move the bracket but its cut seeds the
-            // Newton steps.
-            if v >= v_lo {
-                v_lo = v;
+        let infeasible = match next {
+            Some(v) if meter.tick() => {
+                if prober.probe(v) {
+                    upper.v = v;
+                    upper.probed = true;
+                    continue;
+                }
+                v
             }
-            newton = Some(base.cut_speed_bound(&works));
-        }
-        if v_lo > v_hi || meter.exhausted().is_some() {
-            // Tolerance fringe (an infeasible probe above a feasible one:
-            // both sit within the feasibility tolerance of the true
-            // critical speed) or an exhausted budget: the feasible end is
-            // the answer.
-            return Ok(v_hi);
-        }
+            // Ending on the upper end, or salvaging it once the budget is
+            // gone: it must be feasible first.
+            _ => {
+                if upper.verify(prober, meter)? {
+                    return Ok(upper.v);
+                }
+                v_hi
+            }
+        };
+        // An infeasible speed raises the lower end (the opener probes `lo`
+        // itself, which leaves it), and its cut feeds the Newton steps.
+        v_lo = infeasible;
+        newton = Some(prober.solver.cut_speed_bound(&works));
     }
     Err(SolveError::Numeric {
         message: "probe ladder failed to converge".to_string(),
@@ -929,8 +955,9 @@ mod tests {
 
     #[test]
     fn exhausted_budget_still_yields_a_valid_schedule() {
-        // Spread windows force several peeling rounds; a tiny iteration
-        // budget cannot finish them.
+        // These spread windows peel in one round of two probes; a budget
+        // of one probe runs out inside it, so every job is fixed at the
+        // round's unpeeled upper end.
         let jobs: Vec<Job> = (0..8)
             .map(|i| {
                 Job::new(
@@ -943,7 +970,7 @@ mod tests {
             .collect();
         let instance = inst(jobs, 2, 2.0);
         let optimal = bal(&instance).energy;
-        let sol = try_bal(&instance, Budget::iterations(2)).unwrap();
+        let sol = try_bal(&instance, Budget::iterations(1)).unwrap();
         assert_eq!(sol.budget_exhausted, Some("iterations"));
         // Valid: the explicit schedule passes the full validator.
         let schedule = sol.schedule(&instance);
@@ -954,6 +981,49 @@ mod tests {
             sol.energy >= optimal * (1.0 - 1e-9),
             "capped run beat the optimum"
         );
+    }
+
+    #[test]
+    fn ladder_nudges_an_infeasible_upper_end_without_reprobing() {
+        // Three jobs of work 2 in [0, 4] on two machines: critical speed
+        // 3·2/(2·4) = 0.75, density bound 0.5. Hand the ladder an upper end
+        // of 0.6, below the critical speed.
+        let jobs: Vec<Job> = (0..3).map(|i| Job::new(i, 2.0, 0.0, 4.0)).collect();
+        let instance = inst(jobs, 2, 2.0);
+        let (wap, _) = Wap::from_instance(&instance);
+        let remaining: Vec<usize> = (0..instance.len()).collect();
+        let mut solver = wap.solver();
+        let mut pbuf = vec![0.0; instance.len()];
+        let (mut flows, mut log) = (0, Vec::new());
+        let mut prober = Prober {
+            instance: &instance,
+            remaining: &remaining,
+            solver: &mut solver,
+            pbuf: &mut pbuf,
+            flow_computations: &mut flows,
+            log: &mut log,
+        };
+        let hi = 0.6;
+        let v = ladder_search(&mut prober, 0.5, hi, &mut Budget::unlimited().meter()).unwrap();
+
+        assert!((v - 0.75).abs() <= 1e-9 * 0.75, "ladder returned {v}");
+        assert!(
+            log.contains(&(v, true)),
+            "{v} was not probed feasible: {log:?}"
+        );
+        assert!(
+            log.contains(&(hi, false)),
+            "the upper end was not verified: {log:?}"
+        );
+        assert!(
+            log.contains(&(hi * (1.0 + 1e-9), false)),
+            "the upper end was not nudged: {log:?}"
+        );
+        let mut speeds: Vec<u64> = log.iter().map(|p| p.0.to_bits()).collect();
+        speeds.sort_unstable();
+        speeds.dedup();
+        assert_eq!(speeds.len(), log.len(), "a speed was probed twice: {log:?}");
+        assert_eq!(flows, log.len());
     }
 
     #[test]

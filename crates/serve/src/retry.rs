@@ -1,12 +1,12 @@
 //! Bounded retry with exponential backoff and seeded jitter.
 //!
 //! The harness already turns every failure into typed data; this module
-//! decides which of those failures are worth a second attempt. Only
-//! *transient* kinds are retried — a caught panic or a numeric blow-up can
-//! be an artifact of one particular trajectory, while a model error or a
-//! precondition violation is deterministic and will fail identically every
-//! time. Deadline/cancellation exhaustion is never retried: the time is
-//! already gone.
+//! decides which of those failures are worth a second attempt. None of the
+//! solver's own are: every solve is a deterministic function of its input,
+//! so a caught panic, a numeric blow-up or a precondition violation repeats
+//! bit for bit on a retry, and deadline/cancellation exhaustion means the
+//! time is already gone. The only failures retried are the synthetic
+//! transients of [`RetryPolicy::inject_transient`], which exercise the loop.
 //!
 //! Backoff doubles from [`RetryPolicy::base_backoff`] up to
 //! [`RetryPolicy::max_backoff`] with multiplicative jitter in `[0.5, 1.0)`
@@ -54,16 +54,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Is this failure worth retrying? Panics and numeric blow-ups may be
-/// trajectory-dependent; everything else is deterministic or already
-/// accounts for elapsed time.
-pub fn is_transient(error: &SolveError) -> bool {
-    matches!(
-        error,
-        SolveError::InternalPanic { .. } | SolveError::Numeric { .. }
-    )
-}
-
 /// Outcome of [`run_with_retry`].
 pub struct RetryOutcome<T> {
     /// The last attempt's result.
@@ -75,8 +65,8 @@ pub struct RetryOutcome<T> {
 /// Drive `attempt` through the policy. `deadline` bounds the whole loop:
 /// no retry is launched (nor slept for) once it would start past the
 /// deadline — the last failure is returned instead. Each successful result
-/// is final; each transient failure costs one retry plus a jittered
-/// backoff sleep.
+/// and each failure of `attempt` is final; each injected failure costs one
+/// retry plus a jittered backoff sleep.
 pub fn run_with_retry<T>(
     policy: &RetryPolicy,
     max_retries: u32,
@@ -87,7 +77,8 @@ pub fn run_with_retry<T>(
     let mut retries = 0u32;
     loop {
         let attempt_no = retries;
-        let result = if attempt_no < policy.inject_transient {
+        let injected = attempt_no < policy.inject_transient;
+        let result = if injected {
             Err(SolveError::Numeric {
                 message: format!("injected transient failure (attempt {attempt_no})"),
             })
@@ -103,7 +94,7 @@ pub fn run_with_retry<T>(
             }
             Err(e) => e,
         };
-        let give_up = retries >= max_retries || !is_transient(&err);
+        let give_up = retries >= max_retries || !injected;
         if give_up {
             return RetryOutcome {
                 result: Err(err),
@@ -187,15 +178,18 @@ mod tests {
     #[test]
     fn retry_budget_is_bounded() {
         let mut calls = 0u32;
-        let out = run_with_retry(&quick_policy(0), 2, None, |_| {
+        let out = run_with_retry(&quick_policy(10), 2, None, |_| {
             calls += 1;
-            Err::<(), _>(SolveError::Numeric {
-                message: "always".into(),
-            })
+            Ok(())
         });
-        assert_eq!(calls, 3, "1 attempt + 2 retries");
+        assert_eq!(calls, 0, "1 attempt + 2 retries, all injected failures");
         assert_eq!(out.retries, 2);
-        assert!(matches!(out.result, Err(SolveError::Numeric { .. })));
+        match out.result {
+            Err(SolveError::Numeric { message }) => {
+                assert!(message.contains("attempt 2"), "{message}")
+            }
+            other => panic!("expected the third injected failure, got {other:?}"),
+        }
     }
 
     #[test]
@@ -214,35 +208,50 @@ mod tests {
     fn deadline_stops_the_retry_loop() {
         let deadline = Instant::now(); // already expired
         let mut calls = 0u32;
-        let out = run_with_retry(&quick_policy(0), 5, Some(deadline), |_| {
+        let out = run_with_retry(&quick_policy(1), 5, Some(deadline), |_| {
             calls += 1;
-            Err::<(), _>(SolveError::Numeric {
-                message: "transient".into(),
-            })
+            Ok(())
         });
-        assert_eq!(calls, 1, "no retry may start past the deadline");
+        assert_eq!(calls, 0, "no retry may start past the deadline");
         assert_eq!(out.retries, 0);
+        assert!(matches!(out.result, Err(SolveError::Numeric { .. })));
     }
 
+    /// Only injected failures are transient: each of the solver's own error
+    /// kinds settles on the first attempt, while the same budget retries
+    /// injected ones through.
     #[test]
     fn transience_classification() {
-        assert!(is_transient(&SolveError::InternalPanic {
-            message: "p".into()
-        }));
-        assert!(is_transient(&SolveError::Numeric {
-            message: "n".into()
-        }));
-        assert!(!is_transient(&SolveError::Infeasible {
-            message: "i".into()
-        }));
-        assert!(!is_transient(&SolveError::BudgetExhausted {
-            resource: "deadline",
-            message: "d".into()
-        }));
-        assert!(!is_transient(&SolveError::Precondition {
-            algorithm: "exact",
-            message: "n too big".into()
-        }));
+        let real = [
+            SolveError::InternalPanic {
+                message: "p".into(),
+            },
+            SolveError::Numeric {
+                message: "n".into(),
+            },
+            SolveError::Infeasible {
+                message: "i".into(),
+            },
+            SolveError::BudgetExhausted {
+                resource: "deadline",
+                message: "d".into(),
+            },
+            SolveError::Precondition {
+                algorithm: "exact",
+                message: "n too big".into(),
+            },
+        ];
+        for error in real {
+            let mut calls = 0u32;
+            let out = run_with_retry(&quick_policy(0), 5, None, |_| {
+                calls += 1;
+                Err::<(), _>(error.clone())
+            });
+            assert_eq!((calls, out.retries), (1, 0), "{error:?} was retried");
+            assert_eq!(out.result.unwrap_err(), error);
+        }
+        let out = run_with_retry(&quick_policy(3), 5, None, Ok);
+        assert_eq!((out.result.unwrap(), out.retries), (3, 3));
     }
 
     #[test]

@@ -96,8 +96,9 @@ commands:
            --telemetry writes the probe trace (spans + counters) as JSONL;
            --timings prints the phase table (see docs/OBSERVABILITY.md)
            --timeout-ms sets a wall-clock deadline observed inside solver
-           loops; --retries retries transient failures with backoff;
-           --inject-transient fails the first K attempts (testing hook)
+           loops; --inject-transient fails the first K attempts (testing
+           hook) and --retries retries those with backoff; a solve is
+           deterministic, so a real failure is final
   budget <file> --energy E [--gantt] [--non-migratory]
                                       minimize makespan under an energy budget
   compare <file>                      run every algorithm, print the scoreboard
@@ -2126,6 +2127,33 @@ mod tests {
             err.message
         );
         std::fs::remove_file(&p).ok();
+    }
+
+    /// Every algorithm fails on this instance, and a solve is deterministic,
+    /// so a retry would fail the same way: `--retries` spends none.
+    #[test]
+    fn solve_does_not_retry_a_deterministic_failure() {
+        let path = std::env::temp_dir().join(format!("ssp_cli_retry_{}.ssp", std::process::id()));
+        std::fs::write(
+            &path,
+            "machines 2\nalpha 2.0\njob 0 1e300 0 1e-300\njob 1 1 0 2\n",
+        )
+        .unwrap();
+        let p = path.to_string_lossy().into_owned();
+        let err = run(&args(&["solve", &p, "--retries", "2"])).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(
+            err.message
+                .contains("no algorithm produced a valid schedule"),
+            "{}",
+            err.message
+        );
+        assert!(
+            !err.message.contains("transient retries spent"),
+            "{}",
+            err.message
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! differ).
 //!
 //! A third pins the ladder's contract that a cut once read is never probed
-//! again: no round's transcript holds one speed twice.
+//! again: no round's transcript holds one speed twice. A fourth pins that
+//! the ladder probes a round's upper end, the previous round's speed, only
+//! when the round ends on it.
 
 use ssp_migratory::bal::{try_bal_with_wap_strategy, BalSolution, ProbeStrategy};
 use ssp_migratory::wap::Wap;
@@ -185,6 +187,36 @@ fn ladder_never_probes_one_speed_twice() {
     }
 }
 
+/// Each round's upper end is the previous round's speed, feasible up to
+/// boundary noise. The ladder probes it only when it would end the round on
+/// it, so a round that settles strictly below it never probes it.
+#[test]
+fn ladder_skips_the_previous_speed_when_it_settles_below() {
+    let mut checked = 0;
+    for (name, instance) in instances() {
+        let sol = solve(&instance, ProbeStrategy::Ladder);
+        for (r, pair) in sol.rounds.windows(2).enumerate() {
+            let (prev, round) = (&pair[0], &pair[1]);
+            if round.speed >= prev.speed {
+                continue;
+            }
+            checked += 1;
+            assert!(
+                round
+                    .probes
+                    .iter()
+                    .all(|p| p.0.to_bits() != prev.speed.to_bits()),
+                "{name}: round {} settled at {} below the previous speed {} yet probed it: {:?}",
+                r + 1,
+                round.speed,
+                prev.speed,
+                round.probes
+            );
+        }
+    }
+    assert!(checked > 0, "no round settled below its upper end");
+}
+
 #[test]
 fn bisection_transcripts_are_thread_count_invariant() {
     // Bisection probes serially regardless of width; the wall still pins it
@@ -230,7 +262,8 @@ fn ladder_and_bisection_agree_on_energy() {
 fn ladder_budget_salvage_is_thread_count_invariant() {
     // Budget exhaustion mid-ladder takes the salvage path (fix remaining
     // jobs at the feasible bracket end); the meter is ticked once per
-    // probe, so the truncation point must be width-invariant too.
+    // probe, so the truncation point must be width-invariant too. The full
+    // solve peels 19 rounds in 21 probes; 12 runs out after 12 rounds.
     let instance = families::laminar_nested(32, 2, 2.0, 0xBA105);
     let solve_budgeted = |width: usize| {
         at_width(width, || {
@@ -239,7 +272,7 @@ fn ladder_budget_salvage_is_thread_count_invariant() {
                 &instance,
                 wap,
                 intervals,
-                Budget::iterations(25),
+                Budget::iterations(12),
                 ProbeStrategy::Ladder,
             )
             .expect("budgeted solve must salvage")
@@ -250,6 +283,10 @@ fn ladder_budget_salvage_is_thread_count_invariant() {
         serial.budget_exhausted,
         Some("iterations"),
         "budget must actually exhaust for the salvage wall to bite"
+    );
+    assert!(
+        serial.rounds.len() > 1,
+        "the budget must run out mid-peel, after at least one round"
     );
     for width in [2usize, 8] {
         let parallel = solve_budgeted(width);

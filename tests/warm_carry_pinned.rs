@@ -48,13 +48,13 @@ fn forced_flow_ladder_reports_the_pinned_work() {
     let general = families::general(100, 4, 2.0).gen(subseed(1, 0));
     assert_eq!(
         forced_flow_ladder(&general),
-        (0x4052164ffec63f47, [51, 33, 79, 13_334, 164]),
+        (0x4052164ffec63f47, [36, 18, 110, 12_273, 115]),
         "general(100, 4, 2.0)"
     );
     let crossing = families::crossing(200, 4, 2.0, subseed(3, 0));
     assert_eq!(
         forced_flow_ladder(&crossing),
-        (0x40582451f8bccfef, [11, 7, 421, 4_809, 60]),
+        (0x40582451f8bccfef, [9, 5, 556, 4_850, 62]),
         "crossing(200, 4, 2.0)"
     );
 }
