@@ -24,11 +24,18 @@
 //!    speed, and the ladder probes it only when the round ends on it, so a
 //!    round that settles strictly below it never probes it; an eager probe
 //!    of the upper end coming back fails here.
+//! 5. **Same classification.** The ladder reads most rounds' critical jobs
+//!    off the cut or flow its search ended on, while bisection solves once
+//!    more just below the critical speed; both must peel the same rounds
+//!    with the same critical jobs, round by round.
 //!
-//! The headline column is the probe ratio (bisection probes / ladder
-//! probes): every feasibility probe is a parametric max-flow solve, so the
-//! ratio is the algorithmic speedup available to any machine, independent
-//! of its core count (`BENCH_bal.json` carries the wall-clock side).
+//! Each strategy gets two counts: its transcript probes (the speed search)
+//! and its max-flow computations (those probes plus each round's
+//! classification probe and residue routing). The headline column is the
+//! probe ratio (bisection probes / ladder probes): every feasibility probe
+//! is a parametric max-flow solve, so the ratio is the algorithmic speedup
+//! available to any machine, independent of its core count
+//! (`BENCH_bal.json` carries the wall-clock side).
 
 use crate::table::{Cell, Table};
 use crate::RunCfg;
@@ -81,6 +88,11 @@ fn repeated_probe(sol: &BalSolution) -> Option<f64> {
     })
 }
 
+/// Feasibility probes in `sol`'s round transcripts.
+fn transcript_probes(sol: &BalSolution) -> usize {
+    sol.rounds.iter().map(|r| r.probes.len()).sum()
+}
+
 /// The first round of `sol` that settles strictly below the previous
 /// round's speed yet probes it, with that speed.
 fn probed_previous_speed(sol: &BalSolution) -> Option<(usize, f64)> {
@@ -108,7 +120,9 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
             "n",
             "rounds",
             "ladder probes",
+            "ladder flows",
             "bisect probes",
+            "bisect flows",
             "probe ratio",
             "energy rel diff",
             "width-8 transcript",
@@ -155,16 +169,28 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
                 panic!("{family}/n={n}: round {r} settled below {v} yet probed it");
             }
 
+            // Contract 5: the same critical jobs, round by round.
+            assert!(
+                ladder.rounds.len() == bisect.rounds.len()
+                    && ladder
+                        .rounds
+                        .iter()
+                        .zip(&bisect.rounds)
+                        .all(|(l, b)| l.jobs == b.jobs),
+                "{family}/n={n}: the ladder and bisection peeled different critical sets"
+            );
+
+            let (ladder_probes, bisect_probes) =
+                (transcript_probes(&ladder), transcript_probes(&bisect));
             table.push(vec![
                 Cell::Text(family.to_string()),
                 Cell::Int(n as i64),
                 Cell::Int(ladder.rounds.len() as i64),
+                Cell::Int(ladder_probes as i64),
                 Cell::Int(ladder.flow_computations as i64),
+                Cell::Int(bisect_probes as i64),
                 Cell::Int(bisect.flow_computations as i64),
-                Cell::Num(
-                    bisect.flow_computations as f64 / ladder.flow_computations.max(1) as f64,
-                    2,
-                ),
+                Cell::Num(bisect_probes as f64 / ladder_probes.max(1) as f64, 2),
                 Cell::Num(rel, 12),
                 Cell::Text("identical".to_string()),
             ]);

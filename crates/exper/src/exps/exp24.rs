@@ -104,6 +104,7 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
             "n",
             "rounds",
             "probes",
+            "flows",
             "fast path %",
             "fallbacks",
             "sweep ops/probe",
@@ -148,21 +149,19 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
                 );
             }
 
-            let probes = auto.flow_computations.max(1);
+            let probes: usize = auto.rounds.iter().map(|r| r.probes.len()).sum();
             table.push(vec![
                 Cell::Text(family.to_string()),
                 Cell::Int(n as i64),
                 Cell::Int(auto.rounds.len() as i64),
+                Cell::Int(probes as i64),
                 Cell::Int(auto.flow_computations as i64),
                 Cell::Num(fast_share * 100.0, 1),
                 Cell::Int(fallbacks as i64),
-                Cell::Num(sweep_ops as f64 / probes as f64, 1),
+                Cell::Num(sweep_ops as f64 / calls.max(1) as f64, 1),
                 Cell::Num(auto_ms, 2),
                 Cell::Num(flow_ms, 2),
-                Cell::Num(
-                    (flow_ms / probes as f64) / (auto_ms / probes as f64).max(1e-12),
-                    2,
-                ),
+                Cell::Num(flow_ms / auto_ms.max(1e-12), 2),
             ]);
         }
     }

@@ -96,7 +96,8 @@ fn degradation_chain_appears_as_attempt_spans() {
 }
 
 /// Counter totals in the trace agree with the solver's own accounting:
-/// BAL's `flow_computations` is exported 1:1 as `bal.flow_calls`.
+/// BAL's `flow_computations` is exported 1:1 as `bal.flow_calls`, and every
+/// WAP solve is a transcript probe or a round's classification probe.
 #[test]
 fn counters_match_solver_accounting() {
     let _lock = session_lock();
@@ -120,6 +121,12 @@ fn counters_match_solver_accounting() {
         "trace and BalSolution must agree on flow-call count"
     );
     assert_eq!(trace.counter("bal.rounds"), sol.rounds.len() as u64);
+    let probes: usize = sol.rounds.iter().map(|r| r.probes.len()).sum();
+    assert_eq!(
+        trace.counter("wap.flow_calls"),
+        probes as u64 + trace.counter("bal.classify_probes"),
+        "WAP solves are the transcripts' probes plus the classification probes"
+    );
     // Every flow computation either ran the generic engine (cold Dinic
     // rebuild, warm restart of a previous run, or a resume seeded from the
     // sweep's greedy flow) or was answered entirely by the certified sweep

@@ -54,8 +54,8 @@ pub struct FlowNetwork {
     csr_edges: Vec<u32>,
     /// Set by `add_edge`; the next solve rebuilds the CSR.
     csr_stale: bool,
-    /// Source of the last solve (for reachability queries).
-    last_source: Option<usize>,
+    /// Source and sink of the last solve (for the reachability queries).
+    terminals: Option<(usize, usize)>,
     // Scratch buffers reused across blocking-flow phases.
     level: Vec<i32>,
     /// Set when a solve ends, cleared by every later change to the edges:
@@ -81,7 +81,7 @@ impl FlowNetwork {
             csr_start: vec![0; n + 1],
             csr_edges: Vec::new(),
             csr_stale: false,
-            last_source: None,
+            terminals: None,
             level: vec![-1; n],
             levels_current: false,
             queue: Vec::with_capacity(n),
@@ -209,8 +209,8 @@ impl FlowNetwork {
         value
     }
 
-    /// Check the terminals, refresh the CSR and remember the source for the
-    /// reachability queries: the common prologue of both solves.
+    /// Check the terminals, refresh the CSR and remember the terminals for
+    /// the reachability queries: the common prologue of both solves.
     fn begin_solve(&mut self, s: usize, t: usize) {
         assert!(
             s < self.num_nodes && t < self.num_nodes,
@@ -218,7 +218,7 @@ impl FlowNetwork {
         );
         assert_ne!(s, t, "source and sink must differ");
         self.ensure_csr();
-        self.last_source = Some(s);
+        self.terminals = Some((s, t));
         self.levels_current = false;
     }
 
@@ -435,10 +435,30 @@ impl FlowNetwork {
     /// solve this reads the solve's last BFS; once an edge has changed it
     /// runs a BFS of its own.
     pub fn residual_reachable_from_source(&self) -> Vec<bool> {
-        let s = self.last_source.expect("call max_flow first");
+        let (s, _) = self.terminals.expect("call max_flow first");
         if self.levels_current {
             return self.level.iter().map(|&l| l >= 0).collect();
         }
+        self.residual_bfs(s, false)
+    }
+
+    /// Nodes that reach the sink of the last solve in the residual graph
+    /// without passing through its source: a BFS from the sink against the
+    /// residual edges that never enters the source. After a max flow, this
+    /// is the sink side of the maximal minimum cut, the same for every
+    /// maximum flow (no residual path runs from the source to the sink, so
+    /// excluding the source changes nothing there); every node outside it
+    /// lies on the source side of some minimum cut.
+    pub fn residual_reaching_sink(&self) -> Vec<bool> {
+        let (_, t) = self.terminals.expect("call max_flow first");
+        self.residual_bfs(t, true)
+    }
+
+    /// BFS over the residual graph from `root` along residual edges, or
+    /// against them when `reverse` (then `v` joins from `u` when `v → u` is
+    /// residual). The reverse search never enters the last solve's source.
+    /// Reads the cached CSR, or a fresh one while the cache is stale.
+    fn residual_bfs(&self, root: usize, reverse: bool) -> Vec<bool> {
         let storage;
         let (start, edges): (&[u32], &[u32]) = if self.csr_stale {
             storage = self.build_csr_fresh();
@@ -446,15 +466,21 @@ impl FlowNetwork {
         } else {
             (&self.csr_start, &self.csr_edges)
         };
+        let barrier = match self.terminals {
+            Some((s, _)) if reverse => s,
+            _ => usize::MAX,
+        };
         let mut seen = vec![false; self.num_nodes];
         let mut queue = std::collections::VecDeque::new();
-        seen[s] = true;
-        queue.push_back(s);
+        seen[root] = true;
+        queue.push_back(root);
         while let Some(u) = queue.pop_front() {
             for idx in start[u]..start[u + 1] {
                 let ei = edges[idx as usize] as usize;
                 let v = self.to[ei] as usize;
-                if self.cap[ei] > self.eps[ei] && !seen[v] {
+                // `ei` is u → v; its partner `ei ^ 1` is v → u.
+                let e = if reverse { ei ^ 1 } else { ei };
+                if self.cap[e] > self.eps[e] && !seen[v] && v != barrier {
                     seen[v] = true;
                     queue.push_back(v);
                 }
@@ -714,7 +740,7 @@ mod tests {
     /// edge list, independent of the CSR and the kept levels.
     fn full_bfs(g: &FlowNetwork) -> Vec<bool> {
         let mut seen = vec![false; g.num_nodes];
-        seen[g.last_source.expect("solved")] = true;
+        seen[g.terminals.expect("solved").0] = true;
         let mut grew = true;
         while grew {
             grew = false;
@@ -727,6 +753,65 @@ mod tests {
             }
         }
         seen
+    }
+
+    /// Nodes with a residual path to the last sink that avoids the last
+    /// source, by a fixpoint over the edge list.
+    fn full_reverse_bfs(g: &FlowNetwork) -> Vec<bool> {
+        let (s, t) = g.terminals.expect("solved");
+        let mut seen = vec![false; g.num_nodes];
+        seen[t] = true;
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for id in 0..g.to.len() {
+                let (u, v) = (g.to[id ^ 1] as usize, g.to[id] as usize);
+                if seen[v] && !seen[u] && u != s && g.cap[id] > g.eps[id] {
+                    seen[u] = true;
+                    grew = true;
+                }
+            }
+        }
+        seen
+    }
+
+    /// The sink side of the maximal min cut: what reaches the sink in the
+    /// residual without the source. A node whose only way on is a
+    /// saturated edge is cut off; a node with slack toward the sink is not.
+    #[test]
+    fn sink_side_is_what_reaches_the_sink_without_the_source() {
+        // s → a → t and s → b → t: a's edge to t is saturated, b's is not.
+        let mut g = FlowNetwork::new(4);
+        g.add_edge(0, 1, 2.0);
+        g.add_edge(0, 2, 1.0);
+        g.add_edge(1, 3, 2.0);
+        g.add_edge(2, 3, 5.0);
+        assert_eq!(g.max_flow(0, 3), 3.0);
+        assert_eq!(g.residual_reaching_sink(), [false, false, true, true]);
+        assert_eq!(g.residual_reaching_sink(), full_reverse_bfs(&g));
+
+        let (jobs, ivals) = (60usize, 20usize);
+        let t = 1 + jobs + ivals;
+        let mut g = FlowNetwork::new(t + 1);
+        // Even jobs demand more than their edges carry, so every edge of
+        // theirs saturates; the cells of the first half are overloaded.
+        for i in 0..jobs {
+            g.add_edge(0, 1 + i, if i % 2 == 0 { 5.0 } else { 0.5 });
+            for j in (0..ivals).filter(|j| (i + j) % 3 == 0) {
+                g.add_edge(1 + i, 1 + jobs + j, 0.5);
+            }
+        }
+        for j in 0..ivals {
+            g.add_edge(1 + jobs + j, t, if j < ivals / 2 { 2.0 } else { 20.0 });
+        }
+        g.max_flow(0, t);
+        let sink_side = g.residual_reaching_sink();
+        assert_eq!(sink_side, full_reverse_bfs(&g));
+        assert!(sink_side[1..t].iter().any(|&b| b) && sink_side[1..t].iter().any(|&b| !b));
+        // A minimum cut separates the two sides: nothing on the source side
+        // reaches the sink.
+        let source_side = g.residual_reachable_from_source();
+        assert!((0..=t).all(|u| !(source_side[u] && sink_side[u])));
     }
 
     /// The source side is read from a solve's last BFS, so every edge

@@ -373,6 +373,79 @@ impl SweepFlow {
         }
     }
 
+    /// Jobs that reach the sink in the residual graph of the last solve
+    /// without passing through the source (valid when
+    /// [`certified`](SweepFlow::certified)). These are the job nodes on the
+    /// sink side of the maximal minimum cut, which is the same for every
+    /// maximum flow, so the answer equals a reverse residual BFS on the
+    /// generic flow network's own maximum flow.
+    ///
+    /// A reverse search over this solve's allocations. A cell with sink
+    /// slack reaches the sink. A job reaches it when its edge into a reached
+    /// cell is not saturated. A cell reaches it when a reached job holds
+    /// time in it (the edge's backward residual). The search runs in
+    /// passes: each pass counts the reached cells of every job's window
+    /// from one prefix sum, and a job reaches the sink when that count
+    /// exceeds its saturated edges into them. Every pass tests membership
+    /// against its own prefix; the cells its newly reached jobs hold time
+    /// in join before the next pass, and a pass that adds no cell is the
+    /// last. Only jobs that hold time can have a saturated edge or pass the
+    /// search on, so only they are tested; every other job reaches the
+    /// sink exactly when a reached cell lies in its window. A pass costs
+    /// `O(n + l + A)` for `A` allocations, and BAL's openers need about two.
+    pub fn sink_reaching_jobs(&self) -> Vec<bool> {
+        assert!(self.solved, "call solve first");
+        let l = self.num_cells;
+        let holds = |i: usize| self.job_start[i + 1] > self.job_start[i];
+        let mut job_reach = vec![false; self.num_jobs];
+        let mut cell_reach: Vec<bool> = (0..l)
+            .map(|j| self.edge_cap[j] > 0.0 && self.rem[j] > self.cell_eps[j])
+            .collect();
+        let mut pending: Vec<usize> = (0..self.num_jobs).filter(|&i| holds(i)).collect();
+        let (mut reached_before, mut newly) = (vec![0u32; l + 1], Vec::new());
+        loop {
+            for (j, &reached) in cell_reach.iter().enumerate() {
+                reached_before[j + 1] = reached_before[j] + u32::from(reached);
+            }
+            let blocks = |&(c, x): &(usize, f64)| {
+                reached_before[c + 1] > reached_before[c]
+                    && self.edge_cap[c] - x <= self.edge_eps[c]
+            };
+            pending.retain(|&i| {
+                let (lo, hi) = (self.lo[i] as usize, self.hi[i] as usize);
+                let open = (reached_before[hi + 1] - reached_before[lo]) as usize;
+                // Each allocation saturates at most one edge, so a job with
+                // more reached cells than allocations reaches without a scan.
+                let held = (self.job_start[i + 1] - self.job_start[i]) as usize;
+                let reaches = open > held || open > self.allocs_of(i).filter(blocks).count();
+                if reaches {
+                    newly.push(i);
+                }
+                !reaches
+            });
+            let mut grew = false;
+            for i in newly.drain(..) {
+                job_reach[i] = true;
+                for (c, x) in self.allocs_of(i) {
+                    if x > self.edge_eps[c] && !cell_reach[c] {
+                        cell_reach[c] = true;
+                        grew = true;
+                    }
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        // The last pass added no cell, so its prefix is current.
+        for i in (0..self.num_jobs).filter(|&i| !holds(i)) {
+            if let Some((lo, hi)) = self.window(i) {
+                job_reach[i] = reached_before[hi + 1] > reached_before[lo];
+            }
+        }
+        job_reach
+    }
+
     /// Routed total of the last [`solve`](SweepFlow::solve).
     pub fn value(&self) -> f64 {
         self.value
@@ -563,6 +636,20 @@ mod tests {
         assert!(!s.job_side()[0]);
     }
 
+    /// Reaching the sink runs through allocations: job 0 has room left in
+    /// cell 1, which has slack; cell 0 holds job 0's time, so job 2 (room
+    /// left in cell 0) reaches the sink through it; job 1 fills its only
+    /// edge and does not.
+    #[test]
+    fn sink_reaching_jobs_follow_slack_through_allocations() {
+        let mut s = SweepFlow::new(vec![(0, 1), (1, 1), (0, 0)], vec![1.0, 1.0], vec![1.5, 2.0]);
+        let v = s.solve(&[1.0, 1.0, 0.5]);
+        assert!((v - 2.5).abs() < 1e-12);
+        assert!(s.certified());
+        assert_eq!(s.allotment(0), vec![(0, 1.0)]);
+        assert_eq!(s.sink_reaching_jobs(), vec![true, false, true]);
+    }
+
     /// The canonical EDF failure mode: job 1 (deadline 1) soaks up cell 0,
     /// then hits its per-cell cap in cell 1, starving job 3 (deadline 2,
     /// whose last cell is closed) — an augmenting path 3→cell0→1→cell1
@@ -640,6 +727,13 @@ mod tests {
                         "cell {j} side (n={n}, l={l})"
                     );
                 }
+                // The sink side of the maximal cut is the same for every
+                // maximum flow, so the sweep's query matches Dinic's.
+                assert_eq!(
+                    sweep.sink_reaching_jobs(),
+                    net.residual_reaching_sink()[1..=n],
+                    "sink-reaching jobs (n={n}, l={l}, m={m})"
+                );
             } else {
                 assert!(
                     vs < vd,

@@ -11,7 +11,9 @@
 //!    run slower than `v*`, and *saturated intervals* (interval node
 //!    reachable) are completely busy. Moreover every `(critical job,
 //!    non-saturated span interval)` edge lies in the cut, i.e. the critical
-//!    job occupies that interval **entirely**.
+//!    job occupies that interval **entirely**. The probe ladder usually
+//!    already holds that cut, or a flow that determines it, when its search
+//!    ends; otherwise one more max flow just below `v*` reads it off.
 //! 3. Fix the critical jobs at speed `v*` with the structured allotment
 //!    (full non-saturated intervals, residue routed into saturated intervals
 //!    by a small dedicated flow), zero the saturated intervals' capacities,
@@ -291,18 +293,18 @@ pub fn try_bal_with_wap_strategy(
                 ProbeStrategy::Ladder => ladder_search(&mut prober, lo, hi, &mut meter),
                 // Out of budget already: salvage the established upper end
                 // (bisection would probe both ends whatever the budget).
-                ProbeStrategy::Bisection if meter.exhausted().is_some() => Ok(hi),
+                ProbeStrategy::Bisection if meter.exhausted().is_some() => Ok((hi, Settled::Other)),
                 ProbeStrategy::Bisection => {
                     bisect_threshold_budgeted(lo, hi, BINARY_SEARCH_REL_WIDTH, &mut meter, |v| {
                         prober.probe(v)
                     })
-                    .map(|(_, v_hi)| v_hi)
+                    .map(|(_, v_hi)| (v_hi, Settled::Other))
                 }
             }
         };
         ssp_probe::counter!("bal.bisect_steps", meter.used() - meter_before);
         ssp_probe::histogram!("bal.bisect.probes", meter.used() - meter_before);
-        let v_crit = searched?;
+        let (v_crit, settled) = searched?;
         if meter.exhausted().is_some() {
             // Out of budget: fix everything still open at `v_crit`, the
             // feasible end of the bracket, and stop peeling.
@@ -324,41 +326,49 @@ pub fn try_bal_with_wap_strategy(
             budget_exhausted = meter.exhausted();
             break;
         }
-        // Probe strictly below the critical speed for the cut structure. The
-        // offset must (a) stay above the *next* critical speed — guaranteed
-        // because the bisection bracketed v* within 1e-12 relative — and
-        // (b) make the shortfall per overloaded job large compared to the
-        // flow engine's epsilon, hence the much coarser 1e-9.
-        let probe = v_crit * (1.0 - 1e-9);
+        let (critical, saturated) = match settled.classify(&solver, &wap, &remaining) {
+            Some(sets) => sets,
+            None => {
+                // Probe strictly below the critical speed for the cut
+                // structure. The offset must (a) stay above the *next*
+                // critical speed — guaranteed because the search bracketed
+                // v* within 1e-12 relative — and (b) make the shortfall per
+                // overloaded job large compared to the flow engine's
+                // epsilon, hence the much coarser 1e-9.
+                let probe = v_crit * (1.0 - 1e-9);
 
-        // The classification probe reuses the round's warm solver: the
-        // canonical min cut is a property of the network, not of which max
-        // flow certifies it, so warm and cold probes classify identically.
-        flow_computations += 1;
-        for &i in &remaining {
-            pbuf[i] = instance.job(i).work / probe;
-        }
-        solver.solve(&pbuf);
-        let (job_side, ival_side) = solver.cut_sides();
+                // The classification probe reuses the round's warm solver:
+                // the canonical min cut is a property of the network, not of
+                // which max flow certifies it, so warm and cold probes
+                // classify identically.
+                ssp_probe::counter!("bal.classify_probes");
+                flow_computations += 1;
+                for &i in &remaining {
+                    pbuf[i] = instance.job(i).work / probe;
+                }
+                solver.solve(&pbuf);
+                let (job_side, ival_side) = solver.cut_sides();
 
-        let mut critical: Vec<usize> = remaining.iter().copied().filter(|&i| job_side[i]).collect();
-        if critical.is_empty() {
-            // Numerical fallback: the effective-density argmax is certainly
-            // critical when the cut degenerates. Keeps progress guaranteed.
-            debug_assert!(false, "empty critical set — cut degenerated numerically");
-            let &fallback = remaining
-                .iter()
-                .max_by(|&&a, &&b| {
-                    let da = instance.job(a).work / wap.open_time_of(a);
-                    let db = instance.job(b).work / wap.open_time_of(b);
-                    da.total_cmp(&db)
-                })
-                .unwrap();
-            critical.push(fallback);
-        }
-        let saturated: Vec<usize> = (0..intervals.len())
-            .filter(|&j| wap.capacity(j) > 0.0 && ival_side[j])
-            .collect();
+                let mut critical: Vec<usize> =
+                    remaining.iter().copied().filter(|&i| job_side[i]).collect();
+                if critical.is_empty() {
+                    // Numerical fallback: the effective-density argmax is
+                    // certainly critical when the cut degenerates. Keeps
+                    // progress guaranteed.
+                    debug_assert!(false, "empty critical set — cut degenerated numerically");
+                    let &fallback = remaining
+                        .iter()
+                        .max_by(|&&a, &&b| {
+                            let da = instance.job(a).work / wap.open_time_of(a);
+                            let db = instance.job(b).work / wap.open_time_of(b);
+                            da.total_cmp(&db)
+                        })
+                        .unwrap();
+                    critical.push(fallback);
+                }
+                (critical, open_cut_intervals(&wap, &ival_side))
+            }
+        };
         let saturated_set: Vec<bool> = {
             let mut v = vec![false; intervals.len()];
             for &j in &saturated {
@@ -518,6 +528,86 @@ impl Prober<'_> {
     }
 }
 
+/// How a round's speed search settled, which decides how the round
+/// classifies its jobs. The classification is the minimal minimum cut just
+/// below the critical speed `v*`: its jobs are the *maximal tight set*, the
+/// largest set `S` whose cut `W_S/F_S` reaches `v*` (a cut at speed `v` has
+/// capacity `Σ_{i∉S} w_i/v + F_S`, so `S` is tight when `W_S/F_S = v*`),
+/// and its intervals are the open `j` with `c_j < k_j·min(|I_j|, c_j)`,
+/// `k_j` the critical jobs alive in `j` (the cheaper side of each interval
+/// once the job side is fixed).
+enum Settled {
+    /// The last probe was feasible at exactly (bit for bit) the kept Newton
+    /// bound `W_S/F_S` of the last infeasible cut, whose job and interval
+    /// sides are kept here. That cut is the classification: min cuts nest
+    /// in the speed, so the cut at an infeasible `v_lo < v*` contains the
+    /// critical set, and its ratio is `v*`, so it is tight and lies inside
+    /// the maximal tight set.
+    Newton(Vec<bool>, Vec<bool>),
+    /// The round's only probe was the feasible density opener `lo`, below
+    /// the round's upper end. `lo` bounds `v*` from below, so the opener's
+    /// flow is a maximum flow at `v*` that meets every demand. The jobs
+    /// that cannot reach the sink in its residual are the source side of
+    /// the maximal minimum cut there: the maximal tight set.
+    Opener,
+    /// Any other ending, and every bisection round: classify from one more
+    /// max flow just below `v*`.
+    Other,
+}
+
+impl Settled {
+    /// The round's critical jobs and saturated intervals, read off the
+    /// kept cut or the solver's last flow; `None` for [`Settled::Other`]
+    /// and when the rule finds no critical job, which leaves the round to
+    /// its classification probe.
+    fn classify(
+        self,
+        solver: &WapSolver,
+        wap: &Wap,
+        remaining: &[usize],
+    ) -> Option<(Vec<usize>, Vec<usize>)> {
+        let (critical, saturated) = match self {
+            Settled::Newton(jobs, cells) => {
+                let critical: Vec<usize> = remaining.iter().copied().filter(|&i| jobs[i]).collect();
+                (critical, open_cut_intervals(wap, &cells))
+            }
+            Settled::Opener => {
+                let reach = solver.sink_reaching_jobs();
+                let critical: Vec<usize> =
+                    remaining.iter().copied().filter(|&i| !reach[i]).collect();
+                // `alive[j]` steps by the critical windows opening and
+                // closing at `j`; its running sum is `k_j`.
+                let mut alive = vec![0i64; wap.num_intervals() + 1];
+                for &i in &critical {
+                    if let Some((lo, hi)) = wap.window_of(i) {
+                        alive[lo] += 1;
+                        alive[hi + 1] -= 1;
+                    }
+                }
+                let mut saturated = Vec::new();
+                let mut k = 0;
+                for (j, step) in alive.iter().take(wap.num_intervals()).enumerate() {
+                    k += step;
+                    let c = wap.capacity(j);
+                    if c > 0.0 && c < k as f64 * wap.length(j).min(c) {
+                        saturated.push(j);
+                    }
+                }
+                (critical, saturated)
+            }
+            Settled::Other => return None,
+        };
+        (!critical.is_empty()).then_some((critical, saturated))
+    }
+}
+
+/// The open intervals on a cut's source side: the ones a round saturates.
+fn open_cut_intervals(wap: &Wap, cell_side: &[bool]) -> Vec<usize> {
+    (0..wap.num_intervals())
+        .filter(|&j| wap.capacity(j) > 0.0 && cell_side[j])
+        .collect()
+}
+
 /// A round's upper end: the previous round's critical speed (the routing
 /// bound in round 0) until a feasible probe replaces it. It is feasible up
 /// to boundary noise, but interval capacities change between rounds, so
@@ -542,7 +632,8 @@ impl UpperEnd {
     /// without a feasible upper end there is no best-so-far answer to
     /// salvage. `Ok(false)` means `v` was infeasible: its cut is on the
     /// solver, and `v` has moved up to tolerate the boundary noise, by
-    /// ×(1 + 1e-9) for the first four nudges and ×2 after; the 80th nudge,
+    /// ×(1 + 1e-9) for the first four nudges and ×2 after (the ladder then
+    /// moves it on to at least that cut's Newton bound); the 80th nudge,
     /// or one that leaves no finite speed, is an error.
     fn verify(&mut self, prober: &mut Prober<'_>, meter: &mut Meter) -> Result<bool, SolveError> {
         if self.probed {
@@ -568,7 +659,8 @@ impl UpperEnd {
 }
 
 /// The cut-guided probe ladder: locate the round's critical speed inside
-/// `(lo, hi]`, where `hi` is the round's unprobed [`UpperEnd`].
+/// `(lo, hi]`, where `hi` is the round's unprobed [`UpperEnd`], and report
+/// how the search [`Settled`].
 ///
 /// Every step picks one candidate speed strictly below the upper end from
 /// the current bracket and cut state alone, and probes it on the warm
@@ -577,9 +669,10 @@ impl UpperEnd {
 /// * the discrete-Newton bound [`WapSolver::cut_speed_bound`] of the last
 ///   infeasible probe's cut (a certified lower bound on the critical speed,
 ///   strictly above that probe's speed); a bound within the closing
-///   tolerance of the upper end ends the search there. The bound is kept
-///   across feasible probes, which overwrite the solver but not what its
-///   cut proved, so the cut at `lo` is read once and never probed again;
+///   tolerance of the upper end ends the search there. The bound and the
+///   cut's sides are kept across feasible probes, which overwrite the
+///   solver but not what its cut proved, so the cut at `lo` is read once
+///   and never probed again;
 /// * before the first probe, the density lower bound `lo`, which on peel
 ///   rounds often *is* the critical speed;
 /// * otherwise a geometric splitter toward the upper end, or the midpoint
@@ -595,16 +688,16 @@ impl UpperEnd {
 /// [`bisect_threshold_budgeted`]). Nearly every round finds a feasible
 /// speed of its own below `hi`, so `hi` is probed only when the ladder ends
 /// on it unreplaced ([`UpperEnd::verify`]); an infeasible verdict there
-/// raises `lo`, feeds its cut to the Newton steps and nudges the upper end,
-/// and the search goes on. No speed is probed twice. The solver is left
-/// holding the last probe's solve, from which the caller's classification
-/// probe warm-starts.
+/// raises `lo`, feeds its cut to the Newton steps and moves the upper end
+/// to at least that cut's Newton bound, and the search goes on. No speed
+/// is probed twice. The solver is left holding the last probe's solve,
+/// which [`Settled::Opener`] classifies from.
 fn ladder_search(
     prober: &mut Prober<'_>,
     lo: f64,
     hi: f64,
     meter: &mut Meter,
-) -> Result<f64, SolveError> {
+) -> Result<(f64, Settled), SolveError> {
     if !(lo.is_finite() && hi.is_finite()) || lo > hi {
         return Err(SolveError::Numeric {
             message: format!("ladder bracket [{lo}, {hi}] is not a finite interval"),
@@ -613,10 +706,10 @@ fn ladder_search(
     let rel = BINARY_SEARCH_REL_WIDTH;
     let mut v_lo = lo;
     let mut upper = UpperEnd::new(hi);
-    // The Newton bound of the last infeasible probe's cut: `None` before
-    // the first infeasible probe, `Some(None)` when that cut bounds
-    // nothing.
-    let mut newton: Option<Option<f64>> = None;
+    // The last infeasible probe's cut: its Newton bound (`None` when the
+    // cut bounds nothing) and its job and interval sides; `None` before
+    // the first infeasible probe.
+    let mut cut: Option<(Option<f64>, Vec<bool>, Vec<bool>)> = None;
     let mut works = vec![0.0f64; prober.instance.len()];
     for &i in prober.remaining {
         works[i] = prober.instance.job(i).work;
@@ -631,10 +724,10 @@ fn ladder_search(
         let next = if v_hi - v_lo <= rel * v_hi.abs().max(1e-300) {
             None
         } else {
-            match newton {
+            match cut {
                 // The cut certifies critical speed >= vn ≈ v_hi: converged.
-                Some(Some(vn)) if vn >= v_hi * (1.0 - rel) => None,
-                Some(Some(vn)) if vn > v_lo => Some(vn),
+                Some((Some(vn), ..)) if vn >= v_hi * (1.0 - rel) => None,
+                Some((Some(vn), ..)) if vn > v_lo => Some(vn),
                 // Opening probe: the density lower bound alone. On peel
                 // rounds where the previous critical job pinned the speed it
                 // *is* the critical speed, ending the round in a single
@@ -655,28 +748,45 @@ fn ladder_search(
                 }
             }
         };
-        let infeasible = match next {
+        let (infeasible, at_upper) = match next {
             Some(v) if meter.tick() => {
                 if prober.probe(v) {
                     upper.v = v;
                     upper.probed = true;
                     continue;
                 }
-                v
+                (v, false)
             }
             // Ending on the upper end, or salvaging it once the budget is
             // gone: it must be feasible first.
             _ => {
                 if upper.verify(prober, meter)? {
-                    return Ok(upper.v);
+                    let last = prober.log.last().copied();
+                    let settled = match cut {
+                        Some((Some(vn), jobs, cells)) if last == Some((vn, true)) => {
+                            Settled::Newton(jobs, cells)
+                        }
+                        // `lo < hi`: a density bound clamped to the upper
+                        // end closes the bracket before any opener.
+                        None if lo < hi && prober.log.as_slice() == [(lo, true)] => Settled::Opener,
+                        _ => Settled::Other,
+                    };
+                    return Ok((upper.v, settled));
                 }
-                v_hi
+                (v_hi, true)
             }
         };
         // An infeasible speed raises the lower end (the opener probes `lo`
         // itself, which leaves it), and its cut feeds the Newton steps.
         v_lo = infeasible;
-        newton = Some(prober.solver.cut_speed_bound(&works));
+        let (jobs, cells) = prober.solver.cut_sides();
+        let bound = prober.solver.cut_speed_bound(&works, &jobs, &cells);
+        if let (true, Some(vn)) = (at_upper, bound) {
+            // The cut proves the critical speed is at least `vn`, however
+            // far above the nudged upper end that lies.
+            upper.v = upper.v.max(vn);
+        }
+        cut = Some((bound, jobs, cells));
     }
     Err(SolveError::Numeric {
         message: "probe ladder failed to converge".to_string(),
@@ -987,7 +1097,9 @@ mod tests {
     fn ladder_nudges_an_infeasible_upper_end_without_reprobing() {
         // Three jobs of work 2 in [0, 4] on two machines: critical speed
         // 3·2/(2·4) = 0.75, density bound 0.5. Hand the ladder an upper end
-        // of 0.6, below the critical speed.
+        // of 0.6, below the critical speed. Both infeasible cuts bound the
+        // critical speed by 0.75, so the upper end moves straight there and
+        // the round settles on that Newton bound.
         let jobs: Vec<Job> = (0..3).map(|i| Job::new(i, 2.0, 0.0, 4.0)).collect();
         let instance = inst(jobs, 2, 2.0);
         let (wap, _) = Wap::from_instance(&instance);
@@ -1003,27 +1115,72 @@ mod tests {
             flow_computations: &mut flows,
             log: &mut log,
         };
-        let hi = 0.6;
-        let v = ladder_search(&mut prober, 0.5, hi, &mut Budget::unlimited().meter()).unwrap();
+        let (v, settled) =
+            ladder_search(&mut prober, 0.5, 0.6, &mut Budget::unlimited().meter()).unwrap();
 
-        assert!((v - 0.75).abs() <= 1e-9 * 0.75, "ladder returned {v}");
-        assert!(
-            log.contains(&(v, true)),
-            "{v} was not probed feasible: {log:?}"
-        );
-        assert!(
-            log.contains(&(hi, false)),
-            "the upper end was not verified: {log:?}"
-        );
-        assert!(
-            log.contains(&(hi * (1.0 + 1e-9), false)),
-            "the upper end was not nudged: {log:?}"
-        );
-        let mut speeds: Vec<u64> = log.iter().map(|p| p.0.to_bits()).collect();
-        speeds.sort_unstable();
-        speeds.dedup();
-        assert_eq!(speeds.len(), log.len(), "a speed was probed twice: {log:?}");
+        assert_eq!(v, 0.75);
+        assert_eq!(log, [(0.5, false), (0.6, false), (0.75, true)]);
         assert_eq!(flows, log.len());
+        let Settled::Newton(job_side, cell_side) = settled else {
+            panic!("the round did not settle on its Newton bound");
+        };
+        assert_eq!((job_side, cell_side), (vec![true; 3], vec![true]));
+    }
+
+    /// Solve with the ladder and return each round's `(jobs, speed)` after
+    /// checking that the round settled on its density opener: one feasible
+    /// probe at the round's largest effective density.
+    fn opener_rounds(instance: &Instance) -> (Vec<(Vec<usize>, f64)>, usize) {
+        let sol = bal(instance);
+        let rounds = sol
+            .rounds
+            .iter()
+            .map(|r| {
+                assert_eq!(r.probes, [(r.speed, true)], "round at {}", r.speed);
+                (r.jobs.clone(), r.speed)
+            })
+            .collect();
+        (rounds, sol.flow_computations)
+    }
+
+    /// Jointly tight jobs peel together at the opener's speed although some
+    /// of them are less dense on their own, and the opener's flow
+    /// classifies them without another max flow.
+    #[test]
+    fn jointly_tight_openers_classify_from_the_opener_flow() {
+        // m = 1: job 1 alone has density 1/2, but jobs 0 and 1 share the
+        // one machine on [0, 2] with total work 2, so both run at speed 1.
+        // One opener and one residue routing; a classification probe
+        // would be a third flow.
+        let instance = inst(
+            vec![Job::new(0, 1.0, 0.0, 1.0), Job::new(1, 1.0, 0.0, 2.0)],
+            1,
+            2.0,
+        );
+        let (rounds, flows) = opener_rounds(&instance);
+        assert_eq!(rounds, [(vec![0, 1], 1.0)]);
+        assert_eq!(flows, 2);
+
+        // m = 2: jobs 0 and 1 fill both machines on [0, 1], so job 2 must do
+        // its work 2 on [1, 2] alone and peels with them at speed 2; job 3
+        // then has one machine on [1, 2] and both on [2, 8], open time 7.
+        // Two openers and one residue routing, against two more
+        // classification probes.
+        let instance = inst(
+            vec![
+                Job::new(0, 2.0, 0.0, 1.0),
+                Job::new(1, 2.0, 0.0, 1.0),
+                Job::new(2, 2.0, 0.0, 2.0),
+                Job::new(3, 1.0, 0.0, 8.0),
+            ],
+            2,
+            2.0,
+        );
+        let (rounds, flows) = opener_rounds(&instance);
+        assert_eq!(rounds, [(vec![0, 1, 2], 2.0), (vec![3], 1.0 / 7.0)]);
+        assert_eq!(flows, 3);
+        let sol = bal(&instance);
+        assert_eq!(sol.rounds[0].saturated, [0], "only [0, 1] is saturated");
     }
 
     #[test]

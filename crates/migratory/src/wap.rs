@@ -487,10 +487,28 @@ impl WapSolver {
         }
     }
 
+    /// Jobs that reach the sink in the last solve's residual graph without
+    /// passing through the source: the jobs on the sink side of the
+    /// **maximal** minimum cut. Every job outside it lies on the source
+    /// side of some minimum cut. After a feasible solve at the critical
+    /// speed those are exactly the **critical jobs**, the maximal set whose
+    /// demand fills its cut. The side is the same for every maximum flow,
+    /// so either kernel answers it from its own flow: Dinic by a reverse
+    /// residual BFS from the sink, the sweep over its allocations (it only
+    /// answers solves it has certified).
+    pub fn sink_reaching_jobs(&self) -> Vec<bool> {
+        match &self.engine {
+            Some(fs) => fs.net.residual_reaching_sink()[1..=self.sweep.num_jobs()].to_vec(),
+            None => self.sweep.sink_reaching_jobs(),
+        }
+    }
+
     /// Cut-derived speed lower bound (the "discrete Newton step" of the BAL
-    /// probe ladder), read from the last solve's residual cut. Returns
-    /// `None` when the cut carries no information (feasible state — no job
-    /// reachable — or a degenerate fixed capacity).
+    /// probe ladder) of the last solve's residual cut, whose sides
+    /// `job_side` and `cell_side` are what [`cut_sides`](WapSolver::cut_sides)
+    /// returned for that solve (the caller keeps them, so one cut is read
+    /// once). Returns `None` when the cut carries no information (feasible
+    /// state — no job reachable — or a degenerate fixed capacity).
     ///
     /// Derivation: let `S` be the source side of the min cut at an
     /// *infeasible* speed `v` (`works[i] / v` demands). Its capacity splits
@@ -509,10 +527,14 @@ impl WapSolver {
     /// (not the noisy flow values), summed in one order whichever kernel
     /// produced the cut, so the bound is exact up to one summation and
     /// bit-identical across kernels.
-    pub fn cut_speed_bound(&self, works: &[f64]) -> Option<f64> {
+    pub fn cut_speed_bound(
+        &self,
+        works: &[f64],
+        job_side: &[bool],
+        cell_side: &[bool],
+    ) -> Option<f64> {
         let s = &self.sweep;
         assert_eq!(works.len(), s.num_jobs(), "works vector length mismatch");
-        let (job_side, cell_side) = self.cut_sides();
         let mut w_s = 0.0f64;
         let mut fixed = 0.0f64;
         let mut any_job = false;
@@ -751,7 +773,7 @@ mod tests {
         assert!(!auto.feasible());
         assert_eq!(auto.cut_sides(), flow.cut_sides());
         let works = [4.0, 6.0, 0.0, 6.0];
-        assert_eq!(auto.cut_speed_bound(&works), flow.cut_speed_bound(&works));
+        assert_eq!(bound(&auto, &works), bound(&flow, &works));
     }
 
     /// Satellite regression: after a certified sweep solve, a declined one
@@ -813,6 +835,12 @@ mod tests {
         s.engine.is_some()
     }
 
+    /// The Newton bound of the solver's current cut.
+    fn bound(s: &WapSolver, works: &[f64]) -> Option<f64> {
+        let (jobs, cells) = s.cut_sides();
+        s.cut_speed_bound(works, &jobs, &cells)
+    }
+
     /// The decline latch: after the sweep's first decline every later solve
     /// on that solver skips the sweep (`wap.sweep_skip`) and still matches a
     /// forced-Flow solver, latched at birth, bit for bit on verdict, cut
@@ -845,9 +873,14 @@ mod tests {
             assert_eq!(s.feasible(), f.feasible(), "verdict at v={v}");
             assert_eq!(s.cut_sides(), f.cut_sides(), "cut sides at v={v}");
             assert_eq!(
-                s.cut_speed_bound(&works).map(f64::to_bits),
-                f.cut_speed_bound(&works).map(f64::to_bits),
+                bound(&s, &works).map(f64::to_bits),
+                bound(&f, &works).map(f64::to_bits),
                 "cut bound at v={v}"
+            );
+            assert_eq!(
+                s.sink_reaching_jobs(),
+                f.sink_reaching_jobs(),
+                "sink side at v={v}"
             );
         }
         assert!(latched(&s), "the latch holds for the solver's whole life");
@@ -911,7 +944,7 @@ mod tests {
                 w.set_kernel(kernel);
                 let mut s = w.solver();
                 s.solve(&p);
-                results.push((s.feasible(), s.cut_sides()));
+                results.push((s.feasible(), s.cut_sides(), s.sink_reaching_jobs()));
             }
             assert_eq!(results[0], results[1], "auto vs flow at v={v}");
         }

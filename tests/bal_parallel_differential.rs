@@ -20,7 +20,10 @@
 //! A third pins the ladder's contract that a cut once read is never probed
 //! again: no round's transcript holds one speed twice. A fourth pins that
 //! the ladder probes a round's upper end, the previous round's speed, only
-//! when the round ends on it.
+//! when the round ends on it. A fifth pins the ladder's classification,
+//! read off the cut or flow its search ended on, against bisection's
+//! classification probe: the same rounds, the same critical jobs, and
+//! saturated intervals that differ only at a tie.
 
 use ssp_migratory::bal::{try_bal_with_wap_strategy, BalSolution, ProbeStrategy};
 use ssp_migratory::wap::Wap;
@@ -215,6 +218,66 @@ fn ladder_skips_the_previous_speed_when_it_settles_below() {
         }
     }
     assert!(checked > 0, "no round settled below its upper end");
+}
+
+/// The ladder classifies most rounds from the cut or flow its search ended
+/// on; bisection always solves once more just below the critical speed.
+/// Both must peel the same rounds with the same critical jobs. A saturated
+/// interval may differ only at a tie, where the interval's capacity `c_j`
+/// is within 1e-9 of what the round's critical jobs alive in it could take,
+/// `k_j·min(|I_j|, c_j)`: there either side of the interval is a minimum
+/// cut, and the flow engine's epsilon decides.
+#[test]
+fn ladder_classifies_like_bisection() {
+    for (name, instance) in instances() {
+        let ladder = solve(&instance, ProbeStrategy::Ladder);
+        let bisect = solve(&instance, ProbeStrategy::Bisection);
+        assert_eq!(
+            ladder.rounds.len(),
+            bisect.rounds.len(),
+            "{name}: round count"
+        );
+        // Replay the ladder's capacity updates to know each round's `c_j`.
+        let (mut wap, _) = Wap::from_instance(&instance);
+        for (r, (lr, br)) in ladder.rounds.iter().zip(&bisect.rounds).enumerate() {
+            assert_eq!(lr.jobs, br.jobs, "{name}: round {r} critical jobs");
+            let alive = |j: usize| {
+                let covers =
+                    |&&i: &&usize| wap.window_of(i).is_some_and(|(lo, hi)| lo <= j && j <= hi);
+                lr.jobs.iter().filter(covers).count() as f64
+            };
+            let only = |a: &[usize], b: &[usize]| -> Vec<usize> {
+                a.iter().copied().filter(|j| !b.contains(j)).collect()
+            };
+            for j in [
+                only(&lr.saturated, &br.saturated),
+                only(&br.saturated, &lr.saturated),
+            ]
+            .concat()
+            {
+                let c = wap.capacity(j);
+                let takes = alive(j) * wap.length(j).min(c);
+                assert!(
+                    (c - takes).abs() <= 1e-9 * c,
+                    "{name}: round {r} interval {j} saturated by one strategy only, \
+                     capacity {c} against {takes}"
+                );
+            }
+            for &j in &lr.saturated {
+                wap.set_capacity(j, 0.0);
+            }
+            for &i in &lr.jobs {
+                let Some((lo, hi)) = wap.window_of(i) else {
+                    continue;
+                };
+                for j in lo..=hi {
+                    if wap.capacity(j) > 0.0 && !lr.saturated.contains(&j) {
+                        wap.set_capacity(j, (wap.capacity(j) - wap.length(j)).max(0.0));
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -508,9 +508,10 @@ fn residual_reachability_consistent_after_updates() {
 /// laminar and crossing WAPs are driven through random speed sequences that
 /// mix feasible and infeasible scales, with some intervals' capacities cut
 /// the way BAL's peeled rounds cut them. After every solve the two must
-/// agree on the verdict, both canonical cut sides and the cut speed bound
-/// (bitwise), and on the flow value up to summation noise — whichever of
-/// the sweep, the seeded fallback or the latched engine answered.
+/// agree on the verdict, both canonical cut sides, the cut speed bound
+/// (bitwise) and the jobs that reach the sink, and on the flow value up to
+/// summation noise — whichever of the sweep, the seeded fallback or the
+/// latched engine answered.
 #[test]
 fn wap_dispatch_sequences_match_the_flow_engine() {
     let session = ssp_probe::Session::begin();
@@ -556,11 +557,19 @@ fn wap_dispatch_sequences_match_the_flow_engine() {
                 let at = format!("{family} n={n} seed={seed} step {step} v={v}");
                 assert!((va - vf).abs() <= 1e-9 * (1.0 + vf), "{at}: {va} vs {vf}");
                 assert_eq!(auto.feasible(), flow.feasible(), "{at}: verdict");
-                assert_eq!(auto.cut_sides(), flow.cut_sides(), "{at}: cut sides");
+                let (sides, flow_sides) = (auto.cut_sides(), flow.cut_sides());
+                assert_eq!(sides, flow_sides, "{at}: cut sides");
                 assert_eq!(
-                    auto.cut_speed_bound(&works).map(f64::to_bits),
-                    flow.cut_speed_bound(&works).map(f64::to_bits),
+                    auto.cut_speed_bound(&works, &sides.0, &sides.1)
+                        .map(f64::to_bits),
+                    flow.cut_speed_bound(&works, &flow_sides.0, &flow_sides.1)
+                        .map(f64::to_bits),
                     "{at}: cut speed bound"
+                );
+                assert_eq!(
+                    auto.sink_reaching_jobs(),
+                    flow.sink_reaching_jobs(),
+                    "{at}: sink side"
                 );
                 verdicts[auto.feasible() as usize] += 1;
             }
