@@ -7,7 +7,7 @@
 //! Dinic) instead of rebuilding it. This runner replays the *same*
 //! bisection transcript both ways on EXP-6's workload family and compares
 //! the total augmentation work (probe counters
-//! `maxflow.dinic.augmentations` + `maxflow.dinic.drain_paths` — the
+//! `maxflow.dinic.augmentations` + `maxflow.dinic.cancel_paths` — the
 //! carry's cancels are charged to the warm side) and wall time.
 //!
 //! Asserted acceptance: warm-start cuts the total augmentation work by at
@@ -28,11 +28,11 @@ use std::time::Instant;
 /// Aggregate acceptance threshold on cold/warm augmentation work.
 const MIN_WORK_RATIO: f64 = 2.0;
 
-/// Snapshot the Dinic work counters (augmenting paths + drain paths).
+/// Snapshot the Dinic work counters (augmenting paths + cancel paths).
 fn work_counters() -> (u64, u64) {
     (
         ssp_probe::counter_value("maxflow.dinic.augmentations"),
-        ssp_probe::counter_value("maxflow.dinic.drain_paths"),
+        ssp_probe::counter_value("maxflow.dinic.cancel_paths"),
     )
 }
 

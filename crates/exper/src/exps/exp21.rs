@@ -1,5 +1,5 @@
 //! EXP-21 — service soak/chaos: the `ssp serve` stack under sustained
-//! mixed-family load with fault injection on.
+//! mixed-family load with corrupted instances in the stream.
 //!
 //! Drives thousands of requests (5000 full, 250 quick) from several
 //! submitter threads through an in-process [`ssp_serve::Server`] — the same
@@ -10,8 +10,6 @@
 //!   fingerprint cache sees genuine repeated traffic;
 //! * ~2% corrupted instances from the harness [`FaultPlan`]
 //!   (NaN/inf fields, inverted windows, zero machines, mangled text …);
-//! * every request fails its first attempt with an injected transient
-//!   error, so the whole stream runs through the retry/backoff machinery;
 //! * a slice of requests carries near-zero deadlines, exercising
 //!   cooperative cancellation and deadline shedding;
 //! * admission control stays bounded — submitters observe rejects and
@@ -28,7 +26,7 @@ use crate::table::{Cell, Table};
 use crate::RunCfg;
 use ssp_harness::fault::FaultPlan;
 use ssp_probe::json::{self, Json};
-use ssp_serve::{RetryPolicy, ServeOptions, Server};
+use ssp_serve::{ServeOptions, Server};
 use ssp_workloads::{families, subseed};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -80,14 +78,6 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
         shed_watermark: 192,
         default_timeout: Some(Duration::from_secs(5)),
         cache_cap: 512,
-        retry: RetryPolicy {
-            // Fault injection on: every request's first attempt fails with
-            // a synthetic transient, so success requires the retry path.
-            inject_transient: 1,
-            base_backoff: Duration::from_micros(200),
-            max_backoff: Duration::from_millis(2),
-            ..Default::default()
-        },
         ..Default::default()
     });
 
@@ -197,7 +187,7 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
     let hit_rate = stats.cache_hits as f64 / (stats.cache_hits + stats.cache_misses).max(1) as f64;
 
     let mut t = Table::new(
-        "EXP-21 — service soak: mixed families, ~2% corrupted, transient injection, tight deadlines",
+        "EXP-21 — service soak: mixed families, ~2% corrupted, tight deadlines",
         &["metric", "value"],
     );
     let rows: Vec<(&str, Cell)> = vec![
@@ -214,10 +204,6 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
         ("ok", Cell::Int(stats.ok as i64)),
         ("typed errors", Cell::Int(stats.errors as i64)),
         ("panics escaping isolation", Cell::Int(stats.panics as i64)),
-        (
-            "retries (injected transients)",
-            Cell::Int(trace.counter("serve.retry") as i64),
-        ),
         ("cache hits", Cell::Int(stats.cache_hits as i64)),
         ("cache hit-rate", Cell::Num(hit_rate, 3)),
         ("shed (load/deadline)", Cell::Int(stats.shed as i64)),

@@ -1,5 +1,5 @@
-//! EXP-24 — the structure-aware WAP sweep kernel: per-probe kernel ratio
-//! and the end-to-end BAL sweep.
+//! EXP-24 — the structure-aware WAP sweep kernel: dispatch contracts and
+//! fast-path engagement on the end-to-end BAL sweep.
 //!
 //! Every BAL feasibility probe solves the same Horn-reduction network; PR 9
 //! added an interval sweep kernel (`SweepFlow`) that water-fills
@@ -21,10 +21,12 @@
 //!    the kernel was built for) at least half the probes must take the
 //!    fast path; a silent always-fallback regression fails the run.
 //!
-//! The table reports the per-probe ratio (generic-kernel ms per probe over
-//! auto-kernel ms per probe) next to the fast-path share and the sweep's
-//! operation count, so the fast path's contribution is visible separately
-//! from the ladder's probe-count wins (EXP-23 / BENCH_bal.json).
+//! The table reports counts only — rounds, probes, flows, the fast-path
+//! share, fallbacks and the sweep's operations per probe — so the fast
+//! path's engagement is visible separately from the ladder's probe-count
+//! wins (EXP-23). One cold solve per kernel cannot tell a kernel
+//! regression from noise; wall-clock time is `bal_kernel`'s
+//! `kernel_speedup`, a median over repeated runs (BENCH_bal.json).
 
 use crate::table::{Cell, Table};
 use crate::RunCfg;
@@ -35,14 +37,13 @@ use ssp_model::numeric::Tol;
 use ssp_model::resource::Budget;
 use ssp_model::Instance;
 use ssp_workloads::{families, subseed};
-use std::time::Instant;
 
 /// Minimum fast-path share of probes on the laminar family.
 const MIN_LAMINAR_FAST_SHARE: f64 = 0.5;
 
-/// Solve with the requested WAP kernel; returns the solution, wall ms, and
-/// the `(flow_calls, fast_path, fast_fallback, sweep_ops)` counter deltas.
-fn solve_with_kernel(instance: &Instance, kernel: WapKernel) -> (BalSolution, f64, [u64; 4]) {
+/// Solve with the requested WAP kernel; returns the solution and the
+/// `(flow_calls, fast_path, fast_fallback, sweep_ops)` counter deltas.
+fn solve_with_kernel(instance: &Instance, kernel: WapKernel) -> (BalSolution, [u64; 4]) {
     const COUNTERS: [&str; 4] = [
         "wap.flow_calls",
         "wap.fast_path",
@@ -50,7 +51,6 @@ fn solve_with_kernel(instance: &Instance, kernel: WapKernel) -> (BalSolution, f6
         "wap.sweep_ops",
     ];
     let before = COUNTERS.map(ssp_probe::counter_value);
-    let t0 = Instant::now();
     let (mut wap, intervals) = Wap::from_instance(instance);
     wap.set_kernel(kernel);
     let sol = try_bal_with_wap_strategy(
@@ -61,13 +61,12 @@ fn solve_with_kernel(instance: &Instance, kernel: WapKernel) -> (BalSolution, f6
         ProbeStrategy::Ladder,
     )
     .expect("generated instances are feasible");
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
     let after = COUNTERS.map(ssp_probe::counter_value);
     let mut delta = [0u64; 4];
     for k in 0..4 {
         delta[k] = after[k] - before[k];
     }
-    (sol, ms, delta)
+    (sol, delta)
 }
 
 /// Bitwise transcript equality: probes, round speeds, peel sets, energy.
@@ -108,9 +107,6 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
             "fast path %",
             "fallbacks",
             "sweep ops/probe",
-            "auto ms",
-            "flow ms",
-            "ms/probe ratio",
         ],
     );
 
@@ -123,8 +119,8 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
                 _ => families::general(n, machines, alpha).gen(seed),
             };
 
-            let (auto, auto_ms, auto_counters) = solve_with_kernel(&instance, WapKernel::Auto);
-            let (flow, flow_ms, _) = solve_with_kernel(&instance, WapKernel::Flow);
+            let (auto, auto_counters) = solve_with_kernel(&instance, WapKernel::Auto);
+            let (flow, _) = solve_with_kernel(&instance, WapKernel::Flow);
             let [calls, fast, fallbacks, sweep_ops] = auto_counters;
 
             // Contract 1: kernel choice is invisible in the transcript.
@@ -159,9 +155,6 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
                 Cell::Num(fast_share * 100.0, 1),
                 Cell::Int(fallbacks as i64),
                 Cell::Num(sweep_ops as f64 / calls.max(1) as f64, 1),
-                Cell::Num(auto_ms, 2),
-                Cell::Num(flow_ms, 2),
-                Cell::Num(flow_ms / auto_ms.max(1e-12), 2),
             ]);
         }
     }

@@ -147,6 +147,10 @@ impl fmt::Display for Algo {
     }
 }
 
+/// Precondition cap for the exponential exact solver: `exact` refuses
+/// instances with more jobs than this.
+pub const MAX_EXACT_JOBS: usize = 16;
+
 /// Harness configuration.
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
@@ -154,8 +158,6 @@ pub struct SolveOptions {
     /// (BAL peeling/bisection probes, local-search evaluations) — including
     /// the lower-bound computation.
     pub budget: Budget,
-    /// Precondition cap for the exponential exact solver.
-    pub max_exact_jobs: usize,
     /// Walk the degradation chain on failure (`false` = requested
     /// algorithm only).
     pub degrade: bool,
@@ -168,7 +170,6 @@ impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
             budget: Budget::unlimited(),
-            max_exact_jobs: 16,
             degrade: true,
             lower_bound: true,
         }
@@ -200,7 +201,6 @@ pub fn run_algorithm(
     relaxation: Option<&BalSolution>,
 ) -> Result<AlgoRun, SolveError> {
     let budget = opts.budget.clone();
-    let max_exact_jobs = opts.max_exact_jobs;
     boundary::catch(|| {
         let from_assignment = |a: Assignment| AlgoRun {
             schedule: assignment_schedule(instance, &a),
@@ -220,11 +220,11 @@ pub fn run_algorithm(
             }
             Algo::Greedy => from_assignment(marginal_energy_greedy(instance)),
             Algo::Exact => {
-                if instance.len() > max_exact_jobs {
+                if instance.len() > MAX_EXACT_JOBS {
                     return Err(SolveError::Precondition {
                         algorithm: "exact",
                         message: format!(
-                            "branch-and-bound limited to n <= {max_exact_jobs} (got {})",
+                            "branch-and-bound limited to n <= {MAX_EXACT_JOBS} (got {})",
                             instance.len()
                         ),
                     });

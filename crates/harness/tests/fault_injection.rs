@@ -23,7 +23,6 @@ fn gauntlet_options() -> SolveOptions {
         budget: Budget::iterations(50_000).with_time(Duration::from_millis(250)),
         degrade: false, // judge each algorithm on its own
         lower_bound: false,
-        ..Default::default()
     }
 }
 
@@ -194,7 +193,6 @@ fn degradation_chain_recovers_or_types_out() {
         budget: Budget::iterations(50_000).with_time(Duration::from_millis(250)),
         degrade: true,
         lower_bound: false,
-        ..Default::default()
     };
     for case in FaultPlan::new(SEED ^ 0x5EED).cases(60) {
         let Ok(instance) = &case.instance else {

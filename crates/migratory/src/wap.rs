@@ -282,7 +282,7 @@ impl FlowState {
                 leftover += rem;
             }
         }
-        ssp_probe::counter!("maxflow.dinic.drain_paths", cancels);
+        ssp_probe::counter!("maxflow.dinic.cancel_paths", cancels);
         if !std::mem::replace(&mut self.solved, true) || leftover > total * 1e-9 + 1e-12 {
             return self.net.max_flow(0, self.sink);
         }

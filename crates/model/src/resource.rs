@@ -57,7 +57,7 @@ pub struct Budget {
     /// Absolute wall-clock deadline. Unlike `max_time` (which is relative to
     /// each meter's first charge) a deadline is shared by every meter derived
     /// from the budget, so one per-request deadline bounds a whole chain of
-    /// solver phases, retries included.
+    /// solver phases.
     pub deadline: Option<Instant>,
     /// Cooperative cancellation flag, polled on every charge.
     pub cancel: Option<CancelToken>,

@@ -5,11 +5,11 @@
 //! through the [`ssp_harness`] robustness stack with per-request
 //! `catch_unwind` isolation, per-request deadlines (cooperatively observed
 //! inside BAL bisection and local-search loops via
-//! [`ssp_model::CancelToken`]/deadline-aware [`ssp_model::Budget`]s),
-//! bounded retry with exponential backoff + jitter, load shedding down the
-//! degradation chain, and a permutation-invariant instance-fingerprint
-//! cache that reuses certified energies and lower bounds for repeated
-//! traffic.
+//! [`ssp_model::CancelToken`]/deadline-aware [`ssp_model::Budget`]s), load
+//! shedding down the degradation chain, and a permutation-invariant
+//! instance-fingerprint cache that reuses certified energies and lower
+//! bounds for repeated traffic. Each request makes one attempt: a solve is
+//! deterministic, so a failure would repeat bit for bit.
 //!
 //! The crate is transport-agnostic: [`server::Server::submit`] takes raw
 //! JSONL request lines and a response sink, so the CLI's stdin loop, its
@@ -28,5 +28,4 @@ pub mod server;
 
 pub use fingerprint::{CachedResult, Fingerprint, ResultCache};
 pub use protocol::{parse_request, OkResponse, Reject, Request};
-pub use retry::RetryPolicy;
 pub use server::{ServeOptions, Server, ServerHandle, Sink, StatsSnapshot};

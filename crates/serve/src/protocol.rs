@@ -31,8 +31,6 @@ pub struct Request {
     /// Per-request deadline, measured from admission; `None` = server
     /// default.
     pub timeout: Option<Duration>,
-    /// Retry budget for transient failures; `None` = server default.
-    pub retries: Option<u32>,
     /// Disable the harness degradation chain for this request (the
     /// requested algorithm either succeeds or the request fails typed).
     pub no_fallback: bool,
@@ -100,7 +98,8 @@ pub struct OkResponse {
     pub budget_exhausted: Option<&'static str>,
     /// Cache disposition for this response.
     pub cache: CacheDisposition,
-    /// How many transient-failure retries were spent.
+    /// Always 0: every request makes one attempt. The field keeps the
+    /// response schema (`"retries":0`) stable for existing clients.
     pub retries: u32,
     /// Wall-clock admission→response latency in microseconds.
     pub wall_us: u64,
@@ -203,16 +202,6 @@ pub fn parse_request(line: &str) -> Result<Request, Reject> {
             )
         })?)),
     };
-    let retries = match root.get("retries") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            reject(
-                &id,
-                "parse",
-                "'retries' must be a non-negative integer".into(),
-            )
-        })? as u32),
-    };
     let no_fallback = match root.get("no_fallback") {
         None | Some(Json::Null) => false,
         Some(v) => v
@@ -240,7 +229,6 @@ pub fn parse_request(line: &str) -> Result<Request, Reject> {
         algo,
         instance,
         timeout,
-        retries,
         no_fallback,
     })
 }
@@ -299,6 +287,9 @@ fn parse_structured_instance(obj: &Json) -> Result<Instance, (&'static str, Stri
 mod tests {
     use super::*;
 
+    /// The line carries `retries`, which is not a request key: like any
+    /// unknown key it is ignored, so clients that still send it keep
+    /// working.
     #[test]
     fn parses_a_structured_request() {
         let line = r#"{"id":"r1","algo":"bal","timeout_ms":250,"retries":2,
@@ -307,7 +298,6 @@ mod tests {
         assert_eq!(req.id, "r1");
         assert_eq!(req.algo, Algo::Bal);
         assert_eq!(req.timeout, Some(Duration::from_millis(250)));
-        assert_eq!(req.retries, Some(2));
         assert!(!req.no_fallback);
         assert_eq!(req.instance.len(), 2);
         assert_eq!(req.instance.machines(), 2);
@@ -394,7 +384,7 @@ mod tests {
             degrade_reason: Some("load"),
             budget_exhausted: None,
             cache: CacheDisposition::Miss,
-            retries: 1,
+            retries: 0,
             wall_us: 420,
         };
         let v = json::parse(&ok.to_line()).unwrap();
@@ -406,7 +396,7 @@ mod tests {
         assert_eq!(v.get("degrade_reason").unwrap().as_str(), Some("load"));
         assert_eq!(v.get("budget_exhausted"), Some(&Json::Null));
         assert_eq!(v.get("cache").unwrap().as_str(), Some("miss"));
-        assert_eq!(v.get("retries").unwrap().as_u64(), Some(1));
+        assert_eq!(v.get("retries").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("wall_us").unwrap().as_u64(), Some(420));
 
         let err = error_line("x", "overload", "queue full (64)");

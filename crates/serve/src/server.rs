@@ -33,7 +33,7 @@
 
 use crate::fingerprint::{CachedResult, Fingerprint, ResultCache};
 use crate::protocol::{self, CacheDisposition, OkResponse, Request};
-use crate::retry::{self, RetryPolicy};
+use crate::retry;
 use ssp_harness::{boundary, solve_traced, Algo, SolveOptions};
 use ssp_model::resource::Budget;
 use ssp_model::SolveError;
@@ -55,8 +55,6 @@ pub struct ServeOptions {
     /// Deadline applied to requests that do not carry their own
     /// `timeout_ms`; `None` = no default deadline.
     pub default_timeout: Option<Duration>,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
     /// Fingerprint-cache capacity (entries); 0 disables the cache.
     pub cache_cap: usize,
     /// Queue depth at dequeue at/above which the request is shed to the
@@ -65,11 +63,6 @@ pub struct ServeOptions {
     /// Minimum deadline headroom at dequeue; below it the request is shed
     /// rather than started on an algorithm it can no longer afford.
     pub min_headroom: Duration,
-    /// Per-request solver budget template (iteration/time caps); the
-    /// per-request deadline is layered on top.
-    pub budget: Budget,
-    /// Precondition cap forwarded to the exact solver.
-    pub max_exact_jobs: usize,
 }
 
 impl Default for ServeOptions {
@@ -78,12 +71,9 @@ impl Default for ServeOptions {
             workers: 4,
             queue_cap: 64,
             default_timeout: None,
-            retry: RetryPolicy::default(),
             cache_cap: 256,
             shed_watermark: 48,
             min_headroom: Duration::from_millis(5),
-            budget: Budget::unlimited(),
-            max_exact_jobs: 16,
         }
     }
 }
@@ -357,7 +347,7 @@ fn error_kind(error: &SolveError) -> &'static str {
     }
 }
 
-/// What one solve attempt settles on (the retry loop's `T`).
+/// What a solve settles on.
 struct Accepted {
     algorithm: Algo,
     energy: f64,
@@ -398,7 +388,7 @@ fn process(shared: &Shared, work: &Work, depth_behind: usize) {
     };
 
     let timeout = req.timeout.or(opts.default_timeout);
-    let (budget, deadline) = retry::deadline_budget(opts.budget.clone(), work.admitted, timeout);
+    let (budget, deadline) = retry::deadline_budget(Budget::unlimited(), work.admitted, timeout);
 
     // Load shedding: a deep queue or thin headroom means the requested
     // algorithm can no longer be afforded; step straight to the cheap,
@@ -454,16 +444,11 @@ fn process(shared: &Shared, work: &Work, depth_behind: usize) {
 
     let solve_opts = SolveOptions {
         budget,
-        max_exact_jobs: opts.max_exact_jobs,
         degrade: !req.no_fallback,
-        lower_bound: true,
+        ..SolveOptions::default()
     };
-    let max_retries = req.retries.unwrap_or(opts.retry.max_retries);
-    let outcome = retry::run_with_retry(&opts.retry, max_retries, deadline, |_attempt| {
-        solve_once(&req, effective_algo, &solve_opts)
-    });
 
-    match outcome.result {
+    match solve_once(&req, effective_algo, &solve_opts) {
         // A schedule can be valid yet have an energy past f64 range
         // (overflow-scale adversarial instances). JSON cannot carry ±inf
         // and a certified bound is meaningless there, so answer with a
@@ -520,7 +505,7 @@ fn process(shared: &Shared, work: &Work, depth_behind: usize) {
                 } else {
                     CacheDisposition::Bypass
                 },
-                retries: outcome.retries,
+                retries: 0,
                 wall_us: work.admitted.elapsed().as_micros() as u64,
             };
             deliver(shared, &work.sink, &response.to_line());
@@ -537,11 +522,11 @@ fn process(shared: &Shared, work: &Work, depth_behind: usize) {
     }
 }
 
-/// One solve attempt through the harness, folded to `Result` for the retry
-/// loop. `solve_traced` self-degrades to an untraced solve while the
-/// daemon's own session holds the probes, so counters/histograms fired by
-/// the solvers land in the daemon trace. The extra `boundary::catch` seals
-/// the service against panics in report handling itself.
+/// One solve through the harness, folded to `Result`. `solve_traced`
+/// self-degrades to an untraced solve while the daemon's own session holds
+/// the probes, so counters/histograms fired by the solvers land in the
+/// daemon trace. The extra `boundary::catch` seals the service against
+/// panics in report handling itself.
 fn solve_once(
     req: &Request,
     algo: Algo,
@@ -786,26 +771,6 @@ mod tests {
             assert!(ratio >= 1.0 - 1e-9);
         }
         assert!(server.stats().shed > 0);
-    }
-
-    #[test]
-    fn injected_transients_are_retried_and_reported() {
-        let mut server = Server::start(ServeOptions {
-            workers: 1,
-            retry: RetryPolicy {
-                inject_transient: 2,
-                base_backoff: Duration::from_micros(200),
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let (sink, lines) = collecting_sink();
-        server.submit(&request_line("rt", "rr", 3), Arc::clone(&sink));
-        drain(&mut server);
-        let lines = lines.lock().unwrap();
-        let v = json::parse(&lines[0]).unwrap();
-        assert_eq!(v.get("status").unwrap().as_str(), Some("ok"));
-        assert_eq!(v.get("retries").unwrap().as_u64(), Some(2));
     }
 
     #[test]

@@ -53,27 +53,48 @@ impl CliError {
 /// Entry point: interpret `args` (without the program name) and return the
 /// text to print on stdout.
 pub fn run(args: &[String]) -> Result<String, CliError> {
+    type Command = fn(&Parsed) -> Result<String, CliError>;
     let mut args = args.iter().map(String::as_str);
-    match args.next() {
-        Some("info") => info(&collect(args)?),
-        Some("generate") => generate(&collect(args)?),
-        Some("solve") => solve(&collect(args)?),
-        Some("budget") => budget(&collect(args)?),
-        Some("compare") => compare(&collect(args)?),
-        Some("analyze") => analyze(&collect(args)?),
-        Some("swf") => swf_import(&collect(args)?),
-        Some("quantize") => quantize_cmd(&collect(args)?),
-        Some("trace") => trace_cmd(&collect(args)?),
-        Some("bench-diff") => bench_diff_cmd(&collect(args)?),
-        Some("bench") => bench_cmd(&collect(args)?),
-        Some("serve") => serve_cmd(&collect(args)?),
-        Some("serve-drive") => serve_drive_cmd(&collect(args)?),
-        Some("stream") => stream_cmd(&collect(args)?),
-        Some("help") | Some("-h") | Some("--help") | None => Ok(USAGE.to_string()),
-        Some(other) => Err(CliError::usage(format!(
-            "unknown command '{other}'\n{USAGE}"
-        ))),
-    }
+    // Each command with the flags it reads: valued flags, then switches.
+    let (command, valued, switches): (Command, &str, &str) = match args.next() {
+        Some("info") => (info, "", ""),
+        Some("generate") => (generate, "n m alpha seed o", ""),
+        Some("solve") => (
+            solve,
+            "algo width svg telemetry timeout-ms",
+            "no-fallback gantt timings",
+        ),
+        Some("budget") => (budget, "energy", "gantt non-migratory"),
+        Some("compare") => (compare, "", ""),
+        Some("analyze") => (analyze, "algo", ""),
+        Some("swf") => (
+            swf_import,
+            "machines alpha laxity max-jobs time-scale o",
+            "",
+        ),
+        Some("quantize") => (quantize_cmd, "algo levels", ""),
+        Some("trace") => (trace_cmd, "threshold", ""),
+        Some("bench-diff") => (bench_diff_cmd, "threshold min-ms", ""),
+        Some("bench") => (bench_cmd, "window min-ms trace-dir", "markdown gate"),
+        Some("serve") => (
+            serve_cmd,
+            "socket workers queue-cap cache-cap shed-watermark timeout-ms telemetry",
+            "stdin",
+        ),
+        Some("serve-drive") => (serve_drive_cmd, "socket count seed timeout-ms", ""),
+        Some("stream") => (
+            stream_cmd,
+            "family n m alpha seed policy sched window-cap bal-cap emit telemetry",
+            "no-lb report check",
+        ),
+        Some("help") | Some("-h") | Some("--help") | None => return Ok(USAGE.to_string()),
+        Some(other) => {
+            return Err(CliError::usage(format!(
+                "unknown command '{other}'\n{USAGE}"
+            )))
+        }
+    };
+    command(&collect(args, valued, switches)?)
 }
 
 /// Usage text.
@@ -88,7 +109,7 @@ commands:
                      | general | bursty
   solve <file> [--algo NAME] [--no-fallback] [--gantt] [--width W]
         [--svg OUT.svg] [--telemetry OUT.jsonl] [--timings]
-        [--timeout-ms MS] [--retries N] [--inject-transient K]
+        [--timeout-ms MS]
            algos: rr | classified | least-loaded | relax | greedy | local
                   | exact | bal | avr | oa        (default: rr)
            failures degrade through local → greedy → least-loaded → rr
@@ -96,9 +117,7 @@ commands:
            --telemetry writes the probe trace (spans + counters) as JSONL;
            --timings prints the phase table (see docs/OBSERVABILITY.md)
            --timeout-ms sets a wall-clock deadline observed inside solver
-           loops; --inject-transient fails the first K attempts (testing
-           hook) and --retries retries those with backoff; a solve is
-           deterministic, so a real failure is final
+           loops; a solve is deterministic, so it makes one attempt
   budget <file> --energy E [--gantt] [--non-migratory]
                                       minimize makespan under an energy budget
   compare <file>                      run every algorithm, print the scoreboard
@@ -140,11 +159,11 @@ commands:
                                       --markdown emits a GitHub-flavored table
   serve [--socket PATH] [--stdin] [--workers N] [--queue-cap N]
         [--cache-cap N] [--shed-watermark N] [--timeout-ms MS]
-        [--retries N] [--inject-transient K] [--telemetry OUT.jsonl]
+        [--telemetry OUT.jsonl]
                                       solve service: JSONL requests over stdin
                                       (default) and/or a Unix socket; bounded
-                                      queue, per-request deadlines, retry with
-                                      backoff, load shedding, result cache.
+                                      queue, per-request deadlines, load
+                                      shedding, result cache.
                                       SIGTERM/SIGINT drain and exit cleanly
                                       (protocol: docs/SERVE.md)
   serve-drive --socket PATH [--count N] [--seed S] [--timeout-ms MS]
@@ -196,24 +215,38 @@ impl Parsed {
     }
 }
 
-fn collect<'a>(args: impl Iterator<Item = &'a str>) -> Result<Parsed, CliError> {
+/// Split `args` into positionals and flags. `valued` and `switches` list
+/// the command's flag names, separated by spaces. A valued flag takes the
+/// next token as its value whatever it looks like (so `--alpha -1` reaches
+/// the validator); a switch takes none. A flag in neither list, or a valued
+/// flag with nothing after it, is a usage error.
+fn collect<'a>(
+    mut args: impl Iterator<Item = &'a str>,
+    valued: &str,
+    switches: &str,
+) -> Result<Parsed, CliError> {
+    let listed = |names: &str, name: &str| names.split_whitespace().any(|n| n == name);
     let mut positional = Vec::new();
     let mut flags = Vec::new();
-    let mut args = args.peekable();
     while let Some(a) = args.next() {
-        if let Some(name) = a
+        let Some(name) = a
             .strip_prefix("--")
             .or_else(|| a.strip_prefix('-').filter(|s| s.len() == 1))
-        {
-            // Boolean flags have no value; valued flags eat the next token.
-            let value = match args.peek() {
-                Some(v) if !v.starts_with('-') => Some(args.next().unwrap().to_string()),
-                _ => None,
-            };
-            flags.push((name.to_string(), value));
-        } else {
+        else {
             positional.push(a.to_string());
-        }
+            continue;
+        };
+        let value = if listed(switches, name) {
+            None
+        } else if listed(valued, name) {
+            let v = args
+                .next()
+                .ok_or_else(|| CliError::usage(format!("{a} needs a value")))?;
+            Some(v.to_string())
+        } else {
+            return Err(CliError::usage(format!("unknown flag '{a}'")));
+        };
+        flags.push((name.to_string(), value));
     }
     Ok(Parsed { positional, flags })
 }
@@ -348,16 +381,14 @@ impl Drop for TelemetryFlushGuard {
 /// `solve` goes through the harness: panic-free, post-validated, with a
 /// degradation chain (`--no-fallback` restricts to the requested algorithm)
 /// and an energy check against the certified BAL/KKT lower bound.
-/// `--timeout-ms` and `--retries` map onto the same deadline/retry
-/// machinery the serve daemon uses (`ssp_serve::retry`).
+/// `--timeout-ms` maps onto the same deadline threading the serve daemon
+/// uses (`ssp_serve::retry::deadline_budget`).
 fn solve(parsed: &Parsed) -> Result<String, CliError> {
     use ssp_harness::SolveOptions;
     let inst = load(parsed)?;
     let algo = algo_named(parsed.flag("algo").unwrap_or("rr"))?;
     let timeout_ms: Option<u64> = parsed.flag_parse("timeout-ms")?;
-    let max_retries: u32 = parsed.flag_parse("retries")?.unwrap_or(0);
-    let inject: u32 = parsed.flag_parse("inject-transient")?.unwrap_or(0);
-    let (budget, deadline) = ssp_serve::retry::deadline_budget(
+    let (budget, _) = ssp_serve::retry::deadline_budget(
         ssp_model::Budget::unlimited(),
         std::time::Instant::now(),
         timeout_ms.map(std::time::Duration::from_millis),
@@ -368,82 +399,38 @@ fn solve(parsed: &Parsed) -> Result<String, CliError> {
         ..Default::default()
     };
     let want_trace = parsed.has("telemetry") || parsed.has("timings");
-    let policy = ssp_serve::RetryPolicy {
-        inject_transient: inject,
-        ..Default::default()
-    };
-    // Keep the last whole-chain-failed report so its summary and partial
-    // telemetry survive into the error message.
-    let mut last_failed: Option<ssp_harness::SolveReport> = None;
-    let retried = ssp_serve::retry::run_with_retry(&policy, max_retries, deadline, |_attempt| {
-        let report = if want_trace {
-            ssp_harness::solve_traced(&inst, algo, &opts)
-        } else {
-            ssp_harness::solve(&inst, algo, &opts)
-        };
-        if report.outcome.is_some() {
-            Ok(report)
-        } else {
-            let error = report
-                .attempts
-                .iter()
-                .rev()
-                .find_map(|a| a.error.clone())
-                .unwrap_or(ssp_model::SolveError::Numeric {
-                    message: "solve returned neither outcome nor error".into(),
-                });
-            last_failed = Some(report);
-            Err(error)
-        }
-    });
-    let retries_spent = retried.retries;
-    let report = match retried.result {
-        Ok(report) => report,
-        Err(error) => {
-            let mut message = match &last_failed {
-                Some(failed) => format!(
-                    "no algorithm produced a valid schedule:\n{}",
-                    failed.summary().trim_end()
-                ),
-                // Injected transients fail before the solver runs, so there
-                // is no report to summarize.
-                None => format!("solve failed: {error}"),
-            };
-            if retries_spent > 0 {
-                let _ = write!(message, "\n({retries_spent} transient retries spent)");
-            }
-            let mut guard = TelemetryFlushGuard::arm(
-                parsed.flag("telemetry"),
-                last_failed.as_ref().and_then(|r| r.telemetry.as_ref()),
-            );
-            match guard.flush() {
-                Some(Ok(_)) => {
-                    let _ = write!(
-                        message,
-                        "\npartial telemetry written to {}",
-                        parsed.flag("telemetry").unwrap_or("?")
-                    );
-                }
-                Some(Err(e)) => {
-                    let _ = write!(message, "\n{e}");
-                }
-                None => {}
-            }
-            return Err(CliError::runtime(message));
-        }
+    let report = if want_trace {
+        ssp_harness::solve_traced(&inst, algo, &opts)
+    } else {
+        ssp_harness::solve(&inst, algo, &opts)
     };
     // From here on any panic or early error must still flush the trace.
     let mut telemetry_guard =
         TelemetryFlushGuard::arm(parsed.flag("telemetry"), report.telemetry.as_ref());
-    let outcome = report.outcome.as_ref().expect("checked in retry loop");
+    let Some(outcome) = report.outcome.as_ref() else {
+        // The whole chain failed: its summary and the partial telemetry
+        // go into the error message.
+        let mut message = format!(
+            "no algorithm produced a valid schedule:\n{}",
+            report.summary().trim_end()
+        );
+        match telemetry_guard.flush() {
+            Some(Ok(_)) => {
+                let _ = write!(
+                    message,
+                    "\npartial telemetry written to {}",
+                    parsed.flag("telemetry").unwrap_or("?")
+                );
+            }
+            Some(Err(e)) => {
+                let _ = write!(message, "\n{e}");
+            }
+            None => {}
+        }
+        return Err(CliError::runtime(message));
+    };
     let mut out = String::new();
     let _ = writeln!(out, "{}", outcome.algorithm.label());
-    if retries_spent > 0 {
-        let _ = writeln!(
-            out,
-            "note: succeeded after {retries_spent} transient retries"
-        );
-    }
     if report.degraded() {
         let _ = writeln!(
             out,
@@ -923,12 +910,12 @@ fn stdout_sink() -> ssp_serve::Sink {
 
 /// The `ssp serve` daemon. Transport only: requests come in as JSONL lines
 /// from stdin and/or a Unix socket and are handed to [`ssp_serve::Server`];
-/// admission control, deadlines, retries, shedding, caching, and isolation
+/// admission control, deadlines, shedding, caching, and isolation
 /// all live in the service crate so tests and EXP-21 exercise the same
 /// code. Shutdown (SIGTERM/SIGINT, or stdin EOF when stdin is the only
 /// transport) drains every admitted request before exiting.
 fn serve_cmd(parsed: &Parsed) -> Result<String, CliError> {
-    use ssp_serve::{RetryPolicy, ServeOptions, Server};
+    use ssp_serve::{ServeOptions, Server};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -941,11 +928,6 @@ fn serve_cmd(parsed: &Parsed) -> Result<String, CliError> {
         default_timeout: parsed
             .flag_parse::<u64>("timeout-ms")?
             .map(Duration::from_millis),
-        retry: RetryPolicy {
-            max_retries: parsed.flag_parse("retries")?.unwrap_or(2),
-            inject_transient: parsed.flag_parse("inject-transient")?.unwrap_or(0),
-            ..Default::default()
-        },
         ..Default::default()
     };
     if opts.workers == 0 || opts.queue_cap == 0 {
@@ -2045,7 +2027,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    // -- solve deadline/retry flags (serve machinery on the one-shot path) --
+    // -- solve deadlines (serve's deadline threading on the one-shot path) --
 
     /// `--timeout-ms 0` must thread an already-expired deadline into the
     /// solver budget: either a best-so-far salvage annotated as exhausted,
@@ -2083,64 +2065,19 @@ mod tests {
         std::fs::remove_file(&p).ok();
     }
 
-    #[test]
-    fn solve_retries_recover_from_injected_transients() {
-        let p = tmp_instance();
-        let out = run(&args(&[
-            "solve",
-            &p,
-            "--algo",
-            "rr",
-            "--retries",
-            "2",
-            "--inject-transient",
-            "2",
-        ]))
-        .unwrap();
-        assert!(out.contains("succeeded after 2 transient retries"), "{out}");
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn solve_exhausted_retries_exit_with_a_runtime_error() {
-        let p = tmp_instance();
-        let err = run(&args(&[
-            "solve",
-            &p,
-            "--algo",
-            "rr",
-            "--retries",
-            "1",
-            "--inject-transient",
-            "5",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.code, 1);
-        assert!(
-            err.message.contains("injected transient"),
-            "{}",
-            err.message
-        );
-        assert!(
-            err.message.contains("1 transient retries spent"),
-            "{}",
-            err.message
-        );
-        std::fs::remove_file(&p).ok();
-    }
-
-    /// Every algorithm fails on this instance, and a solve is deterministic,
-    /// so a retry would fail the same way: `--retries` spends none.
+    /// Every algorithm fails on this instance. A solve is deterministic,
+    /// so it makes one attempt and the chain's failure is final: exit 1
+    /// with the chain summary.
     #[test]
     fn solve_does_not_retry_a_deterministic_failure() {
-        let path = std::env::temp_dir().join(format!("ssp_cli_retry_{}.ssp", std::process::id()));
+        let path = std::env::temp_dir().join(format!("ssp_cli_chain_{}.ssp", std::process::id()));
         std::fs::write(
             &path,
             "machines 2\nalpha 2.0\njob 0 1e300 0 1e-300\njob 1 1 0 2\n",
         )
         .unwrap();
         let p = path.to_string_lossy().into_owned();
-        let err = run(&args(&["solve", &p, "--retries", "2"])).unwrap_err();
+        let err = run(&args(&["solve", &p])).unwrap_err();
         assert_eq!(err.code, 1);
         assert!(
             err.message
@@ -2148,26 +2085,54 @@ mod tests {
             "{}",
             err.message
         );
-        assert!(
-            !err.message.contains("transient retries spent"),
-            "{}",
-            err.message
-        );
+        // The chain ran once: one narrated failure per algorithm.
+        for algo in ["rr", "local", "greedy", "least-loaded"] {
+            let line = format!("\n{algo}: failed");
+            assert_eq!(err.message.matches(&line).count(), 1, "{}", err.message);
+        }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn solve_bad_retry_flag_values_are_usage_errors() {
         let p = tmp_instance();
-        for flags in [
-            ["--retries", "many"],
-            ["--timeout-ms", "soon"],
-            ["--inject-transient", "x"],
-        ] {
-            let err = run(&args(&["solve", &p, flags[0], flags[1]])).unwrap_err();
-            assert_eq!(err.code, 2, "{flags:?}");
+        for value in ["soon", "-5"] {
+            let err = run(&args(&["solve", &p, "--timeout-ms", value])).unwrap_err();
+            assert_eq!(err.code, 2, "--timeout-ms {value}");
+            assert!(err.message.contains("--timeout-ms"), "{}", err.message);
         }
         std::fs::remove_file(&p).ok();
+    }
+
+    // -- flag parsing: each command accepts only the flags it reads --
+
+    /// An ignored misspelled flag would let the command run on its defaults
+    /// and exit 0. `--retries` is no flag of `solve` or `serve`; `serve`
+    /// rejects it before it starts a daemon.
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        let p = tmp_instance();
+        assert_eq!(code_of(&format!("solve {p} --algo-typo bal")), 2);
+        assert_eq!(code_of(&format!("solve {p} --retries 2")), 2);
+        assert_eq!(code_of("serve --retries 2"), 2);
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// A switch takes no value, so the file after it stays positional.
+    #[test]
+    fn switches_never_take_the_next_token() {
+        let p = tmp_instance();
+        assert_eq!(code_of(&format!("solve --gantt {p}")), 0);
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// A valued flag takes the next token even when it starts with `-`, so
+    /// `--alpha -1` reaches the validator instead of leaving the default in
+    /// place; a valued flag with nothing after it is a usage error.
+    #[test]
+    fn valued_flags_take_dash_values_and_require_one() {
+        assert_eq!(code_of("generate general --n 3 --m 2 --alpha -1"), 2);
+        assert_eq!(code_of("generate general --n 3 --m 2 --alpha"), 2);
     }
 
     /// Satellite fix: the telemetry guard flushes the trace even when the

@@ -14,7 +14,7 @@ use ssp_model::{Budget, Instance};
 use ssp_workloads::{families, subseed};
 
 /// Energy bits, then `flow_computations`, `maxflow.warm_reuse`,
-/// `maxflow.dinic.drain_paths`, `maxflow.dinic.augmentations` and
+/// `maxflow.dinic.cancel_paths`, `maxflow.dinic.augmentations` and
 /// `maxflow.dinic.phases`.
 type Pinned = (u64, [u64; 5]);
 
@@ -36,7 +36,7 @@ fn forced_flow_ladder(instance: &Instance) -> Pinned {
         [
             sol.flow_computations as u64,
             trace.counter("maxflow.warm_reuse"),
-            trace.counter("maxflow.dinic.drain_paths"),
+            trace.counter("maxflow.dinic.cancel_paths"),
             trace.counter("maxflow.dinic.augmentations"),
             trace.counter("maxflow.dinic.phases"),
         ],
