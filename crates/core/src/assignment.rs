@@ -7,8 +7,8 @@
 //! (b) the global non-migratory optimum = the best assignment — which is
 //! exactly what makes the problem combinatorial (and NP-hard in general).
 
-use ssp_model::{Instance, Schedule};
-use ssp_single::yds::{yds, yds_schedule};
+use ssp_model::{Instance, Schedule, SolveError};
+use ssp_single::yds::{try_yds_schedule, yds};
 
 /// A job→machine map, indexed like `Instance::jobs()`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,8 +87,18 @@ pub fn assignment_energy(instance: &Instance, assignment: &Assignment) -> f64 {
 }
 
 /// Materialize the optimal schedule for an assignment: YDS + EDF on each
-/// machine, merged. Always succeeds (speeds are unbounded).
+/// machine, merged. Panics where [`try_assignment_schedule`] fails.
 pub fn assignment_schedule(instance: &Instance, assignment: &Assignment) -> Schedule {
+    try_assignment_schedule(instance, assignment).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`assignment_schedule`]: speeds are unbounded, so the schedule
+/// exists whenever f64 can write it down; a machine whose YDS speeds
+/// overflow is a [`SolveError::Numeric`] (see [`try_yds_schedule`]).
+pub fn try_assignment_schedule(
+    instance: &Instance,
+    assignment: &Assignment,
+) -> Result<Schedule, SolveError> {
     let _span = ssp_probe::span("assign.schedule");
     assert_eq!(
         assignment.len(),
@@ -105,12 +115,12 @@ pub fn assignment_schedule(instance: &Instance, assignment: &Assignment) -> Sche
             continue;
         }
         let jobs: Vec<_> = group.iter().map(|&i| *instance.job(i)).collect();
-        let (_, schedule) = yds_schedule(&jobs, instance.alpha(), machine);
+        let (_, schedule) = try_yds_schedule(&jobs, instance.alpha(), machine)?;
         for &seg in schedule.segments() {
             merged.push(seg);
         }
     }
-    merged
+    Ok(merged)
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub mod relax;
 pub mod rr;
 pub mod throughput;
 
-pub use assignment::{assignment_energy, assignment_schedule, Assignment};
+pub use assignment::{assignment_energy, assignment_schedule, try_assignment_schedule, Assignment};
 pub use budget::{makespan_under_budget, InnerSolver};
 pub use classified::classified_rr;
 pub use decompose::{decompose, exact_decomposed};

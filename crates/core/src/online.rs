@@ -93,7 +93,8 @@ pub fn oa_m(instance: &Instance) -> Schedule {
         let next = events.get(k + 1).copied().unwrap_or(f64::INFINITY);
         // Snapshot of available unfinished work, re-released at `now`. The
         // completion threshold (1e-7 relative) must exceed the planner's
-        // own allotment rounding (BAL clamps residues at 1e-8 relative), or
+        // own allotment rounding (BAL meets each demand up to the
+        // noise-sized sliver its clamp at the interval length removes), or
         // phantom slivers of work would survive past their deadlines.
         let avail: Vec<usize> = (0..instance.len())
             .filter(|&i| {

@@ -9,8 +9,8 @@
 //!
 //! Every experiment runs inside a probe session; the final `telemetry`
 //! table (and `timings.csv` under `--csv`) attributes each experiment's
-//! wall time to solver work — max-flow runs, BAL bisection steps,
-//! local-search evaluations. See `docs/OBSERVABILITY.md`.
+//! wall time to solver work — WAP max-flow computations, BAL bisection
+//! steps, local-search evaluations. See `docs/OBSERVABILITY.md`.
 
 use ssp_exper::table::Cell;
 use ssp_exper::{registry, RunCfg, Table};
@@ -72,7 +72,7 @@ fn main() {
         &[
             "exp",
             "wall s",
-            "flow runs",
+            "flow calls",
             "bal rounds",
             "bisect steps",
             "ls evals",
@@ -118,7 +118,7 @@ fn main() {
             timings.push(vec![
                 Cell::Text(exp.id.to_string()),
                 Cell::Num(wall, 3),
-                Cell::Int(trace.counter("maxflow.dinic.runs") as i64),
+                Cell::Int(trace.counter("wap.flow_calls") as i64),
                 Cell::Int(trace.counter("bal.rounds") as i64),
                 Cell::Int(trace.counter("bal.bisect_steps") as i64),
                 Cell::Int(trace.counter("local_search.evaluations") as i64),

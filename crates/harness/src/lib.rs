@@ -43,7 +43,7 @@
 pub mod boundary;
 pub mod fault;
 
-use ssp_core::assignment::{assignment_schedule, Assignment};
+use ssp_core::assignment::{try_assignment_schedule, Assignment};
 use ssp_core::classified::classified_assignment;
 use ssp_core::exact::exact_nonmigratory;
 use ssp_core::list::{least_loaded, marginal_energy_greedy};
@@ -202,15 +202,17 @@ pub fn run_algorithm(
 ) -> Result<AlgoRun, SolveError> {
     let budget = opts.budget.clone();
     boundary::catch(|| {
-        let from_assignment = |a: Assignment| AlgoRun {
-            schedule: assignment_schedule(instance, &a),
-            budget_exhausted: None,
+        let from_assignment = |a: Assignment| {
+            Ok(AlgoRun {
+                schedule: try_assignment_schedule(instance, &a)?,
+                budget_exhausted: None,
+            })
         };
         let relaxed = |budget| match relaxation {
             Some(sol) => Ok(Cow::Borrowed(sol)),
             None => try_bal(instance, budget).map(Cow::Owned),
         };
-        Ok(match algo {
+        match algo {
             Algo::Rr => from_assignment(rr_assignment(instance)),
             Algo::Classified => from_assignment(classified_assignment(instance)),
             Algo::LeastLoaded => from_assignment(least_loaded(instance)),
@@ -244,27 +246,27 @@ pub fn run_algorithm(
                     ..Default::default()
                 };
                 let result = improve(instance, &seed, search_opts);
-                AlgoRun {
-                    schedule: assignment_schedule(instance, &result.assignment),
+                Ok(AlgoRun {
+                    schedule: try_assignment_schedule(instance, &result.assignment)?,
                     budget_exhausted: result.budget_exhausted,
-                }
+                })
             }
             Algo::Bal => {
                 let sol = relaxed(budget)?;
-                AlgoRun {
+                Ok(AlgoRun {
                     schedule: sol.schedule(instance),
                     budget_exhausted: sol.budget_exhausted,
-                }
+                })
             }
-            Algo::Avr => AlgoRun {
+            Algo::Avr => Ok(AlgoRun {
                 schedule: avr_m(instance),
                 budget_exhausted: None,
-            },
-            Algo::Oa => AlgoRun {
+            }),
+            Algo::Oa => Ok(AlgoRun {
                 schedule: oa_m(instance),
                 budget_exhausted: None,
-            },
-        })
+            }),
+        }
     })
 }
 
@@ -562,6 +564,7 @@ fn ratio(energy: f64, lower_bound: Option<f64>) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssp_core::assignment::assignment_schedule;
     use ssp_model::Job;
 
     fn small_instance() -> Instance {
@@ -807,6 +810,29 @@ mod tests {
             let report = solve(&inst, algo, &SolveOptions::default());
             let error = report.attempts[0].error.as_ref().unwrap();
             assert_eq!(error.kind(), "numeric", "{algo}: {error}");
+        }
+    }
+
+    /// The same job overflows every non-migratory schedule: its YDS speed
+    /// is `∞`, so its processing time is 0. Each algorithm reports a typed
+    /// numeric error, never a panic, and the chain fails as a whole.
+    #[test]
+    fn overflowing_yds_speeds_are_numeric_errors() {
+        let inst = Instance::new(vec![Job::new(0, 1e300, 0.0, 1e-300)], 1, 2.0).unwrap();
+        let opts = SolveOptions {
+            degrade: false,
+            ..Default::default()
+        };
+        for algo in Algo::ALL.into_iter().filter(|a| a.non_migratory()) {
+            let report = solve(&inst, algo, &opts);
+            let error = report.error().expect("no schedule exists in f64");
+            assert_eq!(error.kind(), "numeric", "{algo}: {error}");
+        }
+        let report = solve(&inst, Algo::Rr, &SolveOptions::default());
+        assert_eq!(report.attempts.len(), degradation_chain(Algo::Rr).len());
+        for a in &report.attempts {
+            let error = a.error.as_ref().expect("every chain member fails");
+            assert_eq!(error.kind(), "numeric", "{}: {error}", a.algo);
         }
     }
 

@@ -11,6 +11,7 @@ use ssp_harness::{solve_traced, Algo, SolveOptions};
 use ssp_model::resource::Budget;
 use ssp_model::{Instance, Job};
 use ssp_probe::Trace;
+use ssp_workloads::families;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -97,7 +98,8 @@ fn degradation_chain_appears_as_attempt_spans() {
 
 /// Counter totals in the trace agree with the solver's own accounting:
 /// BAL's `flow_computations` is exported 1:1 as `bal.flow_calls`, and every
-/// WAP solve is a transcript probe or a round's classification probe.
+/// WAP solve is a transcript probe, a round's classification probe or the
+/// solve at the round's speed that its allotments are read from after one.
 #[test]
 fn counters_match_solver_accounting() {
     let _lock = session_lock();
@@ -124,8 +126,8 @@ fn counters_match_solver_accounting() {
     let probes: usize = sol.rounds.iter().map(|r| r.probes.len()).sum();
     assert_eq!(
         trace.counter("wap.flow_calls"),
-        probes as u64 + trace.counter("bal.classify_probes"),
-        "WAP solves are the transcripts' probes plus the classification probes"
+        probes as u64 + trace.counter("bal.classify_probes") + trace.counter("bal.readback_solves"),
+        "WAP solves are the transcripts' probes plus the classification probes and readbacks"
     );
     // Every flow computation either ran the generic engine (cold Dinic
     // rebuild, warm restart of a previous run, or a resume seeded from the
@@ -154,13 +156,45 @@ fn counters_match_solver_accounting() {
     );
 }
 
+/// A ladder BAL never runs a cold max flow: each round's solves are answered
+/// by the sweep, by a resume seeded from the sweep's greedy flow, or by the
+/// latched engine's warm carry, and the round reads its allotments off its
+/// own flow instead of routing them through a network of their own.
+#[test]
+fn ladder_bal_runs_no_cold_max_flow() {
+    let _lock = session_lock();
+    let (n, m, alpha, seed) = (100, 4, 2.0, ssp_workloads::subseed(1, 0));
+    let mut engine_solves = 0;
+    for (shape, instance) in [
+        ("general", families::general(n, m, alpha).gen(seed)),
+        ("laminar", families::laminar_nested(n, m, alpha, seed)),
+        ("crossing", families::crossing(n, m, alpha, seed)),
+        ("bursty", families::bursty(n, m, alpha).gen(seed)),
+    ] {
+        let session = ssp_probe::Session::begin().expect("no competing session");
+        let sol = ssp_migratory::bal::try_bal(&instance, Budget::unlimited()).unwrap();
+        let trace = session.end();
+        assert!(sol.flow_computations > 0, "{shape}");
+        assert_eq!(
+            trace.counter("maxflow.rebuild"),
+            0,
+            "{shape}: cold max flows"
+        );
+        engine_solves += trace.counter("maxflow.dinic.seeded_resumes");
+    }
+    assert!(
+        engine_solves > 0,
+        "the Dinic engine answered no solve at all"
+    );
+}
+
 /// `relax` rounds and `bal` reports the lower bound's own BAL run, so a
 /// traced relax or bal solve counts the BAL work of an rr solve, whose
 /// only BAL is the bound's.
 #[test]
 fn relax_and_bal_solves_run_bal_once() {
     let _lock = session_lock();
-    let instance = ssp_workloads::families::general(30, 4, 2.0).gen(7);
+    let instance = families::general(30, 4, 2.0).gen(7);
     let bal_work = |algo| {
         let report = solve_traced(&instance, algo, &SolveOptions::default());
         assert_eq!(report.outcome.map(|o| o.algorithm), Some(algo));

@@ -14,11 +14,15 @@
 //!    job occupies that interval **entirely**. The probe ladder usually
 //!    already holds that cut, or a flow that determines it, when its search
 //!    ends; otherwise one more max flow just below `v*` reads it off.
-//! 3. Fix the critical jobs at speed `v*` with the structured allotment
-//!    (full non-saturated intervals, residue routed into saturated intervals
-//!    by a small dedicated flow), zero the saturated intervals' capacities,
-//!    subtract one processor (`|I_j|`) per critical job from the others, and
-//!    recurse on the remaining jobs.
+//! 3. Fix the critical jobs at speed `v*` and read their allotments off a
+//!    feasible maximum flow at `v*`. The cut is tight there, so every such
+//!    flow fills each critical job's open non-saturated intervals and packs
+//!    the rest of its demand into the saturated intervals, which no other
+//!    job uses. A ladder round that ends on its Newton bound or its density
+//!    opener already holds that flow; every other round solves once more at
+//!    `v*`. Then zero the saturated intervals' capacities, subtract one
+//!    processor (`|I_j|`) per critical job from the others, and recurse on
+//!    the remaining jobs.
 //!
 //! Each round fixes at least one job, so there are at most `n` rounds of
 //! `O(log P)` max-flow computations: `O(n · f(n) · log P)` total.
@@ -30,7 +34,6 @@
 
 use crate::mcnaughton::mcnaughton;
 use crate::wap::{Wap, WapSolver};
-use ssp_maxflow::FlowNetwork;
 use ssp_model::numeric::{bisect_threshold_budgeted, BINARY_SEARCH_REL_WIDTH};
 use ssp_model::resource::{Budget, Meter};
 use ssp_model::{Instance, IntervalSet, Schedule, SolveError, SpeedAssignment};
@@ -235,6 +238,7 @@ pub fn try_bal_with_wap_strategy(
         });
     }
     let mut budget_exhausted = None;
+    let horizon: f64 = (0..intervals.len()).map(|j| intervals.length(j)).sum();
 
     while !remaining.is_empty() {
         let _round_span = ssp_probe::span("bal.round");
@@ -308,15 +312,22 @@ pub fn try_bal_with_wap_strategy(
         if meter.exhausted().is_some() {
             // Out of budget: fix everything still open at `v_crit`, the
             // feasible end of the bracket, and stop peeling.
-            fix_remaining_at(
+            if prober.log.last() != Some(&(v_crit, true)) {
+                ssp_probe::counter!("bal.readback_solves");
+                prober.solve(v_crit);
+            }
+            read_allotments(
                 instance,
-                &wap,
+                prober.solver,
                 v_crit,
                 &remaining,
-                &mut speeds,
+                &intervals,
+                horizon,
                 &mut allotments,
-                &mut flow_computations,
             )?;
+            for &i in &remaining {
+                speeds[i] = v_crit;
+            }
             rounds.push(BalRound {
                 speed: v_crit,
                 jobs: remaining.clone(),
@@ -326,7 +337,7 @@ pub fn try_bal_with_wap_strategy(
             budget_exhausted = meter.exhausted();
             break;
         }
-        let (critical, saturated) = match settled.classify(&solver, &wap, &remaining) {
+        let (critical, saturated) = match settled.classify(prober.solver, &wap, &remaining) {
             Some(sets) => sets,
             None => {
                 // Probe strictly below the critical speed for the cut
@@ -342,12 +353,8 @@ pub fn try_bal_with_wap_strategy(
                 // which max flow certifies it, so warm and cold probes
                 // classify identically.
                 ssp_probe::counter!("bal.classify_probes");
-                flow_computations += 1;
-                for &i in &remaining {
-                    pbuf[i] = instance.job(i).work / probe;
-                }
-                solver.solve(&pbuf);
-                let (job_side, ival_side) = solver.cut_sides();
+                prober.solve(probe);
+                let (job_side, ival_side) = prober.solver.cut_sides();
 
                 let mut critical: Vec<usize> =
                     remaining.iter().copied().filter(|&i| job_side[i]).collect();
@@ -366,6 +373,10 @@ pub fn try_bal_with_wap_strategy(
                         .unwrap();
                     critical.push(fallback);
                 }
+                // The probe replaced the flow at `v_crit` that the round's
+                // allotments are read from: solve there once more.
+                ssp_probe::counter!("bal.readback_solves");
+                prober.solve(v_crit);
                 (critical, open_cut_intervals(&wap, &ival_side))
             }
         };
@@ -376,78 +387,15 @@ pub fn try_bal_with_wap_strategy(
             }
             v
         };
-
-        // Structured allotment for the critical jobs: fill non-saturated
-        // open span intervals entirely; route the residue into saturated
-        // intervals with a small dedicated flow.
-        let mut residues: Vec<f64> = Vec::with_capacity(critical.len());
-        for &i in &critical {
-            let demand = instance.job(i).work / v_crit;
-            let mut need = demand;
-            let open: Vec<usize> = wap.open_intervals_of(i).collect();
-            for &j in open.iter().filter(|&&j| !saturated_set[j]) {
-                let t = need.min(intervals.length(j));
-                if t > 0.0 {
-                    allotments[i].push((j, t));
-                    need -= t;
-                }
-            }
-            // Sub-tolerance slivers are probe-offset noise, not real demand
-            // (threshold = 10x the probe offset).
-            residues.push(if need <= 1e-8 * demand { 0.0 } else { need });
-        }
-        let demand_scale: f64 = critical
-            .iter()
-            .map(|&i| instance.job(i).work / v_crit)
-            .sum();
-        route_residues(
-            &critical,
-            &residues,
-            &saturated,
-            &wap,
-            &intervals,
+        read_allotments(
+            instance,
+            prober.solver,
             v_crit,
-            demand_scale,
+            &critical,
+            &intervals,
+            horizon,
             &mut allotments,
-            &mut flow_computations,
         )?;
-        // The probe's 1e-9 offset makes the cut classification exact only up
-        // to that scale; over many jobs the routed totals can fall short of
-        // the demands by ~1e-7 relative. Normalize each critical job's
-        // allotment to its exact demand (energy-irrelevant; downstream
-        // tolerances absorb the matching per-interval overshoot).
-        // Allotments are *times*, so the flow engine's absolute noise scales
-        // with the interval lengths, not with the demands. When a
-        // near-zero-width window drives v_crit so high that every demand is
-        // below that noise floor (e.g. ~1e-14 against intervals of length
-        // ~1), the relative check alone is unsatisfiable; anchor an absolute
-        // slack on the decomposition's total length.
-        let horizon: f64 = (0..intervals.len()).map(|j| intervals.length(j)).sum();
-        for &i in &critical {
-            let need = instance.job(i).work / v_crit;
-            let got: f64 = allotments[i].iter().map(|&(_, t)| t).sum();
-            // NaN discrepancies must fail, so the comparison stays affirmative.
-            let within_tolerance = (got - need).abs() <= 1e-5 * need + 1e-9 * horizon;
-            if !within_tolerance {
-                return Err(SolveError::Numeric {
-                    message: format!(
-                        "allotment of job {} off by more than tolerance: {got} vs {need}",
-                        instance.job(i).id
-                    ),
-                });
-            }
-            if got > 0.0 && got != need {
-                let factor = need / got;
-                for entry in &mut allotments[i] {
-                    // Clamp at the interval length: the scaling may push a
-                    // full interval over by ~1e-7 relative to the *demand*,
-                    // which can exceed per-interval tolerances on short
-                    // intervals. The clamped sliver is noise-sized and stays
-                    // far below the conservation tolerance.
-                    entry.1 = (entry.1 * factor).min(intervals.length(entry.0));
-                }
-            }
-        }
 
         // Capacity updates: zero saturated intervals; one processor per
         // critical job elsewhere.
@@ -515,13 +463,19 @@ struct Prober<'a> {
 }
 
 impl Prober<'_> {
-    /// Probe uniform speed `v`; `true` when it is feasible.
-    fn probe(&mut self, v: f64) -> bool {
+    /// Solve at uniform speed `v`, one counted max-flow computation outside
+    /// the transcript: the classification probe and the allotment readback.
+    fn solve(&mut self, v: f64) {
         *self.flow_computations += 1;
         for &i in self.remaining {
             self.pbuf[i] = self.instance.job(i).work / v;
         }
         self.solver.solve(self.pbuf);
+    }
+
+    /// Probe uniform speed `v`; `true` when it is feasible.
+    fn probe(&mut self, v: f64) -> bool {
+        self.solve(v);
         let ok = self.solver.feasible();
         self.log.push((v, ok));
         ok
@@ -551,7 +505,8 @@ enum Settled {
     /// the maximal minimum cut there: the maximal tight set.
     Opener,
     /// Any other ending, and every bisection round: classify from one more
-    /// max flow just below `v*`.
+    /// max flow just below `v*`, then solve once more at `v*` for the
+    /// allotments.
     Other,
 }
 
@@ -690,8 +645,9 @@ impl UpperEnd {
 /// on it unreplaced ([`UpperEnd::verify`]); an infeasible verdict there
 /// raises `lo`, feeds its cut to the Newton steps and moves the upper end
 /// to at least that cut's Newton bound, and the search goes on. No speed
-/// is probed twice. The solver is left holding the last probe's solve,
-/// which [`Settled::Opener`] classifies from.
+/// is probed twice. The solver is left holding the last probe's solve:
+/// [`Settled::Opener`] classifies from it, and a [`Settled::Newton`] or
+/// [`Settled::Opener`] round reads its allotments off it.
 fn ladder_search(
     prober: &mut Prober<'_>,
     lo: f64,
@@ -793,111 +749,52 @@ fn ladder_search(
     })
 }
 
-/// Budget-exhaustion fallback: fix every job in `remaining` at the
-/// known-feasible uniform speed `v`, reading the per-interval allotments
-/// back from one last feasibility flow. The result is a valid schedule for
-/// those jobs (merely suboptimal).
-fn fix_remaining_at(
+/// Read `jobs`' allotments off the solver's flow, a feasible maximum flow
+/// at uniform speed `v`, each normalized to its job's exact demand `w_i/v`.
+/// At a round's critical speed any such flow is an optimal allotment for
+/// the round's critical jobs (see the module docs); after an exhausted
+/// budget it is merely a valid one.
+fn read_allotments(
     instance: &Instance,
-    wap: &Wap,
+    solver: &WapSolver,
     v: f64,
-    remaining: &[usize],
-    speeds: &mut [f64],
+    jobs: &[usize],
+    intervals: &IntervalSet,
+    horizon: f64,
     allotments: &mut [Vec<(usize, f64)>],
-    flow_computations: &mut usize,
 ) -> Result<(), SolveError> {
-    let mut p = vec![0.0; instance.len()];
-    for &i in remaining {
-        p[i] = instance.job(i).work / v;
-    }
-    *flow_computations += 1;
-    let flow = wap.solve(&p);
-    if !flow.feasible() {
-        return Err(SolveError::Numeric {
-            message: format!("budget fallback speed {v} unexpectedly infeasible"),
-        });
-    }
-    for &i in remaining {
-        speeds[i] = v;
-        let mut entries = flow.allotment(i);
-        // Normalize engine-epsilon shortfalls to the exact demand.
+    for &i in jobs {
+        let need = instance.job(i).work / v;
+        let mut entries = solver.allotment(i);
         let got: f64 = entries.iter().map(|&(_, t)| t).sum();
-        if got > 0.0 && got != p[i] {
-            let factor = p[i] / got;
-            for e in &mut entries {
-                e.1 *= factor;
+        // The flow meets the demands only up to the feasibility epsilon.
+        // Allotments are *times*, so that noise scales with the interval
+        // lengths, not with the demands: when a near-zero-width window
+        // drives `v` so high that every demand is below it (e.g. ~1e-14
+        // against intervals of length ~1), the relative check alone is
+        // unsatisfiable, so an absolute slack is anchored on the
+        // decomposition's total length, `horizon`. NaN discrepancies must
+        // fail, so the comparison stays affirmative.
+        let within_tolerance = (got - need).abs() <= 1e-5 * need + 1e-9 * horizon;
+        if !within_tolerance {
+            return Err(SolveError::Numeric {
+                message: format!(
+                    "allotment of job {} off by more than tolerance: {got} vs {need}",
+                    instance.job(i).id
+                ),
+            });
+        }
+        if got > 0.0 && got != need {
+            // Energy-irrelevant rescaling to the exact demand, clamped at
+            // the interval length: scaling a full interval up by the
+            // demand's relative shortfall can exceed per-interval tolerances
+            // on short intervals, and the clamped sliver is noise-sized.
+            let factor = need / got;
+            for entry in &mut entries {
+                entry.1 = (entry.1 * factor).min(intervals.length(entry.0));
             }
         }
         allotments[i] = entries;
-    }
-    Ok(())
-}
-
-/// Route the critical jobs' residual demands into the saturated intervals
-/// (a bipartite max-flow). Feasible by the structure theorem up to the
-/// probe-offset noise; shortfalls beyond the jobs' *total* demand scale are
-/// a numeric failure (smaller ones are repaired by the per-job
-/// normalization in `bal`).
-#[allow(clippy::too_many_arguments)]
-fn route_residues(
-    critical: &[usize],
-    residues: &[f64],
-    saturated: &[usize],
-    wap: &Wap,
-    intervals: &IntervalSet,
-    v_crit: f64,
-    demand_scale: f64,
-    allotments: &mut [Vec<(usize, f64)>],
-    flow_computations: &mut usize,
-) -> Result<(), SolveError> {
-    let total_residue: f64 = residues.iter().sum();
-    if total_residue <= 0.0 {
-        return Ok(());
-    }
-    let k = critical.len();
-    let l = saturated.len();
-    // Node layout: 0 source, 1..=k criticals, k+1..=k+l intervals, k+l+1 sink.
-    let mut net = FlowNetwork::new(k + l + 2);
-    // Position of each saturated interval in `saturated`; `usize::MAX` for
-    // the rest.
-    let mut ival_pos = vec![usize::MAX; intervals.len()];
-    for (pos, &j) in saturated.iter().enumerate() {
-        ival_pos[j] = pos;
-    }
-    let mut edge_of: Vec<Vec<(usize, ssp_maxflow::EdgeId)>> = vec![Vec::new(); k];
-    for (c, (&i, &res)) in critical.iter().zip(residues).enumerate() {
-        net.add_edge(0, 1 + c, res);
-        for j in wap.open_intervals_of(i) {
-            let pos = ival_pos[j];
-            if pos != usize::MAX {
-                let e = net.add_edge(1 + c, 1 + k + pos, intervals.length(j));
-                edge_of[c].push((j, e));
-            }
-        }
-    }
-    for (pos, &j) in saturated.iter().enumerate() {
-        net.add_edge(1 + k + pos, k + l + 1, wap.capacity(j));
-    }
-    *flow_computations += 1;
-    let routed = net.max_flow(0, k + l + 1);
-    // Scale the shortfall tolerance by the critical jobs' total demand: the
-    // residues themselves can be arbitrarily small, but the probe-offset
-    // noise they inherit is proportional to the demands.
-    let routed_enough = routed >= total_residue - 1e-5 * demand_scale - 1e-12;
-    if !routed_enough {
-        return Err(SolveError::Numeric {
-            message: format!(
-                "residue routing incomplete: {routed} of {total_residue} at speed {v_crit}"
-            ),
-        });
-    }
-    for (c, &i) in critical.iter().enumerate() {
-        for &(j, e) in &edge_of[c] {
-            let t = net.flow(e);
-            if t > 0.0 {
-                allotments[i].push((j, t));
-            }
-        }
     }
     Ok(())
 }
@@ -1144,14 +1041,14 @@ mod tests {
     }
 
     /// Jointly tight jobs peel together at the opener's speed although some
-    /// of them are less dense on their own, and the opener's flow
-    /// classifies them without another max flow.
+    /// of them are less dense on their own, and the opener's flow both
+    /// classifies them and allots their time without another max flow.
     #[test]
     fn jointly_tight_openers_classify_from_the_opener_flow() {
         // m = 1: job 1 alone has density 1/2, but jobs 0 and 1 share the
         // one machine on [0, 2] with total work 2, so both run at speed 1.
-        // One opener and one residue routing; a classification probe
-        // would be a third flow.
+        // The opener is the only flow; a classification probe and its
+        // readback would be two more.
         let instance = inst(
             vec![Job::new(0, 1.0, 0.0, 1.0), Job::new(1, 1.0, 0.0, 2.0)],
             1,
@@ -1159,13 +1056,13 @@ mod tests {
         );
         let (rounds, flows) = opener_rounds(&instance);
         assert_eq!(rounds, [(vec![0, 1], 1.0)]);
-        assert_eq!(flows, 2);
+        assert_eq!(flows, 1);
 
         // m = 2: jobs 0 and 1 fill both machines on [0, 1], so job 2 must do
         // its work 2 on [1, 2] alone and peels with them at speed 2; job 3
         // then has one machine on [1, 2] and both on [2, 8], open time 7.
-        // Two openers and one residue routing, against two more
-        // classification probes.
+        // Two openers and nothing else, against two classification probes
+        // and two readbacks more.
         let instance = inst(
             vec![
                 Job::new(0, 2.0, 0.0, 1.0),
@@ -1178,7 +1075,7 @@ mod tests {
         );
         let (rounds, flows) = opener_rounds(&instance);
         assert_eq!(rounds, [(vec![0, 1, 2], 2.0), (vec![3], 1.0 / 7.0)]);
-        assert_eq!(flows, 3);
+        assert_eq!(flows, 2);
         let sol = bal(&instance);
         assert_eq!(sol.rounds[0].saturated, [0], "only [0, 1] is saturated");
     }

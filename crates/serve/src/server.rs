@@ -686,6 +686,35 @@ mod tests {
         assert!(lines.iter().any(|l| l.contains(r#""status":"ok""#)));
     }
 
+    /// Work 1e300 in a 1e-300-wide window overflows every schedule's
+    /// speed: the answer is a typed `numeric` error, not an
+    /// `internal-panic`, whatever algorithm is asked for.
+    #[test]
+    fn overflowing_speeds_answer_a_numeric_error() {
+        let mut server = Server::start(ServeOptions {
+            workers: 1,
+            ..Default::default()
+        });
+        let (sink, lines) = collecting_sink();
+        for algo in ["rr", "classified", "greedy", "bal"] {
+            server.submit(
+                &format!(
+                    r#"{{"id":"{algo}","algo":"{algo}","instance":{{"machines":2,"alpha":2.0,"jobs":[[0,1e300,0,1e-300],[1,1,0,2]]}}}}"#
+                ),
+                Arc::clone(&sink),
+            );
+        }
+        drain(&mut server);
+        let lines = lines.lock().unwrap();
+        assert_eq!(lines.len(), 4);
+        for line in lines.iter() {
+            let v = json::parse(line).unwrap();
+            assert_eq!(v.get("status").unwrap().as_str(), Some("error"), "{line}");
+            assert_eq!(v.get("kind").unwrap().as_str(), Some("numeric"), "{line}");
+        }
+        assert_eq!(server.stats().panics, 0);
+    }
+
     #[test]
     fn repeated_instances_hit_the_cache_with_identical_certified_numbers() {
         let mut server = Server::start(ServeOptions {

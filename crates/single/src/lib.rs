@@ -34,7 +34,7 @@ pub use flowtime::{
     flow_plus_energy, min_flow_time_budget, weighted_flow_plus_energy, FlowtimeSolution,
 };
 pub use oa::oa_schedule;
-pub use yds::{yds, yds_schedule, YdsSolution};
+pub use yds::{try_yds_schedule, yds, yds_schedule, YdsSolution};
 
 #[cfg(test)]
 mod ordering_tests {

@@ -42,7 +42,7 @@
 
 use crate::edf::edf_schedule;
 use ssp_model::numeric::energy_sum;
-use ssp_model::{Job, Schedule, SpeedAssignment};
+use ssp_model::{Job, Schedule, SolveError, SpeedAssignment};
 
 /// Result of running [`yds`]: optimal constant speed per job (aligned with
 /// the input slice) and the optimal energy.
@@ -794,19 +794,36 @@ impl FastScratch {
 }
 
 /// Full pipeline: optimal speeds via [`yds`], then an explicit EDF schedule
-/// on machine `machine`. The schedule is guaranteed feasible by YDS theory;
-/// this function panics if EDF rejects it (which would indicate a bug, not an
-/// input condition).
+/// on machine `machine`. Panics where [`try_yds_schedule`] fails.
 pub fn yds_schedule(jobs: &[Job], alpha: f64, machine: usize) -> (YdsSolution, Schedule) {
+    try_yds_schedule(jobs, alpha, machine).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`yds_schedule`]. A speed whose processing time `w_i / s_i` is
+/// not positive and finite — a density that overflows f64, such as work
+/// `1e300` in a window of `1e-300` — is a [`SolveError::Numeric`]. The
+/// schedule is otherwise guaranteed feasible by YDS theory, so an EDF
+/// rejection still panics (a bug, not an input condition).
+pub fn try_yds_schedule(
+    jobs: &[Job],
+    alpha: f64,
+    machine: usize,
+) -> Result<(YdsSolution, Schedule), SolveError> {
     let sol = yds(jobs, alpha);
-    let p: Vec<f64> = jobs
-        .iter()
-        .zip(&sol.speeds)
-        .map(|(j, &s)| j.work / s)
-        .collect();
+    let mut p = Vec::with_capacity(jobs.len());
+    for (job, &s) in jobs.iter().zip(&sol.speeds) {
+        let time = job.work / s;
+        let representable = time > 0.0 && time.is_finite();
+        if !representable {
+            return Err(SolveError::Numeric {
+                message: format!("YDS speed {s} of {} leaves processing time {time}", job.id),
+            });
+        }
+        p.push(time);
+    }
     let schedule =
         edf_schedule(jobs, &p, machine).expect("YDS speeds are always EDF-feasible on one machine");
-    (sol, schedule)
+    Ok((sol, schedule))
 }
 
 #[cfg(test)]

@@ -1759,7 +1759,7 @@ mod tests {
 
         // Counters: max-flow, BAL and local-search work all recorded.
         for counter in [
-            "maxflow.dinic.runs",
+            "maxflow.dinic.augmentations",
             "maxflow.dinic.phases",
             "bal.flow_calls",
             "bal.bisect_steps",
