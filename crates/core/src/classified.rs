@@ -36,8 +36,16 @@ pub fn classified_assignment_with_base(instance: &Instance, base: f64) -> Assign
         .map(|j| j.work)
         .fold(f64::INFINITY, f64::min);
     let class_of = |w: f64| -> usize {
-        // floor(log_base(w / w_min)), robust at exact class boundaries.
-        ((w / w_min).log2() / base.log2() + 1e-12).floor() as usize
+        // floor(log_base(w / w_min)), robust at exact class boundaries. A
+        // subnormal `w_min` can overflow the ratio; the difference of the
+        // logarithms cannot.
+        let ratio = w / w_min;
+        let log2 = if ratio.is_finite() {
+            ratio.log2()
+        } else {
+            w.log2() - w_min.log2()
+        };
+        (log2 / base.log2() + 1e-12).floor() as usize
     };
     let num_classes = instance
         .jobs()
@@ -169,5 +177,23 @@ mod tests {
             e_class <= e_rr * (1.0 + 1e-9),
             "classified {e_class} worse than plain RR {e_rr}"
         );
+    }
+
+    #[test]
+    fn subnormal_minimum_work_still_classifies() {
+        // w / w_min overflows for w = 1 and w_min = 1e-320: the classes come
+        // from the difference of the logarithms, and the schedule is optimal.
+        let jobs = vec![
+            Job::new(0, 1.0, 0.0, 2.0),
+            Job::new(1, 1e-320, 0.0, 1.0),
+            Job::new(2, 2.0, 1.0, 3.0),
+        ];
+        let inst = Instance::new(jobs, 2, 2.0).unwrap();
+        let a = classified_assignment(&inst);
+        classified_rr(&inst)
+            .validate(&inst, ValidationOptions::non_migratory())
+            .unwrap();
+        let ratio = assignment_energy(&inst, &a) / ssp_migratory::bal::bal(&inst).energy;
+        assert!((ratio - 1.0).abs() < 1e-9, "ratio {ratio}");
     }
 }

@@ -25,13 +25,12 @@
 
 use crate::assignment::Assignment;
 use crate::eval::{Candidate, YdsEval};
-use ssp_model::resource::{Budget, CancelToken};
+use ssp_model::resource::Budget;
 use ssp_model::{Instance, Job};
 use ssp_prng::rngs::StdRng;
 use ssp_prng::seq::SliceRandom;
 use ssp_prng::SeedableRng;
 use ssp_single::yds::yds_reference;
-use std::time::{Duration, Instant};
 
 /// Options for [`improve`].
 #[derive(Debug, Clone)]
@@ -39,19 +38,12 @@ pub struct LocalSearchOptions {
     /// Stop after this many full passes without improvement (1 = plain
     /// hill-climbing to the first local optimum).
     pub max_stale_passes: usize,
-    /// Upper bound on total moves examined (cost control for big instances).
-    /// Strict: the search never evaluates more candidates than this.
-    pub max_evaluations: usize,
-    /// Wall-clock cap; `None` = unlimited. Like the evaluation cap this is
-    /// an early-exit, not an error: the best assignment found so far is
+    /// Caps the search: one iteration per candidate move examined (strict:
+    /// the search never evaluates more candidates than `max_iterations`),
+    /// and a deadline shared with the caller's other solver phases. Either
+    /// is an early exit, not an error: the best assignment found so far is
     /// returned with [`LocalSearchResult::budget_exhausted`] set.
-    pub max_time: Option<Duration>,
-    /// Absolute deadline shared with the caller's other solver phases
-    /// (`"deadline"` exhaustion); `None` = unlimited.
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation flag polled at every candidate evaluation
-    /// (`"cancelled"` exhaustion).
-    pub cancel: Option<CancelToken>,
+    pub budget: Budget,
     /// RNG seed for the move order.
     pub seed: u64,
 }
@@ -60,10 +52,7 @@ impl Default for LocalSearchOptions {
     fn default() -> Self {
         LocalSearchOptions {
             max_stale_passes: 1,
-            max_evaluations: 2_000_000,
-            max_time: None,
-            deadline: None,
-            cancel: None,
+            budget: Budget::iterations(2_000_000),
             seed: 0x5EA7,
         }
     }
@@ -83,8 +72,7 @@ pub struct LocalSearchResult {
     /// Number of candidate moves evaluated.
     pub evaluations: usize,
     /// Which budget stopped the search early (`"iterations"` for the
-    /// evaluation cap, `"time"` for the wall-clock cap, `"deadline"` /
-    /// `"cancelled"` for external interruption), if any. The result is
+    /// evaluation cap, `"deadline"` for the deadline), if any. The result is
     /// still valid and no worse than the seed assignment.
     pub budget_exhausted: Option<&'static str>,
 }
@@ -112,13 +100,7 @@ pub fn improve(
     let mut improvements = 0usize;
     let mut evaluations = 0usize;
     let mut stale = 0usize;
-    let budget = Budget {
-        max_iterations: Some(opts.max_evaluations as u64),
-        max_time: opts.max_time,
-        deadline: opts.deadline,
-        cancel: opts.cancel.clone(),
-    };
-    let mut meter = budget.meter();
+    let mut meter = opts.budget.meter();
 
     // Candidate buffers, allocated once and refilled per pass/job. The
     // shuffles always start from the same deterministic contents the
@@ -261,13 +243,7 @@ pub fn improve_reference(
     let mut improvements = 0usize;
     let mut evaluations = 0usize;
     let mut stale = 0usize;
-    let budget = Budget {
-        max_iterations: Some(opts.max_evaluations as u64),
-        max_time: opts.max_time,
-        deadline: opts.deadline,
-        cancel: opts.cancel.clone(),
-    };
-    let mut meter = budget.meter();
+    let mut meter = opts.budget.meter();
 
     while stale < opts.max_stale_passes && meter.exhausted().is_none() && m > 1 {
         ssp_probe::counter!("local_search.passes");
@@ -393,6 +369,7 @@ mod tests {
     use crate::exact::exact_nonmigratory;
     use crate::rr::rr_assignment;
     use ssp_workloads::families;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn oracle_path_replays_the_reference_transcript_bitwise() {
@@ -517,7 +494,7 @@ mod tests {
             &inst,
             &Assignment::new(vec![0; 20]),
             LocalSearchOptions {
-                max_evaluations: 25,
+                budget: Budget::iterations(25),
                 ..Default::default()
             },
         );
@@ -533,46 +510,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_time_budget_returns_the_seed_assignment() {
-        let inst = families::general(16, 4, 2.0).gen(9);
-        let start = rr_assignment(&inst);
-        let res = improve(
-            &inst,
-            &start,
-            LocalSearchOptions {
-                max_time: Some(std::time::Duration::ZERO),
-                ..Default::default()
-            },
-        );
-        assert_eq!(res.budget_exhausted, Some("time"));
-        assert_eq!(res.evaluations, 0);
-        assert_eq!(res.assignment, start);
-    }
-
-    #[test]
     fn uncapped_run_reports_no_exhaustion() {
         let inst = families::general(10, 3, 2.0).gen(2);
         let res = improve(&inst, &rr_assignment(&inst), Default::default());
         assert_eq!(res.budget_exhausted, None);
-    }
-
-    #[test]
-    fn pre_cancelled_token_returns_the_seed_assignment() {
-        let inst = families::general(16, 4, 2.0).gen(9);
-        let start = rr_assignment(&inst);
-        let token = CancelToken::new();
-        token.cancel();
-        let res = improve(
-            &inst,
-            &start,
-            LocalSearchOptions {
-                cancel: Some(token),
-                ..Default::default()
-            },
-        );
-        assert_eq!(res.budget_exhausted, Some("cancelled"));
-        assert_eq!(res.evaluations, 0);
-        assert_eq!(res.assignment, start);
     }
 
     #[test]
@@ -583,11 +524,13 @@ mod tests {
             &inst,
             &start,
             LocalSearchOptions {
-                deadline: Some(Instant::now() - Duration::from_millis(1)),
+                budget: Budget::unlimited()
+                    .with_deadline(Instant::now() - Duration::from_millis(1)),
                 ..Default::default()
             },
         );
         assert_eq!(res.budget_exhausted, Some("deadline"));
+        assert_eq!(res.evaluations, 0);
         assert_eq!(res.assignment, start);
     }
 }

@@ -14,14 +14,23 @@
 //! Both return explicit schedules; energies are compared against the offline
 //! optimum in EXP-8.
 
-use ssp_migratory::bal::bal;
-use ssp_migratory::mcnaughton::mcnaughton;
+use ssp_migratory::bal::try_bal;
+use ssp_migratory::mcnaughton::try_mcnaughton;
 use ssp_model::numeric::pow_alpha;
-use ssp_model::{Instance, IntervalSet, Job, Schedule, Segment};
+use ssp_model::resource::Budget;
+use ssp_model::{Instance, IntervalSet, Job, Schedule, Segment, SolveError};
 
 /// Multiprocessor AVR (per-interval water-filling). Returns the schedule;
-/// its energy is `Σ_I Σ_i (den_i·|I|)·s_i^(α-1)`.
+/// its energy is `Σ_I Σ_i (den_i·|I|)·s_i^(α-1)`. Panics where
+/// [`try_avr_m`] returns an error.
 pub fn avr_m(instance: &Instance) -> Schedule {
+    try_avr_m(instance).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`avr_m`]: an interval whose pieces McNaughton rejects (a
+/// density that overflows `f64` makes them NaN) is a
+/// [`SolveError::Numeric`].
+pub fn try_avr_m(instance: &Instance) -> Result<Schedule, SolveError> {
     let m = instance.machines();
     let ivals = IntervalSet::from_jobs(instance.jobs());
     let mut schedule = Schedule::new(m);
@@ -39,9 +48,9 @@ pub fn avr_m(instance: &Instance) -> Schedule {
             .zip(&speeds)
             .map(|((&i, &den), &s)| (instance.job(i).id, den * len / s, s))
             .collect();
-        mcnaughton(ivals.bounds(j), m, &pieces, &mut schedule);
+        try_mcnaughton(ivals.bounds(j), m, &pieces, &mut schedule)?;
     }
-    schedule
+    Ok(schedule)
 }
 
 /// Water-filling speeds for one interval: `s_i = max(den_i, λ)` with λ = 0
@@ -77,12 +86,19 @@ fn waterfill(dens: &[f64], m: usize) -> Vec<f64> {
 }
 
 /// Multiprocessor Optimal Available: replan the migratory optimum at every
-/// release and follow it until the next one.
+/// release and follow it until the next one. Panics where [`try_oa_m`]
+/// returns an error.
 pub fn oa_m(instance: &Instance) -> Schedule {
+    try_oa_m(instance).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`oa_m`]: a replan BAL cannot solve, a snapshot that is no
+/// valid instance, or work left unfinished is a [`SolveError::Numeric`].
+pub fn try_oa_m(instance: &Instance) -> Result<Schedule, SolveError> {
     let m = instance.machines();
     let mut schedule = Schedule::new(m);
     if instance.is_empty() {
-        return schedule;
+        return Ok(schedule);
     }
     let mut events: Vec<f64> = instance.jobs().iter().map(|j| j.release).collect();
     events.sort_by(f64::total_cmp);
@@ -112,8 +128,10 @@ pub fn oa_m(instance: &Instance) -> Schedule {
             })
             .collect();
         let snapshot =
-            Instance::new(snapshot_jobs, m, instance.alpha()).expect("snapshot inherits validity");
-        let plan = bal(&snapshot).schedule(&snapshot);
+            Instance::new(snapshot_jobs, m, instance.alpha()).map_err(|e| SolveError::Numeric {
+                message: format!("OA-m snapshot at {now} is not a valid instance: {e}"),
+            })?;
+        let plan = try_bal(&snapshot, Budget::unlimited())?.schedule(&snapshot);
         // Execute the plan until the next release.
         for seg in plan.segments() {
             let start = seg.start.max(now);
@@ -126,14 +144,13 @@ pub fn oa_m(instance: &Instance) -> Schedule {
         }
     }
     for (i, &rem) in remaining.iter().enumerate() {
-        assert!(
-            rem <= 1e-6 * instance.job(i).work,
-            "OA-m left {} unfinished on {}",
-            rem,
-            instance.job(i).id
-        );
+        if rem.is_nan() || rem > 1e-6 * instance.job(i).work {
+            return Err(SolveError::Numeric {
+                message: format!("OA-m left {rem} unfinished on {}", instance.job(i).id),
+            });
+        }
     }
-    schedule
+    Ok(schedule)
 }
 
 /// Online **non-migratory** dispatch — the paper's own model, online: each
@@ -214,6 +231,7 @@ pub fn avr_m_energy(instance: &Instance) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssp_migratory::bal::bal;
     use ssp_workloads::families;
 
     #[test]

@@ -15,7 +15,7 @@
 //! **3×** lower wall time. Quick mode asserts only the transcript
 //! identity (tiny instances cannot show the asymptotic gap).
 //!
-//! The n = 1600 row caps `max_evaluations` (same cap on both sides, so
+//! The n = 1600 row caps the evaluations (same cap on both sides, so
 //! the transcripts stay aligned) to keep the cubic reference run
 //! bounded; the ratios it reports are per-transcript, not per-instance.
 //!
@@ -28,7 +28,7 @@ use crate::RunCfg;
 use ssp_core::local_search::{improve_reference, LocalSearchResult};
 use ssp_core::rr::rr_assignment;
 use ssp_core::{improve, Assignment, LocalSearchOptions};
-use ssp_model::Instance;
+use ssp_model::{Budget, Instance};
 use ssp_workloads::{families, subseed};
 use std::time::Instant;
 
@@ -39,7 +39,7 @@ const MIN_WALL_RATIO: f64 = 3.0;
 const ANCHOR_N: usize = 800;
 /// Evaluation cap for the n = 1600 row (cost control on the reference
 /// side; identical on both sides so the transcripts match).
-const CAP_N1600: usize = 25_000;
+const CAP_N1600: u64 = 25_000;
 
 /// One measured local-search run: wall ms plus `yds.peels` delta.
 fn run_side(
@@ -85,10 +85,10 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
         let inst = families::general(n, 4, 2.0).gen(subseed(cfg.seed ^ 0x19, n as u64));
         let start = rr_assignment(&inst);
         let opts = LocalSearchOptions {
-            max_evaluations: if n >= 1600 {
-                CAP_N1600
+            budget: if n >= 1600 {
+                Budget::iterations(CAP_N1600)
             } else {
-                LocalSearchOptions::default().max_evaluations
+                LocalSearchOptions::default().budget
             },
             seed: subseed(cfg.seed ^ 0x91, n as u64),
             ..Default::default()

@@ -11,7 +11,7 @@
 //! * ~2% corrupted instances from the harness [`FaultPlan`]
 //!   (NaN/inf fields, inverted windows, zero machines, mangled text …);
 //! * a slice of requests carries near-zero deadlines, exercising
-//!   cooperative cancellation and deadline shedding;
+//!   deadline exhaustion and deadline shedding;
 //! * admission control stays bounded — submitters observe rejects and
 //!   back off, like a real client.
 //!
@@ -107,7 +107,7 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
                     } else {
                         let text = &pool[(i * 31 + 7) % pool.len()];
                         // A slice of near-zero deadlines keeps the
-                        // cancellation/shedding path hot.
+                        // deadline-exhaustion/shedding path hot.
                         let timeout = match i % 17 {
                             0 => Some(1.0),
                             1 => Some(4.0),
@@ -160,7 +160,7 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
                 }
                 // Every certified bound met — degraded and cache-hit
                 // responses included. (No bound is emitted when the lower
-                // bound itself was cancelled by a tight deadline.)
+                // bound itself ran out of a tight deadline.)
                 if let Some(ratio) = v.get("lb_ratio").and_then(|x| x.as_f64()) {
                     bounded += 1;
                     assert!(ratio >= 1.0 - 1e-9, "certified bound violated: {line}");

@@ -10,8 +10,9 @@
 //! 1. **Typed failures.** Every registered algorithm runs behind a
 //!    [`boundary::catch`] unwind boundary; panics become
 //!    [`SolveError::InternalPanic`], and the fallible solver entry points
-//!    ([`ssp_migratory::bal::try_bal`], budgeted local search, the budgeted
-//!    bisection) surface their own [`SolveError`]s directly.
+//!    ([`ssp_migratory::bal::try_bal`], [`try_assignment_schedule`],
+//!    [`ssp_core::online::try_avr_m`], [`ssp_core::online::try_oa_m`])
+//!    surface their own [`SolveError`]s directly.
 //! 2. **Post-validation.** A schedule an algorithm *claims* is only
 //!    accepted after [`ssp_model::Schedule::validate`] passes and its energy
 //!    is consistent with the certified BAL/KKT lower bound. A bad schedule
@@ -22,9 +23,10 @@
 //!    ratio, wall time, and the failure that caused the fallback — in the
 //!    report.
 //!
-//! Resource budgets ([`ssp_model::resource::Budget`]) bound every iterative
-//! solver; exhaustion yields the best valid solution found so far, marked in
-//! the report rather than silently returned.
+//! Resource budgets ([`ssp_model::resource::Budget`]: an iteration cap and a
+//! deadline) bound every iterative solver; exhaustion yields the best valid
+//! solution found so far, marked in the report rather than silently
+//! returned.
 //!
 //! Every solve is also *observable*: the solver stack carries [`ssp_probe`]
 //! spans and counters, and [`solve_traced`] wraps a solve in a probe session
@@ -48,7 +50,7 @@ use ssp_core::classified::classified_assignment;
 use ssp_core::exact::exact_nonmigratory;
 use ssp_core::list::{least_loaded, marginal_energy_greedy};
 use ssp_core::local_search::{improve, LocalSearchOptions};
-use ssp_core::online::{avr_m, oa_m};
+use ssp_core::online::{try_avr_m, try_oa_m};
 use ssp_core::relax::{round_relaxation, RoundingOrder::EarliestDeadline};
 use ssp_core::rr::rr_assignment;
 use ssp_migratory::bal::{try_bal, BalSolution};
@@ -235,15 +237,13 @@ pub fn run_algorithm(
             }
             Algo::Local => {
                 let seed = marginal_energy_greedy(instance);
+                let defaults = LocalSearchOptions::default();
                 let search_opts = LocalSearchOptions {
-                    max_evaluations: budget
-                        .max_iterations
-                        .map(|n| n.min(usize::MAX as u64) as usize)
-                        .unwrap_or(2_000_000),
-                    max_time: budget.max_time,
-                    deadline: budget.deadline,
-                    cancel: budget.cancel.clone(),
-                    ..Default::default()
+                    budget: Budget {
+                        max_iterations: budget.max_iterations.or(defaults.budget.max_iterations),
+                        ..budget
+                    },
+                    ..defaults
                 };
                 let result = improve(instance, &seed, search_opts);
                 Ok(AlgoRun {
@@ -259,11 +259,11 @@ pub fn run_algorithm(
                 })
             }
             Algo::Avr => Ok(AlgoRun {
-                schedule: avr_m(instance),
+                schedule: try_avr_m(instance)?,
                 budget_exhausted: None,
             }),
             Algo::Oa => Ok(AlgoRun {
-                schedule: oa_m(instance),
+                schedule: try_oa_m(instance)?,
                 budget_exhausted: None,
             }),
         }
@@ -813,9 +813,10 @@ mod tests {
         }
     }
 
-    /// The same job overflows every non-migratory schedule: its YDS speed
-    /// is `∞`, so its processing time is 0. Each algorithm reports a typed
-    /// numeric error, never a panic, and the chain fails as a whole.
+    /// The same job overflows every schedule: its YDS speed is `∞`, so its
+    /// processing time is 0, and AVR's density and BAL's speed bound are
+    /// `∞` too. Each algorithm reports a typed numeric error, never a
+    /// panic, and the chain fails as a whole.
     #[test]
     fn overflowing_yds_speeds_are_numeric_errors() {
         let inst = Instance::new(vec![Job::new(0, 1e300, 0.0, 1e-300)], 1, 2.0).unwrap();
@@ -823,7 +824,7 @@ mod tests {
             degrade: false,
             ..Default::default()
         };
-        for algo in Algo::ALL.into_iter().filter(|a| a.non_migratory()) {
+        for algo in Algo::ALL {
             let report = solve(&inst, algo, &opts);
             let error = report.error().expect("no schedule exists in f64");
             assert_eq!(error.kind(), "numeric", "{algo}: {error}");

@@ -7,7 +7,6 @@ use ssp_harness::fault::{FaultPlan, FAULT_KINDS};
 use ssp_harness::{solve, Algo, SolveOptions};
 use ssp_model::resource::Budget;
 use ssp_model::SolveError;
-use std::time::Duration;
 
 const CASES: usize = 220;
 const SEED: u64 = 0xFA17;
@@ -20,7 +19,7 @@ fn gauntlet_options() -> SolveOptions {
     SolveOptions {
         // Cap every iterative solver so adversarial numerics cannot stall
         // the suite; exhaustion must surface as a marker, not a hang.
-        budget: Budget::iterations(50_000).with_time(Duration::from_millis(250)),
+        budget: Budget::iterations(50_000),
         degrade: false, // judge each algorithm on its own
         lower_bound: false,
     }
@@ -111,7 +110,7 @@ fn no_algorithm_panics_on_the_fault_gauntlet() {
 #[test]
 fn control_cases_solve_with_certified_ratio() {
     let opts = SolveOptions {
-        budget: Budget::iterations(200_000).with_time(Duration::from_millis(500)),
+        budget: Budget::iterations(200_000),
         degrade: false,
         ..Default::default()
     };
@@ -190,7 +189,7 @@ fn corrupted_text_yields_typed_parse_errors() {
 #[test]
 fn degradation_chain_recovers_or_types_out() {
     let opts = SolveOptions {
-        budget: Budget::iterations(50_000).with_time(Duration::from_millis(250)),
+        budget: Budget::iterations(50_000),
         degrade: true,
         lower_bound: false,
     };

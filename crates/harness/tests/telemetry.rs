@@ -13,7 +13,6 @@ use ssp_model::{Instance, Job};
 use ssp_probe::Trace;
 use ssp_workloads::families;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
 
 fn session_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -33,7 +32,7 @@ fn round_trip(trace: &Trace) -> Trace {
 fn fault_injected_solves_emit_well_formed_traces() {
     let _lock = session_lock();
     let opts = SolveOptions {
-        budget: Budget::iterations(50_000).with_time(Duration::from_millis(250)),
+        budget: Budget::iterations(50_000),
         lower_bound: false,
         ..Default::default()
     };

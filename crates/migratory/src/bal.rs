@@ -96,7 +96,7 @@ pub struct BalSolution {
     /// Total number of max-flow computations performed (complexity probe).
     pub flow_computations: usize,
     /// Set when a [`Budget`] ran out mid-peeling (`"iterations"` or
-    /// `"time"`). The solution is then still *valid* — the jobs not yet
+    /// `"deadline"`). The solution is then still *valid* — the jobs not yet
     /// peeled were fixed at the last known-feasible uniform speed — but its
     /// energy is an upper bound on the optimum rather than the optimum.
     pub budget_exhausted: Option<&'static str>,
@@ -140,8 +140,8 @@ pub fn bal(instance: &Instance) -> BalSolution {
 }
 
 /// Fallible BAL: every invariant violation becomes a [`SolveError`] instead
-/// of a panic, and `budget` caps the number of max-flow feasibility probes /
-/// wall-clock time. On budget exhaustion the not-yet-peeled jobs are fixed
+/// of a panic, and `budget` caps the number of max-flow feasibility probes
+/// and sets their deadline. On budget exhaustion the not-yet-peeled jobs are fixed
 /// at the last known-feasible uniform speed, so the returned solution is
 /// always valid (check [`BalSolution::budget_exhausted`] for optimality).
 pub fn try_bal(instance: &Instance, budget: Budget) -> Result<BalSolution, SolveError> {

@@ -9,23 +9,41 @@
 //! precisely because `t_i ≤ L`.
 
 use ssp_model::numeric::Tol;
-use ssp_model::{JobId, Schedule, Time};
+use ssp_model::{JobId, Schedule, SolveError, Time};
 
 /// Emit the wrap-around schedule for one interval into `schedule`.
 ///
 /// `pieces` is `(job, time, speed)`; times are clamped tolerantly against
 /// `L` and the total against `m·L` (callers produce them from flow readback,
-/// which carries `O(eps)` noise). Panics if a piece exceeds the interval or
-/// the total exceeds capacity beyond tolerance.
+/// which carries `O(eps)` noise). Panics where [`try_mcnaughton`] returns an
+/// error.
 pub fn mcnaughton(
     bounds: (Time, Time),
     machines: usize,
     pieces: &[(JobId, f64, f64)],
     schedule: &mut Schedule,
 ) {
+    if let Err(e) = try_mcnaughton(bounds, machines, pieces, schedule) {
+        panic!("{e}");
+    }
+}
+
+/// Fallible [`mcnaughton`]: a piece that is not a finite nonnegative time,
+/// a piece longer than the interval, or a total past `m·L`, each beyond
+/// tolerance, is a [`SolveError::Numeric`]. On error `schedule` may hold
+/// part of the interval.
+pub fn try_mcnaughton(
+    bounds: (Time, Time),
+    machines: usize,
+    pieces: &[(JobId, f64, f64)],
+    schedule: &mut Schedule,
+) -> Result<(), SolveError> {
+    let numeric = |message: String| Err(SolveError::Numeric { message });
     let (a, b) = bounds;
     let len = b - a;
-    assert!(len > 0.0, "interval must have positive length");
+    if len.is_nan() || len <= 0.0 {
+        return numeric("interval must have positive length".into());
+    }
     // 1e-6 relative: one notch looser than the allotment-normalization noise
     // upstream (BAL's probe-offset corrections are ~1e-7 relative).
     let tol = Tol::rel(1e-6);
@@ -36,19 +54,15 @@ pub fn mcnaughton(
     // therefore rescaled to fit exactly (the work shaved is far below the
     // validators' tolerance); anything beyond 1e-4 relative is a real bug.
     let squeeze = if total > capacity {
-        assert!(
-            total <= capacity * (1.0 + 1e-4),
-            "total time {total} exceeds capacity {capacity} in [{a}, {b}]"
-        );
+        if total > capacity * (1.0 + 1e-4) {
+            return numeric(format!(
+                "total time {total} exceeds capacity {capacity} in [{a}, {b}]"
+            ));
+        }
         capacity / total
     } else {
         1.0
     };
-    let pieces_owned: Vec<(JobId, f64, f64)> = pieces
-        .iter()
-        .map(|&(job, t, s)| (job, t * squeeze, s))
-        .collect();
-    let pieces = &pieces_owned[..];
 
     // A machine is full once the cursor is within rounding noise of `b`:
     // one rounding error per placed run, a few ulps of the coordinates, and
@@ -60,21 +74,26 @@ pub fn mcnaughton(
     let mut machine = 0usize;
     let mut cursor = a;
     for &(job, t, speed) in pieces {
-        assert!(
-            tol.le(t, len),
-            "piece {t} of {job} exceeds interval length {len}"
-        );
-        assert!(t >= 0.0, "negative piece for {job}");
+        let t = t * squeeze;
+        if !(t.is_finite() && t >= 0.0) {
+            return numeric(format!(
+                "piece {t} of {job} is not a finite nonnegative time"
+            ));
+        }
+        if !tol.le(t, len) {
+            return numeric(format!("piece {t} of {job} exceeds interval length {len}"));
+        }
         let t = t.min(len); // clamp tolerated overshoot
         let mut rem = t;
         while rem > 0.0 {
             // Numerical guard: past the last machine only rounding slop
             // can be left (the total is at most `m·L`); drop it.
             if machine >= machines {
-                assert!(
-                    tol.is_zero_at(rem, len),
-                    "capacity overflow beyond tolerance: {rem} left for {job}"
-                );
+                if !tol.is_zero_at(rem, len) {
+                    return numeric(format!(
+                        "capacity overflow beyond tolerance: {rem} left for {job}"
+                    ));
+                }
                 break;
             }
             let room = b - cursor;
@@ -88,6 +107,7 @@ pub fn mcnaughton(
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -203,5 +223,14 @@ mod tests {
     fn rejects_oversized_piece() {
         let mut s = Schedule::new(3);
         mcnaughton((0.0, 1.0), 3, &pieces(&[1.4]), &mut s);
+    }
+
+    #[test]
+    fn try_form_reports_rejected_pieces_as_numeric_errors() {
+        for (m, ts) in [(1, vec![f64::NAN]), (3, vec![1.4]), (1, vec![0.7, 0.7])] {
+            let mut s = Schedule::new(m);
+            let err = try_mcnaughton((0.0, 1.0), m, &pieces(&ts), &mut s).unwrap_err();
+            assert_eq!(err.kind(), "numeric", "{ts:?}: {err}");
+        }
     }
 }

@@ -182,15 +182,10 @@ impl std::error::Error for ValidationError {}
 /// workspace can fail to deliver a valid schedule, as data instead of a
 /// panic. Produced by the fallible solver entry points and by the solve
 /// harness; a solver that cannot finish returns one of these rather than
-/// aborting the process.
+/// aborting the process. Running out of a [`crate::resource::Budget`] is
+/// not a failure: the solver returns its best-so-far result with a marker.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
-    /// The instance admits no feasible schedule under the given constraints
-    /// (e.g. an energy budget below the minimum energy).
-    Infeasible {
-        /// What constraint cannot be met.
-        message: String,
-    },
     /// The instance violates a precondition of the requested algorithm
     /// (e.g. RR requires unit works and agreeable deadlines).
     Precondition {
@@ -203,15 +198,6 @@ pub enum SolveError {
     /// non-finite intermediate value, flow shortfall beyond tolerance).
     Numeric {
         /// What went numerically wrong.
-        message: String,
-    },
-    /// A resource budget ran out before convergence. The solver may still
-    /// have produced a valid (suboptimal) best-so-far result; whoever
-    /// raised this says so in `message`.
-    BudgetExhausted {
-        /// Which budget ran out (`"iterations"` or `"time"`).
-        resource: &'static str,
-        /// Where the budget ran out and what, if anything, was salvaged.
         message: String,
     },
     /// The algorithm panicked and the panic was caught at the harness
@@ -236,10 +222,8 @@ impl SolveError {
     /// Short stable machine-readable tag for reports and logs.
     pub fn kind(&self) -> &'static str {
         match self {
-            SolveError::Infeasible { .. } => "infeasible",
             SolveError::Precondition { .. } => "precondition",
             SolveError::Numeric { .. } => "numeric",
-            SolveError::BudgetExhausted { .. } => "budget-exhausted",
             SolveError::InternalPanic { .. } => "internal-panic",
             SolveError::Model(_) => "model",
             SolveError::InvalidSchedule(_) => "invalid-schedule",
@@ -251,14 +235,10 @@ impl SolveError {
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolveError::Infeasible { message } => write!(f, "infeasible: {message}"),
             SolveError::Precondition { algorithm, message } => {
                 write!(f, "{algorithm} precondition violated: {message}")
             }
             SolveError::Numeric { message } => write!(f, "numeric failure: {message}"),
-            SolveError::BudgetExhausted { resource, message } => {
-                write!(f, "{resource} budget exhausted: {message}")
-            }
             SolveError::InternalPanic { message } => {
                 write!(f, "solver panicked: {message}")
             }
@@ -334,13 +314,5 @@ mod tests {
         let v = SolveError::from(ValidationError::UnknownJob { job: 3 });
         assert_eq!(v.kind(), "invalid-schedule");
         assert!(v.to_string().contains("job 3"));
-
-        let b = SolveError::BudgetExhausted {
-            resource: "iterations",
-            message: "bal stopped after 10".into(),
-        };
-        assert_eq!(b.kind(), "budget-exhausted");
-        assert!(b.to_string().contains("iterations"));
-        assert!(std::error::Error::source(&b).is_none());
     }
 }

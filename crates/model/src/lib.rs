@@ -14,7 +14,7 @@
 //!   first (a constant speed per job; in every optimal schedule each job runs
 //!   at one constant speed, by convexity of `s^alpha`).
 //! * [`numeric`] — the single place where floating-point tolerances live.
-//! * [`resource`] — iteration/time budgets ([`Budget`]/[`Meter`]) so the
+//! * [`resource`] — iteration/deadline budgets ([`Budget`]/[`Meter`]) so the
 //!   iterative solvers stay total, and [`SolveError`] in [`error`] as the
 //!   workspace-wide typed failure for any solve attempt.
 //! * [`io`] — a small line-oriented text format for instances so that
@@ -50,7 +50,7 @@ pub use error::{ModelError, SolveError, ValidationError};
 pub use instance::Instance;
 pub use interval::{IntervalSet, Timeline};
 pub use job::{Job, JobId};
-pub use resource::{Budget, CancelToken, Meter};
+pub use resource::{Budget, Meter};
 pub use schedule::{Schedule, ScheduleStats, Segment};
 pub use speed::SpeedAssignment;
 

@@ -11,7 +11,7 @@
 //! KKT certificates) have headroom over the search error.
 
 use crate::error::SolveError;
-use crate::resource::Meter;
+use crate::resource::{Budget, Meter};
 
 /// Default relative tolerance for "are these two model quantities equal".
 pub const REL_EPS: f64 = 1e-9;
@@ -199,42 +199,23 @@ fn energy_sum_with(works: &[f64], speeds: &[f64], pow: impl Fn(f64) -> f64) -> f
 ///
 /// This is the primitive behind the BAL critical-speed search and the MBAL
 /// makespan search; both need *both* endpoints (the infeasible one drives
-/// criticality detection).
+/// criticality detection). It is [`bisect_threshold_budgeted`] without a
+/// budget, and panics where that returns an error.
 pub fn bisect_threshold(
-    mut lo: f64,
-    mut hi: f64,
+    lo: f64,
+    hi: f64,
     rel_width: f64,
-    mut feasible: impl FnMut(f64) -> bool,
+    feasible: impl FnMut(f64) -> bool,
 ) -> (f64, f64) {
-    assert!(lo <= hi, "bisect_threshold: lo {lo} > hi {hi}");
-    assert!(
-        feasible(hi),
-        "bisect_threshold: upper bound must be feasible"
-    );
-    if feasible(lo) {
-        return (lo, lo);
-    }
-    // Invariant: !feasible(lo) && feasible(hi).
-    while hi - lo > rel_width * hi.abs().max(1e-300) {
-        let mid = 0.5 * (lo + hi);
-        if mid <= lo || mid >= hi {
-            break; // f64 exhausted
-        }
-        if feasible(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    (lo, hi)
+    let mut meter = Budget::unlimited().meter();
+    bisect_threshold_budgeted(lo, hi, rel_width, &mut meter, feasible)
+        .unwrap_or_else(|e| panic!("bisect_threshold: {e}"))
 }
 
-/// Fallible, budget-aware variant of [`bisect_threshold`].
-///
-/// Differences from the asserting version:
+/// Fallible, budget-aware form of [`bisect_threshold`]:
 ///
 /// * a bad bracket (`lo > hi`, non-finite bounds, infeasible `hi`) is a
-///   [`SolveError::Numeric`] instead of a panic;
+///   [`SolveError::Numeric`];
 /// * every feasibility probe charges one iteration on `meter`; when the
 ///   budget runs out the *current* bracket is returned (its `hi` end is
 ///   feasible, so it is a usable best-so-far answer) and the caller can see
@@ -254,7 +235,7 @@ pub fn bisect_threshold_budgeted(
     meter.tick();
     if !feasible(hi) {
         return Err(SolveError::Numeric {
-            message: format!("bisection upper bound {hi} is not feasible"),
+            message: format!("bisection upper bound must be feasible, {hi} is not"),
         });
     }
     meter.tick();
@@ -360,7 +341,7 @@ mod tests {
     #[test]
     fn budgeted_bisect_matches_plain_when_unlimited() {
         let threshold = 0.333_333;
-        let mut meter = crate::resource::Budget::unlimited().meter();
+        let mut meter = Budget::unlimited().meter();
         let (lo, hi) =
             bisect_threshold_budgeted(0.0, 1.0, 1e-12, &mut meter, |x| x >= threshold).unwrap();
         assert!(lo <= threshold && threshold <= hi + 1e-12);
@@ -387,7 +368,7 @@ mod tests {
 
     #[test]
     fn budgeted_bisect_reports_bad_brackets_as_errors() {
-        let mut meter = crate::resource::Budget::unlimited().meter();
+        let mut meter = Budget::unlimited().meter();
         let infeasible_hi = bisect_threshold_budgeted(0.0, 1.0, 1e-12, &mut meter, |x| x >= 2.0);
         assert!(matches!(infeasible_hi, Err(SolveError::Numeric { .. })));
         let inverted = bisect_threshold_budgeted(1.0, 0.0, 1e-12, &mut meter, |_| true);

@@ -3,9 +3,9 @@
 //! The fault-tolerant batched solve service behind `ssp serve`: a bounded
 //! admission queue feeding a fixed worker pool, where every request runs
 //! through the [`ssp_harness`] robustness stack with per-request
-//! `catch_unwind` isolation, per-request deadlines (cooperatively observed
-//! inside BAL bisection and local-search loops via
-//! [`ssp_model::CancelToken`]/deadline-aware [`ssp_model::Budget`]s), load
+//! `catch_unwind` isolation, per-request deadlines (observed inside BAL's
+//! peeling and local-search loops through the deadline of their
+//! [`ssp_model::Budget`]), load
 //! shedding down the degradation chain, and a permutation-invariant
 //! instance-fingerprint cache that reuses certified energies and lower
 //! bounds for repeated traffic. Each request makes one attempt: a solve is

@@ -92,9 +92,9 @@ pub struct OkResponse {
     /// Why the response is degraded (`"load"`, `"deadline-pressure"`,
     /// `"fallback"`), when it is.
     pub degrade_reason: Option<&'static str>,
-    /// Budget-exhaustion marker from the winning solver (`"iterations"`,
-    /// `"time"`, `"deadline"`, `"cancelled"`), if it stopped early with a
-    /// valid best-so-far schedule.
+    /// Budget-exhaustion marker from the winning solver (`"iterations"` or
+    /// `"deadline"`), if it stopped early with a valid best-so-far
+    /// schedule.
     pub budget_exhausted: Option<&'static str>,
     /// Cache disposition for this response.
     pub cache: CacheDisposition,

@@ -12,8 +12,9 @@
 //!   `kind:"overload"` rather than queued into a latency cliff.
 //! * **Deadlines**: a per-request timeout becomes an absolute deadline
 //!   measured from *admission* (queue wait counts — that is the latency
-//!   the client sees), threaded into the solver [`Budget`] so BAL
-//!   bisection and local-search loops observe it cooperatively.
+//!   the client sees), threaded into the solver [`Budget`] so BAL's
+//!   peeling and local-search loops stop at it with a valid best-so-far
+//!   schedule (`budget_exhausted:"deadline"`).
 //! * **Load shedding**: when the queue is deep or deadline headroom is
 //!   thin at dequeue, the service steps the request down its degradation
 //!   chain to round-robin — cheap, total, still validated against the
@@ -330,23 +331,6 @@ fn worker_loop(shared: &Shared, parent: ssp_probe::ParentHandle) {
     }
 }
 
-/// Map a terminal solve error to the response `kind`. Deadline and
-/// cancellation exhaustion get first-class kinds; everything else keeps
-/// its [`SolveError::kind`] tag.
-fn error_kind(error: &SolveError) -> &'static str {
-    match error {
-        SolveError::BudgetExhausted {
-            resource: "deadline",
-            ..
-        } => "deadline",
-        SolveError::BudgetExhausted {
-            resource: "cancelled",
-            ..
-        } => "cancelled",
-        other => other.kind(),
-    }
-}
-
 /// What a solve settles on.
 struct Accepted {
     algorithm: Algo,
@@ -515,7 +499,7 @@ fn process(shared: &Shared, work: &Work, depth_behind: usize) {
             deliver(
                 shared,
                 &work.sink,
-                &protocol::error_line(&req.id, error_kind(&error), &error.to_string()),
+                &protocol::error_line(&req.id, error.kind(), &error.to_string()),
             );
             finish(false);
         }
@@ -688,7 +672,8 @@ mod tests {
 
     /// Work 1e300 in a 1e-300-wide window overflows every schedule's
     /// speed: the answer is a typed `numeric` error, not an
-    /// `internal-panic`, whatever algorithm is asked for.
+    /// `internal-panic`, whatever algorithm is asked for. `no_fallback`
+    /// keeps the requested algorithm's own error on the wire.
     #[test]
     fn overflowing_speeds_answer_a_numeric_error() {
         let mut server = Server::start(ServeOptions {
@@ -696,17 +681,17 @@ mod tests {
             ..Default::default()
         });
         let (sink, lines) = collecting_sink();
-        for algo in ["rr", "classified", "greedy", "bal"] {
+        for algo in ["rr", "classified", "greedy", "bal", "avr", "oa"] {
             server.submit(
                 &format!(
-                    r#"{{"id":"{algo}","algo":"{algo}","instance":{{"machines":2,"alpha":2.0,"jobs":[[0,1e300,0,1e-300],[1,1,0,2]]}}}}"#
+                    r#"{{"id":"{algo}","algo":"{algo}","no_fallback":true,"instance":{{"machines":2,"alpha":2.0,"jobs":[[0,1e300,0,1e-300],[1,1,0,2]]}}}}"#
                 ),
                 Arc::clone(&sink),
             );
         }
         drain(&mut server);
         let lines = lines.lock().unwrap();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 6);
         for line in lines.iter() {
             let v = json::parse(line).unwrap();
             assert_eq!(v.get("status").unwrap().as_str(), Some("error"), "{line}");
@@ -742,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_timeout_is_a_deadline_failure_or_degraded_success_never_a_hang() {
+    fn zero_timeout_salvages_a_deadline_exhausted_schedule() {
         let mut server = Server::start(ServeOptions {
             workers: 1,
             min_headroom: Duration::ZERO, // disable shedding: exercise the deadline path
@@ -755,17 +740,18 @@ mod tests {
         let lines = lines.lock().unwrap();
         assert_eq!(lines.len(), 1);
         let v = json::parse(&lines[0]).unwrap();
-        // BAL's meter trips on "deadline"; it salvages a valid best-so-far
-        // schedule (reported exhausted) or fails typed — both acceptable,
-        // hanging or panicking is not.
-        match v.get("status").unwrap().as_str().unwrap() {
-            "ok" => assert_eq!(
-                v.get("budget_exhausted").unwrap().as_str(),
-                Some("deadline")
-            ),
-            "error" => assert_eq!(v.get("kind").unwrap().as_str(), Some("deadline")),
-            other => panic!("unexpected status {other}"),
-        }
+        // BAL's meter trips on "deadline" and it salvages a valid
+        // best-so-far schedule: exhaustion is a marker, never an error.
+        assert_eq!(
+            v.get("status").unwrap().as_str(),
+            Some("ok"),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(
+            v.get("budget_exhausted").unwrap().as_str(),
+            Some("deadline")
+        );
     }
 
     #[test]
