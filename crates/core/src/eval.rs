@@ -39,7 +39,7 @@
 use crate::assignment::Assignment;
 use ssp_model::numeric::energy_of;
 use ssp_model::{Instance, Job};
-use ssp_single::yds::{yds_energy_in, yds_schedule, YdsArena};
+use ssp_single::yds::{try_yds_schedule, yds, yds_energy_in, YdsArena};
 use std::collections::HashMap;
 
 /// Relative safety margin applied to every analytic bound before it is
@@ -604,12 +604,19 @@ impl<'a> YdsEval<'a> {
                 self.scratch_jobs.clear();
                 self.scratch_jobs
                     .extend(key.iter().map(|&k| *self.instance.job(k as usize)));
-                let (sol, sched) = yds_schedule(&self.scratch_jobs, self.instance.alpha(), 0);
-                entry.energy = sol.energy;
-                entry
-                    .profile
-                    .extend(sched.segments().iter().map(|s| (s.start, s.end, s.speed)));
-                entry.profile.sort_by(|x, y| x.0.total_cmp(&y.0));
+                let alpha = self.instance.alpha();
+                entry.energy = match try_yds_schedule(&self.scratch_jobs, alpha, 0) {
+                    Ok((sol, sched)) => {
+                        entry
+                            .profile
+                            .extend(sched.segments().iter().map(|s| (s.start, s.end, s.speed)));
+                        entry.profile.sort_by(|x, y| x.0.total_cmp(&y.0));
+                        sol.energy
+                    }
+                    // No schedule for rounded speeds (subnormal works): an
+                    // empty profile only weakens the floor.
+                    Err(_) => yds(&self.scratch_jobs, alpha).energy,
+                };
                 // The snapshot energy is the same bits `list_energy_key`
                 // would compute — the kernel is deterministic per ordered
                 // list — so it is a legitimate memo entry.
@@ -619,7 +626,7 @@ impl<'a> YdsEval<'a> {
                         self.cache.clear();
                     }
                     self.cache
-                        .insert(key.to_vec().into_boxed_slice(), sol.energy);
+                        .insert(key.to_vec().into_boxed_slice(), entry.energy);
                 }
             }
             self.key_peek = key;
@@ -653,13 +660,21 @@ impl<'a> YdsEval<'a> {
                 .iter()
                 .map(|&i| *self.instance.job(i as usize)),
         );
-        let (sol, sched) = yds_schedule(&self.scratch_jobs, self.instance.alpha(), 0);
+        let alpha = self.instance.alpha();
+        let (sol, sched) = match try_yds_schedule(&self.scratch_jobs, alpha, 0) {
+            Ok((sol, sched)) => (sol, Some(sched)),
+            // No schedule for rounded speeds (subnormal works): the profile
+            // stays empty, which only weakens the bounds.
+            Err(_) => (yds(&self.scratch_jobs, alpha), None),
+        };
         for (&i, &s) in self.groups[p].iter().zip(&sol.speeds) {
             self.speed_of_job[i as usize] = s;
         }
-        let profile = &mut self.profiles[p];
-        profile.extend(sched.segments().iter().map(|s| (s.start, s.end, s.speed)));
-        profile.sort_by(|x, y| x.0.total_cmp(&y.0));
+        if let Some(sched) = sched {
+            let profile = &mut self.profiles[p];
+            profile.extend(sched.segments().iter().map(|s| (s.start, s.end, s.speed)));
+            profile.sort_by(|x, y| x.0.total_cmp(&y.0));
+        }
     }
 
     /// Minimum profile speed of machine `p` over `[r, d]`, treating idle

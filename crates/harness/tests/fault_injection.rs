@@ -26,13 +26,16 @@ fn gauntlet_options() -> SolveOptions {
 }
 
 /// Every case, every algorithm: no panic escapes, no abort, every failure
-/// typed. This is the headline robustness guarantee.
+/// typed, and none of them a contained panic (`internal-panic`, which
+/// docs/SERVE.md calls always a bug). This is the headline robustness
+/// guarantee.
 #[test]
 fn no_algorithm_panics_on_the_fault_gauntlet() {
     let opts = gauntlet_options();
     let mut construction_rejects = 0usize;
     let mut runs = 0usize;
     let mut typed_failures = 0usize;
+    let mut internal_panics = Vec::new();
     for case in FaultPlan::new(SEED).cases(CASES) {
         let instance = match &case.instance {
             Err(_) => {
@@ -76,11 +79,20 @@ fn no_algorithm_panics_on_the_fault_gauntlet() {
                         case.index,
                         case.fault
                     );
+                    if err.kind() == "internal-panic" {
+                        internal_panics
+                            .push(format!("case {} ({}) {algo}", case.index, case.fault));
+                    }
                     typed_failures += 1;
                 }
             }
         }
     }
+    assert!(
+        internal_panics.is_empty(),
+        "{} runs ended in internal-panic: {internal_panics:?}",
+        internal_panics.len()
+    );
     // Sanity: the gauntlet actually exercised both classes.
     assert!(
         construction_rejects > CASES / 4,

@@ -196,6 +196,19 @@ impl SweepFlow {
         self.cell_cap[j]
     }
 
+    /// Re-parameterize cell `j` in place: its per-job cap `edge_cap` and
+    /// total capacity `cell_cap`, with the saturation epsilons
+    /// [`new`](SweepFlow::new) derives from them, so the next solve answers
+    /// bit for bit what a solver built with these capacities answers. The
+    /// last solve's results are void until the next solve.
+    pub fn set_cell(&mut self, j: usize, edge_cap: f64, cell_cap: f64) {
+        self.edge_cap[j] = edge_cap;
+        self.cell_cap[j] = cell_cap;
+        self.edge_eps[j] = edge_cap * EPS_REL;
+        self.cell_eps[j] = cell_cap * EPS_REL;
+        self.solved = false;
+    }
+
     /// Route the demand vector `p`, returning the (maximum) routed total.
     pub fn solve(&mut self, p: &[f64]) -> f64 {
         assert_eq!(p.len(), self.num_jobs, "demand vector length mismatch");

@@ -239,6 +239,14 @@ pub fn try_bal_with_wap_strategy(
     }
     let mut budget_exhausted = None;
     let horizon: f64 = (0..intervals.len()).map(|j| intervals.length(j)).sum();
+    // One feasibility solver for the whole solve. Interval capacities
+    // change only between rounds, and each later round re-parameterizes the
+    // solver to them in place: every probe below sets new demands on it and
+    // warm-starts from the previous one, the round's first decline restarts
+    // the Dinic engine from the sweep's greedy flow, and nothing a round
+    // computed carries into the next, so every answer is bit for bit what a
+    // fresh solver per round gives.
+    let mut solver = wap.solver();
 
     while !remaining.is_empty() {
         let _round_span = ssp_probe::span("bal.round");
@@ -258,12 +266,9 @@ pub fn try_bal_with_wap_strategy(
             lo = lo.max(instance.job(i).work / open);
         }
 
-        // Build the feasibility network once for this round; every probe
-        // below sets new demands on its source edges and warm-starts the
-        // max flow from the previous one. Interval capacities change only
-        // *between* rounds, so a fresh solver per round both stays exact
-        // and resets any accumulated floating-point drift.
-        let mut solver = wap.solver();
+        if !rounds.is_empty() {
+            solver.reparameterize(&wap);
+        }
         let mut pbuf = vec![0.0; n];
         let mut probe_log: Vec<(f64, bool)> = Vec::new();
         let mut prober = Prober {
@@ -360,9 +365,11 @@ pub fn try_bal_with_wap_strategy(
                     remaining.iter().copied().filter(|&i| job_side[i]).collect();
                 if critical.is_empty() {
                     // Numerical fallback: the effective-density argmax is
-                    // certainly critical when the cut degenerates. Keeps
-                    // progress guaranteed.
-                    debug_assert!(false, "empty critical set — cut degenerated numerically");
+                    // certainly critical when the cut degenerates (a
+                    // subnormal `v_crit` has too few bits for `probe` to fall
+                    // below it, so the probe is feasible). Keeps progress
+                    // guaranteed.
+                    ssp_probe::counter!("bal.degenerate_cuts");
                     let &fallback = remaining
                         .iter()
                         .max_by(|&&a, &&b| {
@@ -1078,6 +1085,30 @@ mod tests {
         assert_eq!(flows, 2);
         let sol = bal(&instance);
         assert_eq!(sol.rounds[0].saturated, [0], "only [0, 1] is saturated");
+    }
+
+    /// A subnormal critical speed has too few bits for the classification
+    /// probe's `v*·(1 − 1e-9)` to fall below it, so the probe is feasible
+    /// and its cut names no critical job; BAL then fixes the
+    /// effective-density argmax, counted as `bal.degenerate_cuts`, in debug
+    /// and release builds alike. The fault gauntlet's case 12 (seed
+    /// `0xFA17`, one machine, a job of work `1e-320`) is such an instance.
+    #[test]
+    fn subnormal_work_takes_the_degenerate_cut_fallback() {
+        let case = ssp_harness::fault::FaultPlan::new(0xFA17).case(12);
+        assert_eq!(case.fault, "denormal-work");
+        let instance = case.instance.expect("an adversarial but valid instance");
+        // Counters are process-global and other tests run concurrently, so
+        // the count is checked only when this test holds the session.
+        let session = ssp_probe::Session::begin();
+        let sol = try_bal(&instance, Budget::unlimited());
+        let degenerate = session.map(|s| s.end().counter("bal.degenerate_cuts"));
+        let sol = sol.expect("BAL answers a subnormal work");
+        if let Some(count) = degenerate {
+            assert!(count >= 1, "no degenerate cut");
+        }
+        assert_eq!(sol.budget_exhausted, None);
+        assert!(sol.energy.is_finite() && sol.energy > 0.0);
     }
 
     #[test]

@@ -162,6 +162,13 @@ impl Wap {
         self.open_intervals_of(i).map(|j| self.lengths[j]).sum()
     }
 
+    /// Cell `j`'s parameters in a solver's snapshot: the single-job cap
+    /// `min(|I_j|, c_j)` (0 when the cell is closed) and the capacity `c_j`.
+    fn cell_caps(&self, j: usize) -> (f64, f64) {
+        let c = self.capacity[j];
+        (if c > 0.0 { self.lengths[j].min(c) } else { 0.0 }, c)
+    }
+
     /// Build a persistent solver over the *current* capacities: a sweep
     /// snapshot of the structure (each sweep solve is an independent
     /// `O(n log n)` pass) plus, once latched, a Dinic engine over the same
@@ -170,23 +177,18 @@ impl Wap {
     /// where consecutive probes differ only in a monotone demand scale. A
     /// [`WapKernel::Flow`] solver is latched at birth.
     ///
-    /// Snapshot semantics: later [`Wap::set_capacity`] calls do **not**
-    /// propagate into an existing solver; build a fresh one per round. The
-    /// Dinic engine is built from the sweep's frozen snapshot, never from
-    /// `self`.
+    /// Snapshot semantics: later [`Wap::set_capacity`] calls reach an
+    /// existing solver only through [`WapSolver::reparameterize`], which
+    /// BAL calls once per round on the one solver it builds per solve. The
+    /// Dinic engine is built from the sweep's snapshot, never from `self`.
     pub fn solver(&self) -> WapSolver {
         let _span = ssp_probe::span("wap.solver_build");
-        let edge_cap: Vec<f64> = self
-            .lengths
-            .iter()
-            .zip(&self.capacity)
-            .map(|(&len, &c)| if c > 0.0 { len.min(c) } else { 0.0 })
-            .collect();
-        let sweep = SweepFlow::new(self.windows.clone(), edge_cap, self.capacity.clone());
-        let engine = (self.kernel == WapKernel::Flow).then(|| Box::new(FlowState::build(&sweep)));
+        let (edge_cap, cell_cap) = (0..self.num_intervals()).map(|j| self.cell_caps(j)).unzip();
         WapSolver {
-            sweep,
-            engine,
+            sweep: SweepFlow::new(self.windows.clone(), edge_cap, cell_cap),
+            engine: None,
+            kernel: self.kernel,
+            latched: self.kernel == WapKernel::Flow,
             value: 0.0,
             demand: 0.0,
         }
@@ -204,10 +206,13 @@ impl Wap {
 
 /// Dinic's engine state: Horn's network plus the edge handles needed to
 /// carry a solved flow to new demands and to read it back. Node layout:
-/// 0 = source, `1..=n` jobs, `n+1..=n+l` intervals, `n+l+1` sink. Only the
-/// source edges ever change capacity, so how a solved flow follows new
-/// demands is decided here, where the network's shape is known; the
-/// engine's one warm start, `resume_max_flow`, takes it from there.
+/// 0 = source, `1..=n` jobs, `n+1..=n+l` intervals, `n+l+1` sink. The
+/// network is built once per solver; every start (the first solve after the
+/// build or a re-parameterization) sets its job and sink edges from the
+/// sweep's snapshot, and between starts only the source edges change
+/// capacity, so how a solved flow follows new demands is decided here,
+/// where the network's shape is known; the engine's one warm start,
+/// `resume_max_flow`, takes it from there.
 #[derive(Debug)]
 struct FlowState {
     net: FlowNetwork,
@@ -215,41 +220,72 @@ struct FlowState {
     source_edges: Vec<EdgeId>,
     job_edges: Vec<Vec<(usize, EdgeId)>>,
     sink_edges: Vec<EdgeId>,
+    /// The cells open at the build: the only cells with job edges.
+    built_open: Vec<bool>,
+    /// Does the network hold a flow over the current snapshot? Cleared by
+    /// re-parameterization, so the next solve starts over.
     solved: bool,
 }
 
 impl FlowState {
     /// Build Horn's network over a sweep snapshot: job edges exist only into
-    /// open intervals, with the snapshot's capacity `min(|I_j|, c_j)`.
+    /// the cells open now. Every capacity starts at zero: each start sets
+    /// them (`restart`, and the source edges per solve).
     fn build(sweep: &SweepFlow) -> FlowState {
+        let _span = ssp_probe::span("wap.fallback_build");
         let (n, l) = (sweep.num_jobs(), sweep.num_cells());
         let sink = n + l + 1;
         let mut net = FlowNetwork::new(n + l + 2);
-        // Demands arrive per solve; start the parametric edges at zero.
         let source_edges: Vec<EdgeId> = (0..n).map(|i| net.add_edge(0, 1 + i, 0.0)).collect();
+        let built_open: Vec<bool> = (0..l).map(|j| sweep.cell_cap(j) > 0.0).collect();
         let mut job_edges: Vec<Vec<(usize, EdgeId)>> = vec![Vec::new(); n];
         for (i, edges) in job_edges.iter_mut().enumerate() {
             if let Some((lo, hi)) = sweep.window(i) {
-                for j in (lo..=hi).filter(|&j| sweep.cell_cap(j) > 0.0) {
-                    edges.push((j, net.add_edge(1 + i, 1 + n + j, sweep.edge_cap(j))));
+                for j in (lo..=hi).filter(|&j| built_open[j]) {
+                    edges.push((j, net.add_edge(1 + i, 1 + n + j, 0.0)));
                 }
             }
         }
-        let sink_edges = (0..l)
-            .map(|j| net.add_edge(1 + n + j, sink, sweep.cell_cap(j)))
-            .collect();
+        let sink_edges = (0..l).map(|j| net.add_edge(1 + n + j, sink, 0.0)).collect();
         FlowState {
             net,
             sink,
             source_edges,
             job_edges,
             sink_edges,
+            built_open,
             solved: false,
         }
     }
 
-    /// Route the demand vector: cold max-flow on the first call; afterwards
-    /// carry the previous max flow to the new demands and resume from it.
+    /// Can the network take the snapshot's capacities, i.e. has every open
+    /// cell its job edges? A cell reopened after the build has none.
+    fn covers(&self, sweep: &SweepFlow) -> bool {
+        (0..sweep.num_cells()).all(|j| self.built_open[j] || sweep.cell_cap(j) <= 0.0)
+    }
+
+    /// Set every job edge to the snapshot's single-job cap and every sink
+    /// edge to the cell's capacity, as a fresh build over this snapshot
+    /// would: edges into cells closed since the build get capacity 0, and a
+    /// zero-capacity edge carrying no flow is never residual. The flows are
+    /// the caller's to reset (a cold solve) or to seed. The CSR keeps
+    /// insertion order, so every Dinic phase then walks the same paths, and
+    /// ends on the same flow, as on a freshly built network.
+    fn restart(&mut self, sweep: &SweepFlow) {
+        for edges in &self.job_edges {
+            for &(j, e) in edges {
+                self.net.set_capacity(e, sweep.edge_cap(j));
+            }
+        }
+        for (j, &e) in self.sink_edges.iter().enumerate() {
+            self.net.set_capacity(e, sweep.cell_cap(j));
+        }
+        self.solved = true;
+    }
+
+    /// Route the demand vector: cold max-flow on the first solve since the
+    /// last start; afterwards carry the previous max flow to the new
+    /// demands and resume from it.
     ///
     /// The carry: each job's source edge is clamped to its new demand, and
     /// the overflow a clamp removes is cancelled along the job's own
@@ -260,9 +296,15 @@ impl FlowState {
     /// is a valid flow for the new demands, which `resume_max_flow` augments
     /// to a maximum one. A leftover beyond `1e-9` of the total overflow
     /// means the carried flow was not what this shape guarantees, and the
-    /// solve falls back to cold. (Before the first solve no flow is carried,
-    /// so nothing overflows.)
-    fn solve(&mut self, p: &[f64]) -> f64 {
+    /// solve falls back to cold.
+    fn solve(&mut self, p: &[f64], sweep: &SweepFlow) -> f64 {
+        if !self.solved {
+            self.restart(sweep);
+            for (i, &demand) in p.iter().enumerate() {
+                self.net.set_capacity(self.source_edges[i], demand);
+            }
+            return self.net.max_flow(0, self.sink);
+        }
         let (mut total, mut leftover, mut cancels) = (0.0, 0.0, 0u64);
         for (i, &demand) in p.iter().enumerate() {
             let overflow = self.net.set_capacity(self.source_edges[i], demand);
@@ -283,26 +325,27 @@ impl FlowState {
             }
         }
         ssp_probe::counter!("maxflow.dinic.cancel_paths", cancels);
-        if !std::mem::replace(&mut self.solved, true) || leftover > total * 1e-9 + 1e-12 {
+        if leftover > total * 1e-9 + 1e-12 {
             return self.net.max_flow(0, self.sink);
         }
         ssp_probe::counter!("maxflow.warm_reuse");
         self.net.resume_max_flow(0, self.sink)
     }
 
-    /// Route the demand vector starting from the sweep's water-filling
-    /// allocation: seed every edge with the greedy flow (a valid,
-    /// near-maximal flow over the same capacities) and augment only the
-    /// undershoot. The first solve of an engine built at a sweep decline.
+    /// Start over from the sweep's water-filling allocation of `p`: seed
+    /// every edge with the greedy flow (a valid, near-maximal flow over the
+    /// snapshot's capacities) and augment only the undershoot. The first
+    /// solve after a sweep decline.
     fn solve_seeded(&mut self, p: &[f64], sweep: &SweepFlow) -> f64 {
+        self.restart(sweep);
         for (i, &demand) in p.iter().enumerate() {
             self.net.set_capacity(self.source_edges[i], demand);
             self.net.set_flow(self.source_edges[i], sweep.routed(i));
         }
         for (i, edges) in self.job_edges.iter().enumerate() {
             // Both lists are ascending in cell index; walk them in lockstep
-            // (the sweep allocates only into open cells, which are exactly
-            // the cells with edges).
+            // (the sweep allocates only into open cells, all of which have
+            // edges).
             let mut alloc = sweep.allocs_of(i);
             let mut cur = alloc.next();
             for &(j, e) in edges {
@@ -324,7 +367,6 @@ impl FlowState {
             self.net.set_flow(e, sweep.cell_usage(j));
         }
         ssp_probe::counter!("maxflow.dinic.seeded_resumes");
-        self.solved = true;
         self.net.resume_max_flow(0, self.sink)
     }
 
@@ -346,24 +388,29 @@ impl FlowState {
 }
 
 /// A persistent WAP feasibility solver: a certificate-gated sweep over a
-/// frozen structure snapshot, latched onto a warm-started Dinic engine over
-/// the same snapshot at its first decline (see [`WapSolver::solve`]); a
-/// [`WapKernel::Flow`] solver is latched at birth. Counters:
-/// `wap.flow_calls` (every solve), `wap.fast_path` (certified sweep
-/// solves), `wap.fast_fallback` (the sweep's first decline: the engine was
-/// built and seeded from the greedy flow), `wap.sweep_skip` (latched
-/// solves, forced-`Flow` ones included: the sweep was not attempted and the
-/// engine solved cold or carried its previous flow), `wap.sweep_ops`
-/// (sweep kernel work measure). Every solve lands in exactly one of
-/// `fast_path`, `fast_fallback` or `sweep_skip`, so the three sum to
-/// `flow_calls` for every solver.
+/// structure snapshot, latched onto a warm-started Dinic engine over the
+/// same snapshot at a decline (see [`WapSolver::solve`]); a
+/// [`WapKernel::Flow`] solver is latched at birth.
+/// [`WapSolver::reparameterize`] moves the snapshot to new capacities in
+/// place. Counters: `wap.flow_calls` (every solve), `wap.fast_path`
+/// (certified sweep solves), `wap.fast_fallback` (a decline: the engine,
+/// built at the solver's first decline, restarts from the greedy flow),
+/// `wap.sweep_skip` (latched solves, forced-`Flow` ones included: the sweep
+/// was not attempted and the engine solved cold or carried its previous
+/// flow), `wap.sweep_ops` (sweep kernel work measure). Every solve lands in
+/// exactly one of `fast_path`, `fast_fallback` or `sweep_skip`, so the
+/// three sum to `flow_calls` for every solver.
 #[derive(Debug)]
 pub struct WapSolver {
     /// The structure snapshot and the fast path.
     sweep: SweepFlow,
-    /// Dinic over the same snapshot; once present it answers every solve
-    /// (`is_some()` is the latch) and holds the last accepted solve.
+    /// Dinic over the same snapshot, built at the first latched solve and
+    /// kept across re-parameterizations.
     engine: Option<Box<FlowState>>,
+    /// The kernel policy the solver was built with.
+    kernel: WapKernel,
+    /// The decline latch: the engine answers every solve.
+    latched: bool,
     value: f64,
     demand: f64,
 }
@@ -372,17 +419,18 @@ impl WapSolver {
     /// Route the demand vector `p` and return the achieved flow value.
     ///
     /// Dispatch is one rule: an unlatched solver tries the sweep, and a
-    /// certified sweep answers. The first decline builds the Dinic engine
-    /// over the sweep's snapshot, seeds it with the greedy flow, and latches
-    /// this solver onto the engine for the rest of its life: later solves
-    /// skip the sweep and carry the engine's previous flow to the new
-    /// demands, exactly what a forced-[`WapKernel::Flow`] solver does after
-    /// its first, cold solve.
-    /// Whether the greedy certifies depends mostly on the capacity
-    /// structure, which a solver never changes: after one decline, later
-    /// attempts mostly decline too and only add sweep work (DESIGN.md §3.14
-    /// has the measurements). BAL builds a fresh solver every round, so the
-    /// latch resets exactly when the structure changes.
+    /// certified sweep answers. A decline latches this solver onto the
+    /// Dinic engine, built over the sweep's snapshot at the solver's first
+    /// decline, and starts the engine over from the greedy flow; until the
+    /// next [`reparameterize`](WapSolver::reparameterize), later solves skip
+    /// the sweep and carry the engine's previous flow to the new demands,
+    /// exactly what a forced-[`WapKernel::Flow`] solver does after its
+    /// first, cold solve. Whether the greedy certifies depends mostly on
+    /// the capacity structure: after one decline, later attempts on the
+    /// same capacities mostly decline too and only add sweep work (DESIGN.md
+    /// §3.14 has the measurements). Re-parameterization releases the latch,
+    /// so BAL, which re-parameterizes its one solver every round, tries the
+    /// sweep first in every round.
     pub fn solve(&mut self, p: &[f64]) -> f64 {
         let _span = ssp_probe::span("wap.solve");
         ssp_probe::counter!("wap.flow_calls");
@@ -397,11 +445,9 @@ impl WapSolver {
                 "demand must be finite/nonnegative"
             );
         }
-        self.value = if let Some(fs) = &mut self.engine {
-            ssp_probe::counter!("wap.sweep_skip");
-            let _s = ssp_probe::span("wap.fallback_solve");
-            fs.solve(p)
-        } else {
+        self.demand = p.iter().sum();
+        let declined = !self.latched;
+        if declined {
             let v = {
                 let _s = ssp_probe::span("wap.sweep");
                 self.sweep.solve(p)
@@ -409,23 +455,68 @@ impl WapSolver {
             ssp_probe::counter!("wap.sweep_ops", self.sweep.ops());
             if self.sweep.certified() {
                 ssp_probe::counter!("wap.fast_path");
-                v
-            } else {
-                // The greedy undershot (a per-cell cap starved a
-                // longer-windowed job); finish the solve exactly on the
-                // frozen snapshot, seeded with the greedy flow so only the
-                // undershoot needs augmenting.
-                ssp_probe::counter!("wap.fast_fallback");
-                let fs = self.engine.insert({
-                    let _s = ssp_probe::span("wap.fallback_build");
-                    Box::new(FlowState::build(&self.sweep))
-                });
-                let _s = ssp_probe::span("wap.fallback_solve");
-                fs.solve_seeded(p, &self.sweep)
+                self.value = v;
+                return v;
             }
+            // The greedy undershot (a per-cell cap starved a longer-windowed
+            // job); finish the solve exactly on the same snapshot, seeded
+            // with the greedy flow so only the undershoot needs augmenting.
+            ssp_probe::counter!("wap.fast_fallback");
+            self.latched = true;
+        } else {
+            ssp_probe::counter!("wap.sweep_skip");
+        }
+        let sweep = &self.sweep;
+        let fs = self
+            .engine
+            .get_or_insert_with(|| Box::new(FlowState::build(sweep)));
+        let _s = ssp_probe::span("wap.fallback_solve");
+        self.value = if declined {
+            fs.solve_seeded(p, sweep)
+        } else {
+            fs.solve(p, sweep)
         };
-        self.demand = p.iter().sum();
         self.value
+    }
+
+    /// Move the solver to `wap`'s current capacities in place: BAL's step
+    /// between rounds, where only capacities shrink or close. `wap` must be
+    /// the instance this solver was built from, up to
+    /// [`Wap::set_capacity`] calls. The sweep snapshot takes the new
+    /// capacities cell by cell, and the decline latch is released, so the
+    /// next solve tries the sweep first (a forced-[`WapKernel::Flow`]
+    /// solver stays latched). A built engine is kept: its next start sets
+    /// its job and sink edges from the new snapshot, seeded from the greedy
+    /// flow at the next decline or solved cold by a forced-`Flow` solver's
+    /// next solve, and answers bit for bit what a fresh
+    /// [`Wap::solver`] answers. A cell reopened since the engine's build has
+    /// no edges in it, so reopening one drops the engine and the next
+    /// latched solve builds another (BAL never reopens a cell). The last
+    /// solve's results are void until the next solve.
+    pub fn reparameterize(&mut self, wap: &Wap) {
+        assert_eq!(
+            (wap.num_jobs(), wap.num_intervals()),
+            (self.sweep.num_jobs(), self.sweep.num_cells()),
+            "re-parameterized with another WAP's shape"
+        );
+        debug_assert!(
+            (0..wap.num_jobs()).all(|i| wap.window_of(i) == self.sweep.window(i)),
+            "re-parameterized with another WAP's windows"
+        );
+        for j in 0..wap.num_intervals() {
+            let (edge_cap, cell_cap) = wap.cell_caps(j);
+            self.sweep.set_cell(j, edge_cap, cell_cap);
+        }
+        self.latched = self.kernel == WapKernel::Flow;
+        match &mut self.engine {
+            Some(fs) if fs.covers(&self.sweep) => fs.solved = false,
+            _ => self.engine = None,
+        }
+    }
+
+    /// The engine, when it answered the last solve.
+    fn answering(&self) -> Option<&FlowState> {
+        self.engine.as_deref().filter(|_| self.latched)
     }
 
     /// Achieved max-flow value of the last [`solve`](WapSolver::solve).
@@ -442,7 +533,7 @@ impl WapSolver {
     /// Time allotted to job `i` in each of its open intervals: `(j, t_ij)`,
     /// skipping zero allotments.
     pub fn allotment(&self, i: usize) -> Vec<(usize, f64)> {
-        match &self.engine {
+        match self.answering() {
             Some(fs) => fs.allotment(i),
             None => self.sweep.allotment(i),
         }
@@ -450,7 +541,7 @@ impl WapSolver {
 
     /// Demand actually routed for job `i`.
     pub fn routed(&self, i: usize) -> f64 {
-        match &self.engine {
+        match self.answering() {
             Some(fs) => fs.routed(i),
             None => self.sweep.routed(i),
         }
@@ -458,7 +549,7 @@ impl WapSolver {
 
     /// Flow into the sink from interval `j` (total time handed out there).
     pub fn interval_usage(&self, j: usize) -> f64 {
-        match &self.engine {
+        match self.answering() {
             Some(fs) => fs.interval_usage(j),
             None => self.sweep.cell_usage(j),
         }
@@ -474,7 +565,7 @@ impl WapSolver {
     /// the sides are identical whichever kernel produced the flow (the sweep
     /// only reports sides it has certified).
     pub fn cut_sides(&self) -> (Vec<bool>, Vec<bool>) {
-        match &self.engine {
+        match self.answering() {
             Some(fs) => {
                 let side = fs.net.residual_reachable_from_source();
                 let n = self.sweep.num_jobs();
@@ -497,7 +588,7 @@ impl WapSolver {
     /// residual BFS from the sink, the sweep over its allocations (it only
     /// answers solves it has certified).
     pub fn sink_reaching_jobs(&self) -> Vec<bool> {
-        match &self.engine {
+        match self.answering() {
             Some(fs) => fs.net.residual_reaching_sink()[1..=self.sweep.num_jobs()].to_vec(),
             None => self.sweep.sink_reaching_jobs(),
         }
@@ -832,7 +923,7 @@ mod tests {
     }
 
     fn latched(s: &WapSolver) -> bool {
-        s.engine.is_some()
+        s.latched
     }
 
     /// The Newton bound of the solver's current cut.
@@ -844,8 +935,8 @@ mod tests {
     /// The decline latch: after the sweep's first decline every later solve
     /// on that solver skips the sweep (`wap.sweep_skip`) and still matches a
     /// forced-Flow solver, latched at birth, bit for bit on verdict, cut
-    /// sides and `cut_speed_bound`; a fresh solver from the same `Wap` tries
-    /// the sweep again.
+    /// sides and `cut_speed_bound`; a fresh solver from the same `Wap`, and
+    /// the latched one once re-parameterized, try the sweep again.
     #[test]
     fn decline_latches_solver_onto_the_flow_engine() {
         let wap = starvation_wap();
@@ -895,14 +986,21 @@ mod tests {
         assert!(!latched(&fresh));
         fresh.solve(&demands(2.0));
         assert!(fresh.feasible() && !latched(&fresh));
+        // Re-parameterization releases the latch; the forced-Flow solver
+        // stays latched.
+        s.reparameterize(&wap);
+        f.reparameterize(&flow_wap);
+        assert!(!latched(&s) && latched(&f));
+        s.solve(&demands(2.0));
+        assert!(s.feasible() && !latched(&s));
         if let Some(session) = session {
             let _ = session.end();
         }
     }
 
-    /// Satellite regression: `Wap::set_capacity` after building one solver
-    /// must be visible to the *next* solver on both kernels (snapshot
-    /// semantics per solver, fresh snapshot per build).
+    /// `Wap::set_capacity` after building one solver must be visible to the
+    /// *next* solver on both kernels, and to the existing one only once it
+    /// is re-parameterized (snapshot semantics).
     #[test]
     fn reparameterized_capacities_reach_fresh_solvers_on_both_kernels() {
         let instance = inst(vec![Job::new(0, 2.0, 0.0, 2.0)], 2);
@@ -919,8 +1017,162 @@ mod tests {
             assert_eq!(s.solve(&[2.0]), 0.0, "{kernel:?} must see closed interval");
             assert!(!s.feasible());
         }
-        // The pre-existing solver keeps its snapshot (documented contract).
+        // The pre-existing solver keeps its snapshot (documented contract)
+        // until it is re-parameterized.
         assert!(before.solve(&[2.0]) >= 2.0 - 1e-12);
+        before.reparameterize(&wap);
+        assert_eq!(before.solve(&[2.0]), 0.0);
+        assert!(!before.feasible());
+    }
+
+    /// Everything a consumer reads off a solve, as bits: value, verdict,
+    /// cut sides, sink side, allotments and the cut's Newton bound.
+    type Readback = (
+        u64,
+        bool,
+        (Vec<bool>, Vec<bool>),
+        Vec<bool>,
+        Vec<Vec<(usize, u64)>>,
+        Option<u64>,
+    );
+
+    fn readback(s: &WapSolver, works: &[f64]) -> Readback {
+        let (jobs, cells) = s.cut_sides();
+        let bound = s.cut_speed_bound(works, &jobs, &cells).map(f64::to_bits);
+        let allotments = (0..works.len())
+            .map(|i| {
+                s.allotment(i)
+                    .iter()
+                    .map(|&(j, t)| (j, t.to_bits()))
+                    .collect()
+            })
+            .collect();
+        let sink_side = s.sink_reaching_jobs();
+        (
+            s.value().to_bits(),
+            s.feasible(),
+            (jobs, cells),
+            sink_side,
+            allotments,
+            bound,
+        )
+    }
+
+    /// What the solves of [`replay_bal_rounds`] did on the re-parameterized
+    /// solver: engine builds, engine restarts (the first solve an engine
+    /// answers after a re-parameterization), and sweep answers in rounds
+    /// after the first.
+    #[derive(Debug, Default)]
+    struct Reuse {
+        builds: usize,
+        restarts: usize,
+        later_sweep_answers: usize,
+    }
+
+    /// Replay BAL's rounds on one solver re-parameterized between them and
+    /// on a fresh solver per round, probing each round at speeds around its
+    /// critical speed, and require every solve to read back bit for bit
+    /// alike. Between rounds the capacities change as BAL changes them: the
+    /// saturated intervals close, every other interval of a critical job's
+    /// window loses one machine (`|I_j|`), and the critical jobs' demands
+    /// go to zero.
+    fn replay_bal_rounds(instance: &Instance, kernel: WapKernel) -> (Reuse, usize) {
+        let rounds = crate::bal::bal(instance).rounds;
+        let (mut wap, ivals) = Wap::from_instance(instance);
+        wap.set_kernel(kernel);
+        let mut works: Vec<f64> = instance.jobs().iter().map(|j| j.work).collect();
+        let mut reused = wap.solver();
+        let mut reuse = Reuse::default();
+        let engine = |s: &WapSolver| {
+            s.engine
+                .as_deref()
+                .map(|e| (e as *const FlowState, e.solved))
+        };
+        for (r, round) in rounds.iter().enumerate() {
+            if r > 0 {
+                reused.reparameterize(&wap);
+            }
+            let mut fresh = wap.solver();
+            for f in [0.5, 0.97, 1.0 - 1e-9, 1.0, 1.03, 2.0] {
+                let v = round.speed * f;
+                let p: Vec<f64> = works.iter().map(|&w| w / v).collect();
+                let before = engine(&reused);
+                reused.solve(&p);
+                fresh.solve(&p);
+                assert_eq!(
+                    readback(&reused, &works),
+                    readback(&fresh, &works),
+                    "{kernel:?} round {r} at {f} × its speed"
+                );
+                match (before, engine(&reused)) {
+                    (Some((b, false)), Some((a, true))) if a == b => reuse.restarts += 1,
+                    (b, Some((a, _))) if b.map(|b| b.0) != Some(a) => reuse.builds += 1,
+                    _ if r > 0 && !reused.latched => reuse.later_sweep_answers += 1,
+                    _ => {}
+                }
+            }
+            for &j in &round.saturated {
+                wap.set_capacity(j, 0.0);
+            }
+            for &i in &round.jobs {
+                works[i] = 0.0;
+                for j in ivals.intervals_of(i).iter().copied() {
+                    if wap.capacity(j) > 0.0 && !round.saturated.contains(&j) {
+                        let c = wap.capacity(j) - ivals.length(j);
+                        wap.set_capacity(j, c.max(0.0));
+                    }
+                }
+            }
+        }
+        (reuse, rounds.len())
+    }
+
+    /// One solver re-parameterized between BAL's rounds answers every probe
+    /// bit for bit like a fresh solver per round: on the sweep, on a
+    /// decline that restarts the engine an earlier round built (edges into
+    /// cells closed since then stay at capacity 0), and on a forced-`Flow`
+    /// solver, whose engine solves each round's first probe cold. Either
+    /// way the engine is built once.
+    #[test]
+    fn reparameterized_solver_answers_like_a_fresh_one() {
+        let instance = ssp_workloads::families::general(40, 3, 2.0).gen(11);
+        let (auto, rounds) = replay_bal_rounds(&instance, WapKernel::Auto);
+        assert!(rounds > 2, "{rounds} rounds");
+        assert_eq!(auto.builds, 1, "{auto:?}");
+        assert!(auto.restarts > 0, "{auto:?}");
+        assert!(auto.later_sweep_answers > 0, "{auto:?}");
+        let (flow, _) = replay_bal_rounds(&instance, WapKernel::Flow);
+        assert_eq!(flow.builds, 1, "{flow:?}");
+        assert_eq!(flow.restarts, rounds - 1, "{flow:?}");
+        assert_eq!(flow.later_sweep_answers, 0, "{flow:?}");
+    }
+
+    /// Reopening a cell the engine was built without (BAL never does this)
+    /// drops the engine: the next latched solve builds one with edges into
+    /// the cell, and answers like a fresh solver on both kernels.
+    #[test]
+    fn reopening_a_cell_drops_the_engine() {
+        let p = [4.0, 6.0, 0.0, 6.0];
+        let works = p;
+        for kernel in [WapKernel::Auto, WapKernel::Flow] {
+            let mut wap = starvation_wap();
+            wap.set_kernel(kernel);
+            let mut s = wap.solver();
+            s.solve(&p);
+            assert!(
+                s.engine.is_some(),
+                "{kernel:?}: the decline builds the engine"
+            );
+            wap.set_capacity(2, 1.0);
+            s.reparameterize(&wap);
+            assert!(s.engine.is_none(), "{kernel:?}: cell 2 has no edges");
+            s.solve(&p);
+            let mut fresh = wap.solver();
+            fresh.solve(&p);
+            assert_eq!(readback(&s, &works), readback(&fresh, &works), "{kernel:?}");
+            // Max flow 14 before; job 3 now routes one more unit in cell 2.
+            assert!((s.value() - 15.0).abs() < 1e-9, "{kernel:?}: {}", s.value());
+        }
     }
 
     /// The forced Flow kernel agrees with Auto on elementary-interval

@@ -801,9 +801,12 @@ pub fn yds_schedule(jobs: &[Job], alpha: f64, machine: usize) -> (YdsSolution, S
 
 /// Fallible [`yds_schedule`]. A speed whose processing time `w_i / s_i` is
 /// not positive and finite — a density that overflows f64, such as work
-/// `1e300` in a window of `1e-300` — is a [`SolveError::Numeric`]. The
-/// schedule is otherwise guaranteed feasible by YDS theory, so an EDF
-/// rejection still panics (a bug, not an input condition).
+/// `1e300` in a window of `1e-300` — is a [`SolveError::Numeric`], and so
+/// is an EDF rejection of the speeds. In exact arithmetic YDS speeds are
+/// always EDF-feasible, but rounded ones need not be: a subnormal work such
+/// as `1e-320` has a subnormal speed with too few bits to hold its density,
+/// and its processing time can overrun the window by more than EDF's
+/// tolerance.
 pub fn try_yds_schedule(
     jobs: &[Job],
     alpha: f64,
@@ -821,8 +824,9 @@ pub fn try_yds_schedule(
         }
         p.push(time);
     }
-    let schedule =
-        edf_schedule(jobs, &p, machine).expect("YDS speeds are always EDF-feasible on one machine");
+    let schedule = edf_schedule(jobs, &p, machine).ok_or_else(|| SolveError::Numeric {
+        message: "EDF rejects the rounded YDS speeds on one machine".to_string(),
+    })?;
     Ok((sol, schedule))
 }
 
@@ -1120,6 +1124,34 @@ mod tests {
                 .unwrap();
             assert!((stats.energy - sol.energy).abs() <= 1e-6 * sol.energy.max(1e-12));
         });
+    }
+
+    /// A subnormal work's YDS speed keeps only a few significant bits, so
+    /// its processing time overruns the job's window beyond EDF's tolerance
+    /// (`0.552553` against `0.552530` here): the fault gauntlet's case 12
+    /// (seed `0xFA17`, `m = 1`) gets a typed error, not a panic.
+    #[test]
+    fn edf_rejection_of_rounded_speeds_is_a_numeric_error() {
+        let jobs = [
+            Job::new(0, 3.6133145352537865, 3.5766381333625903, 4.00270031959519),
+            Job::new(1, 1.291750659097203, 5.6371923168367175, 9.493553832847983),
+            Job::new(2, 1e-320, 1.0999880342971675, 1.6525181937209097),
+            Job::new(3, 2.8434772577234866, 4.409156314026856, 5.617658668385882),
+            Job::new(
+                4,
+                0.3745562949046053,
+                1.8333586114947529,
+                3.0590452502504486,
+            ),
+        ];
+        let alpha = 2.112227293643513;
+        let s = yds(&jobs, alpha).speeds[2];
+        assert!(
+            jobs[2].work / s > jobs[2].span(),
+            "the rounded speed overruns"
+        );
+        let err = try_yds_schedule(&jobs, alpha, 0).unwrap_err();
+        assert!(matches!(err, SolveError::Numeric { .. }), "{err:?}");
     }
 
     /// Removing a job never increases optimal energy (monotonicity).
