@@ -1,30 +1,32 @@
-//! Ladder vs bisection speed search inside the migratory BAL solver, across
-//! the families that stress the per-round critical-speed search differently:
-//! `general` (heterogeneous works, nested windows — many rounds), `laminar_nested`
-//! (deep containment — many rounds with small remaining sets), and `crossing`
-//! (staircase overlap — few rounds over wide alive sets).
+//! The migratory BAL solver end to end, under each WAP kernel, across the
+//! families that stress its decomposition differently: `general`
+//! (heterogeneous works, nested windows — many splits over wide nodes),
+//! `laminar_nested` (deep containment — mostly one-job classes peeled one
+//! split at a time) and `crossing` (staircase overlap — few classes over
+//! wide alive sets).
 //!
 //! Two outputs, mirroring `yds_kernel`:
 //!
 //! * harness timing lines (`cargo bench -p ssp-bench --bench bal_kernel`),
-//!   one benchmark per (family, n, strategy);
+//!   one benchmark per (family, n, kernel);
 //! * a machine-readable artifact: set `SSP_BENCH_JSON=<path>` in measurement
-//!   mode and a self-timed sweep (median of several reps, plus the
-//!   `flow_computations` probe count per strategy) is written as JSON. The
-//!   committed `BENCH_bal.json` at the repo root is produced this way;
-//!   `SSP_BENCH_HISTORY=<path>` additionally appends the cells to the
+//!   mode and a self-timed sweep (median of several reps) is written as
+//!   JSON. The committed `BENCH_bal.json` at the repo root is produced this
+//!   way; `SSP_BENCH_HISTORY=<path>` additionally appends the cells to the
 //!   `BENCH_history.jsonl` trajectory (see `ssp_bench::trajectory::emit`).
 //!
-//! Each cell also carries a kernel column (`ladder_dinic_ms` /
-//! `kernel_speedup`): the same ladder run with the WAP interval sweep
-//! disabled (`WapKernel::Flow`), isolating the structure-aware fast path's
-//! contribution from the ladder's probe-count savings. The two kernels must
-//! agree on the final energy to the bit — asserted on every cell.
+//! Each cell times BAL under the default kernel dispatch (`bal_ms`:
+//! the interval sweep, falling back to Dinic where it declines) and with
+//! the sweep disabled (`bal_dinic_ms`, `WapKernel::Flow`), so
+//! `kernel_speedup` isolates the structure-aware fast path's contribution;
+//! `flow_calls` is the solve's max-flow count, one per decomposition node
+//! of two or more jobs. The two kernels must agree on the final energy to
+//! the bit — asserted on every cell.
 
 use ssp_bench::artifact::{Artifact, CellBuilder};
 use ssp_bench::harness::{trace_once, BenchmarkId, Criterion};
 use ssp_bench::{fixture, trajectory};
-use ssp_migratory::bal::{try_bal_with_wap_strategy, BalSolution, ProbeStrategy};
+use ssp_migratory::bal::{try_bal_with_wap, BalSolution};
 use ssp_migratory::wap::{Wap, WapKernel};
 use ssp_model::{Budget, Instance};
 use ssp_workloads::families;
@@ -45,22 +47,13 @@ fn family_instance(family: &str, n: usize) -> Instance {
     }
 }
 
-/// One end-to-end solve (WAP construction included) under `strategy`,
-/// with the WAP feasibility kernel pinned to `kernel`.
-fn solve_with_kernel(
-    instance: &Instance,
-    strategy: ProbeStrategy,
-    kernel: WapKernel,
-) -> BalSolution {
+/// One end-to-end solve (WAP construction included) with the WAP
+/// feasibility kernel pinned to `kernel`.
+fn solve(instance: &Instance, kernel: WapKernel) -> BalSolution {
     let (mut wap, intervals) = Wap::from_instance(instance);
     wap.set_kernel(kernel);
-    try_bal_with_wap_strategy(instance, wap, intervals, Budget::unlimited(), strategy)
+    try_bal_with_wap(instance, wap, intervals, Budget::unlimited())
         .expect("BAL is total on feasible instances")
-}
-
-/// One end-to-end solve under the default (`Auto`) kernel dispatch.
-fn solve(instance: &Instance, strategy: ProbeStrategy) -> BalSolution {
-    solve_with_kernel(instance, strategy, WapKernel::Auto)
 }
 
 fn kernels(c: &mut Criterion) {
@@ -68,35 +61,36 @@ fn kernels(c: &mut Criterion) {
         let mut g = c.benchmark_group(format!("bal_kernel_{family}"));
         for n in [50, 200] {
             let instance = family_instance(family, n);
-            g.bench_with_input(BenchmarkId::new("ladder", n), &instance, |b, inst| {
-                b.iter(|| black_box(solve(inst, ProbeStrategy::Ladder).energy))
+            g.bench_with_input(BenchmarkId::new("auto", n), &instance, |b, inst| {
+                b.iter(|| black_box(solve(inst, WapKernel::Auto).energy))
             });
-            g.bench_with_input(BenchmarkId::new("bisection", n), &instance, |b, inst| {
-                b.iter(|| black_box(solve(inst, ProbeStrategy::Bisection).energy))
+            g.bench_with_input(BenchmarkId::new("dinic", n), &instance, |b, inst| {
+                b.iter(|| black_box(solve(inst, WapKernel::Flow).energy))
             });
         }
         g.finish();
     }
 }
 
-/// One self-timed cell: median wall time and the flow-probe count.
-fn timed_cell(instance: &Instance, strategy: ProbeStrategy, kernel: WapKernel) -> (f64, u64) {
+/// One self-timed cell: median wall time, the max-flow count and the
+/// energy.
+fn timed_cell(instance: &Instance, kernel: WapKernel) -> (f64, u64, f64) {
     // Median of an odd number of reps; the large cells run once or thrice —
-    // BAL at n=1600 is seconds, not microseconds.
+    // BAL at n=1600 is hundreds of milliseconds, not microseconds.
     let reps = (2_000_000 / (instance.len() * instance.len())).clamp(3, 21) | 1;
-    let mut probes = 0u64;
+    let (mut flows, mut energy) = (0u64, 0.0);
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
             let t = Instant::now();
-            let sol = solve_with_kernel(instance, strategy, kernel);
+            let sol = solve(instance, kernel);
             let ms = t.elapsed().as_secs_f64() * 1e3;
-            probes = sol.flow_computations as u64;
-            black_box(sol.energy);
+            flows = sol.flow_computations as u64;
+            energy = black_box(sol.energy);
             ms
         })
         .collect();
     times.sort_by(f64::total_cmp);
-    (times[reps / 2], probes)
+    (times[reps / 2], flows, energy)
 }
 
 /// Run the self-timed sweep and collect the cells of the JSON artifact.
@@ -105,50 +99,28 @@ fn sweep_artifact() -> Artifact {
     for family in FAMILIES {
         for n in SIZES {
             let instance = family_instance(family, n);
-            let (ladder_ms, ladder_probes) =
-                timed_cell(&instance, ProbeStrategy::Ladder, WapKernel::Auto);
-            let (bisect_ms, bisect_probes) =
-                timed_cell(&instance, ProbeStrategy::Bisection, WapKernel::Auto);
-            // The kernel column: the same ladder run with the interval sweep
-            // disabled (generic flow engine only), so the fast path's
-            // contribution is visible separately from the ladder's probe
-            // savings.
-            let (ladder_dinic_ms, _) =
-                timed_cell(&instance, ProbeStrategy::Ladder, WapKernel::Flow);
-            let ladder_e = solve(&instance, ProbeStrategy::Ladder).energy;
-            let bisect_e = solve(&instance, ProbeStrategy::Bisection).energy;
-            let dinic_e =
-                solve_with_kernel(&instance, ProbeStrategy::Ladder, WapKernel::Flow).energy;
+            let (bal_ms, flow_calls, energy) = timed_cell(&instance, WapKernel::Auto);
+            let (bal_dinic_ms, _, dinic_energy) = timed_cell(&instance, WapKernel::Flow);
             eprintln!(
-                "bal_kernel {family} n={n}: ladder {ladder_ms:.2}ms/{ladder_probes} probes \
-                 (dinic-only {ladder_dinic_ms:.2}ms), bisect {bisect_ms:.2}ms/{bisect_probes} probes"
+                "bal_kernel {family} n={n}: {bal_ms:.2}ms, {flow_calls} flows \
+                 (dinic-only {bal_dinic_ms:.2}ms)"
             );
-            let rel = (ladder_e - bisect_e).abs() / bisect_e.abs().max(1e-300);
-            // Both strategies stop inside the probe classifier's 1e-9
-            // feasibility tolerance, so their critical speeds (and energies)
-            // agree to ~alpha * 1e-9 relative, not bit-for-bit.
-            assert!(
-                rel <= 1e-8,
-                "strategy energy mismatch on {family} n={n}: ladder={ladder_e} bisect={bisect_e}"
-            );
-            // Kernel choice, by contrast, must be invisible: both kernels
-            // classify every probe identically (the sweep's certificate and
-            // cut sides are canonical), so the energies agree to the bit.
+            // Kernel choice must be invisible: both kernels find the same
+            // canonical cuts (the sweep's certificate and cut sides are
+            // canonical), so every class and its closed-form speed agree,
+            // and the energies agree to the bit.
             assert_eq!(
-                ladder_e.to_bits(),
-                dinic_e.to_bits(),
-                "kernel energy mismatch on {family} n={n}: sweep={ladder_e} dinic={dinic_e}"
+                energy.to_bits(),
+                dinic_energy.to_bits(),
+                "kernel energy mismatch on {family} n={n}: sweep={energy} dinic={dinic_energy}"
             );
             cells.push(
                 CellBuilder::new(family, n)
-                    .metric_ms("ladder_ms", ladder_ms)
-                    .metric_ms("bisect_ms", bisect_ms)
-                    .metric_ms("ladder_dinic_ms", ladder_dinic_ms)
-                    .num("speedup", bisect_ms / ladder_ms, 2)
-                    .num("kernel_speedup", ladder_dinic_ms / ladder_ms, 2)
-                    .int("ladder_probes", ladder_probes)
-                    .int("bisect_probes", bisect_probes)
-                    .num("energy", ladder_e, 6)
+                    .metric_ms("bal_ms", bal_ms)
+                    .metric_ms("bal_dinic_ms", bal_dinic_ms)
+                    .num("kernel_speedup", bal_dinic_ms / bal_ms, 2)
+                    .int("flow_calls", flow_calls)
+                    .num("energy", energy, 6)
                     .render(),
             );
         }
@@ -165,15 +137,13 @@ fn main() {
     let mut c = Criterion::from_args();
     kernels(&mut c);
     c.final_summary();
-    // A regressed cell re-runs once per strategy/kernel variant under a
-    // probe session, so the attached trace splits "more flow probes" from
-    // "slower probes".
+    // A regressed cell re-runs once per kernel under a probe session, so
+    // the attached trace splits "more max flows" from "slower max flows".
     trajectory::emit(sweep_artifact, |family, n| {
         let instance = family_instance(family, n);
         trace_once(&mut || {
-            black_box(solve(&instance, ProbeStrategy::Ladder).energy);
-            black_box(solve(&instance, ProbeStrategy::Bisection).energy);
-            black_box(solve_with_kernel(&instance, ProbeStrategy::Ladder, WapKernel::Flow).energy);
+            black_box(solve(&instance, WapKernel::Auto).energy);
+            black_box(solve(&instance, WapKernel::Flow).energy);
         })
     });
 }

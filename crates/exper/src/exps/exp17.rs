@@ -6,7 +6,7 @@
 //! the two hottest kernels:
 //!
 //! * **BAL** on a general-family instance — exercises spans (`bal`,
-//!   `bal.round`, `bal.bisect`, `wap.solve`) and the Dinic counters;
+//!   `bal.node`, `wap.solve`) and the Dinic counters;
 //! * **Dinic** max-flow on a WAP-shaped layered network — exercises the
 //!   counter-only path (`maxflow.dinic.*`, no spans). Dinic batches its
 //!   counters per solve and its path-length histogram per phase, so one

@@ -1,8 +1,8 @@
 //! EXP-18 — warm-start parametric max-flow: cold vs warm bisection work.
 //!
-//! The BAL bisection evaluates a ladder of uniform-speed feasibility
-//! probes that differ only in the source-edge capacities of the WAP
-//! network. A latched WAP solver carries its previous max flow to each
+//! A uniform-speed bisection (`bounded::min_peak_speed`, the speed of
+//! BAL's first class) evaluates a sequence of feasibility probes that
+//! differ only in the source-edge capacities of the WAP network. A latched WAP solver carries its previous max flow to each
 //! probe's demands (clamp the source edges, cancel the overflow, resume
 //! Dinic) instead of rebuilding it. This runner replays the *same*
 //! bisection transcript both ways on EXP-6's workload family and compares

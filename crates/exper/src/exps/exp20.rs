@@ -1,9 +1,9 @@
 //! EXP-20 — histogram coherence and allocation attribution end-to-end.
 //!
-//! The deep-profiling layer records five distributions (see
-//! `docs/OBSERVABILITY.md`): Dinic augmentation path lengths, BAL bisection
-//! probe counts, YDS peel interval widths, `YdsEval` rejection-tier
-//! outcomes, and harness attempt latencies. This runner drives the EXP-6
+//! The deep-profiling layer records four distributions (see
+//! `docs/OBSERVABILITY.md`): Dinic augmentation path lengths, YDS peel
+//! interval widths, `YdsEval` rejection-tier outcomes, and harness attempt
+//! latencies. This runner drives the EXP-6
 //! workload (general family, m=4, alpha=2) through every layer that records
 //! one — BAL, per-machine YDS, local search through the oracle, and a full
 //! harness solve — inside a single probe session, then checks each
@@ -26,10 +26,9 @@ use ssp_harness::{Algo, SolveOptions};
 use ssp_migratory::bal::bal;
 use ssp_workloads::{families, subseed};
 
-/// The five distributions the deep-profiling layer records.
-const HISTOGRAMS: [&str; 5] = [
+/// The four distributions the deep-profiling layer records.
+const HISTOGRAMS: [&str; 4] = [
     "maxflow.dinic.path_len",
-    "bal.bisect.probes",
     "yds.peel_width",
     "eval.reject_tier",
     "solve.attempt_us",
@@ -42,7 +41,7 @@ pub fn run(cfg: &RunCfg) -> Vec<Table> {
     let session = ssp_probe::Session::begin()
         .expect("exp20 needs the probe idle (the runner owns its session)");
 
-    // BAL: Dinic path lengths + per-round bisection probe counts.
+    // BAL: Dinic path lengths.
     let sol = bal(&inst);
     assert!(std::hint::black_box(sol.flow_computations) > 0);
     // Per-machine YDS: peel interval widths.

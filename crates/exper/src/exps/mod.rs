@@ -14,7 +14,6 @@ pub mod exp2;
 pub mod exp20;
 pub mod exp21;
 pub mod exp22;
-pub mod exp23;
 pub mod exp24;
 pub mod exp25;
 pub mod exp3;

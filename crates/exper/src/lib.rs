@@ -14,7 +14,7 @@
 //!   external thread-pool dependency; plain `std::thread::scope`).
 //! * [`exps`] — one module per experiment, all driven by a [`RunCfg`].
 //!
-//! Binary: `cargo run --release -p ssp-exper -- <exp1|...|exp23|all|list>
+//! Binary: `cargo run --release -p ssp-exper -- <exp1|...|exp25|all|list>
 //! [--quick] [--seed N] [--csv DIR]`. The binary wraps each experiment in
 //! an `ssp-probe` session and reports per-experiment wall time and solver
 //! counters as a final `telemetry` table (`timings.csv` under `--csv`).
@@ -187,11 +187,6 @@ pub fn registry() -> Vec<Experiment> {
             run: exps::exp22::run,
         },
         Experiment {
-            id: "exp23",
-            title: "Probe ladder vs bisection: probe counts + thread invariance",
-            run: exps::exp23::run,
-        },
-        Experiment {
             id: "exp24",
             title: "WAP kernel dispatch: sweep fast path vs generic flow",
             run: exps::exp24::run,
@@ -212,7 +207,8 @@ mod tests {
     fn registry_ids_are_unique_and_ordered() {
         let reg = registry();
         // exp16 (the fault-injection gauntlet) runs under `cargo test`, not
-        // the registry, so the ids are exp1..exp15 followed by exp17..exp25.
+        // the registry, and exp23 is retired, so the ids are exp1..exp15,
+        // exp17..exp22, exp24 and exp25.
         let ids: Vec<&str> = reg.iter().map(|e| e.id).collect();
         let expected: Vec<String> = (1..=15)
             .map(|k| format!("exp{k}"))
@@ -223,7 +219,6 @@ mod tests {
                 "exp20".to_string(),
                 "exp21".to_string(),
                 "exp22".to_string(),
-                "exp23".to_string(),
                 "exp24".to_string(),
                 "exp25".to_string(),
             ])

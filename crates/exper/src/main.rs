@@ -74,7 +74,7 @@ fn main() {
             "wall s",
             "flow calls",
             "bal rounds",
-            "bisect steps",
+            "bal flows",
             "ls evals",
             "validations",
         ],
@@ -120,7 +120,7 @@ fn main() {
                 Cell::Num(wall, 3),
                 Cell::Int(trace.counter("wap.flow_calls") as i64),
                 Cell::Int(trace.counter("bal.rounds") as i64),
-                Cell::Int(trace.counter("bal.bisect_steps") as i64),
+                Cell::Int(trace.counter("bal.flow_calls") as i64),
                 Cell::Int(trace.counter("local_search.evaluations") as i64),
                 Cell::Int(trace.counter("validate.calls") as i64),
             ]);

@@ -96,9 +96,9 @@ fn degradation_chain_appears_as_attempt_spans() {
 }
 
 /// Counter totals in the trace agree with the solver's own accounting:
-/// BAL's `flow_computations` is exported 1:1 as `bal.flow_calls`, and every
-/// WAP solve is a transcript probe, a round's classification probe or the
-/// solve at the round's speed that its allotments are read from after one.
+/// BAL's `flow_computations` is exported 1:1 as `bal.flow_calls`, every
+/// class is one `bal.rounds`, and every WAP solve is one decomposition
+/// node's max flow.
 #[test]
 fn counters_match_solver_accounting() {
     let _lock = session_lock();
@@ -122,27 +122,21 @@ fn counters_match_solver_accounting() {
         "trace and BalSolution must agree on flow-call count"
     );
     assert_eq!(trace.counter("bal.rounds"), sol.rounds.len() as u64);
-    let probes: usize = sol.rounds.iter().map(|r| r.probes.len()).sum();
     assert_eq!(
         trace.counter("wap.flow_calls"),
-        probes as u64 + trace.counter("bal.classify_probes") + trace.counter("bal.readback_solves"),
-        "WAP solves are the transcripts' probes plus the classification probes and readbacks"
+        sol.flow_computations as u64,
+        "WAP solves are the nodes' max flows"
     );
-    // Every flow computation either ran the generic engine (cold Dinic
-    // rebuild, warm restart of a previous run, or a resume seeded from the
-    // sweep's greedy flow) or was answered entirely by the certified sweep
-    // fast path, which never touches the network.
-    assert!(
-        trace.counter("maxflow.rebuild")
-            + trace.counter("maxflow.warm_reuse")
-            + trace.counter("maxflow.dinic.seeded_resumes")
-            + trace.counter("wap.fast_path")
-            >= sol.flow_computations as u64
+    // BAL never carries a flow from one solve to the next: each node's one
+    // solve is answered by the certified sweep fast path, which never
+    // touches the network, or by a resume seeded from the sweep's greedy
+    // flow; never by a cold Dinic run.
+    assert_eq!(
+        trace.counter("wap.fast_path") + trace.counter("maxflow.dinic.seeded_resumes"),
+        sol.flow_computations as u64,
+        "solves must be answered by the sweep or a seeded resume"
     );
-    assert!(
-        trace.counter("maxflow.warm_reuse") + trace.counter("wap.fast_path") > 0,
-        "probes must be answered warm-started or by the sweep fast path"
-    );
+    assert_eq!(trace.counter("maxflow.rebuild"), 0, "cold max flows");
     // Every WAP solve of a sweep-kernel solver is answered by exactly one
     // of: the certified sweep, the first decline's seeded fallback, or the
     // latched engine's warm repair.
@@ -155,10 +149,10 @@ fn counters_match_solver_accounting() {
     );
 }
 
-/// A ladder BAL never runs a cold max flow: each round's solves are answered
-/// by the sweep, by a resume seeded from the sweep's greedy flow, or by the
-/// latched engine's warm carry, and the round reads its allotments off its
-/// own flow instead of routing them through a network of their own.
+/// BAL never runs a cold max flow: each decomposition node's one solve is
+/// answered by the sweep or by a resume seeded from the sweep's greedy
+/// flow, and a class reads its allotments off its node's flow instead of
+/// routing them through a network of their own.
 #[test]
 fn ladder_bal_runs_no_cold_max_flow() {
     let _lock = session_lock();

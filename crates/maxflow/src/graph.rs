@@ -6,7 +6,8 @@
 //! ([`FlowNetwork::set_flow`]) or a solved flow carried to new capacities
 //! ([`FlowNetwork::set_capacity`] clamps and reports the overflow,
 //! [`FlowNetwork::cancel_path`] removes it) — the primitives behind the
-//! warm-started BAL probe ladder (see `DESIGN.md` §"Parametric max-flow").
+//! WAP solver's seeded and warm starts (see `DESIGN.md` §"Parametric
+//! max-flow").
 //! Both leave conservation to the caller, which knows the network's shape.
 //!
 //! Layout: the edge store is flat structure-of-arrays (`to`/`cap`/`orig`/

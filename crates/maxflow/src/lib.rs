@@ -5,7 +5,7 @@
 //!
 //! * feasibility of `P|r_j, d_j, pmtn|−` (the *Work Assignment Problem*): a
 //!   three-layer network `source → jobs → intervals → sink`;
-//! * criticality detection in the migratory optimum, which needs
+//! * the splits of the migratory optimum's decomposition, which need
 //!   *residual-reachability* queries (BFS from the source after a max flow
 //!   identifies the "upstream" side of every minimum cut);
 //! * the final schedule construction, which reads per-edge flows back as
@@ -20,8 +20,8 @@
 //! with [`FlowNetwork::set_capacity`] (which clamps and reports the
 //! overflow) and [`FlowNetwork::cancel_path`] (which cancels it along a
 //! path) — and keeps it conserving, since only the caller knows the
-//! network's shape. The BAL probe ladder runs hundreds of probes over the
-//! same WAP network this way. A slow exact
+//! network's shape. A uniform-speed bisection (the minimum peak speed) runs
+//! dozens of solves over one WAP network this way. A slow exact
 //! integer Edmonds–Karp reference lives in [`mod@reference`], and property
 //! tests check Dinic against it and against the min-cut certificate on
 //! random graphs (see also the root-level `tests/flow_differential.rs`

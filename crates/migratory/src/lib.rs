@@ -15,10 +15,10 @@
 //! * [`mcnaughton`] — McNaughton's wrap-around rule, which turns per-interval
 //!   allotments into an explicit schedule with at most `m_j` processors and
 //!   no parallel self-execution.
-//! * [`mod@bal`] — the optimal algorithm: peel *critical speeds* one binary
-//!   search at a time, identifying critical jobs and saturated intervals from
-//!   a minimum cut (residual reachability) of the slightly-infeasible flow
-//!   network.
+//! * [`mod@bal`] — the optimal algorithm: decompose the jobs into speed
+//!   classes with one max flow per split, each class's speed in closed form;
+//!   the job side of a short flow's minimum cut (residual reachability)
+//!   holds the faster jobs.
 //! * [`kkt`] — a machine-checkable optimality certificate: the KKT conditions
 //!   of the convex program are necessary **and sufficient**, so a schedule
 //!   that passes [`kkt::certify`] is optimal (up to numeric tolerance).

@@ -19,9 +19,8 @@
 //! contiguous run of them) and runs in `O(n log n)` per probe,
 //! self-certifying its result; **Dinic** ([`FlowNetwork`]) over the same
 //! network answers when the sweep cannot certify maximality. Both expose
-//! identical verdicts, canonical cut sides, and cut sums, so every
-//! downstream consumer (Newton probes, criticality classification, schedule
-//! readback) is kernel-agnostic.
+//! identical verdicts and canonical cut sides, so every downstream consumer
+//! (BAL's splits, schedule readback) is kernel-agnostic.
 
 use ssp_maxflow::{EdgeId, FlowNetwork, SweepFlow};
 use ssp_model::numeric::Tol;
@@ -132,14 +131,24 @@ impl Wap {
         self.kernel = kernel;
     }
 
-    /// Mutate a capacity (BAL's per-round updates). Values below a relative
-    /// epsilon of the interval length snap to exactly zero: repeated
-    /// `c - |I_j|` updates on non-dyadic lengths leave ~1e-16 residues, and
-    /// an "open" interval with no real capacity would let a later round
-    /// allot a full machine that does not exist.
+    /// Mutate a capacity (BAL's per-node capacities). Values below a relative
+    /// epsilon of the interval length snap to exactly zero: `c − e_j·k`
+    /// updates on non-dyadic lengths leave ~1e-16 residues, and an "open"
+    /// interval with no real capacity would let a later node allot a full
+    /// machine that does not exist.
     pub fn set_capacity(&mut self, j: usize, c: f64) {
         assert!(c >= 0.0);
-        self.capacity[j] = if c <= 1e-9 * self.lengths[j] { 0.0 } else { c };
+        self.capacity[j] = self.snapped(j, c);
+    }
+
+    /// Capacity `c` of interval `j` as [`Wap::set_capacity`] stores it:
+    /// exactly zero below `1e-9·|I_j|`.
+    pub(crate) fn snapped(&self, j: usize, c: f64) -> f64 {
+        if c <= 1e-9 * self.lengths[j] {
+            0.0
+        } else {
+            c
+        }
     }
 
     /// Job `i`'s alive window `(lo, hi)` (inclusive), `None` when it is
@@ -173,18 +182,21 @@ impl Wap {
     /// snapshot of the structure (each sweep solve is an independent
     /// `O(n log n)` pass) plus, once latched, a Dinic engine over the same
     /// snapshot that carries its previous max flow to each new demand
-    /// vector and resumes from it — the hot path of the BAL probe ladder,
-    /// where consecutive probes differ only in a monotone demand scale. A
-    /// [`WapKernel::Flow`] solver is latched at birth.
+    /// vector and resumes from it — the hot path of a uniform-speed
+    /// bisection, where consecutive solves differ only in a monotone demand
+    /// scale. A [`WapKernel::Flow`] solver is latched at birth.
     ///
     /// Snapshot semantics: later [`Wap::set_capacity`] calls reach an
     /// existing solver only through [`WapSolver::reparameterize`], which
-    /// BAL calls once per round on the one solver it builds per solve. The
-    /// Dinic engine is built from the sweep's snapshot, never from `self`.
+    /// BAL calls once per decomposition node on the one solver it builds
+    /// per solve. The cells open now are the only cells the solver can
+    /// ever open: the Dinic engine has job edges into exactly these.
     pub fn solver(&self) -> WapSolver {
         let _span = ssp_probe::span("wap.solver_build");
-        let (edge_cap, cell_cap) = (0..self.num_intervals()).map(|j| self.cell_caps(j)).unzip();
+        let (edge_cap, cell_cap): (Vec<f64>, Vec<f64>) =
+            (0..self.num_intervals()).map(|j| self.cell_caps(j)).unzip();
         WapSolver {
+            built_open: cell_cap.iter().map(|&c| c > 0.0).collect(),
             sweep: SweepFlow::new(self.windows.clone(), edge_cap, cell_cap),
             engine: None,
             kernel: self.kernel,
@@ -208,9 +220,10 @@ impl Wap {
 /// carry a solved flow to new demands and to read it back. Node layout:
 /// 0 = source, `1..=n` jobs, `n+1..=n+l` intervals, `n+l+1` sink. The
 /// network is built once per solver; every start (the first solve after the
-/// build or a re-parameterization) sets its job and sink edges from the
-/// sweep's snapshot, and between starts only the source edges change
-/// capacity, so how a solved flow follows new demands is decided here,
+/// build or a re-parameterization) sets its sink edges and the job edges of
+/// the jobs with demand from the sweep's snapshot, and between starts only
+/// the source edges change capacity, so how a solved flow follows new
+/// demands is decided here,
 /// where the network's shape is known; the engine's one warm start,
 /// `resume_max_flow`, takes it from there.
 #[derive(Debug)]
@@ -220,28 +233,32 @@ struct FlowState {
     source_edges: Vec<EdgeId>,
     job_edges: Vec<Vec<(usize, EdgeId)>>,
     sink_edges: Vec<EdgeId>,
-    /// The cells open at the build: the only cells with job edges.
-    built_open: Vec<bool>,
+    /// `live[i]`: job `i`'s edges carry the snapshot's caps. Only a job with
+    /// demand needs them: into a job with no demand and no flow no edge is
+    /// residual, so its edges' capacities change no path, flow or cut, and
+    /// a start touches the edges of the jobs with demand (and of the ones
+    /// that had it) only.
+    live: Vec<bool>,
     /// Does the network hold a flow over the current snapshot? Cleared by
     /// re-parameterization, so the next solve starts over.
     solved: bool,
 }
 
 impl FlowState {
-    /// Build Horn's network over a sweep snapshot: job edges exist only into
-    /// the cells open now. Every capacity starts at zero: each start sets
-    /// them (`restart`, and the source edges per solve).
-    fn build(sweep: &SweepFlow) -> FlowState {
+    /// Build Horn's network over a sweep snapshot's structure: job edges
+    /// exist only into the cells `open` (the cells open when the solver was
+    /// built). Every capacity starts at zero: each start sets them
+    /// (`restart`, and the source edges per solve).
+    fn build(sweep: &SweepFlow, open: &[bool]) -> FlowState {
         let _span = ssp_probe::span("wap.fallback_build");
         let (n, l) = (sweep.num_jobs(), sweep.num_cells());
         let sink = n + l + 1;
         let mut net = FlowNetwork::new(n + l + 2);
         let source_edges: Vec<EdgeId> = (0..n).map(|i| net.add_edge(0, 1 + i, 0.0)).collect();
-        let built_open: Vec<bool> = (0..l).map(|j| sweep.cell_cap(j) > 0.0).collect();
         let mut job_edges: Vec<Vec<(usize, EdgeId)>> = vec![Vec::new(); n];
         for (i, edges) in job_edges.iter_mut().enumerate() {
             if let Some((lo, hi)) = sweep.window(i) {
-                for j in (lo..=hi).filter(|&j| built_open[j]) {
+                for j in (lo..=hi).filter(|&j| open[j]) {
                     edges.push((j, net.add_edge(1 + i, 1 + n + j, 0.0)));
                 }
             }
@@ -253,34 +270,40 @@ impl FlowState {
             source_edges,
             job_edges,
             sink_edges,
-            built_open,
+            live: vec![false; n],
             solved: false,
         }
     }
 
-    /// Can the network take the snapshot's capacities, i.e. has every open
-    /// cell its job edges? A cell reopened after the build has none.
-    fn covers(&self, sweep: &SweepFlow) -> bool {
-        (0..sweep.num_cells()).all(|j| self.built_open[j] || sweep.cell_cap(j) <= 0.0)
-    }
-
-    /// Set every job edge to the snapshot's single-job cap and every sink
-    /// edge to the cell's capacity, as a fresh build over this snapshot
-    /// would: edges into cells closed since the build get capacity 0, and a
-    /// zero-capacity edge carrying no flow is never residual. The flows are
-    /// the caller's to reset (a cold solve) or to seed. The CSR keeps
-    /// insertion order, so every Dinic phase then walks the same paths, and
-    /// ends on the same flow, as on a freshly built network.
-    fn restart(&mut self, sweep: &SweepFlow) {
-        for edges in &self.job_edges {
-            for &(j, e) in edges {
-                self.net.set_capacity(e, sweep.edge_cap(j));
+    /// Set the job edges of every job with demand in `p` to the snapshot's
+    /// single-job cap, the edges of a job whose demand is gone to 0, and
+    /// every sink edge to the cell's capacity, as a fresh build over this
+    /// snapshot would for every path a flow can take: edges into cells
+    /// closed since the solver's build get capacity 0, and a zero-capacity
+    /// edge carrying no flow is never residual. The flows are the caller's
+    /// to reset (a cold solve) or to seed. The CSR keeps insertion order, so
+    /// every Dinic phase then walks the same paths, and ends on the same
+    /// flow, as on a freshly built network.
+    fn restart(&mut self, p: &[f64], sweep: &SweepFlow) {
+        for (i, &demand) in p.iter().enumerate() {
+            if demand > 0.0 || self.live[i] {
+                self.set_live(i, demand > 0.0, sweep);
             }
         }
         for (j, &e) in self.sink_edges.iter().enumerate() {
             self.net.set_capacity(e, sweep.cell_cap(j));
         }
         self.solved = true;
+    }
+
+    /// Give job `i`'s edges the snapshot's caps, or capacity 0 (clamping
+    /// away whatever flow they carry).
+    fn set_live(&mut self, i: usize, live: bool, sweep: &SweepFlow) {
+        for &(j, e) in &self.job_edges[i] {
+            let cap = if live { sweep.edge_cap(j) } else { 0.0 };
+            self.net.set_capacity(e, cap);
+        }
+        self.live[i] = live;
     }
 
     /// Route the demand vector: cold max-flow on the first solve since the
@@ -299,7 +322,7 @@ impl FlowState {
     /// solve falls back to cold.
     fn solve(&mut self, p: &[f64], sweep: &SweepFlow) -> f64 {
         if !self.solved {
-            self.restart(sweep);
+            self.restart(p, sweep);
             for (i, &demand) in p.iter().enumerate() {
                 self.net.set_capacity(self.source_edges[i], demand);
             }
@@ -307,6 +330,11 @@ impl FlowState {
         }
         let (mut total, mut leftover, mut cancels) = (0.0, 0.0, 0u64);
         for (i, &demand) in p.iter().enumerate() {
+            if demand > 0.0 && !self.live[i] {
+                // A job that gains demand carries no flow yet: its edges
+                // open without touching conservation.
+                self.set_live(i, true, sweep);
+            }
             let overflow = self.net.set_capacity(self.source_edges[i], demand);
             total += overflow;
             let (mut rem, eps) = (overflow, overflow * 1e-12);
@@ -337,12 +365,18 @@ impl FlowState {
     /// snapshot's capacities) and augment only the undershoot. The first
     /// solve after a sweep decline.
     fn solve_seeded(&mut self, p: &[f64], sweep: &SweepFlow) -> f64 {
-        self.restart(sweep);
+        self.restart(p, sweep);
         for (i, &demand) in p.iter().enumerate() {
             self.net.set_capacity(self.source_edges[i], demand);
             self.net.set_flow(self.source_edges[i], sweep.routed(i));
         }
-        for (i, edges) in self.job_edges.iter().enumerate() {
+        // A job that is not live has no demand and its edges no flow.
+        let live = self
+            .job_edges
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.live[i]);
+        for (i, edges) in live {
             // Both lists are ascending in cell index; walk them in lockstep
             // (the sweep allocates only into open cells, all of which have
             // edges).
@@ -392,9 +426,10 @@ impl FlowState {
 /// same snapshot at a decline (see [`WapSolver::solve`]); a
 /// [`WapKernel::Flow`] solver is latched at birth.
 /// [`WapSolver::reparameterize`] moves the snapshot to new capacities in
-/// place. Counters: `wap.flow_calls` (every solve), `wap.fast_path`
-/// (certified sweep solves), `wap.fast_fallback` (a decline: the engine,
-/// built at the solver's first decline, restarts from the greedy flow),
+/// place, inside the cells open at the build. Counters: `wap.flow_calls`
+/// (every solve), `wap.fast_path` (certified sweep solves),
+/// `wap.fast_fallback` (a decline: the engine, built at the solver's first
+/// decline, restarts from the greedy flow),
 /// `wap.sweep_skip` (latched solves, forced-`Flow` ones included: the sweep
 /// was not attempted and the engine solved cold or carried its previous
 /// flow), `wap.sweep_ops` (sweep kernel work measure). Every solve lands in
@@ -404,6 +439,9 @@ impl FlowState {
 pub struct WapSolver {
     /// The structure snapshot and the fast path.
     sweep: SweepFlow,
+    /// The cells open at the build: the engine's job edges lead into
+    /// these, and no re-parameterization opens another.
+    built_open: Vec<bool>,
     /// Dinic over the same snapshot, built at the first latched solve and
     /// kept across re-parameterizations.
     engine: Option<Box<FlowState>>,
@@ -429,8 +467,8 @@ impl WapSolver {
     /// the capacity structure: after one decline, later attempts on the
     /// same capacities mostly decline too and only add sweep work (DESIGN.md
     /// §3.14 has the measurements). Re-parameterization releases the latch,
-    /// so BAL, which re-parameterizes its one solver every round, tries the
-    /// sweep first in every round.
+    /// so BAL, which re-parameterizes its one solver for every node of its
+    /// decomposition, tries the sweep first at every node.
     pub fn solve(&mut self, p: &[f64]) -> f64 {
         let _span = ssp_probe::span("wap.solve");
         ssp_probe::counter!("wap.flow_calls");
@@ -466,10 +504,10 @@ impl WapSolver {
         } else {
             ssp_probe::counter!("wap.sweep_skip");
         }
-        let sweep = &self.sweep;
+        let (sweep, open) = (&self.sweep, &self.built_open);
         let fs = self
             .engine
-            .get_or_insert_with(|| Box::new(FlowState::build(sweep)));
+            .get_or_insert_with(|| Box::new(FlowState::build(sweep, open)));
         let _s = ssp_probe::span("wap.fallback_solve");
         self.value = if declined {
             fs.solve_seeded(p, sweep)
@@ -480,18 +518,16 @@ impl WapSolver {
     }
 
     /// Move the solver to `wap`'s current capacities in place: BAL's step
-    /// between rounds, where only capacities shrink or close. `wap` must be
-    /// the instance this solver was built from, up to
-    /// [`Wap::set_capacity`] calls. The sweep snapshot takes the new
-    /// capacities cell by cell, and the decline latch is released, so the
-    /// next solve tries the sweep first (a forced-[`WapKernel::Flow`]
-    /// solver stays latched). A built engine is kept: its next start sets
-    /// its job and sink edges from the new snapshot, seeded from the greedy
-    /// flow at the next decline or solved cold by a forced-`Flow` solver's
-    /// next solve, and answers bit for bit what a fresh
-    /// [`Wap::solver`] answers. A cell reopened since the engine's build has
-    /// no edges in it, so reopening one drops the engine and the next
-    /// latched solve builds another (BAL never reopens a cell). The last
+    /// from one decomposition node to the next. `wap` must be the instance
+    /// this solver was built from, up to [`Wap::set_capacity`] calls that
+    /// open no cell closed at the build (every node's open cells lie inside
+    /// the root's). The sweep snapshot takes the new capacities cell by
+    /// cell, and the decline latch is released, so the next solve tries the
+    /// sweep first (a forced-[`WapKernel::Flow`] solver stays latched). A
+    /// built engine is kept: its next start sets its job and sink edges
+    /// from the new snapshot, seeded from the greedy flow at the next
+    /// decline or solved cold by a forced-`Flow` solver's next solve, and
+    /// answers bit for bit what a fresh [`Wap::solver`] answers. The last
     /// solve's results are void until the next solve.
     pub fn reparameterize(&mut self, wap: &Wap) {
         assert_eq!(
@@ -505,12 +541,15 @@ impl WapSolver {
         );
         for j in 0..wap.num_intervals() {
             let (edge_cap, cell_cap) = wap.cell_caps(j);
+            assert!(
+                cell_cap <= 0.0 || self.built_open[j],
+                "re-parameterization opens cell {j}, closed at the solver's build"
+            );
             self.sweep.set_cell(j, edge_cap, cell_cap);
         }
         self.latched = self.kernel == WapKernel::Flow;
-        match &mut self.engine {
-            Some(fs) if fs.covers(&self.sweep) => fs.solved = false,
-            _ => self.engine = None,
+        if let Some(fs) = &mut self.engine {
+            fs.solved = false;
         }
     }
 
@@ -557,13 +596,12 @@ impl WapSolver {
 
     /// The source side of the canonical minimum cut of the last solve:
     /// `(jobs, intervals)`, each flag true when the node is
-    /// residual-reachable from the source. On an *infeasible* instance just
-    /// below the critical speed the reachable jobs are exactly the
-    /// **critical jobs** (Lemma 5 of the migratory analysis) and the
-    /// reachable intervals the **saturated intervals** (their sink edge lies
-    /// in the cut). The canonical min cut is invariant across max flows, so
-    /// the sides are identical whichever kernel produced the flow (the sweep
-    /// only reports sides it has certified).
+    /// residual-reachable from the source. When a BAL node's demands
+    /// `w_i / v` fall short, the reachable jobs are the node's jobs faster
+    /// than `v` and the reachable intervals the ones they fill (their sink
+    /// edge lies in the cut). The canonical min cut is invariant across max
+    /// flows, so the sides are identical whichever kernel produced the flow
+    /// (the sweep only reports sides it has certified).
     pub fn cut_sides(&self) -> (Vec<bool>, Vec<bool>) {
         match self.answering() {
             Some(fs) => {
@@ -576,85 +614,6 @@ impl WapSolver {
                 self.sweep.cell_side().to_vec(),
             ),
         }
-    }
-
-    /// Jobs that reach the sink in the last solve's residual graph without
-    /// passing through the source: the jobs on the sink side of the
-    /// **maximal** minimum cut. Every job outside it lies on the source
-    /// side of some minimum cut. After a feasible solve at the critical
-    /// speed those are exactly the **critical jobs**, the maximal set whose
-    /// demand fills its cut. The side is the same for every maximum flow,
-    /// so either kernel answers it from its own flow: Dinic by a reverse
-    /// residual BFS from the sink, the sweep over its allocations (it only
-    /// answers solves it has certified).
-    pub fn sink_reaching_jobs(&self) -> Vec<bool> {
-        match self.answering() {
-            Some(fs) => fs.net.residual_reaching_sink()[1..=self.sweep.num_jobs()].to_vec(),
-            None => self.sweep.sink_reaching_jobs(),
-        }
-    }
-
-    /// Cut-derived speed lower bound (the "discrete Newton step" of the BAL
-    /// probe ladder) of the last solve's residual cut, whose sides
-    /// `job_side` and `cell_side` are what [`cut_sides`](WapSolver::cut_sides)
-    /// returned for that solve (the caller keeps them, so one cut is read
-    /// once). Returns `None` when the cut carries no information (feasible
-    /// state — no job reachable — or a degenerate fixed capacity).
-    ///
-    /// Derivation: let `S` be the source side of the min cut at an
-    /// *infeasible* speed `v` (`works[i] / v` demands). Its capacity splits
-    /// into the demand part `Σ_{i∉S} works_i/v` and a `v`-independent part
-    /// `F = Σ_{i∈S, j∉S} min(|I_j|, c_j) + Σ_{j∈S} c_j`. Infeasibility at
-    /// `v` means the cut is below the total demand, i.e. `W_S/v > F` with
-    /// `W_S = Σ_{i∈S} works_i`. At any feasible speed `v'` the *same* cut
-    /// must clear the total demand, which rearranges to `v' ≥ W_S/F`. Hence
-    /// `W_S/F` is a certified lower bound on the critical speed, and it is
-    /// strictly above `v` — each Newton step jumps past everything the
-    /// current cut can rule out, so the ladder converges in one step per
-    /// distinct cut instead of one bit per bisection probe.
-    ///
-    /// `works` must hold each job's work (0 for jobs with zero demand in
-    /// the last solve). Cut capacities are the snapshot's edge *parameters*
-    /// (not the noisy flow values), summed in one order whichever kernel
-    /// produced the cut, so the bound is exact up to one summation and
-    /// bit-identical across kernels.
-    pub fn cut_speed_bound(
-        &self,
-        works: &[f64],
-        job_side: &[bool],
-        cell_side: &[bool],
-    ) -> Option<f64> {
-        let s = &self.sweep;
-        assert_eq!(works.len(), s.num_jobs(), "works vector length mismatch");
-        let mut w_s = 0.0f64;
-        let mut fixed = 0.0f64;
-        let mut any_job = false;
-        for (i, &w) in works.iter().enumerate() {
-            if !job_side[i] {
-                continue;
-            }
-            any_job = true;
-            w_s += w;
-            if let Some((lo, hi)) = s.window(i) {
-                for (j, &cut) in cell_side.iter().enumerate().take(hi + 1).skip(lo) {
-                    let ec = s.edge_cap(j);
-                    if ec > 0.0 && !cut {
-                        fixed += ec;
-                    }
-                }
-            }
-        }
-        for (j, &side) in cell_side.iter().enumerate() {
-            if side {
-                fixed += s.cell_cap(j);
-            }
-        }
-        // NaN sums fall through here and are caught by the is_finite gate.
-        if !any_job || w_s <= 0.0 || fixed <= 0.0 {
-            return None;
-        }
-        let v = w_s / fixed;
-        v.is_finite().then_some(v)
     }
 }
 
@@ -863,8 +822,6 @@ mod tests {
         assert!((va - 14.0).abs() < 1e-9);
         assert!(!auto.feasible());
         assert_eq!(auto.cut_sides(), flow.cut_sides());
-        let works = [4.0, 6.0, 0.0, 6.0];
-        assert_eq!(bound(&auto, &works), bound(&flow, &works));
     }
 
     /// Satellite regression: after a certified sweep solve, a declined one
@@ -926,16 +883,10 @@ mod tests {
         s.latched
     }
 
-    /// The Newton bound of the solver's current cut.
-    fn bound(s: &WapSolver, works: &[f64]) -> Option<f64> {
-        let (jobs, cells) = s.cut_sides();
-        s.cut_speed_bound(works, &jobs, &cells)
-    }
-
     /// The decline latch: after the sweep's first decline every later solve
     /// on that solver skips the sweep (`wap.sweep_skip`) and still matches a
-    /// forced-Flow solver, latched at birth, bit for bit on verdict, cut
-    /// sides and `cut_speed_bound`; a fresh solver from the same `Wap`, and
+    /// forced-Flow solver, latched at birth, bit for bit on verdict and cut
+    /// sides; a fresh solver from the same `Wap`, and
     /// the latched one once re-parameterized, try the sweep again.
     #[test]
     fn decline_latches_solver_onto_the_flow_engine() {
@@ -963,16 +914,6 @@ mod tests {
             f.solve(&p);
             assert_eq!(s.feasible(), f.feasible(), "verdict at v={v}");
             assert_eq!(s.cut_sides(), f.cut_sides(), "cut sides at v={v}");
-            assert_eq!(
-                bound(&s, &works).map(f64::to_bits),
-                bound(&f, &works).map(f64::to_bits),
-                "cut bound at v={v}"
-            );
-            assert_eq!(
-                s.sink_reaching_jobs(),
-                f.sink_reaching_jobs(),
-                "sink side at v={v}"
-            );
         }
         assert!(latched(&s), "the latch holds for the solver's whole life");
         if session.is_some() {
@@ -1026,20 +967,11 @@ mod tests {
     }
 
     /// Everything a consumer reads off a solve, as bits: value, verdict,
-    /// cut sides, sink side, allotments and the cut's Newton bound.
-    type Readback = (
-        u64,
-        bool,
-        (Vec<bool>, Vec<bool>),
-        Vec<bool>,
-        Vec<Vec<(usize, u64)>>,
-        Option<u64>,
-    );
+    /// cut sides and allotments.
+    type Readback = (u64, bool, (Vec<bool>, Vec<bool>), Vec<Vec<(usize, u64)>>);
 
-    fn readback(s: &WapSolver, works: &[f64]) -> Readback {
-        let (jobs, cells) = s.cut_sides();
-        let bound = s.cut_speed_bound(works, &jobs, &cells).map(f64::to_bits);
-        let allotments = (0..works.len())
+    fn readback(s: &WapSolver, jobs: usize) -> Readback {
+        let allotments = (0..jobs)
             .map(|i| {
                 s.allotment(i)
                     .iter()
@@ -1047,15 +979,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let sink_side = s.sink_reaching_jobs();
-        (
-            s.value().to_bits(),
-            s.feasible(),
-            (jobs, cells),
-            sink_side,
-            allotments,
-            bound,
-        )
+        (s.value().to_bits(), s.feasible(), s.cut_sides(), allotments)
     }
 
     /// What the solves of [`replay_bal_rounds`] did on the re-parameterized
@@ -1100,8 +1024,8 @@ mod tests {
                 reused.solve(&p);
                 fresh.solve(&p);
                 assert_eq!(
-                    readback(&reused, &works),
-                    readback(&fresh, &works),
+                    readback(&reused, works.len()),
+                    readback(&fresh, works.len()),
                     "{kernel:?} round {r} at {f} × its speed"
                 );
                 match (before, engine(&reused)) {
@@ -1147,32 +1071,20 @@ mod tests {
         assert_eq!(flow.later_sweep_answers, 0, "{flow:?}");
     }
 
-    /// Reopening a cell the engine was built without (BAL never does this)
-    /// drops the engine: the next latched solve builds one with edges into
-    /// the cell, and answers like a fresh solver on both kernels.
+    /// A re-parameterization may close cells and reopen cells closed since
+    /// the build, but never open a cell closed at the build: the engine has
+    /// no edges into it.
     #[test]
-    fn reopening_a_cell_drops_the_engine() {
-        let p = [4.0, 6.0, 0.0, 6.0];
-        let works = p;
-        for kernel in [WapKernel::Auto, WapKernel::Flow] {
-            let mut wap = starvation_wap();
-            wap.set_kernel(kernel);
-            let mut s = wap.solver();
-            s.solve(&p);
-            assert!(
-                s.engine.is_some(),
-                "{kernel:?}: the decline builds the engine"
-            );
-            wap.set_capacity(2, 1.0);
-            s.reparameterize(&wap);
-            assert!(s.engine.is_none(), "{kernel:?}: cell 2 has no edges");
-            s.solve(&p);
-            let mut fresh = wap.solver();
-            fresh.solve(&p);
-            assert_eq!(readback(&s, &works), readback(&fresh, &works), "{kernel:?}");
-            // Max flow 14 before; job 3 now routes one more unit in cell 2.
-            assert!((s.value() - 15.0).abs() < 1e-9, "{kernel:?}: {}", s.value());
-        }
+    #[should_panic(expected = "closed at the solver's build")]
+    fn opening_a_cell_closed_at_the_build_is_refused() {
+        let mut wap = starvation_wap();
+        let mut s = wap.solver();
+        wap.set_capacity(0, 0.0);
+        s.reparameterize(&wap);
+        wap.set_capacity(0, 8.0);
+        s.reparameterize(&wap);
+        wap.set_capacity(2, 1.0);
+        s.reparameterize(&wap);
     }
 
     /// The forced Flow kernel agrees with Auto on elementary-interval
@@ -1196,7 +1108,7 @@ mod tests {
                 w.set_kernel(kernel);
                 let mut s = w.solver();
                 s.solve(&p);
-                results.push((s.feasible(), s.cut_sides(), s.sink_reaching_jobs()));
+                results.push((s.feasible(), s.cut_sides()));
             }
             assert_eq!(results[0], results[1], "auto vs flow at v={v}");
         }

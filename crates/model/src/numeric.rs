@@ -6,12 +6,10 @@
 //! uniform and auditable. The default tolerance is **relative** (`1e-9`),
 //! falling back to an absolute floor for quantities near zero.
 //!
-//! Algorithms that binary-search a speed (BAL, MBAL) use the tighter
-//! [`BINARY_SEARCH_REL_WIDTH`] so that downstream tolerant checks (validators,
-//! KKT certificates) have headroom over the search error.
-
-use crate::error::SolveError;
-use crate::resource::{Budget, Meter};
+//! Algorithms that binary-search a speed or a makespan (the minimum peak
+//! speed, MBAL) use the tighter [`BINARY_SEARCH_REL_WIDTH`] so that
+//! downstream tolerant checks (validators, KKT certificates) have headroom
+//! over the search error.
 
 /// Default relative tolerance for "are these two model quantities equal".
 pub const REL_EPS: f64 = 1e-9;
@@ -197,50 +195,25 @@ fn energy_sum_with(works: &[f64], speeds: &[f64], pow: impl Fn(f64) -> f64) -> f
 /// Returns `(last_infeasible, first_feasible)` bracketing the threshold with
 /// relative width `rel_width`. If `feasible(lo)`, returns `(lo, lo)`.
 ///
-/// This is the primitive behind the BAL critical-speed search and the MBAL
-/// makespan search; both need *both* endpoints (the infeasible one drives
-/// criticality detection). It is [`bisect_threshold_budgeted`] without a
-/// budget, and panics where that returns an error.
+/// The primitive behind the minimum peak speed and the MBAL makespan
+/// search. Panics on a bad bracket: `lo > hi`, a non-finite bound, or an
+/// infeasible `hi`.
 pub fn bisect_threshold(
-    lo: f64,
-    hi: f64,
-    rel_width: f64,
-    feasible: impl FnMut(f64) -> bool,
-) -> (f64, f64) {
-    let mut meter = Budget::unlimited().meter();
-    bisect_threshold_budgeted(lo, hi, rel_width, &mut meter, feasible)
-        .unwrap_or_else(|e| panic!("bisect_threshold: {e}"))
-}
-
-/// Fallible, budget-aware form of [`bisect_threshold`]:
-///
-/// * a bad bracket (`lo > hi`, non-finite bounds, infeasible `hi`) is a
-///   [`SolveError::Numeric`];
-/// * every feasibility probe charges one iteration on `meter`; when the
-///   budget runs out the *current* bracket is returned (its `hi` end is
-///   feasible, so it is a usable best-so-far answer) and the caller can see
-///   the exhaustion via [`Meter::exhausted`].
-pub fn bisect_threshold_budgeted(
     mut lo: f64,
     mut hi: f64,
     rel_width: f64,
-    meter: &mut Meter,
     mut feasible: impl FnMut(f64) -> bool,
-) -> Result<(f64, f64), SolveError> {
-    if !(lo.is_finite() && hi.is_finite()) || lo > hi {
-        return Err(SolveError::Numeric {
-            message: format!("bisection bracket [{lo}, {hi}] is not a finite interval"),
-        });
-    }
-    meter.tick();
-    if !feasible(hi) {
-        return Err(SolveError::Numeric {
-            message: format!("bisection upper bound must be feasible, {hi} is not"),
-        });
-    }
-    meter.tick();
+) -> (f64, f64) {
+    assert!(
+        lo.is_finite() && hi.is_finite() && lo <= hi,
+        "bisect_threshold: bisection bracket [{lo}, {hi}] is not a finite interval"
+    );
+    assert!(
+        feasible(hi),
+        "bisect_threshold: bisection upper bound must be feasible, {hi} is not"
+    );
     if feasible(lo) {
-        return Ok((lo, lo));
+        return (lo, lo);
     }
     // Invariant: !feasible(lo) && feasible(hi).
     while hi - lo > rel_width * hi.abs().max(1e-300) {
@@ -248,16 +221,13 @@ pub fn bisect_threshold_budgeted(
         if mid <= lo || mid >= hi {
             break; // f64 exhausted
         }
-        if !meter.tick() {
-            break; // budget exhausted: return the best bracket so far
-        }
         if feasible(mid) {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    Ok((lo, hi))
+    (lo, hi)
 }
 
 #[cfg(test)]
@@ -336,45 +306,6 @@ mod tests {
     #[should_panic(expected = "upper bound must be feasible")]
     fn bisect_rejects_infeasible_upper_bound() {
         bisect_threshold(0.0, 1.0, 1e-12, |x| x >= 2.0);
-    }
-
-    #[test]
-    fn budgeted_bisect_matches_plain_when_unlimited() {
-        let threshold = 0.333_333;
-        let mut meter = Budget::unlimited().meter();
-        let (lo, hi) =
-            bisect_threshold_budgeted(0.0, 1.0, 1e-12, &mut meter, |x| x >= threshold).unwrap();
-        assert!(lo <= threshold && threshold <= hi + 1e-12);
-        assert!(hi - lo <= 1e-12);
-        assert_eq!(meter.exhausted(), None);
-    }
-
-    #[test]
-    fn budgeted_bisect_returns_feasible_bracket_on_exhaustion() {
-        let threshold = 0.6;
-        let mut meter = crate::resource::Budget::iterations(6).meter();
-        let (lo, hi) =
-            bisect_threshold_budgeted(0.0, 1.0, 1e-12, &mut meter, |x| x >= threshold).unwrap();
-        assert_eq!(meter.exhausted(), Some("iterations"));
-        // The bracket is wide (we stopped early) but still valid: hi feasible,
-        // lo infeasible.
-        assert!(
-            hi >= threshold,
-            "upper end of a truncated bracket must stay feasible"
-        );
-        assert!(lo < threshold);
-        assert!(hi - lo > 1e-12, "six probes cannot reach full precision");
-    }
-
-    #[test]
-    fn budgeted_bisect_reports_bad_brackets_as_errors() {
-        let mut meter = Budget::unlimited().meter();
-        let infeasible_hi = bisect_threshold_budgeted(0.0, 1.0, 1e-12, &mut meter, |x| x >= 2.0);
-        assert!(matches!(infeasible_hi, Err(SolveError::Numeric { .. })));
-        let inverted = bisect_threshold_budgeted(1.0, 0.0, 1e-12, &mut meter, |_| true);
-        assert!(matches!(inverted, Err(SolveError::Numeric { .. })));
-        let nan = bisect_threshold_budgeted(f64::NAN, 1.0, 1e-12, &mut meter, |_| true);
-        assert!(matches!(nan, Err(SolveError::Numeric { .. })));
     }
 
     #[test]

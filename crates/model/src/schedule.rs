@@ -228,11 +228,16 @@ impl Schedule {
         let _span = ssp_probe::span("validate");
         ssp_probe::counter!("validate.calls");
         let tol = opts.tol;
+        // Each job's scheduled work, summed in segment order from -0.0 as
+        // `Iterator::sum` sums, so every total has the bits `work_of` gives.
+        let mut work = vec![-0.0; instance.len()];
         // Per-segment checks.
         for s in &self.segments {
-            let job = instance
-                .job_by_id(s.job)
+            let index = instance
+                .index_of(s.job)
                 .ok_or(ValidationError::UnknownJob { job: s.job.0 })?;
+            let job = instance.job(index);
+            work[index] += s.work();
             if s.machine >= instance.machines() {
                 return Err(ValidationError::BadMachine {
                     machine: s.machine,
@@ -324,8 +329,7 @@ impl Schedule {
         }
 
         // Work conservation per job (also catches completely unscheduled jobs).
-        for job in instance.jobs() {
-            let scheduled = self.work_of(job.id);
+        for (job, &scheduled) in instance.jobs().iter().zip(&work) {
             if !opts.work_tol.eq(scheduled, job.work) {
                 return Err(ValidationError::WorkMismatch {
                     job: job.id.0,
@@ -452,6 +456,33 @@ mod tests {
             s.validate(&inst, Default::default()),
             Err(ValidationError::WorkMismatch { job: 1, .. })
         ));
+    }
+
+    /// The work check sums each job's segments in one pass; its totals are
+    /// `work_of`'s to the bit, in passing and failing verdicts alike.
+    #[test]
+    fn work_check_matches_work_of_on_many_segments() {
+        let jobs: Vec<Job> = (0..4).map(|i| Job::new(i, 3.0, 0.0, 30.0)).collect();
+        let inst = Instance::new(jobs, 4, 2.0).unwrap();
+        for short in [None, Some(2u32)] {
+            let mut s = Schedule::new(4);
+            for i in 0..4u32 {
+                // 30 unit slots at speed 0.1 carry work 3 in sums that round.
+                let slots = if short == Some(i) { 29 } else { 30 };
+                for k in 0..slots {
+                    let start = k as f64;
+                    s.run(JobId(i), i as usize, start, start + 1.0, 0.1);
+                }
+            }
+            match s.validate(&inst, Default::default()) {
+                Ok(_) => assert_eq!(short, None),
+                Err(ValidationError::WorkMismatch { job, scheduled, .. }) => {
+                    assert_eq!(Some(job), short);
+                    assert_eq!(scheduled.to_bits(), s.work_of(JobId(job)).to_bits());
+                }
+                Err(e) => panic!("unexpected verdict {e:?}"),
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! {"type":"meta","version":2,"spans":3,"counters":1,"hists":1}
 //! {"type":"span","id":1,"parent":0,"thread":1,"name":"solve","start_ns":0,"end_ns":91042}
 //! {"type":"counter","name":"bal.flow_calls","value":17}
-//! {"type":"hist","name":"bal.bisect.probes","count":4,"sum":90,"max":31,"buckets":"4:1;5:3"}
+//! {"type":"hist","name":"maxflow.dinic.path_len","count":4,"sum":90,"max":31,"buckets":"4:1;5:3"}
 //! {"type":"error","message":"no algorithm produced a valid schedule"}
 //! ```
 //!
@@ -881,7 +881,7 @@ mod tests {
                 ("maxflow.dinic.runs".into(), 18),
             ],
             hists: vec![HistRec {
-                name: "bal.bisect.probes".into(),
+                name: "maxflow.dinic.path_len".into(),
                 count: 4,
                 sum: 90,
                 max: 31,
@@ -1059,7 +1059,7 @@ mod tests {
         assert!(report.contains("solve"));
         assert!(report.contains("self"));
         assert!(report.contains("1.1 us"), "self time of solve:\n{report}");
-        assert!(report.contains("bal.bisect.probes"));
+        assert!(report.contains("maxflow.dinic.path_len"));
         let mut failed = sample();
         failed.error = Some("it broke".into());
         assert!(failed.report().starts_with("ERROR: it broke"));
@@ -1087,7 +1087,7 @@ mod tests {
         let lb_line = text.lines().find(|l| l.starts_with("lower_bound")).unwrap();
         assert!(!lb_line.contains('!'), "lower_bound unchanged:\n{text}");
         assert!(text.contains("bal.flow_calls"));
-        assert!(text.contains("bal.bisect.probes"));
+        assert!(text.contains("maxflow.dinic.path_len"));
     }
 
     #[test]
@@ -1120,16 +1120,16 @@ mod tests {
         };
         let count = hist_section
             .lines()
-            .find(|l| l.trim_start().starts_with("bal.bisect.probes"))
+            .find(|l| l.trim_start().starts_with("maxflow.dinic.path_len"))
             .unwrap();
         assert!(
             count.contains("count") && count.contains('!'),
             "doubled count must flag:\n{text}"
         );
-        assert!(stat_line("sum", "bal.bisect.probes").contains('!'));
+        assert!(stat_line("sum", "maxflow.dinic.path_len").contains('!'));
         for stat in ["p50", "p99", "max"] {
             assert!(
-                !stat_line(stat, "bal.bisect.probes").contains('!'),
+                !stat_line(stat, "maxflow.dinic.path_len").contains('!'),
                 "{stat} unchanged, must not flag:\n{text}"
             );
         }

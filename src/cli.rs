@@ -1750,7 +1750,7 @@ mod tests {
             .collect();
         assert!(top.contains(&"lower_bound"), "top-level: {top:?}");
         assert!(top.contains(&"local"), "top-level: {top:?}");
-        for phase in ["bal", "bal.round", "wap.solve", "kkt.certify"] {
+        for phase in ["bal", "bal.node", "wap.solve", "kkt.certify"] {
             assert!(trace.span_count(phase) > 0, "missing phase '{phase}'");
         }
         for phase in ["local_search", "assign.schedule", "validate"] {
@@ -1762,7 +1762,6 @@ mod tests {
             "maxflow.dinic.augmentations",
             "maxflow.dinic.phases",
             "bal.flow_calls",
-            "bal.bisect_steps",
             "bal.rounds",
             "local_search.evaluations",
             "validate.calls",
@@ -1848,7 +1847,7 @@ mod tests {
         assert!(report.contains("lower_bound"), "{report}");
         // The histogram table with derived quantiles is present.
         assert!(report.contains("p50"), "{report}");
-        assert!(report.contains("bal.bisect.probes"), "{report}");
+        assert!(report.contains("solve.attempt_us"), "{report}");
 
         let folded = run(&args(&["trace", "fold", &p])).unwrap();
         let first = folded.lines().next().unwrap();

@@ -1,129 +1,257 @@
-//! Differential test wall for the BAL probe ladder (tier-1).
+//! Differential test wall for BAL's decomposition (tier-1).
 //!
-//! Every ladder step is one warm probe on the round's solver, on the
-//! calling thread, so the thread count must change nothing: for a fixed
-//! instance and strategy, the probe transcript (every `(speed, feasible)`
-//! pair in order), the per-round peel sets, the speeds, and the total
-//! energy must be bit-identical at every width. These tests replay the same
-//! instances under pinned widths 1, 2, and 8 (via `set_thread_override`,
-//! which takes precedence over `SSP_THREADS`) and compare the full
-//! transcripts; a probe session checks that no span of a solve leaves the
-//! calling thread. Together they keep a thread dependence from coming back
-//! unnoticed.
-//!
-//! A second wall cross-checks the two probe strategies: `Ladder` and
-//! `Bisection` take different probe paths, but both stop inside the
-//! feasibility classifier's 1e-9 relative tolerance, so their energies must
-//! agree to ~1e-8 relative (not bit-for-bit — the transcripts legitimately
-//! differ).
-//!
-//! A third pins the ladder's contract that a cut once read is never probed
-//! again: no round's transcript holds one speed twice. A fourth pins that
-//! the ladder probes a round's upper end, the previous round's speed, only
-//! when the round ends on it. A fifth pins the ladder's classification,
-//! read off the cut or flow its search ended on, against bisection's
-//! classification probe: the same rounds, the same critical jobs, and
-//! saturated intervals that differ only at a tie.
+//! BAL finds the migratory optimum by decomposition: one max flow per split
+//! and each class's speed in closed form (`ssp_migratory::bal`). The
+//! differential oracle below is the textbook peeling BAL instead: every
+//! round bisects the smallest uniform speed at which the remaining jobs fit
+//! and classifies them by the canonical cut just below it. The two must
+//! find the same speed classes, with energies within 1e-9 relative, on the
+//! six instance families and on every valid instance of the fault
+//! gauntlet; on the families BAL's explicit schedule must also validate at
+//! the energy it reports. A further wall pins that BAL's speeds do not
+//! depend on α, bit for bit: the optimum is the lexicographically optimal
+//! base of the WAP's polymatroid whatever α is, and the decomposition never
+//! reads it. The last checks that no span of a solve leaves the calling
+//! thread.
 
-use ssp_migratory::bal::{try_bal_with_wap_strategy, BalSolution, ProbeStrategy};
-use ssp_migratory::wap::Wap;
+use ssp_harness::fault::FaultPlan;
+use ssp_migratory::bal::{try_bal, BalSolution};
+use ssp_migratory::kkt::certify;
+use ssp_migratory::wap::{Wap, WapSolver};
+use ssp_model::numeric::{bisect_threshold, Tol, BINARY_SEARCH_REL_WIDTH};
 use ssp_model::par::set_thread_override;
 use ssp_model::resource::Budget;
-use ssp_model::Instance;
+use ssp_model::{Instance, SpeedAssignment};
 use ssp_probe::SpanRec;
 use ssp_workloads::{families, subseed};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
-/// Serializes the tests that pin the width: the override is process-global
-/// and the tests of this binary run concurrently, so without the lock one
-/// test's pin could leak into another's solve.
-static WIDTH_PIN: Mutex<()> = Mutex::new(());
+/// The differential oracle: plain peeling-bisection BAL. Each round
+/// bisects the smallest uniform speed `v` at which the remaining jobs fit
+/// to within 1e-12 of their demand,
+/// takes the remaining jobs on the source side of the canonical cut at
+/// `v·(1 − 1e-9)` as its class (the densest job when that cut is empty),
+/// closes the intervals on that side and takes one processor share
+/// `|I_j|` per class job from every other interval of its window. Returns
+/// the classes in peeling order, each ascending, and every job's speed;
+/// `None` when no finite speed fits or a remaining job has no open
+/// interval left.
+fn oracle(instance: &Instance) -> Option<(Vec<Vec<usize>>, Vec<f64>)> {
+    let (mut wap, intervals) = Wap::from_instance(instance);
+    let n = instance.len();
+    let (mut speeds, mut classes) = (vec![0.0; n], Vec::new());
+    let mut remaining = vec![true; n];
+    // Feasible when the flow routes all but 1e-12 of the demand: the
+    // solver's own 1e-9 verdict would let the bisection settle that much
+    // below a class whose demand is a small share of the total.
+    let solve = |solver: &mut WapSolver, remaining: &[bool], v: f64| {
+        let p: Vec<f64> = (0..n)
+            .map(|i| {
+                if remaining[i] {
+                    instance.job(i).work / v
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let demand: f64 = p.iter().sum();
+        solver.solve(&p) >= demand * (1.0 - 1e-12)
+    };
+    while remaining.contains(&true) {
+        let live = || (0..n).filter(|&i| remaining[i]);
+        if live().any(|i| wap.open_time_of(i) <= 0.0) {
+            return None; // peeling rounded a job's last interval away
+        }
+        let density = |i: usize| instance.job(i).work / wap.open_time_of(i);
+        let densest = live().max_by(|&a, &b| density(a).total_cmp(&density(b)))?;
+        let (lo, mut hi) = (density(densest), density(densest));
+        let mut solver = wap.solver();
+        while !solve(&mut solver, &remaining, hi) {
+            hi *= 2.0;
+            if !hi.is_finite() {
+                return None;
+            }
+        }
+        let (_, v) = bisect_threshold(lo, hi, BINARY_SEARCH_REL_WIDTH, |v| {
+            solve(&mut solver, &remaining, v)
+        });
+        solve(&mut solver, &remaining, v * (1.0 - 1e-9));
+        let (job_side, cell_side) = solver.cut_sides();
+        let mut class: Vec<usize> = (0..n).filter(|&i| remaining[i] && job_side[i]).collect();
+        if class.is_empty() {
+            class.push(densest);
+        }
+        for (j, _) in cell_side.iter().enumerate().filter(|&(_, &cut)| cut) {
+            wap.set_capacity(j, 0.0);
+        }
+        for &i in &class {
+            remaining[i] = false;
+            speeds[i] = v;
+            for &j in intervals.intervals_of(i) {
+                if wap.capacity(j) > 0.0 {
+                    wap.set_capacity(j, (wap.capacity(j) - intervals.length(j)).max(0.0));
+                }
+            }
+        }
+        classes.push(class);
+    }
+    Some((classes, speeds))
+}
 
-/// Run `f` with the thread count pinned at `width`. A test that panics
-/// while pinned poisons the lock but leaves nothing to repair: every
-/// holder sets its own width.
-fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
-    let _pin = WIDTH_PIN.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = set_thread_override(Some(width));
-    let out = f();
-    set_thread_override(prev);
+/// BAL's answer beside the oracle's on one instance, when both find one:
+/// BAL's solution, the oracle's classes and the oracle's energy. Where BAL
+/// reports a numeric error, the oracle must find no finite energy either;
+/// where only the oracle fails, BAL's answer must pass the KKT certificate
+/// and validate. Both cases return `None`.
+fn beside_oracle(name: &str, instance: &Instance) -> Option<(BalSolution, Vec<Vec<usize>>, f64)> {
+    let expected = oracle(instance).map(|(classes, speeds)| {
+        let energy = SpeedAssignment::new(speeds).energy(instance);
+        (classes, energy)
+    });
+    let sol = match try_bal(instance, Budget::unlimited()) {
+        Ok(sol) => sol,
+        Err(e) => {
+            if let Some((_, energy)) = expected {
+                assert!(
+                    !energy.is_finite(),
+                    "{name}: BAL failed ({e}) where the oracle has energy {energy}"
+                );
+            }
+            return None;
+        }
+    };
+    let Some((classes, energy)) = expected else {
+        certify(instance, &sol, Tol::rel(1e-6))
+            .unwrap_or_else(|e| panic!("{name}: BAL alone answers, uncertified: {e}"));
+        sol.schedule(instance)
+            .validate(instance, Default::default())
+            .unwrap_or_else(|e| panic!("{name}: BAL alone answers, invalid: {e}"));
+        return None;
+    };
+    Some((sol, classes, energy))
+}
+
+/// BAL's classes must be the oracle's, in the same order.
+fn assert_same_classes(name: &str, sol: &BalSolution, classes: &[Vec<usize>]) {
+    let found: Vec<Vec<usize>> = sol.rounds.iter().map(|r| r.jobs.clone()).collect();
+    assert_eq!(found, classes, "{name}: speed classes");
+}
+
+/// BAL's energy must be the oracle's within 1e-9 relative (both infinite
+/// counts as equal).
+fn assert_same_energy(name: &str, sol: &BalSolution, energy: f64) {
+    if energy != sol.energy {
+        let rel = (energy - sol.energy).abs() / energy.abs().max(sol.energy.abs());
+        assert!(
+            rel <= 1e-9,
+            "{name}: energy {} vs oracle {energy}",
+            sol.energy
+        );
+    }
+}
+
+fn family(name: &str, n: usize, m: usize, alpha: f64, seed: u64) -> Instance {
+    match name {
+        "general" => families::general(n, m, alpha).gen(seed),
+        "unit_arbitrary" => families::unit_arbitrary(n, m, alpha).gen(seed),
+        "weighted_agreeable" => families::weighted_agreeable(n, m, alpha).gen(seed),
+        "bursty" => families::bursty(n, m, alpha).gen(seed),
+        "laminar_nested" => families::laminar_nested(n, m, alpha, seed),
+        "crossing" => families::crossing(n, m, alpha, seed),
+        _ => unreachable!("unknown family {name}"),
+    }
+}
+
+const FAMILIES: [&str; 6] = [
+    "general",
+    "unit_arbitrary",
+    "weighted_agreeable",
+    "bursty",
+    "laminar_nested",
+    "crossing",
+];
+
+/// Six families, n ∈ {8, 30}, three seeds each.
+fn family_instances() -> Vec<(String, Instance)> {
+    let mut out = Vec::new();
+    for name in FAMILIES {
+        for n in [8, 30] {
+            for k in 0..3 {
+                let instance = family(name, n, 3, 2.0, subseed(0xBA1, k));
+                out.push((format!("{name} n={n} seed {k}"), instance));
+            }
+        }
+    }
     out
 }
 
-fn solve(instance: &Instance, strategy: ProbeStrategy) -> BalSolution {
-    let (wap, intervals) = Wap::from_instance(instance);
-    try_bal_with_wap_strategy(instance, wap, intervals, Budget::unlimited(), strategy)
-        .expect("feasible instance must solve")
+#[test]
+fn decomposition_classifies_like_the_bisection_oracle() {
+    for (name, instance) in family_instances() {
+        let (sol, classes, _) = beside_oracle(&name, &instance)
+            .unwrap_or_else(|| panic!("{name}: BAL and the oracle must both answer"));
+        assert_same_classes(&name, &sol, &classes);
+    }
 }
 
-fn solve_at_width(instance: &Instance, strategy: ProbeStrategy, width: usize) -> BalSolution {
-    at_width(width, || solve(instance, strategy))
+/// Energies agree with the oracle's, and BAL's explicit schedule validates
+/// at the energy BAL reports.
+#[test]
+fn decomposition_agrees_with_the_bisection_oracle_on_energy() {
+    for (name, instance) in family_instances() {
+        let (sol, _, energy) = beside_oracle(&name, &instance)
+            .unwrap_or_else(|| panic!("{name}: BAL and the oracle must both answer"));
+        assert_same_energy(&name, &sol, energy);
+        let stats = sol
+            .schedule(&instance)
+            .validate(&instance, Default::default())
+            .unwrap_or_else(|e| panic!("{name}: schedule failed validation: {e}"));
+        assert!(
+            (stats.energy - sol.energy).abs() <= 1e-6 * sol.energy,
+            "{name}: schedule energy {} vs solver energy {}",
+            stats.energy,
+            sol.energy
+        );
+    }
 }
 
-/// Assert two solutions of the same instance + strategy are bit-identical:
-/// same probe transcript per round, same peel sets, same speeds and energy.
-fn assert_transcripts_identical(a: &BalSolution, b: &BalSolution, ctx: &str) {
-    assert_eq!(
-        a.energy.to_bits(),
-        b.energy.to_bits(),
-        "{ctx}: energy diverged ({} vs {})",
-        a.energy,
-        b.energy
-    );
-    assert_eq!(
-        a.rounds.len(),
-        b.rounds.len(),
-        "{ctx}: round count diverged"
-    );
-    for (r, (ra, rb)) in a.rounds.iter().zip(&b.rounds).enumerate() {
-        assert_eq!(
-            ra.speed.to_bits(),
-            rb.speed.to_bits(),
-            "{ctx}: round {r} critical speed diverged ({} vs {})",
-            ra.speed,
-            rb.speed
-        );
-        assert_eq!(ra.jobs, rb.jobs, "{ctx}: round {r} job set diverged");
-        assert_eq!(
-            ra.saturated, rb.saturated,
-            "{ctx}: round {r} saturated set diverged"
-        );
-        assert_eq!(
-            ra.probes.len(),
-            rb.probes.len(),
-            "{ctx}: round {r} probe count diverged"
-        );
-        for (k, (pa, pb)) in ra.probes.iter().zip(&rb.probes).enumerate() {
-            assert_eq!(
-                pa.0.to_bits(),
-                pb.0.to_bits(),
-                "{ctx}: round {r} probe {k} speed diverged ({} vs {})",
-                pa.0,
-                pb.0
-            );
-            assert_eq!(
-                pa.1, pb.1,
-                "{ctx}: round {r} probe {k} verdict diverged at speed {}",
-                pa.0
-            );
+#[test]
+fn decomposition_matches_the_oracle_on_the_fault_gauntlet() {
+    let plan = FaultPlan::new(0xFA17);
+    let mut valid = 0;
+    for index in 0..220 {
+        let case = plan.case(index);
+        if let Ok(instance) = &case.instance {
+            valid += 1;
+            let name = format!("case {index} ({})", case.fault);
+            if let Some((sol, classes, energy)) = beside_oracle(&name, instance) {
+                assert_same_classes(&name, &sol, &classes);
+                assert_same_energy(&name, &sol, energy);
+            }
         }
     }
-    assert_eq!(
-        a.flow_computations, b.flow_computations,
-        "{ctx}: flow-computation count diverged"
-    );
-    for (i, (sa, sb)) in a.speeds.speeds().iter().zip(b.speeds.speeds()).enumerate() {
-        assert_eq!(
-            sa.to_bits(),
-            sb.to_bits(),
-            "{ctx}: speed of job {i} diverged ({sa} vs {sb})"
-        );
+    assert!(valid > 50, "only {valid} valid gauntlet instances");
+}
+
+/// The decomposition never reads α: speeds are the same bits at every α.
+#[test]
+fn speeds_do_not_depend_on_alpha() {
+    for name in FAMILIES {
+        let base = family(name, 40, 4, 2.0, subseed(0xA1FA, 0));
+        let speeds = |alpha: f64| -> Vec<u64> {
+            let instance = Instance::new(base.jobs().to_vec(), base.machines(), alpha).unwrap();
+            let sol = try_bal(&instance, Budget::unlimited()).expect("BAL answers");
+            sol.speeds.speeds().iter().map(|s| s.to_bits()).collect()
+        };
+        let at_two = speeds(2.0);
+        for alpha in [1.3, 2.5, 3.0] {
+            assert_eq!(speeds(alpha), at_two, "{name}: speeds at alpha {alpha}");
+        }
     }
 }
 
-/// Two inputs on which an earlier ladder fanned its probes out onto worker
-/// threads, with the energy bits that ladder produced.
+/// Two inputs on which an earlier BAL fanned its speed search out onto
+/// worker threads, with the energy bits of the decomposition.
 fn former_fan_out_inputs() -> Vec<(&'static str, Instance, u64)> {
     vec![
         (
@@ -139,243 +267,24 @@ fn former_fan_out_inputs() -> Vec<(&'static str, Instance, u64)> {
     ]
 }
 
-/// The instance matrix for the walls: one per family, sized so every ladder
-/// code path fires (multi-round peels, Newton cuts, fringe exits) while
-/// keeping tier-1 fast, plus the former fan-out inputs.
-fn instances() -> Vec<(&'static str, Instance)> {
-    let mut all = vec![
-        ("general", families::general(48, 3, 2.0).gen(0xBA101)),
-        ("laminar", families::laminar_nested(48, 3, 2.0, 0xBA102)),
-        ("crossing", families::crossing(48, 3, 2.0, 0xBA103)),
-        ("bursty", families::bursty(40, 4, 2.5).gen(0xBA104)),
-    ];
-    all.extend(
-        former_fan_out_inputs()
-            .into_iter()
-            .map(|(name, instance, _)| (name, instance)),
-    );
-    all
-}
-
-#[test]
-fn ladder_transcripts_are_thread_count_invariant() {
-    for (name, instance) in instances() {
-        let serial = solve_at_width(&instance, ProbeStrategy::Ladder, 1);
-        for width in [2usize, 8] {
-            let parallel = solve_at_width(&instance, ProbeStrategy::Ladder, width);
-            let ctx = format!("{name} @ width {width}");
-            assert_transcripts_identical(&serial, &parallel, &ctx);
-        }
-    }
-}
-
-/// Every probe is a max-flow solve, and the ladder keeps the Newton bound
-/// of the last infeasible cut across feasible probes, so no round needs a
-/// speed it has already probed (the density opener `v_lo` included).
-#[test]
-fn ladder_never_probes_one_speed_twice() {
-    for (name, instance) in instances() {
-        let sol = solve(&instance, ProbeStrategy::Ladder);
-        for (r, round) in sol.rounds.iter().enumerate() {
-            let mut speeds: Vec<u64> = round.probes.iter().map(|p| p.0.to_bits()).collect();
-            speeds.sort_unstable();
-            if let Some(w) = speeds.windows(2).find(|w| w[0] == w[1]) {
-                panic!(
-                    "{name}: round {r} probed speed {} twice in {:?}",
-                    f64::from_bits(w[0]),
-                    round.probes
-                );
-            }
-        }
-    }
-}
-
-/// Each round's upper end is the previous round's speed, feasible up to
-/// boundary noise. The ladder probes it only when it would end the round on
-/// it, so a round that settles strictly below it never probes it.
-#[test]
-fn ladder_skips_the_previous_speed_when_it_settles_below() {
-    let mut checked = 0;
-    for (name, instance) in instances() {
-        let sol = solve(&instance, ProbeStrategy::Ladder);
-        for (r, pair) in sol.rounds.windows(2).enumerate() {
-            let (prev, round) = (&pair[0], &pair[1]);
-            if round.speed >= prev.speed {
-                continue;
-            }
-            checked += 1;
-            assert!(
-                round
-                    .probes
-                    .iter()
-                    .all(|p| p.0.to_bits() != prev.speed.to_bits()),
-                "{name}: round {} settled at {} below the previous speed {} yet probed it: {:?}",
-                r + 1,
-                round.speed,
-                prev.speed,
-                round.probes
-            );
-        }
-    }
-    assert!(checked > 0, "no round settled below its upper end");
-}
-
-/// The ladder classifies most rounds from the cut or flow its search ended
-/// on; bisection always solves once more just below the critical speed.
-/// Both must peel the same rounds with the same critical jobs. A saturated
-/// interval may differ only at a tie, where the interval's capacity `c_j`
-/// is within 1e-9 of what the round's critical jobs alive in it could take,
-/// `k_j·min(|I_j|, c_j)`: there either side of the interval is a minimum
-/// cut, and the flow engine's epsilon decides.
-#[test]
-fn ladder_classifies_like_bisection() {
-    for (name, instance) in instances() {
-        let ladder = solve(&instance, ProbeStrategy::Ladder);
-        let bisect = solve(&instance, ProbeStrategy::Bisection);
-        assert_eq!(
-            ladder.rounds.len(),
-            bisect.rounds.len(),
-            "{name}: round count"
-        );
-        // Replay the ladder's capacity updates to know each round's `c_j`.
-        let (mut wap, _) = Wap::from_instance(&instance);
-        for (r, (lr, br)) in ladder.rounds.iter().zip(&bisect.rounds).enumerate() {
-            assert_eq!(lr.jobs, br.jobs, "{name}: round {r} critical jobs");
-            let alive = |j: usize| {
-                let covers =
-                    |&&i: &&usize| wap.window_of(i).is_some_and(|(lo, hi)| lo <= j && j <= hi);
-                lr.jobs.iter().filter(covers).count() as f64
-            };
-            let only = |a: &[usize], b: &[usize]| -> Vec<usize> {
-                a.iter().copied().filter(|j| !b.contains(j)).collect()
-            };
-            for j in [
-                only(&lr.saturated, &br.saturated),
-                only(&br.saturated, &lr.saturated),
-            ]
-            .concat()
-            {
-                let c = wap.capacity(j);
-                let takes = alive(j) * wap.length(j).min(c);
-                assert!(
-                    (c - takes).abs() <= 1e-9 * c,
-                    "{name}: round {r} interval {j} saturated by one strategy only, \
-                     capacity {c} against {takes}"
-                );
-            }
-            for &j in &lr.saturated {
-                wap.set_capacity(j, 0.0);
-            }
-            for &i in &lr.jobs {
-                let Some((lo, hi)) = wap.window_of(i) else {
-                    continue;
-                };
-                for j in lo..=hi {
-                    if wap.capacity(j) > 0.0 && !lr.saturated.contains(&j) {
-                        wap.set_capacity(j, (wap.capacity(j) - wap.length(j)).max(0.0));
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn bisection_transcripts_are_thread_count_invariant() {
-    // Bisection probes serially regardless of width; the wall still pins it
-    // so a future regression (e.g. a parallel refactor leaking into the
-    // serial driver) cannot slip through.
-    for (name, instance) in instances() {
-        let serial = solve_at_width(&instance, ProbeStrategy::Bisection, 1);
-        let parallel = solve_at_width(&instance, ProbeStrategy::Bisection, 8);
-        let ctx = format!("{name} @ width 8");
-        assert_transcripts_identical(&serial, &parallel, &ctx);
-    }
-}
-
-#[test]
-fn ladder_and_bisection_agree_on_energy() {
-    for (name, instance) in instances() {
-        let ladder = solve(&instance, ProbeStrategy::Ladder);
-        let bisect = solve(&instance, ProbeStrategy::Bisection);
-        let rel = (ladder.energy - bisect.energy).abs() / bisect.energy.max(1e-12);
-        assert!(
-            rel <= 1e-8,
-            "{name}: strategy energies diverged beyond tolerance: ladder {} vs bisect {} (rel {rel:.3e})",
-            ladder.energy,
-            bisect.energy
-        );
-        // Both must also validate as explicit schedules.
-        for (tag, sol) in [("ladder", &ladder), ("bisect", &bisect)] {
-            let schedule = sol.schedule(&instance);
-            let stats = schedule
-                .validate(&instance, Default::default())
-                .unwrap_or_else(|e| panic!("{name}/{tag}: schedule failed validation: {e}"));
-            assert!(
-                (stats.energy - sol.energy).abs() <= 1e-6 * sol.energy,
-                "{name}/{tag}: schedule energy {} vs solver energy {}",
-                stats.energy,
-                sol.energy
-            );
-        }
-    }
-}
-
-#[test]
-fn ladder_budget_salvage_is_thread_count_invariant() {
-    // Budget exhaustion mid-ladder takes the salvage path (fix remaining
-    // jobs at the feasible bracket end); the meter is ticked once per
-    // probe, so the truncation point must be width-invariant too. The full
-    // solve peels 19 rounds in 21 probes; 12 runs out after 12 rounds.
-    let instance = families::laminar_nested(32, 2, 2.0, 0xBA105);
-    let solve_budgeted = |width: usize| {
-        at_width(width, || {
-            let (wap, intervals) = Wap::from_instance(&instance);
-            try_bal_with_wap_strategy(
-                &instance,
-                wap,
-                intervals,
-                Budget::iterations(12),
-                ProbeStrategy::Ladder,
-            )
-            .expect("budgeted solve must salvage")
-        })
-    };
-    let serial = solve_budgeted(1);
-    assert_eq!(
-        serial.budget_exhausted,
-        Some("iterations"),
-        "budget must actually exhaust for the salvage wall to bite"
-    );
-    assert!(
-        serial.rounds.len() > 1,
-        "the budget must run out mid-peel, after at least one round"
-    );
-    for width in [2usize, 8] {
-        let parallel = solve_budgeted(width);
-        let ctx = format!("budget salvage @ width {width}");
-        assert_transcripts_identical(&serial, &parallel, &ctx);
-    }
-}
-
 /// No BAL solve starts a thread: with the width pinned at 8, every span in
 /// a solve's subtree carries the thread of the span the test opened around
 /// it. The subtree, not the whole trace, because other tests in this binary
-/// run BAL concurrently. The energies stay the bits the former fan-out
-/// produced on these inputs.
+/// run BAL concurrently.
 #[test]
 fn bal_never_leaves_the_calling_thread() {
     let session =
         ssp_probe::Session::begin().expect("no other test in this binary opens a probe session");
-    let energies: Vec<_> = at_width(8, || {
-        former_fan_out_inputs()
-            .into_iter()
-            .map(|(name, instance, bits)| {
-                let _root = ssp_probe::span("test.bal_on_one_thread");
-                (name, solve(&instance, ProbeStrategy::Ladder).energy, bits)
-            })
-            .collect()
-    });
+    let prev = set_thread_override(Some(8));
+    let energies: Vec<_> = former_fan_out_inputs()
+        .into_iter()
+        .map(|(name, instance, bits)| {
+            let _root = ssp_probe::span("test.bal_on_one_thread");
+            let sol = try_bal(&instance, Budget::unlimited()).expect("feasible instance");
+            (name, sol.energy, bits)
+        })
+        .collect();
+    set_thread_override(prev);
     let trace = session.end();
 
     for (name, energy, bits) in energies {

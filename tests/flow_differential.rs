@@ -12,7 +12,7 @@
 //!
 //! On top of that, the engine's warm start must hold in the two ways the
 //! WAP solver uses it: a forced-`Flow` solver that carries its flow along a
-//! bisection ladder of demands must match the exact reference and certify
+//! bisection's sequence of demands must match the exact reference and certify
 //! at every step, and a flow seeded from the sweep's greedy allocation
 //! must resume to the exact value. Above the engines, the WAP solver's
 //! sweep-first dispatch must answer every solve of a demand sequence
@@ -297,12 +297,13 @@ fn certify_wap(solver: &WapSolver, shape: &WapShape, p: &[f64], value: f64) {
     assert!((cut - value).abs() <= tol, "cut {cut} vs value {value}");
 }
 
-/// The BAL access pattern: a forced-`Flow` WAP solver, which carries its
-/// flow from one solve to the next, walks a random contiguous shape's
-/// demands down and back up a bisection ladder. At every step the value
-/// must equal the exact reference and the solver's readback must certify
-/// it. Scales sit on a 1/16 grid over integer shapes, so the integer
-/// reference stays exact after scaling by 16.
+/// The bisection access pattern (`bounded::min_peak_speed`): a
+/// forced-`Flow` WAP solver, which carries its flow from one solve to the
+/// next, walks a random contiguous shape's demands down and back up a
+/// ladder of scales. At every step the value must equal the exact
+/// reference and the solver's readback must certify it. Scales sit on a
+/// 1/16 grid over integer shapes, so the integer reference stays exact
+/// after scaling by 16.
 #[test]
 fn warm_bisection_ladder_on_wap_shaped_networks() {
     check::cases(48, 0xD1FF_0003, |rng| {
@@ -507,9 +508,8 @@ fn residual_reachability_consistent_after_updates() {
 /// (`Auto`) solver and a forced-`Flow` solver over the same general,
 /// laminar and crossing WAPs are driven through random speed sequences that
 /// mix feasible and infeasible scales, with some intervals' capacities cut
-/// the way BAL's peeled rounds cut them. After every solve the two must
-/// agree on the verdict, both canonical cut sides, the cut speed bound
-/// (bitwise) and the jobs that reach the sink, and on the flow value up to
+/// the way BAL's splits cut them. After every solve the two must agree on
+/// the verdict and both canonical cut sides, and on the flow value up to
 /// summation noise — whichever of the sweep, the seeded fallback or the
 /// latched engine answered.
 #[test]
@@ -557,20 +557,7 @@ fn wap_dispatch_sequences_match_the_flow_engine() {
                 let at = format!("{family} n={n} seed={seed} step {step} v={v}");
                 assert!((va - vf).abs() <= 1e-9 * (1.0 + vf), "{at}: {va} vs {vf}");
                 assert_eq!(auto.feasible(), flow.feasible(), "{at}: verdict");
-                let (sides, flow_sides) = (auto.cut_sides(), flow.cut_sides());
-                assert_eq!(sides, flow_sides, "{at}: cut sides");
-                assert_eq!(
-                    auto.cut_speed_bound(&works, &sides.0, &sides.1)
-                        .map(f64::to_bits),
-                    flow.cut_speed_bound(&works, &flow_sides.0, &flow_sides.1)
-                        .map(f64::to_bits),
-                    "{at}: cut speed bound"
-                );
-                assert_eq!(
-                    auto.sink_reaching_jobs(),
-                    flow.sink_reaching_jobs(),
-                    "{at}: sink side"
-                );
+                assert_eq!(auto.cut_sides(), flow.cut_sides(), "{at}: cut sides");
                 verdicts[auto.feasible() as usize] += 1;
             }
         });
