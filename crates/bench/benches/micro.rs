@@ -71,56 +71,7 @@ fn interval_build(c: &mut Criterion) {
     });
 }
 
-/// Parametric bisection kernel: a fixed geometric ladder of uniform-speed
-/// probes (the shape of one BAL round), solved by rebuilding the WAP
-/// network per probe (cold) vs re-parameterizing one warm solver — the
-/// speedup EXP-18 certifies, tracked here as a trajectory point.
-fn parametric_bisection(c: &mut Criterion) {
-    let mut g = c.benchmark_group("micro_parametric_bisection");
-    let inst = fixture("general", 200, 4, 2.0);
-    let (wap, _) = Wap::from_instance(&inst);
-    let works: Vec<f64> = inst.jobs().iter().map(|j| j.work).collect();
-    let v_hi = inst.max_density() * 4.0;
-    // 24 probes walking the speed down ~2×, like a bisection transcript.
-    let speeds: Vec<f64> = (0..24).map(|k| v_hi * 0.97f64.powi(k)).collect();
-    let mut p = vec![0.0; works.len()];
-    g.bench_function("cold", |b| {
-        b.iter(|| {
-            let mut feasible = 0usize;
-            for &v in &speeds {
-                for (pi, w) in p.iter_mut().zip(&works) {
-                    *pi = w / v;
-                }
-                feasible += usize::from(wap.solve(&p).feasible());
-            }
-            black_box(feasible)
-        })
-    });
-    g.bench_function("warm", |b| {
-        b.iter(|| {
-            let mut solver = wap.solver();
-            let mut feasible = 0usize;
-            for &v in &speeds {
-                for (pi, w) in p.iter_mut().zip(&works) {
-                    *pi = w / v;
-                }
-                solver.solve(&p);
-                feasible += usize::from(solver.feasible());
-            }
-            black_box(feasible)
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    micro,
-    wap_maxflow,
-    dinic_dense,
-    yds_sizes,
-    interval_build,
-    parametric_bisection
-);
+criterion_group!(micro, wap_maxflow, dinic_dense, yds_sizes, interval_build);
 fn main() {
     let mut c = Criterion::from_args();
     micro(&mut c);

@@ -61,7 +61,7 @@ fn run_side(
 
 /// Run EXP-19.
 pub fn run(cfg: &RunCfg) -> Vec<Table> {
-    // Peel deltas need an active probe session (cf. EXP-17/EXP-18).
+    // Peel deltas need an active probe session.
     let own_session = ssp_probe::Session::begin();
 
     let mut t = Table::new(

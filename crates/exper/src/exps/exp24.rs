@@ -75,7 +75,7 @@ fn classes_identical(a: &BalSolution, b: &BalSolution) -> bool {
 
 /// Run EXP-24.
 pub fn run(cfg: &RunCfg) -> Vec<Table> {
-    // Counter deltas need an active probe session (EXP-18 precedent);
+    // Counter deltas need an active probe session;
     // ambient sessions from `all`-style runs are reused as-is.
     let own_session = ssp_probe::Session::begin();
 

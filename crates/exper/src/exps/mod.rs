@@ -8,7 +8,6 @@ pub mod exp13;
 pub mod exp14;
 pub mod exp15;
 pub mod exp17;
-pub mod exp18;
 pub mod exp19;
 pub mod exp2;
 pub mod exp20;

@@ -162,11 +162,6 @@ pub fn registry() -> Vec<Experiment> {
             run: exps::exp17::run,
         },
         Experiment {
-            id: "exp18",
-            title: "Warm-start parametric max-flow: cold vs warm bisection work",
-            run: exps::exp18::run,
-        },
-        Experiment {
             id: "exp19",
             title: "Oracle-backed local search: reference peel vs YdsEval transcripts",
             run: exps::exp19::run,
@@ -207,14 +202,13 @@ mod tests {
     fn registry_ids_are_unique_and_ordered() {
         let reg = registry();
         // exp16 (the fault-injection gauntlet) runs under `cargo test`, not
-        // the registry, and exp23 is retired, so the ids are exp1..exp15,
-        // exp17..exp22, exp24 and exp25.
+        // the registry, and two experiments are retired, so the ids are
+        // exp1..exp15, exp17, exp19..exp22, exp24 and exp25.
         let ids: Vec<&str> = reg.iter().map(|e| e.id).collect();
         let expected: Vec<String> = (1..=15)
             .map(|k| format!("exp{k}"))
             .chain([
                 "exp17".to_string(),
-                "exp18".to_string(),
                 "exp19".to_string(),
                 "exp20".to_string(),
                 "exp21".to_string(),

@@ -138,12 +138,9 @@ fn counters_match_solver_accounting() {
     );
     assert_eq!(trace.counter("maxflow.rebuild"), 0, "cold max flows");
     // Every WAP solve of a sweep-kernel solver is answered by exactly one
-    // of: the certified sweep, the first decline's seeded fallback, or the
-    // latched engine's warm repair.
+    // of: the certified sweep or a decline's seeded fallback.
     assert_eq!(
-        trace.counter("wap.fast_path")
-            + trace.counter("wap.fast_fallback")
-            + trace.counter("wap.sweep_skip"),
+        trace.counter("wap.fast_path") + trace.counter("wap.fast_fallback"),
         trace.counter("wap.flow_calls"),
         "WAP dispatch accounting"
     );

@@ -1,14 +1,11 @@
 //! Dinic's max-flow over `f64` capacities, with residual-reachability
 //! queries, per-edge flow readback, and **one warm start**: the caller
-//! loads a valid flow into the edges and
-//! [`FlowNetwork::resume_max_flow`] augments it to a maximum one instead of
-//! solving from scratch. The flow is either seeded edge by edge
-//! ([`FlowNetwork::set_flow`]) or a solved flow carried to new capacities
-//! ([`FlowNetwork::set_capacity`] clamps and reports the overflow,
-//! [`FlowNetwork::cancel_path`] removes it) — the primitives behind the
-//! WAP solver's seeded and warm starts (see `DESIGN.md` §"Parametric
-//! max-flow").
-//! Both leave conservation to the caller, which knows the network's shape.
+//! seeds a valid flow edge by edge ([`FlowNetwork::set_flow`]) and
+//! [`FlowNetwork::resume_max_flow`] augments it to a maximum one instead
+//! of solving from scratch — the
+//! primitive behind the WAP solver's sweep-seeded fallback (see `DESIGN.md`
+//! §"Parametric max-flow"). Conservation of the seeded flow is the caller's,
+//! which knows the network's shape.
 //!
 //! Layout: the edge store is flat structure-of-arrays (`to`/`cap`/`orig`/
 //! `eps`, pairs at `2k`/`2k+1`) and adjacency is a CSR index built from the
@@ -285,9 +282,8 @@ impl FlowNetwork {
     /// value while doing work proportional to what the carried flow lacks.
     /// The caller guarantees the carried flow is valid — within capacities
     /// and conserving at every non-terminal (see
-    /// [`set_flow`](FlowNetwork::set_flow),
-    /// [`set_capacity`](FlowNetwork::set_capacity) and
-    /// [`cancel_path`](FlowNetwork::cancel_path)).
+    /// [`set_flow`](FlowNetwork::set_flow) and
+    /// [`set_capacity`](FlowNetwork::set_capacity)).
     pub fn resume_max_flow(&mut self, s: usize, t: usize) -> f64 {
         self.begin_solve(s, t);
         let (_, phases, augmentations) = self.dinic_augment(s, t);
@@ -296,17 +292,12 @@ impl FlowNetwork {
         self.net_source_flow(s)
     }
 
-    /// Re-parameterize a forward edge to capacity `cap` and return the
-    /// overflow clamped away: a carried flow above `cap` is cut to `cap`
-    /// (the edge becomes saturated) and `flow − cap` is returned; a flow
-    /// that fits is kept and 0 is returned. Like
-    /// [`set_flow`](FlowNetwork::set_flow) this leaves conservation to the
-    /// caller: a clamp leaves the edge's head short of the returned amount,
-    /// which the caller cancels downstream
-    /// ([`cancel_path`](FlowNetwork::cancel_path)) before
-    /// [`resume_max_flow`](FlowNetwork::resume_max_flow), or discards with a
-    /// cold [`max_flow`](FlowNetwork::max_flow).
-    pub fn set_capacity(&mut self, e: EdgeId, cap: f64) -> f64 {
+    /// Re-parameterize a forward edge to capacity `cap`. A flow that fits
+    /// is kept; a flow above `cap` is clamped to `cap` (the edge becomes
+    /// saturated), which leaves conservation at the edge's head to the
+    /// caller, as [`set_flow`](FlowNetwork::set_flow) does. Setting a
+    /// capacity of 0 thus empties the edge.
+    pub fn set_capacity(&mut self, e: EdgeId, cap: f64) {
         assert!(
             cap >= 0.0 && cap.is_finite(),
             "capacity must be finite and >= 0, got {cap}"
@@ -320,39 +311,10 @@ impl FlowNetwork {
         self.eps[id ^ 1] = eps;
         if flow <= cap {
             self.cap[id] = cap - flow;
-            return 0.0;
+        } else {
+            self.cap[id] = 0.0;
+            self.cap[id ^ 1] = cap;
         }
-        self.cap[id] = 0.0;
-        self.cap[id ^ 1] = cap;
-        flow - cap
-    }
-
-    /// Cancel up to `limit` units of flow along `path`, a chain of forward
-    /// edges (each edge's head is the next one's tail), and return the
-    /// amount cancelled: the minimum of `limit` and every edge's carried
-    /// flow (its reverse residual), or 0 when some edge carries no more
-    /// than its epsilon. Conservation is kept at the interior nodes; the
-    /// first tail loses that much outflow and the last head that much
-    /// inflow.
-    pub fn cancel_path(&mut self, path: &[EdgeId], limit: f64) -> f64 {
-        debug_assert!(
-            path.windows(2)
-                .all(|w| self.to[w[0].0] == self.to[w[1].0 ^ 1]),
-            "cancel path is not a chain"
-        );
-        let mut amount = limit;
-        for &EdgeId(id) in path {
-            if self.cap[id ^ 1] <= self.eps[id ^ 1] {
-                return 0.0;
-            }
-            amount = amount.min(self.cap[id ^ 1]);
-        }
-        for &EdgeId(id) in path {
-            self.cap[id] += amount;
-            self.cap[id ^ 1] -= amount;
-        }
-        self.levels_current = false;
-        amount
     }
 
     /// Net flow out of `s` read directly off its incident edges.
@@ -434,32 +396,13 @@ impl FlowNetwork {
     /// canonical minimum cut, and precisely the set of *upstream* nodes
     /// (nodes on the source side of **every** minimum cut). Right after a
     /// solve this reads the solve's last BFS; once an edge has changed it
-    /// runs a BFS of its own.
+    /// runs a BFS of its own over the cached CSR, or a fresh one while the
+    /// cache is stale.
     pub fn residual_reachable_from_source(&self) -> Vec<bool> {
         let (s, _) = self.terminals.expect("call max_flow first");
         if self.levels_current {
             return self.level.iter().map(|&l| l >= 0).collect();
         }
-        self.residual_bfs(s, false)
-    }
-
-    /// Nodes that reach the sink of the last solve in the residual graph
-    /// without passing through its source: a BFS from the sink against the
-    /// residual edges that never enters the source. After a max flow, this
-    /// is the sink side of the maximal minimum cut, the same for every
-    /// maximum flow (no residual path runs from the source to the sink, so
-    /// excluding the source changes nothing there); every node outside it
-    /// lies on the source side of some minimum cut.
-    pub fn residual_reaching_sink(&self) -> Vec<bool> {
-        let (_, t) = self.terminals.expect("call max_flow first");
-        self.residual_bfs(t, true)
-    }
-
-    /// BFS over the residual graph from `root` along residual edges, or
-    /// against them when `reverse` (then `v` joins from `u` when `v → u` is
-    /// residual). The reverse search never enters the last solve's source.
-    /// Reads the cached CSR, or a fresh one while the cache is stale.
-    fn residual_bfs(&self, root: usize, reverse: bool) -> Vec<bool> {
         let storage;
         let (start, edges): (&[u32], &[u32]) = if self.csr_stale {
             storage = self.build_csr_fresh();
@@ -467,21 +410,15 @@ impl FlowNetwork {
         } else {
             (&self.csr_start, &self.csr_edges)
         };
-        let barrier = match self.terminals {
-            Some((s, _)) if reverse => s,
-            _ => usize::MAX,
-        };
         let mut seen = vec![false; self.num_nodes];
         let mut queue = std::collections::VecDeque::new();
-        seen[root] = true;
-        queue.push_back(root);
+        seen[s] = true;
+        queue.push_back(s);
         while let Some(u) = queue.pop_front() {
             for idx in start[u]..start[u + 1] {
                 let ei = edges[idx as usize] as usize;
                 let v = self.to[ei] as usize;
-                // `ei` is u → v; its partner `ei ^ 1` is v → u.
-                let e = if reverse { ei ^ 1 } else { ei };
-                if self.cap[e] > self.eps[e] && !seen[v] && v != barrier {
+                if self.cap[ei] > self.eps[ei] && !seen[v] {
                     seen[v] = true;
                     queue.push_back(v);
                 }
@@ -647,52 +584,11 @@ mod tests {
         let (mut g, ids) = clrs();
         assert!((g.max_flow(0, 5) - 23.0).abs() < 1e-9);
         // Widen the (4,5) sink edge: 4.0 → 10.0 opens more throughput, and
-        // the carried flow still fits, so there is nothing to cancel.
-        assert_eq!(g.set_capacity(ids[9], 10.0), 0.0);
+        // the carried flow still fits, so it stays valid.
+        g.set_capacity(ids[9], 10.0);
         let warm = g.resume_max_flow(0, 5);
         assert!((warm - cold_value(&g, 0, 5)).abs() < 1e-9);
         assert!(warm > 23.0);
-    }
-
-    /// `cancel_path` cancels the minimum of its limit and the path's
-    /// carried flows, nothing when an edge carries nothing, and keeps the
-    /// interior nodes balanced; clamp + cancel + `resume_max_flow` then
-    /// reaches the cold maximum with a certifying cut.
-    #[test]
-    fn cancel_path_takes_the_path_minimum_and_keeps_conservation() {
-        // s → a → t and s → b → t, plus an a → b edge Dinic leaves idle
-        // (a and b share a BFS level).
-        let mut g = FlowNetwork::new(4);
-        let sa = g.add_edge(0, 1, 3.0);
-        let sb = g.add_edge(0, 2, 2.0);
-        let at = g.add_edge(1, 3, 5.0);
-        let bt = g.add_edge(2, 3, 5.0);
-        let ab = g.add_edge(1, 2, 1.0);
-        assert_eq!(g.max_flow(0, 3), 5.0);
-        assert_eq!(g.flow(ab), 0.0);
-        // An edge carrying nothing blocks the cancel and changes nothing.
-        assert_eq!(g.cancel_path(&[sa, ab, bt], 1.0), 0.0);
-        assert_eq!((g.flow(sa), g.flow(bt)), (3.0, 2.0));
-        // The amount is the minimum of the limit and the carried flows.
-        assert_eq!(g.cancel_path(&[sb, bt], 0.5), 0.5);
-        assert_eq!(g.cancel_path(&[sa, at], 10.0), 3.0);
-        // The interior nodes stay balanced.
-        assert_eq!((g.flow(sb), g.flow(bt)), (1.5, 1.5));
-        assert_eq!((g.flow(sa), g.flow(at)), (0.0, 0.0));
-
-        // Narrow s → a below its flow, cancel the overflow downstream of a
-        // and resume: the cold maximum, certified by the canonical cut.
-        assert_eq!(g.max_flow(0, 3), 5.0);
-        assert_eq!(g.set_capacity(sa, 1.0), 2.0);
-        assert_eq!(g.cancel_path(&[at], 2.0), 2.0);
-        assert_eq!(g.flow(sa), g.flow(at));
-        let warm = g.resume_max_flow(0, 3);
-        assert_eq!(warm, 3.0);
-        assert_eq!(warm, cold_value(&g, 0, 3));
-        let cut = g.min_cut_edges();
-        let cut_cap: f64 = cut.iter().map(|&e| g.capacity(e)).sum();
-        assert_eq!(cut_cap, warm);
-        assert!(cut.iter().all(|&e| g.is_saturated(e)));
     }
 
     #[test]
@@ -704,15 +600,13 @@ mod tests {
         let at = g.add_edge(1, 2, 5.0);
         g.max_flow(0, 2);
         assert!(!g.residual_reachable_from_source()[1], "s→a saturated");
-        assert_eq!(g.set_capacity(sa, 8.0), 0.0);
+        g.set_capacity(sa, 8.0);
         g.resume_max_flow(0, 2);
         assert!(g.residual_reachable_from_source()[1], "slack on s→a now");
         assert!(g.is_saturated(at));
-        // Choke a→t below its flow: the clamp leaves a with 4 units of
-        // surplus, cancelled back along s→a before resuming.
-        assert_eq!(g.set_capacity(at, 1.0), 4.0);
-        assert_eq!(g.cancel_path(&[sa], 4.0), 4.0);
-        let v = g.resume_max_flow(0, 2);
+        // Choke a→t below its flow and solve again: a→t is the cut now.
+        g.set_capacity(at, 1.0);
+        let v = g.max_flow(0, 2);
         assert!((v - 1.0).abs() < 1e-12);
         assert_eq!(g.min_cut_edges(), vec![at]);
     }
@@ -756,65 +650,6 @@ mod tests {
         seen
     }
 
-    /// Nodes with a residual path to the last sink that avoids the last
-    /// source, by a fixpoint over the edge list.
-    fn full_reverse_bfs(g: &FlowNetwork) -> Vec<bool> {
-        let (s, t) = g.terminals.expect("solved");
-        let mut seen = vec![false; g.num_nodes];
-        seen[t] = true;
-        let mut grew = true;
-        while grew {
-            grew = false;
-            for id in 0..g.to.len() {
-                let (u, v) = (g.to[id ^ 1] as usize, g.to[id] as usize);
-                if seen[v] && !seen[u] && u != s && g.cap[id] > g.eps[id] {
-                    seen[u] = true;
-                    grew = true;
-                }
-            }
-        }
-        seen
-    }
-
-    /// The sink side of the maximal min cut: what reaches the sink in the
-    /// residual without the source. A node whose only way on is a
-    /// saturated edge is cut off; a node with slack toward the sink is not.
-    #[test]
-    fn sink_side_is_what_reaches_the_sink_without_the_source() {
-        // s → a → t and s → b → t: a's edge to t is saturated, b's is not.
-        let mut g = FlowNetwork::new(4);
-        g.add_edge(0, 1, 2.0);
-        g.add_edge(0, 2, 1.0);
-        g.add_edge(1, 3, 2.0);
-        g.add_edge(2, 3, 5.0);
-        assert_eq!(g.max_flow(0, 3), 3.0);
-        assert_eq!(g.residual_reaching_sink(), [false, false, true, true]);
-        assert_eq!(g.residual_reaching_sink(), full_reverse_bfs(&g));
-
-        let (jobs, ivals) = (60usize, 20usize);
-        let t = 1 + jobs + ivals;
-        let mut g = FlowNetwork::new(t + 1);
-        // Even jobs demand more than their edges carry, so every edge of
-        // theirs saturates; the cells of the first half are overloaded.
-        for i in 0..jobs {
-            g.add_edge(0, 1 + i, if i % 2 == 0 { 5.0 } else { 0.5 });
-            for j in (0..ivals).filter(|j| (i + j) % 3 == 0) {
-                g.add_edge(1 + i, 1 + jobs + j, 0.5);
-            }
-        }
-        for j in 0..ivals {
-            g.add_edge(1 + jobs + j, t, if j < ivals / 2 { 2.0 } else { 20.0 });
-        }
-        g.max_flow(0, t);
-        let sink_side = g.residual_reaching_sink();
-        assert_eq!(sink_side, full_reverse_bfs(&g));
-        assert!(sink_side[1..t].iter().any(|&b| b) && sink_side[1..t].iter().any(|&b| !b));
-        // A minimum cut separates the two sides: nothing on the source side
-        // reaches the sink.
-        let source_side = g.residual_reachable_from_source();
-        assert!((0..=t).all(|u| !(source_side[u] && sink_side[u])));
-    }
-
     /// The source side is read from a solve's last BFS, so every edge
     /// change after a solve must reach the next query without a solve in
     /// between; right after `max_flow` and `resume_max_flow` the kept side
@@ -834,15 +669,11 @@ mod tests {
         };
 
         let (mut g, sa) = solved();
-        assert_eq!(g.set_capacity(sa, 8.0), 0.0);
+        g.set_capacity(sa, 8.0);
         assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
 
         let (mut g, sa) = solved();
         g.set_flow(sa, 4.0);
-        assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
-
-        let (mut g, sa) = solved();
-        assert_eq!(g.cancel_path(&[sa], 1.0), 1.0);
         assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
 
         let (mut g, _) = solved();
@@ -867,7 +698,7 @@ mod tests {
         let (mut g, ids) = clrs();
         g.max_flow(0, 5);
         assert_eq!(g.residual_reachable_from_source(), full_bfs(&g));
-        assert_eq!(g.set_capacity(ids[9], 10.0), 0.0);
+        g.set_capacity(ids[9], 10.0);
         g.resume_max_flow(0, 5);
         assert_eq!(g.residual_reachable_from_source(), full_bfs(&g));
 
@@ -888,7 +719,7 @@ mod tests {
         assert_eq!(side, full_bfs(&g));
         assert!(side.iter().any(|&b| b) && !side[t]);
         for (i, &e) in src.iter().enumerate() {
-            assert_eq!(g.set_capacity(e, 1.0 + (i % 4) as f64 * 0.5), 0.0);
+            g.set_capacity(e, 1.0 + (i % 4) as f64 * 0.5);
         }
         g.resume_max_flow(0, t);
         assert_eq!(g.residual_reachable_from_source(), full_bfs(&g));
@@ -921,28 +752,17 @@ mod tests {
         assert!((cut_cap - v).abs() < 1e-6);
     }
 
-    /// Carry `g`'s solved flow to source capacity `cap` on every `s_edges`
-    /// edge the way the WAP solver does: clamp, cancel each overflow along
-    /// the edge's `mid → out` path, resume.
-    fn carry(
-        g: &mut FlowNetwork,
-        s_edges: &[EdgeId],
-        mid: &[EdgeId],
-        out: EdgeId,
-        cap: f64,
-    ) -> f64 {
-        for (&e, &m) in s_edges.iter().zip(mid) {
-            let overflow = g.set_capacity(e, cap);
-            if overflow > 0.0 {
-                assert_eq!(g.cancel_path(&[m, out], overflow), overflow);
-            }
+    /// Set every `s_edges` edge to capacity `cap` and solve `g` again.
+    fn resolve(g: &mut FlowNetwork, s_edges: &[EdgeId], cap: f64) -> f64 {
+        for &e in s_edges {
+            g.set_capacity(e, cap);
         }
-        g.resume_max_flow(0, 5)
+        g.max_flow(0, 5)
     }
 
-    /// Cloning a solved network forks its flow: the clone carries and
-    /// resumes independently, and solving the clone leaves the original's
-    /// flow and residual structure bit-identical.
+    /// Cloning a solved network forks its flow: the clone is
+    /// re-parameterized and solved independently, and solving the clone
+    /// leaves the original's flow and residual structure bit-identical.
     #[test]
     fn clone_split_solves_are_independent_and_bit_identical() {
         let mut g = FlowNetwork::new(6);
@@ -956,8 +776,8 @@ mod tests {
         // Fork two clones and re-parameterize them differently.
         let mut a = g.clone();
         let mut b = g.clone();
-        let va = carry(&mut a, &s_edges, &mid, out, 0.4);
-        let vb = carry(&mut b, &s_edges, &mid, out, 1.5);
+        let va = resolve(&mut a, &s_edges, 0.4);
+        let vb = resolve(&mut b, &s_edges, 1.5);
         assert!((va - 1.2).abs() < 1e-9, "clone a value {va}");
         assert!((vb - 2.0).abs() < 1e-9, "clone b value {vb}");
 
@@ -966,12 +786,12 @@ mod tests {
         let flows_after: Vec<u64> = mid.iter().map(|&e| g.flow(e).to_bits()).collect();
         assert_eq!(flows_after, flows0);
         assert_eq!(g.capacity(out).to_bits(), 2.0f64.to_bits());
-        // And identical clones carry to identical flows (determinism).
+        // And identical clones solve to identical flows (determinism).
         let mut c = g.clone();
         let mut d = g.clone();
         assert_eq!(
-            carry(&mut c, &s_edges, &mid, out, 0.5).to_bits(),
-            carry(&mut d, &s_edges, &mid, out, 0.5).to_bits()
+            resolve(&mut c, &s_edges, 0.5).to_bits(),
+            resolve(&mut d, &s_edges, 0.5).to_bits()
         );
         for &e in &mid {
             assert_eq!(c.flow(e).to_bits(), d.flow(e).to_bits());

@@ -15,13 +15,10 @@
 //! epsilon (capacities in this workspace are times/works, inherently real).
 //! It has **one warm start**: [`FlowNetwork::resume_max_flow`] augments
 //! whatever valid flow the edges carry to a maximum one instead of solving
-//! from scratch. The caller loads that flow — seeded edge by edge with
-//! [`FlowNetwork::set_flow`], or a solved flow carried to new capacities
-//! with [`FlowNetwork::set_capacity`] (which clamps and reports the
-//! overflow) and [`FlowNetwork::cancel_path`] (which cancels it along a
-//! path) — and keeps it conserving, since only the caller knows the
-//! network's shape. A uniform-speed bisection (the minimum peak speed) runs
-//! dozens of solves over one WAP network this way. A slow exact
+//! from scratch. The caller seeds that flow edge by edge with
+//! [`FlowNetwork::set_flow`] and keeps it conserving, since only the caller
+//! knows the network's shape; the WAP solver seeds the sweep's greedy flow
+//! this way when the sweep cannot certify it. A slow exact
 //! integer Edmonds–Karp reference lives in [`mod@reference`], and property
 //! tests check Dinic against it and against the min-cut certificate on
 //! random graphs (see also the root-level `tests/flow_differential.rs`

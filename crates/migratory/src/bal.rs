@@ -180,10 +180,7 @@ pub fn try_bal_with_wap(
             message: format!("job {} has no open capacity at all", instance.job(i).id),
         });
     }
-    let root = Node {
-        jobs: (0..n).collect(),
-        caps: (0..wap.num_intervals()).map(|j| wap.capacity(j)).collect(),
-    };
+    let root = Node::root(&wap);
     // Every speed lies below the root's routing bound, so a bound that
     // overflows means speeds that do.
     let hi = root.routing(instance, &wap)?.0;
@@ -226,15 +223,10 @@ pub fn try_bal_with_wap(
             continue;
         }
         let _node_span = ssp_probe::span("bal.node");
-        let alive = node.alive_counts(&wap, &node.jobs);
-        let packable: f64 = (0..node.caps.len())
-            .map(|j| node.caps[j].min(node.share(&wap, j, alive[j])))
-            .sum();
-        let work: f64 = node.jobs.iter().map(|&i| instance.job(i).work).sum();
-        let v = work / packable;
+        let (v, alive) = node.speed(instance, &wap);
         if !(v.is_finite() && v > 0.0) {
             return Err(SolveError::Numeric {
-                message: format!("node speed {work}/{packable} is not a positive finite speed"),
+                message: format!("node speed {v} is not a positive finite speed"),
             });
         }
         let solver = match &mut solver {
@@ -247,18 +239,8 @@ pub fn try_bal_with_wap(
             }
             None => solver.insert(wap.solver()),
         };
-        for &i in &node.jobs {
-            demands[i] = instance.job(i).work / v;
-        }
         flow_computations += 1;
-        solver.solve(&demands);
-        for &i in &node.jobs {
-            demands[i] = 0.0;
-        }
-        if !solver.feasible() {
-            let (job_side, cell_side) = solver.cut_sides();
-            let (fast, slow): (Vec<usize>, Vec<usize>) =
-                node.jobs.iter().partition(|&&i| job_side[i]);
+        if let Some((fast, slow, cell_side)) = node.cut(instance, solver, &mut demands, v) {
             if !fast.is_empty() && !slow.is_empty() {
                 let slow_caps = node.peel(&wap, &fast, &cell_side);
                 stack.push(Node {
@@ -325,12 +307,20 @@ fn class(speed: f64, jobs: Vec<usize>, saturated: Vec<usize>) -> BalRound {
 
 /// A node of the decomposition: a job set, ascending, and the capacity
 /// each interval has left for it.
-struct Node {
-    jobs: Vec<usize>,
+pub(crate) struct Node {
+    pub(crate) jobs: Vec<usize>,
     caps: Vec<f64>,
 }
 
 impl Node {
+    /// Every job of `wap` at its own capacities.
+    pub(crate) fn root(wap: &Wap) -> Node {
+        Node {
+            jobs: (0..wap.num_jobs()).collect(),
+            caps: (0..wap.num_intervals()).map(|j| wap.capacity(j)).collect(),
+        }
+    }
+
     /// `e_j = min(|I_j|, c_j)`, the time one job can get in interval `j`
     /// (0 when it is closed).
     fn one_job_cap(&self, wap: &Wap, j: usize) -> f64 {
@@ -369,8 +359,48 @@ impl Node {
         alive
     }
 
+    /// The speed the node's jobs would share as one class, `w(N) / f(N)`,
+    /// and how many of them are alive in each interval. The caller checks
+    /// that it is a positive finite speed.
+    pub(crate) fn speed(&self, instance: &Instance, wap: &Wap) -> (f64, Vec<u32>) {
+        let alive = self.alive_counts(wap, &self.jobs);
+        let packable: f64 = (0..self.caps.len())
+            .map(|j| self.caps[j].min(self.share(wap, j, alive[j])))
+            .sum();
+        let work: f64 = self.jobs.iter().map(|&i| instance.job(i).work).sum();
+        (work / packable, alive)
+    }
+
+    /// Solve the node's WAP on `solver`, which holds the node's
+    /// capacities, at uniform speed `v`: demand `w_i / v` for the node's
+    /// jobs and none for the others (`demands` is all zeros, and is left
+    /// so). `None` when the flow meets the demands; otherwise the job side
+    /// of the canonical minimum cut, the jobs faster than `v`, then the
+    /// node's other jobs, both ascending, and the cut's intervals.
+    pub(crate) fn cut(
+        &self,
+        instance: &Instance,
+        solver: &mut WapSolver,
+        demands: &mut [f64],
+        v: f64,
+    ) -> Option<(Vec<usize>, Vec<usize>, Vec<bool>)> {
+        for &i in &self.jobs {
+            demands[i] = instance.job(i).work / v;
+        }
+        solver.solve(demands);
+        for &i in &self.jobs {
+            demands[i] = 0.0;
+        }
+        if solver.feasible() {
+            return None;
+        }
+        let (job_side, cell_side) = solver.cut_sides();
+        let (fast, slow) = self.jobs.iter().partition(|&&i| job_side[i]);
+        Some((fast, slow, cell_side))
+    }
+
     /// A one-job node's class: all it can get, `e_j` in each open interval.
-    fn closed_form(
+    pub(crate) fn closed_form(
         &self,
         instance: &Instance,
         wap: &Wap,

@@ -4,12 +4,11 @@
 //! Real processors cap out at some `s_max`. Two observations make the
 //! bounded model tractable on top of the machinery already built:
 //!
-//! * **BAL's first critical speed is the min-max speed**: the first peeling
-//!   round computes the smallest uniform speed at which everything fits,
-//!   and no feasible schedule (of any speed profile) can keep *every* job
-//!   below that value — the first critical set genuinely needs it. Hence
-//!   an instance is feasible under cap `s_max` **iff**
-//!   [`min_peak_speed`]`(inst) ≤ s_max`.
+//! * **The optimum's fastest class sets the min-max speed**: no feasible
+//!   schedule (of any speed profile) can keep *every* job below the speed
+//!   of BAL's first class — that class genuinely needs it — and the
+//!   optimum itself runs no job faster. Hence an instance is feasible under
+//!   cap `s_max` **iff** [`min_peak_speed`]`(inst) ≤ s_max`.
 //! * When feasible, the unbounded optimum (BAL) never exceeds that peak, so
 //!   the energy-optimal bounded schedule *is* the unbounded one —
 //!   [`bal_bounded`] just certifies the cap.
@@ -17,51 +16,48 @@
 //! When infeasible, one must drop jobs; throughput maximization under the
 //! cap lives in `ssp-core::throughput`.
 
-use crate::bal::{bal, BalSolution};
+use crate::bal::{bal, BalSolution, Node};
 use crate::wap::Wap;
-use ssp_model::numeric::{bisect_threshold, BINARY_SEARCH_REL_WIDTH};
 use ssp_model::Instance;
 
 /// The smallest achievable maximum speed of any feasible schedule: the
-/// uniform-speed feasibility threshold (= BAL's first critical speed),
-/// computed directly by one binary search over WAP feasibility.
+/// speed of the optimum's fastest class (BAL's first class).
+///
+/// No job runs slower than its density, so when the WAP is feasible at
+/// the largest density that density is the answer. Otherwise the canonical
+/// cut of that probe holds exactly the jobs the optimum runs faster than it
+/// (Fujishige 1980, the rule BAL splits by), and the fastest class lies
+/// among them: from that cut (the root when it is empty) follow BAL's
+/// decomposition down its faster children, at the instance's own
+/// capacities, to the first node whose flow meets its demands, or to a
+/// single job, whose speed is in closed form.
 pub fn min_peak_speed(instance: &Instance) -> f64 {
     if instance.is_empty() {
         return 0.0;
     }
-    let (wap, intervals) = Wap::from_instance(instance);
-    let lo = instance.max_density();
-    let mut hi = {
-        let mut v = lo;
-        for j in 0..intervals.len() {
-            let dens: f64 = intervals
-                .alive(j)
-                .iter()
-                .map(|&i| instance.job(i).density())
-                .sum();
-            v = v.max(dens / instance.machines() as f64);
-        }
-        v * (1.0 + 1e-12)
-    };
-    // One warm-started solver across the whole search: only the uniform
-    // speed (hence the source capacities) varies between probes.
+    let (wap, _) = Wap::from_instance(instance);
     let mut solver = wap.solver();
-    let mut p = vec![0.0; instance.len()];
-    let mut feasible = |v: f64| -> bool {
-        for (pi, job) in p.iter_mut().zip(instance.jobs()) {
-            *pi = job.work / v;
-        }
-        solver.solve(&p);
-        solver.feasible()
-    };
-    let mut guard = 0;
-    while !feasible(hi) {
-        hi *= 2.0;
-        guard += 1;
-        assert!(guard < 64, "could not find a feasible uniform speed");
+    let mut demands = vec![0.0; instance.len()];
+    let mut node = Node::root(&wap);
+    let density = instance.max_density();
+    match node.cut(instance, &mut solver, &mut demands, density) {
+        None => return density,
+        Some((fast, ..)) if !fast.is_empty() => node.jobs = fast,
+        Some(_) => {}
     }
-    let (_, v) = bisect_threshold(lo, hi, BINARY_SEARCH_REL_WIDTH, feasible);
-    v
+    loop {
+        if let [i] = node.jobs[..] {
+            let (v, _) = node
+                .closed_form(instance, &wap, i)
+                .expect("every job of an instance has open time at its own capacities");
+            return v;
+        }
+        let (v, _) = node.speed(instance, &wap);
+        match node.cut(instance, &mut solver, &mut demands, v) {
+            Some((fast, slow, _)) if !fast.is_empty() && !slow.is_empty() => node.jobs = fast,
+            _ => return v,
+        }
+    }
 }
 
 /// Optimal migratory solution under a maximum-speed cap, or `None` when the

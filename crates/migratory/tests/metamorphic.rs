@@ -13,8 +13,8 @@
 //!   so the optimal energy never increases.
 //!
 //! Each law is checked on seeded random instances under the property
-//! runner, exercising the whole warm-started bisection stack end to end: a
-//! violation of any law would expose an incorrect critical speed.
+//! runner, exercising the whole decomposition stack end to end: a
+//! violation of any law would expose an incorrect class speed.
 
 use ssp_migratory::bal::bal;
 use ssp_model::{Instance, Job};

@@ -11,13 +11,16 @@
 //! the energy it reports. A further wall pins that BAL's speeds do not
 //! depend on α, bit for bit: the optimum is the lexicographically optimal
 //! base of the WAP's polymatroid whatever α is, and the decomposition never
-//! reads it. The last checks that no span of a solve leaves the calling
-//! thread.
+//! reads it. The peak-speed wall requires `bounded::min_peak_speed` to be
+//! the speed of BAL's fastest class, and the smallest uniform speed at
+//! which the WAP fits. The last checks that no span of a solve leaves the
+//! calling thread.
 
 use ssp_harness::fault::FaultPlan;
 use ssp_migratory::bal::{try_bal, BalSolution};
+use ssp_migratory::bounded::min_peak_speed;
 use ssp_migratory::kkt::certify;
-use ssp_migratory::wap::{Wap, WapSolver};
+use ssp_migratory::wap::{Wap, WapKernel, WapSolver};
 use ssp_model::numeric::{bisect_threshold, Tol, BINARY_SEARCH_REL_WIDTH};
 use ssp_model::par::set_thread_override;
 use ssp_model::resource::Budget;
@@ -231,6 +234,75 @@ fn decomposition_matches_the_oracle_on_the_fault_gauntlet() {
         }
     }
     assert!(valid > 50, "only {valid} valid gauntlet instances");
+}
+
+/// Does every job fit at uniform speed `v`? Decided by a forced-`Flow`
+/// WAP, so the sweep under test elsewhere plays no part.
+fn fits_at(instance: &Instance, v: f64) -> bool {
+    let (mut wap, _) = Wap::from_instance(instance);
+    wap.set_kernel(WapKernel::Flow);
+    let p: Vec<f64> = instance.jobs().iter().map(|j| j.work / v).collect();
+    wap.solve(&p).feasible()
+}
+
+/// `min_peak_speed` on an instance BAL solved: the speed of BAL's fastest
+/// class within 1e-12 relative, at which every job fits. Returns it.
+fn assert_peak_is_the_fastest_class(name: &str, instance: &Instance, sol: &BalSolution) -> f64 {
+    let v = min_peak_speed(instance);
+    let fastest = sol.rounds[0].speed;
+    assert!(
+        (v - fastest).abs() <= 1e-12 * fastest,
+        "{name}: peak speed {v} vs BAL's fastest class {fastest}"
+    );
+    assert!(fits_at(instance, v), "{name}: the jobs do not fit at {v}");
+    v
+}
+
+/// The peak speed is BAL's fastest class, no job's density exceeds it, and
+/// it is the smallest uniform speed at which the jobs fit: 1e-6 below it
+/// they do not.
+#[test]
+fn peak_speed_is_the_fastest_class() {
+    for (name, instance) in family_instances() {
+        let sol = try_bal(&instance, Budget::unlimited())
+            .unwrap_or_else(|e| panic!("{name}: BAL failed: {e}"));
+        let v = assert_peak_is_the_fastest_class(&name, &instance, &sol);
+        assert!(
+            v >= instance.max_density(),
+            "{name}: peak {v} below a density"
+        );
+        assert!(
+            !fits_at(&instance, v * (1.0 - 1e-6)),
+            "{name}: the jobs fit below the peak {v}"
+        );
+    }
+}
+
+/// On every valid gauntlet instance BAL answers, the peak speed is BAL's
+/// fastest class and the jobs fit at it. Nothing is asserted below it: on
+/// windows a sliver wide, a 1e-6 cut in one job's demand falls inside the
+/// feasibility tolerance of 1e-9 of the total demand.
+#[test]
+fn peak_speed_is_the_fastest_class_on_the_fault_gauntlet() {
+    let plan = FaultPlan::new(0xFA17);
+    let mut checked = 0;
+    for index in 0..220 {
+        let case = plan.case(index);
+        let Ok(instance) = &case.instance else {
+            continue;
+        };
+        let Ok(sol) = try_bal(instance, Budget::unlimited()) else {
+            continue;
+        };
+        let name = format!("case {index} ({})", case.fault);
+        if sol.rounds.is_empty() {
+            assert_eq!(min_peak_speed(instance), 0.0, "{name}: no jobs");
+            continue;
+        }
+        assert_peak_is_the_fastest_class(&name, instance, &sol);
+        checked += 1;
+    }
+    assert!(checked > 50, "only {checked} gauntlet instances checked");
 }
 
 /// The decomposition never reads α: speeds are the same bits at every α.

@@ -10,13 +10,12 @@
 //!   capacity equals the flow value, every cut edge is saturated, and flow
 //!   is conserved at every inner node.
 //!
-//! On top of that, the engine's warm start must hold in the two ways the
-//! WAP solver uses it: a forced-`Flow` solver that carries its flow along a
-//! bisection's sequence of demands must match the exact reference and certify
-//! at every step, and a flow seeded from the sweep's greedy allocation
-//! must resume to the exact value. Above the engines, the WAP solver's
-//! sweep-first dispatch must answer every solve of a demand sequence
-//! exactly as the forced flow engine does.
+//! On top of that, one forced-`Flow` WAP solver driven through a sequence
+//! of demands must match the exact reference and certify at every step,
+//! and the engine's one warm start, a flow seeded from the sweep's greedy
+//! allocation, must resume to the exact value. Above the engines, the WAP
+//! solver's sweep-first dispatch must answer every solve of a demand
+//! sequence exactly as the forced flow engine does.
 
 use ssp_maxflow::reference::IntFlowNetwork;
 use ssp_maxflow::{EdgeId, FlowNetwork, SweepFlow};
@@ -297,15 +296,14 @@ fn certify_wap(solver: &WapSolver, shape: &WapShape, p: &[f64], value: f64) {
     assert!((cut - value).abs() <= tol, "cut {cut} vs value {value}");
 }
 
-/// The bisection access pattern (`bounded::min_peak_speed`): a
-/// forced-`Flow` WAP solver, which carries its flow from one solve to the
-/// next, walks a random contiguous shape's demands down and back up a
-/// ladder of scales. At every step the value must equal the exact
-/// reference and the solver's readback must certify it. Scales sit on a
-/// 1/16 grid over integer shapes, so the integer reference stays exact
-/// after scaling by 16.
+/// Repeated solves on one solver: a forced-`Flow` WAP solver walks a
+/// random contiguous shape's demands down and back up a ladder of scales.
+/// At every step the value must equal the exact reference and the
+/// solver's readback must certify it. Scales sit on a 1/16 grid over
+/// integer shapes, so the integer reference stays exact after scaling by
+/// 16.
 #[test]
-fn warm_bisection_ladder_on_wap_shaped_networks() {
+fn repeated_solves_on_one_solver_match_the_exact_reference() {
     check::cases(48, 0xD1FF_0003, |rng| {
         let mut shape = random_wap_shape(rng);
         let t = 1 + shape.windows.len() + shape.cell_cap.len();
@@ -324,7 +322,7 @@ fn warm_bisection_ladder_on_wap_shaped_networks() {
             let exact = exact_scaled(t + 1, t, &edges, 16.0);
             assert!(
                 (value - exact).abs() <= 1e-9 * (1.0 + exact),
-                "scale {scale}: carried {value} vs exact {exact}"
+                "scale {scale}: solved {value} vs exact {exact}"
             );
             certify_wap(&solver, &shape, &shape.demands, value);
         }
@@ -510,8 +508,8 @@ fn residual_reachability_consistent_after_updates() {
 /// mix feasible and infeasible scales, with some intervals' capacities cut
 /// the way BAL's splits cut them. After every solve the two must agree on
 /// the verdict and both canonical cut sides, and on the flow value up to
-/// summation noise — whichever of the sweep, the seeded fallback or the
-/// latched engine answered.
+/// summation noise — whichever of the sweep or the seeded fallback
+/// answered.
 #[test]
 fn wap_dispatch_sequences_match_the_flow_engine() {
     let session = ssp_probe::Session::begin();
@@ -566,13 +564,12 @@ fn wap_dispatch_sequences_match_the_flow_engine() {
         verdicts.iter().all(|&c| c > 0),
         "sequences must mix feasible and infeasible scales: {verdicts:?}"
     );
-    // Every dispatch branch must have run. The other WAP solves in this
+    // Both dispatch branches must have run. The other WAP solves in this
     // binary are forced-`Flow` ones, which fire neither `wap.fast_path` nor
-    // `wap.fast_fallback`; this test's own forced solver fires
-    // `wap.sweep_skip` on every solve either way.
+    // `wap.fast_fallback`.
     if let Some(session) = session {
         let trace = session.end();
-        for counter in ["wap.fast_path", "wap.fast_fallback", "wap.sweep_skip"] {
+        for counter in ["wap.fast_path", "wap.fast_fallback"] {
             assert!(trace.counter(counter) > 0, "{counter} never fired");
         }
     }
