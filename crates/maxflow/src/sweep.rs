@@ -38,9 +38,19 @@
 //! its full per-cell cap or exhausted the cell), so a solve is
 //! `O((n + Σ_j m_j) log n)` heap operations — with `m_j` machines per cell,
 //! effectively `O(n log n)` per probe instead of a blocking-flow search.
+//!
+//! **Job subsets.** A solve over some of the jobs
+//! ([`SweepFlow::solve_jobs`]) sorts them by window start, sweeps only the
+//! cells of their span (earliest window start to latest window end) and
+//! certifies over them; it forgets the previous solve's jobs and cells
+//! rather than clearing all `n + L`. Every readback outside the subset and
+//! its span reads what a solve of every job with demand 0 outside the
+//! subset reads there, so such a solve costs `O((k + span) log k)` for `k`
+//! jobs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Relative epsilon for "this capacity is exhausted", matching
 /// [`crate::FlowNetwork`]'s per-edge saturation threshold.
@@ -48,10 +58,13 @@ const EPS_REL: f64 = 1e-12;
 
 /// A reusable sweep solver for one interval-bipartite network structure.
 ///
-/// The structure (windows, per-cell caps) is fixed at construction; each
-/// [`solve`](SweepFlow::solve) routes a fresh demand vector from scratch —
-/// a solve is cheap enough that warm-starting would add bookkeeping without
-/// winning anything.
+/// The structure (windows, per-cell caps) is fixed at construction, up to
+/// [`set_cell`](SweepFlow::set_cell); each solve routes a fresh demand
+/// vector from scratch — a solve is cheap enough that warm-starting would
+/// add bookkeeping without winning anything. A solve over a subset of the
+/// jobs ([`solve_jobs`](SweepFlow::solve_jobs)) touches only those jobs and
+/// the cells of their span, and [`solve`](SweepFlow::solve) is the solve
+/// over every job.
 #[derive(Debug)]
 pub struct SweepFlow {
     num_jobs: usize,
@@ -68,12 +81,17 @@ pub struct SweepFlow {
     cell_cap: Vec<f64>,
     cell_eps: Vec<f64>,
     edge_eps: Vec<f64>,
-    /// Jobs grouped by window start: `jobs_by_lo[lo_start[j]..lo_start[j+1]]`
-    /// are the jobs released at cell `j`, ascending.
-    lo_start: Vec<u32>,
-    jobs_by_lo: Vec<u32>,
 
     // ---- per-solve state ----
+    /// The jobs of the last solve, in the caller's order, and its cells:
+    /// the span of their windows. Every per-job and per-cell flag below is
+    /// false, and every range empty, outside them, so the next solve
+    /// forgets them instead of clearing all `n + L`.
+    jobs: Vec<u32>,
+    span: Range<usize>,
+    /// The jobs of the last solve that are alive somewhere, by window
+    /// start: the release order.
+    release: Vec<u32>,
     need: Vec<f64>,
     need_eps: Vec<f64>,
     rem: Vec<f64>,
@@ -82,11 +100,12 @@ pub struct SweepFlow {
     alloc_job: Vec<u32>,
     alloc_cell: Vec<u32>,
     alloc_amt: Vec<f64>,
-    /// Cell `j`'s allocations are `alloc_*[cell_start[j]..cell_start[j+1]]`.
+    /// Cell `j`'s allocations are `alloc_*[cell_start[j]..cell_start[j+1]]`
+    /// (for the cells of `span`).
     cell_start: Vec<u32>,
     /// Job `i`'s allocation indices are
-    /// `job_alloc[job_start[i]..job_start[i+1]]` (ascending cell).
-    job_start: Vec<u32>,
+    /// `job_alloc[job_range[i].0..job_range[i].1]` (ascending cell).
+    job_range: Vec<(u32, u32)>,
     job_alloc: Vec<u32>,
     /// Jobs left with unmet demand (ascending deadline order).
     deficit: Vec<u32>,
@@ -119,23 +138,6 @@ impl SweepFlow {
         for &(lo, hi) in &windows {
             assert!(lo > hi || (hi as usize) < l, "window out of range");
         }
-        let mut lo_start = vec![0u32; l + 2];
-        for &(lo, hi) in &windows {
-            if lo <= hi {
-                lo_start[lo as usize + 1] += 1;
-            }
-        }
-        for j in 0..=l {
-            lo_start[j + 1] += lo_start[j];
-        }
-        let mut cursor: Vec<u32> = lo_start.clone();
-        let mut jobs_by_lo = vec![0u32; lo_start[l + 1] as usize];
-        for (i, &(lo, hi)) in windows.iter().enumerate() {
-            if lo <= hi {
-                jobs_by_lo[cursor[lo as usize] as usize] = i as u32;
-                cursor[lo as usize] += 1;
-            }
-        }
         let cell_eps: Vec<f64> = cell_cap.iter().map(|c| c * EPS_REL).collect();
         let edge_eps: Vec<f64> = edge_cap.iter().map(|c| c * EPS_REL).collect();
         SweepFlow {
@@ -147,8 +149,9 @@ impl SweepFlow {
             cell_cap,
             cell_eps,
             edge_eps,
-            lo_start,
-            jobs_by_lo,
+            jobs: Vec::new(),
+            span: 0..0,
+            release: Vec::new(),
             need: vec![0.0; n],
             need_eps: vec![0.0; n],
             rem: vec![0.0; l],
@@ -156,7 +159,7 @@ impl SweepFlow {
             alloc_cell: Vec::new(),
             alloc_amt: Vec::new(),
             cell_start: vec![0; l + 1],
-            job_start: vec![0; n + 1],
+            job_range: vec![(0, 0); n],
             job_alloc: Vec::new(),
             deficit: Vec::new(),
             value: 0.0,
@@ -186,6 +189,20 @@ impl SweepFlow {
         (self.lo[i] <= self.hi[i]).then(|| (self.lo[i] as usize, self.hi[i] as usize))
     }
 
+    /// The span of `jobs`: the cells from their earliest window start to
+    /// their latest window end (empty when none is alive anywhere).
+    pub fn span_of(&self, jobs: &[usize]) -> Range<usize> {
+        let (first, last) = jobs
+            .iter()
+            .filter_map(|&i| self.window(i))
+            .fold((usize::MAX, 0), |(a, b), (lo, hi)| (a.min(lo), b.max(hi)));
+        if first > last {
+            0..0
+        } else {
+            first..last + 1
+        }
+    }
+
     /// Per-job cap inside cell `j` (0 for closed cells).
     pub fn edge_cap(&self, j: usize) -> f64 {
         self.edge_cap[j]
@@ -209,43 +226,79 @@ impl SweepFlow {
         self.solved = false;
     }
 
-    /// Route the demand vector `p`, returning the (maximum) routed total.
+    /// Route the demand vector `p` over every job, returning the (maximum)
+    /// routed total.
     pub fn solve(&mut self, p: &[f64]) -> f64 {
         assert_eq!(p.len(), self.num_jobs, "demand vector length mismatch");
+        let jobs: Vec<usize> = (0..self.num_jobs).collect();
+        self.solve_jobs(&jobs, p)
+    }
+
+    /// Route demand `p[k]` for job `jobs[k]` (distinct jobs, each other job
+    /// without demand), returning the (maximum) routed total. The solve
+    /// reads and writes only these jobs and the cells of their span: every
+    /// readback of another job reads nothing routed and off the cut, and
+    /// of a cell outside the span nothing used and off the cut, as a
+    /// [`solve`](SweepFlow::solve) with demand 0 for the other jobs reads
+    /// them.
+    pub fn solve_jobs(&mut self, jobs: &[usize], p: &[f64]) -> f64 {
+        assert_eq!(jobs.len(), p.len(), "one demand per job");
+        // Forget the last solve: its jobs and cells are the only ones
+        // whose flags and ranges are set.
+        for &i in &self.jobs {
+            self.job_side[i as usize] = false;
+            self.job_range[i as usize] = (0, 0);
+        }
+        for j in self.span.clone() {
+            self.cell_side[j] = false;
+        }
+        self.jobs.clear();
+        self.jobs.extend(jobs.iter().map(|&i| i as u32));
+        self.span = self.span_of(jobs);
         self.alloc_job.clear();
         self.alloc_cell.clear();
         self.alloc_amt.clear();
         self.deficit.clear();
         self.heap.clear();
-        self.rem.copy_from_slice(&self.cell_cap);
-        let mut ops = 0u64;
-        let mut value = 0.0f64;
-        for (i, &pi) in p.iter().enumerate() {
+        self.release.clear();
+        for (&i, &pi) in jobs.iter().zip(p) {
             assert!(
                 pi >= 0.0 && pi.is_finite(),
                 "demand must be finite/nonnegative"
             );
             self.need[i] = pi;
             self.need_eps[i] = pi * EPS_REL;
-            if pi > 0.0 && self.lo[i] > self.hi[i] {
+            if self.lo[i] <= self.hi[i] {
+                self.release.push(i as u32);
+            } else if pi > 0.0 {
                 // Alive nowhere: immediate deficit.
                 self.deficit.push(i as u32);
             }
         }
-        for j in 0..self.num_cells {
+        // Jobs released at one cell enter the heap in any order: its keys
+        // are distinct, so it pops the same sequence whatever the order.
+        let lo = &self.lo;
+        self.release.sort_unstable_by_key(|&i| lo[i as usize]);
+        let mut released = 0;
+        let mut ops = 0u64;
+        let mut value = 0.0f64;
+        for j in self.span.clone() {
             // Release jobs whose window starts here.
-            for k in self.lo_start[j]..self.lo_start[j + 1] {
-                let i = self.jobs_by_lo[k as usize];
-                if self.need[i as usize] > 0.0 {
+            while let Some(&iu) = self.release.get(released) {
+                if self.lo[iu as usize] as usize != j {
+                    break;
+                }
+                released += 1;
+                if self.need[iu as usize] > 0.0 {
                     ops += 1;
-                    self.heap.push(Reverse((self.hi[i as usize], i)));
+                    self.heap.push(Reverse((self.hi[iu as usize], iu)));
                 }
             }
             self.cell_start[j] = self.alloc_job.len() as u32;
             // Water-fill this cell's capacity in EDF order.
             let ec = self.edge_cap[j];
             let ceps = self.cell_eps[j];
-            let mut rc = self.rem[j];
+            let mut rc = self.cell_cap[j];
             if ec > 0.0 {
                 while rc > ceps {
                     let Some(&Reverse((hi, iu))) = self.heap.peek() else {
@@ -289,26 +342,28 @@ impl SweepFlow {
                 self.deficit.push(iu);
             }
         }
-        self.cell_start[self.num_cells] = self.alloc_job.len() as u32;
+        self.cell_start[self.span.end] = self.alloc_job.len() as u32;
         debug_assert!(self.heap.is_empty(), "every job expires at its deadline");
-        // Per-job allocation index (stable counting sort by job keeps the
+        // Per-job allocation ranges (a counting sort by job keeps the
         // ascending-cell emission order within each job).
-        self.job_start.clear();
-        self.job_start.resize(self.num_jobs + 1, 0);
         for &i in &self.alloc_job {
-            self.job_start[i as usize + 1] += 1;
+            self.job_range[i as usize].1 += 1;
         }
-        for i in 0..self.num_jobs {
-            self.job_start[i + 1] += self.job_start[i];
+        let mut at = 0u32;
+        for &i in &self.jobs {
+            let count = self.job_range[i as usize].1;
+            self.job_range[i as usize] = (at, at);
+            at += count;
         }
-        let mut cursor: Vec<u32> = self.job_start[..self.num_jobs].to_vec();
         self.job_alloc.resize(self.alloc_job.len(), 0);
         for (a, &i) in self.alloc_job.iter().enumerate() {
-            self.job_alloc[cursor[i as usize] as usize] = a as u32;
-            cursor[i as usize] += 1;
+            let range = &mut self.job_range[i as usize];
+            self.job_alloc[range.1 as usize] = a as u32;
+            range.1 += 1;
         }
         self.value = value;
-        self.demand = p.iter().sum();
+        // Summed from +0.0, so a job listed without demand changes no bit.
+        self.demand = p.iter().fold(0.0, |total, &pi| total + pi);
         self.ops = ops;
         self.solved = true;
         self.certify();
@@ -319,8 +374,6 @@ impl SweepFlow {
     /// certificate (no reached cell may have sink slack) and, when it
     /// holds, the canonical min-cut side extraction.
     fn certify(&mut self) {
-        self.job_side.iter_mut().for_each(|b| *b = false);
-        self.cell_side.iter_mut().for_each(|b| *b = false);
         self.certified = true;
         if self.deficit.is_empty() {
             // Every demand routed: the flow is trivially maximum and the
@@ -342,8 +395,8 @@ impl SweepFlow {
             }
             // Walk the window and the job's (ascending-cell) allocations in
             // lockstep to know x_ij for every cell.
-            let mut a = self.job_start[i] as usize;
-            let a_end = self.job_start[i + 1] as usize;
+            let (start, end) = self.job_range[i];
+            let (mut a, a_end) = (start as usize, end as usize);
             for j in lo as usize..=hi as usize {
                 let mut x = 0.0;
                 while a < a_end {
@@ -402,48 +455,38 @@ impl SweepFlow {
         self.ops
     }
 
+    /// Job `i`'s allocations `(cell, t)` in ascending cell order, zeros
+    /// included — the allocation-free readback used to seed a generic flow
+    /// engine with this solve's flow. Empty for a job outside the solve.
+    pub fn allocs_of(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (a, b) = self.job_range[i];
+        self.job_alloc[a as usize..b as usize].iter().map(|&a| {
+            (
+                self.alloc_cell[a as usize] as usize,
+                self.alloc_amt[a as usize],
+            )
+        })
+    }
+
     /// Time allotted to job `i` per cell, `(cell, t)` ascending, zeros
     /// skipped.
     pub fn allotment(&self, i: usize) -> Vec<(usize, f64)> {
-        self.job_alloc[self.job_start[i] as usize..self.job_start[i + 1] as usize]
-            .iter()
-            .map(|&a| {
-                (
-                    self.alloc_cell[a as usize] as usize,
-                    self.alloc_amt[a as usize],
-                )
-            })
-            .filter(|&(_, t)| t > 0.0)
-            .collect()
-    }
-
-    /// Job `i`'s allocations `(cell, t)` in ascending cell order, zeros
-    /// included — the allocation-free readback used to seed a generic flow
-    /// engine with this solve's flow.
-    pub fn allocs_of(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.job_alloc[self.job_start[i] as usize..self.job_start[i + 1] as usize]
-            .iter()
-            .map(|&a| {
-                (
-                    self.alloc_cell[a as usize] as usize,
-                    self.alloc_amt[a as usize],
-                )
-            })
+        self.allocs_of(i).filter(|&(_, t)| t > 0.0).collect()
     }
 
     /// Demand actually routed for job `i`.
     pub fn routed(&self, i: usize) -> f64 {
-        self.job_alloc[self.job_start[i] as usize..self.job_start[i + 1] as usize]
-            .iter()
-            .map(|&a| self.alloc_amt[a as usize])
-            .sum()
+        self.allocs_of(i).map(|(_, t)| t).sum()
     }
 
-    /// Total time cell `j` handed out.
+    /// Total time cell `j` handed out (none outside the last solve's span).
     pub fn cell_usage(&self, j: usize) -> f64 {
-        self.alloc_amt[self.cell_start[j] as usize..self.cell_start[j + 1] as usize]
-            .iter()
-            .sum()
+        let allocs = if self.span.contains(&j) {
+            self.cell_start[j] as usize..self.cell_start[j + 1] as usize
+        } else {
+            0..0
+        };
+        self.alloc_amt[allocs].iter().sum()
     }
 
     /// Did the last solve certify its flow as maximum? `false` means an

@@ -34,10 +34,18 @@
 //!   full processor share everywhere else in their windows.
 //!
 //! The faster child is taken first, so the classes come out by decreasing
-//! speed. Every node solves on the one [`WapSolver`] of the solve,
-//! re-parameterized to the node's capacities with demand 0 for the jobs
-//! outside it. Each split separates two classes, so a solve runs fewer than
+//! speed. Each split separates two classes, so a solve runs fewer than
 //! `2n` max flows, and no speed is searched for.
+//!
+//! A node holds its capacities over its *span* only, the intervals from its
+//! jobs' earliest window start to their latest window end, and each child
+//! cuts its own span out of its parent's. Every node solves on the one
+//! [`WapSolver`] of the solve: the span's capacities move into the solver
+//! ([`WapSolver::reparameterize`]) and the node's jobs alone are solved
+//! ([`WapSolver::solve_jobs`]). The cells outside the span keep what an
+//! earlier node left there; no job of the node is alive there, so no flow,
+//! cut or readback depends on them. Every step of a node thus costs its
+//! jobs and its span, not the whole WAP.
 //!
 //! The result is returned as speeds **plus** per-interval allotments, from
 //! which [`BalSolution::schedule`] builds an explicit schedule (McNaughton
@@ -48,6 +56,7 @@ use crate::mcnaughton::mcnaughton;
 use crate::wap::{Wap, WapSolver};
 use ssp_model::resource::Budget;
 use ssp_model::{Instance, IntervalSet, Schedule, SolveError, SpeedAssignment};
+use std::ops::Range;
 
 /// One speed class of the optimum: its speed and its jobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,7 +164,6 @@ pub fn try_bal_with_wap(
     let _bal_span = ssp_probe::span("bal");
     let mut meter = budget.meter();
     let n = instance.len();
-    let mut wap = wap;
     let mut speeds = vec![0.0f64; n];
     let mut allotments: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
     let mut rounds = Vec::new();
@@ -194,10 +202,10 @@ pub fn try_bal_with_wap(
     meter.tick();
     let horizon: f64 = (0..intervals.len()).map(|j| intervals.length(j)).sum();
     // One feasibility solver for the whole solve, built at the root's
-    // capacities when the root is solved and moved to each later node in
-    // place: the nodes' open intervals all lie inside the root's.
+    // capacities when the root is solved and moved to each later node's
+    // span in place: the nodes' open intervals all lie inside the root's,
+    // and no job of a node is alive outside its span.
     let mut solver: Option<WapSolver> = None;
-    let mut demands = vec![0.0; n];
     let mut stack = vec![root];
 
     while let Some(node) = stack.pop() {
@@ -211,12 +219,12 @@ pub fn try_bal_with_wap(
         if !meter.tick() {
             // Out of budget: the node's jobs run at its routing bound.
             let (v, open) = node.routing(instance, &wap)?;
-            for &i in &node.jobs {
+            for (&i, &time) in node.jobs.iter().zip(&open) {
                 speeds[i] = v;
-                let p = instance.job(i).work / v / open[i];
+                let p = instance.job(i).work / v / time;
                 allotments[i] = node
                     .open_cells(&wap, i)
-                    .map(|j| (j, p * wap.length(j)))
+                    .map(|(j, _)| (j, p * wap.length(j)))
                     .collect();
             }
             rounds.push(class(v, node.jobs, Vec::new()));
@@ -231,26 +239,16 @@ pub fn try_bal_with_wap(
         }
         let solver = match &mut solver {
             Some(solver) => {
-                for (j, &c) in node.caps.iter().enumerate() {
-                    wap.set_capacity(j, c);
-                }
-                solver.reparameterize(&wap);
+                solver.reparameterize(&wap, node.lo, &node.caps);
                 solver
             }
             None => solver.insert(wap.solver()),
         };
         flow_computations += 1;
-        if let Some((fast, slow, cell_side)) = node.cut(instance, solver, &mut demands, v) {
+        if let Some((fast, slow, cell_side)) = node.cut(instance, solver, v) {
             if !fast.is_empty() && !slow.is_empty() {
-                let slow_caps = node.peel(&wap, &fast, &cell_side);
-                stack.push(Node {
-                    jobs: slow,
-                    caps: slow_caps,
-                });
-                stack.push(Node {
-                    jobs: fast,
-                    caps: node.caps,
-                });
+                stack.push(node.slow_child(&wap, &fast, slow, &cell_side));
+                stack.push(node.into_fast_child(&wap, fast));
                 continue;
             }
             // Numerically the flow meets the demands after all: the cut
@@ -269,9 +267,7 @@ pub fn try_bal_with_wap(
         for &i in &node.jobs {
             speeds[i] = v;
         }
-        let saturated = (0..node.caps.len())
-            .filter(|&j| node.caps[j] > 0.0 && node.caps[j] < node.share(&wap, j, alive[j]))
-            .collect();
+        let saturated = node.saturated(&wap, &alive);
         rounds.push(class(v, node.jobs, saturated));
     }
 
@@ -306,96 +302,165 @@ fn class(speed: f64, jobs: Vec<usize>, saturated: Vec<usize>) -> BalRound {
 }
 
 /// A node of the decomposition: a job set, ascending, and the capacity
-/// each interval has left for it.
+/// each interval of its span has left for it. The span is the run of
+/// intervals from the jobs' earliest window start to their latest window
+/// end; nothing of the node lies outside it, so every per-node step costs
+/// the node's jobs and span.
 pub(crate) struct Node {
     pub(crate) jobs: Vec<usize>,
+    /// The span's first interval.
+    lo: usize,
+    /// `caps[k]`: the capacity of interval `lo + k`.
     caps: Vec<f64>,
+}
+
+/// `e_j = min(|I_j|, c)`, the time one job can get in interval `j` at
+/// capacity `c` (0 when it is closed).
+fn one_job_cap(wap: &Wap, j: usize, c: f64) -> f64 {
+    if c > 0.0 {
+        wap.length(j).min(c)
+    } else {
+        0.0
+    }
+}
+
+/// `e_j·k`: what `k` jobs alive in interval `j` could take there alone at
+/// capacity `c`.
+fn share(wap: &Wap, j: usize, c: f64, k: u32) -> f64 {
+    one_job_cap(wap, j, c) * f64::from(k)
+}
+
+/// How many of `jobs` are alive in each interval of `span`: a running sum
+/// over the windows' opening and closing steps (wrapping differences, so
+/// one buffer holds both), clipped to the span.
+fn alive_counts(wap: &Wap, jobs: &[usize], span: Range<usize>) -> Vec<u32> {
+    let mut alive = vec![0u32; span.len() + 1];
+    for (lo, hi) in jobs.iter().filter_map(|&i| wap.window_of(i)) {
+        let (lo, hi) = (lo.max(span.start), hi.min(span.end - 1));
+        if lo <= hi {
+            alive[lo - span.start] = alive[lo - span.start].wrapping_add(1);
+            alive[hi + 1 - span.start] = alive[hi + 1 - span.start].wrapping_sub(1);
+        }
+    }
+    for k in 1..alive.len() {
+        alive[k] = alive[k].wrapping_add(alive[k - 1]);
+    }
+    alive.pop();
+    alive
 }
 
 impl Node {
     /// Every job of `wap` at its own capacities.
     pub(crate) fn root(wap: &Wap) -> Node {
+        let jobs: Vec<usize> = (0..wap.num_jobs()).collect();
+        let span = wap.span_of(&jobs);
+        let caps = span.clone().map(|j| wap.capacity(j)).collect();
         Node {
-            jobs: (0..wap.num_jobs()).collect(),
-            caps: (0..wap.num_intervals()).map(|j| wap.capacity(j)).collect(),
+            jobs,
+            lo: span.start,
+            caps,
         }
     }
 
-    /// `e_j = min(|I_j|, c_j)`, the time one job can get in interval `j`
-    /// (0 when it is closed).
-    fn one_job_cap(&self, wap: &Wap, j: usize) -> f64 {
-        let c = self.caps[j];
-        if c > 0.0 {
-            wap.length(j).min(c)
-        } else {
-            0.0
+    /// The faster child, `fast` at the node's capacities: the node's span
+    /// narrowed in place to the child's.
+    pub(crate) fn into_fast_child(mut self, wap: &Wap, fast: Vec<usize>) -> Node {
+        let span = wap.span_of(&fast);
+        self.caps.truncate(span.end - self.lo);
+        self.caps.drain(..span.start - self.lo);
+        Node {
+            jobs: fast,
+            lo: span.start,
+            caps: self.caps,
         }
     }
 
-    /// `e_j·k`: what `k` jobs alive in interval `j` could take there alone.
-    fn share(&self, wap: &Wap, j: usize, k: u32) -> f64 {
-        self.one_job_cap(wap, j) * f64::from(k)
+    /// The slower child once `fast` is split off along the cut whose
+    /// intervals are `cell_side` (over the node's span): the cut's
+    /// intervals close, every other interval gives up `e_j` per job of
+    /// `fast` alive there, and small remainders snap to 0 as
+    /// [`Wap::set_capacity`] snaps them.
+    fn slow_child(&self, wap: &Wap, fast: &[usize], slow: Vec<usize>, cell_side: &[bool]) -> Node {
+        let span = wap.span_of(&slow);
+        let caps = self.caps[span.start - self.lo..span.end - self.lo].to_vec();
+        let mut child = Node {
+            jobs: slow,
+            lo: span.start,
+            caps,
+        };
+        let alive = alive_counts(wap, fast, span);
+        for (k, c) in child.caps.iter_mut().enumerate() {
+            let j = child.lo + k;
+            if *c <= 0.0 || alive[k] == 0 {
+                continue;
+            }
+            *c = if cell_side[j - self.lo] {
+                0.0
+            } else {
+                wap.snapped(j, *c - share(wap, j, *c, alive[k]))
+            };
+        }
+        child
     }
 
-    /// Job `i`'s open intervals.
-    fn open_cells<'a>(&'a self, wap: &Wap, i: usize) -> impl Iterator<Item = usize> + 'a {
+    /// The node's span.
+    fn span(&self) -> Range<usize> {
+        self.lo..self.lo + self.caps.len()
+    }
+
+    /// Job `i`'s open intervals with their capacities.
+    fn open_cells<'a>(&'a self, wap: &Wap, i: usize) -> impl Iterator<Item = (usize, f64)> + 'a {
         let (lo, hi) = wap.window_of(i).unwrap_or((1, 0));
-        (lo..=hi).filter(|&j| self.caps[j] > 0.0)
-    }
-
-    /// How many of `jobs` are alive in each interval: a running sum over
-    /// the windows' opening and closing steps.
-    fn alive_counts(&self, wap: &Wap, jobs: &[usize]) -> Vec<u32> {
-        let mut alive = vec![0u32; self.caps.len() + 1];
-        let mut closing = vec![0u32; self.caps.len() + 1];
-        for (lo, hi) in jobs.iter().filter_map(|&i| wap.window_of(i)) {
-            alive[lo] += 1;
-            closing[hi + 1] += 1;
-        }
-        for j in 1..alive.len() {
-            alive[j] = alive[j] + alive[j - 1] - closing[j];
-        }
-        alive.pop();
-        alive
+        (lo..=hi)
+            .map(|j| (j, self.caps[j - self.lo]))
+            .filter(|&(_, c)| c > 0.0)
     }
 
     /// The speed the node's jobs would share as one class, `w(N) / f(N)`,
-    /// and how many of them are alive in each interval. The caller checks
-    /// that it is a positive finite speed.
+    /// and how many of them are alive in each interval of the span. The
+    /// caller checks that it is a positive finite speed.
     pub(crate) fn speed(&self, instance: &Instance, wap: &Wap) -> (f64, Vec<u32>) {
-        let alive = self.alive_counts(wap, &self.jobs);
-        let packable: f64 = (0..self.caps.len())
-            .map(|j| self.caps[j].min(self.share(wap, j, alive[j])))
+        let alive = alive_counts(wap, &self.jobs, self.span());
+        let packable: f64 = self
+            .span()
+            .zip(&self.caps)
+            .zip(&alive)
+            .map(|((j, &c), &k)| c.min(share(wap, j, c, k)))
             .sum();
         let work: f64 = self.jobs.iter().map(|&i| instance.job(i).work).sum();
         (work / packable, alive)
     }
 
-    /// Solve the node's WAP on `solver`, which holds the node's
-    /// capacities, at uniform speed `v`: demand `w_i / v` for the node's
-    /// jobs and none for the others (`demands` is all zeros, and is left
-    /// so). `None` when the flow meets the demands; otherwise the job side
-    /// of the canonical minimum cut, the jobs faster than `v`, then the
-    /// node's other jobs, both ascending, and the cut's intervals.
+    /// Solve the node's WAP on `solver`, which holds the node's capacities
+    /// over its span, at uniform speed `v`: demand `w_i / v` for the node's
+    /// jobs and none for the others. `None` when the flow meets the
+    /// demands; otherwise the job side of the canonical minimum cut, the
+    /// jobs faster than `v`, then the node's other jobs, both ascending,
+    /// and the cut's intervals over the span.
     pub(crate) fn cut(
         &self,
         instance: &Instance,
         solver: &mut WapSolver,
-        demands: &mut [f64],
         v: f64,
     ) -> Option<(Vec<usize>, Vec<usize>, Vec<bool>)> {
-        for &i in &self.jobs {
-            demands[i] = instance.job(i).work / v;
-        }
-        solver.solve(demands);
-        for &i in &self.jobs {
-            demands[i] = 0.0;
-        }
+        let demands: Vec<f64> = self
+            .jobs
+            .iter()
+            .map(|&i| instance.job(i).work / v)
+            .collect();
+        solver.solve_jobs(&self.jobs, &demands);
         if solver.feasible() {
             return None;
         }
-        let (job_side, cell_side) = solver.cut_sides();
-        let (fast, slow) = self.jobs.iter().partition(|&&i| job_side[i]);
+        let (job_side, cell_side) = solver.cut_sides_of(&self.jobs, self.span());
+        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+        for (&i, &side) in self.jobs.iter().zip(&job_side) {
+            if side {
+                fast.push(i);
+            } else {
+                slow.push(i);
+            }
+        }
         Some((fast, slow, cell_side))
     }
 
@@ -408,7 +473,7 @@ impl Node {
     ) -> Result<(f64, Vec<(usize, f64)>), SolveError> {
         let allotment: Vec<(usize, f64)> = self
             .open_cells(wap, i)
-            .map(|j| (j, self.one_job_cap(wap, j)))
+            .map(|(j, c)| (j, one_job_cap(wap, j, c)))
             .collect();
         let time: f64 = allotment.iter().map(|&(_, t)| t).sum();
         if time <= 0.0 || time.is_nan() {
@@ -422,24 +487,15 @@ impl Node {
         Ok((instance.job(i).work / time, allotment))
     }
 
-    /// The capacities of the slower child once `fast` is split off: the
-    /// cut's intervals close, every other interval gives up `e_j` per job of
-    /// `fast` alive there, and small remainders snap to 0 as
-    /// [`Wap::set_capacity`] snaps them.
-    fn peel(&self, wap: &Wap, fast: &[usize], cell_side: &[bool]) -> Vec<f64> {
-        let alive = self.alive_counts(wap, fast);
-        (0..self.caps.len())
-            .map(|j| {
-                let c = self.caps[j];
-                if c <= 0.0 || alive[j] == 0 {
-                    return c;
-                }
-                if cell_side[j] {
-                    0.0
-                } else {
-                    wap.snapped(j, c - self.share(wap, j, alive[j]))
-                }
-            })
+    /// The open intervals the class of the node's jobs fills: those where
+    /// the capacity is below `e_j` times its jobs alive there (`alive`,
+    /// over the span).
+    fn saturated(&self, wap: &Wap, alive: &[u32]) -> Vec<usize> {
+        self.span()
+            .zip(&self.caps)
+            .zip(alive)
+            .filter(|&((j, &c), &k)| c > 0.0 && c < share(wap, j, c, k))
+            .map(|((j, _), _)| j)
             .collect()
     }
 
@@ -447,14 +503,15 @@ impl Node {
     /// route each job in proportion to interval length over its open time
     /// `open_i`. That is feasible when `v ≥ w_i / open_i` (the per-job caps)
     /// and, per interval, `v ≥ |I_j|·Σ_{alive, open} (w_i / open_i) / c_j`
-    /// (the capacities). Returns the speed and every job's open time.
+    /// (the capacities). Returns the speed and each job's open time, in the
+    /// order of the node's jobs.
     fn routing(&self, instance: &Instance, wap: &Wap) -> Result<(f64, Vec<f64>), SolveError> {
-        let mut open = vec![0.0; instance.len()];
+        let mut open = Vec::with_capacity(self.jobs.len());
         let mut density = vec![0.0; self.caps.len()];
         let mut v = 0.0f64;
         for &i in &self.jobs {
-            open[i] = self.open_cells(wap, i).map(|j| wap.length(j)).sum();
-            if open[i] <= 0.0 || open[i].is_nan() {
+            let time: f64 = self.open_cells(wap, i).map(|(j, _)| wap.length(j)).sum();
+            if time <= 0.0 || time.is_nan() {
                 return Err(SolveError::Numeric {
                     message: format!(
                         "job {} has no open intervals left — BAL invariant broken",
@@ -462,15 +519,16 @@ impl Node {
                     ),
                 });
             }
-            let d = instance.job(i).work / open[i];
+            let d = instance.job(i).work / time;
             v = v.max(d);
-            for j in self.open_cells(wap, i) {
-                density[j] += d;
+            for (j, _) in self.open_cells(wap, i) {
+                density[j - self.lo] += d;
             }
+            open.push(time);
         }
-        for (j, &d) in density.iter().enumerate() {
+        for ((j, &d), &c) in self.span().zip(&density).zip(&self.caps) {
             if d > 0.0 {
-                v = v.max(wap.length(j) * d / self.caps[j]);
+                v = v.max(wap.length(j) * d / c);
             }
         }
         Ok((v * (1.0 + 1e-12), open))

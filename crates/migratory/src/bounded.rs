@@ -37,12 +37,11 @@ pub fn min_peak_speed(instance: &Instance) -> f64 {
     }
     let (wap, _) = Wap::from_instance(instance);
     let mut solver = wap.solver();
-    let mut demands = vec![0.0; instance.len()];
     let mut node = Node::root(&wap);
     let density = instance.max_density();
-    match node.cut(instance, &mut solver, &mut demands, density) {
+    match node.cut(instance, &mut solver, density) {
         None => return density,
-        Some((fast, ..)) if !fast.is_empty() => node.jobs = fast,
+        Some((fast, ..)) if !fast.is_empty() => node = node.into_fast_child(&wap, fast),
         Some(_) => {}
     }
     loop {
@@ -53,8 +52,10 @@ pub fn min_peak_speed(instance: &Instance) -> f64 {
             return v;
         }
         let (v, _) = node.speed(instance, &wap);
-        match node.cut(instance, &mut solver, &mut demands, v) {
-            Some((fast, slow, _)) if !fast.is_empty() && !slow.is_empty() => node.jobs = fast,
+        match node.cut(instance, &mut solver, v) {
+            Some((fast, slow, _)) if !fast.is_empty() && !slow.is_empty() => {
+                node = node.into_fast_child(&wap, fast)
+            }
             _ => return v,
         }
     }

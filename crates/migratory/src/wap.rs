@@ -21,10 +21,19 @@
 //! network answers when the sweep cannot certify maximality. Both expose
 //! identical verdicts and canonical cut sides, so every downstream consumer
 //! (BAL's splits, schedule readback) is kernel-agnostic.
+//!
+//! A solve may route a subset of the jobs ([`WapSolver::solve_jobs`]); it
+//! then touches only those jobs and their *span*, the cells from their
+//! earliest window start to their latest window end, and
+//! [`WapSolver::reparameterize`] moves a span's capacities in place. That is
+//! how BAL's decomposition nodes each cost their own size on one solver. A
+//! whole-WAP solve ([`WapSolver::solve`], [`Wap::solve`]) is the subset of
+//! every job.
 
 use ssp_maxflow::{EdgeId, FlowNetwork, SweepFlow};
 use ssp_model::numeric::Tol;
 use ssp_model::{Instance, IntervalSet, Schedule};
+use std::ops::Range;
 
 use crate::mcnaughton::mcnaughton;
 
@@ -159,6 +168,20 @@ impl Wap {
         (lo <= hi).then_some((lo as usize, hi as usize))
     }
 
+    /// The span of `jobs`: the intervals from their earliest window start
+    /// to their latest window end (empty when none is alive anywhere).
+    pub(crate) fn span_of(&self, jobs: &[usize]) -> Range<usize> {
+        let (first, last) = jobs
+            .iter()
+            .filter_map(|&i| self.window_of(i))
+            .fold((usize::MAX, 0), |(a, b), (lo, hi)| (a.min(lo), b.max(hi)));
+        if first > last {
+            0..0
+        } else {
+            first..last + 1
+        }
+    }
+
     /// Intervals of job `i` that still have positive capacity.
     pub fn open_intervals_of(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         let (lo, hi) = self.windows[i];
@@ -172,10 +195,9 @@ impl Wap {
         self.open_intervals_of(i).map(|j| self.lengths[j]).sum()
     }
 
-    /// Cell `j`'s parameters in a solver's snapshot: the single-job cap
-    /// `min(|I_j|, c_j)` (0 when the cell is closed) and the capacity `c_j`.
-    fn cell_caps(&self, j: usize) -> (f64, f64) {
-        let c = self.capacity[j];
+    /// Cell `j`'s parameters in a solver's snapshot at capacity `c`: the
+    /// single-job cap `min(|I_j|, c)` (0 when the cell is closed) and `c`.
+    fn cell_caps(&self, j: usize, c: f64) -> (f64, f64) {
         (if c > 0.0 { self.lengths[j].min(c) } else { 0.0 }, c)
     }
 
@@ -185,15 +207,17 @@ impl Wap {
     /// the first time the engine has to answer. Every solve starts over:
     /// no flow carries from one solve to the next.
     ///
-    /// Snapshot semantics: later [`Wap::set_capacity`] calls reach an
-    /// existing solver only through [`WapSolver::reparameterize`], which
-    /// BAL calls once per decomposition node on the one solver it builds
-    /// per solve. The cells open now are the only cells the solver can
-    /// ever open: the Dinic engine has job edges into exactly these.
+    /// Snapshot semantics: later [`Wap::set_capacity`] calls do not reach
+    /// an existing solver; [`WapSolver::reparameterize`] moves a span of
+    /// its cells to new capacities, which BAL does once per decomposition
+    /// node on the one solver it builds per solve. The cells open now are
+    /// the only cells the solver can ever open: the Dinic engine has job
+    /// edges into exactly these.
     pub fn solver(&self) -> WapSolver {
         let _span = ssp_probe::span("wap.solver_build");
-        let (edge_cap, cell_cap): (Vec<f64>, Vec<f64>) =
-            (0..self.num_intervals()).map(|j| self.cell_caps(j)).unzip();
+        let (edge_cap, cell_cap): (Vec<f64>, Vec<f64>) = (0..self.num_intervals())
+            .map(|j| self.cell_caps(j, self.capacity[j]))
+            .unzip();
         WapSolver {
             built_open: cell_cap.iter().map(|&c| c > 0.0).collect(),
             sweep: SweepFlow::new(self.windows.clone(), edge_cap, cell_cap),
@@ -218,10 +242,10 @@ impl Wap {
 /// Dinic's engine state: Horn's network plus the edge handles needed to
 /// set a snapshot's capacities, seed a flow and read it back. Node layout:
 /// 0 = source, `1..=n` jobs, `n+1..=n+l` intervals, `n+l+1` sink. The
-/// network is built once per solver; every solve sets its sink edges, the
-/// job edges of the jobs with demand and the source edges from the sweep's
-/// snapshot and the demand vector, then solves cold or resumes from the
-/// sweep's greedy flow.
+/// network is built once per solver; every solve sets the sink edges of
+/// its span, the job edges of the jobs with demand and their source edges
+/// from the sweep's snapshot and the demands, then solves cold or resumes
+/// from the sweep's greedy flow.
 #[derive(Debug)]
 struct FlowState {
     net: FlowNetwork,
@@ -235,6 +259,11 @@ struct FlowState {
     /// a solve touches the edges of the jobs with demand (and of the ones
     /// that had it) only.
     live: Vec<bool>,
+    /// The jobs whose `live` flag is set.
+    live_jobs: Vec<usize>,
+    /// The cells whose sink edges the last solve set: no other sink edge
+    /// carries flow.
+    span: Range<usize>,
 }
 
 impl FlowState {
@@ -263,64 +292,81 @@ impl FlowState {
             job_edges,
             sink_edges,
             live: vec![false; n],
+            live_jobs: Vec::new(),
+            span: 0..0,
         }
     }
 
-    /// Set the job edges of every job with demand in `p` to the snapshot's
-    /// single-job cap, the edges of a job whose demand is gone to 0 (the
-    /// clamp empties them), every sink edge to the cell's capacity and
-    /// every source edge to its demand, as a fresh build over this snapshot
-    /// would for every path a flow can take: edges into cells closed since
-    /// the solver's build get capacity 0, and a zero-capacity edge carrying
-    /// no flow is never residual. The flows are the caller's to reset (a
-    /// cold solve) or to seed. The CSR keeps insertion order, so every
-    /// Dinic phase then walks the same paths, and ends on the same flow, as
-    /// on a freshly built network.
-    fn restart(&mut self, p: &[f64], sweep: &SweepFlow) {
-        for (i, &demand) in p.iter().enumerate() {
-            if demand > 0.0 || self.live[i] {
-                let live = demand > 0.0;
+    /// Set the job edges of every job with demand (`p[k]` for `jobs[k]`)
+    /// to the snapshot's single-job cap, the edges of a job whose demand is
+    /// gone to 0 (the clamp empties them), the sink edges of the jobs' span
+    /// to the cells' capacities and the source edges to the demands, as a
+    /// fresh build over this snapshot would for every path a flow can take:
+    /// edges into cells closed since the solver's build get capacity 0, and
+    /// a zero-capacity edge carrying no flow is never residual. A sink edge
+    /// outside the span keeps its capacity and gives up its flow: no job
+    /// with demand reaches it. The flows are the caller's to reset (a cold
+    /// solve) or to seed. The CSR keeps insertion order, so every Dinic
+    /// phase then walks the same paths, and ends on the same flow, as on a
+    /// freshly built network.
+    fn restart(&mut self, jobs: &[usize], p: &[f64], sweep: &SweepFlow) {
+        for &i in &self.live_jobs {
+            self.live[i] = false;
+        }
+        for (&i, &demand) in jobs.iter().zip(p) {
+            if demand > 0.0 {
                 for &(j, e) in &self.job_edges[i] {
-                    let cap = if live { sweep.edge_cap(j) } else { 0.0 };
-                    self.net.set_capacity(e, cap);
+                    self.net.set_capacity(e, sweep.edge_cap(j));
                 }
-                self.live[i] = live;
+                self.live[i] = true;
             }
             self.net.set_capacity(self.source_edges[i], demand);
         }
-        for (j, &e) in self.sink_edges.iter().enumerate() {
-            self.net.set_capacity(e, sweep.cell_cap(j));
+        // The jobs that had demand in the last solve and have none now.
+        for &i in &self.live_jobs {
+            if !self.live[i] {
+                for &(_, e) in &self.job_edges[i] {
+                    self.net.set_capacity(e, 0.0);
+                }
+                self.net.set_capacity(self.source_edges[i], 0.0);
+            }
         }
+        self.live_jobs.clear();
+        let with_demand = jobs.iter().zip(p).filter(|&(_, &d)| d > 0.0);
+        self.live_jobs.extend(with_demand.map(|(&i, _)| i));
+        let span = sweep.span_of(jobs);
+        for j in self.span.clone().filter(|j| !span.contains(j)) {
+            self.net.set_flow(self.sink_edges[j], 0.0);
+        }
+        for j in span.clone() {
+            self.net.set_capacity(self.sink_edges[j], sweep.cell_cap(j));
+        }
+        self.span = span;
     }
 
-    /// Route the demand vector by a cold max flow over the snapshot.
-    fn solve_cold(&mut self, p: &[f64], sweep: &SweepFlow) -> f64 {
-        self.restart(p, sweep);
+    /// Route the demands by a cold max flow over the snapshot.
+    fn solve_cold(&mut self, jobs: &[usize], p: &[f64], sweep: &SweepFlow) -> f64 {
+        self.restart(jobs, p, sweep);
         self.net.max_flow(0, self.sink)
     }
 
-    /// Start over from the sweep's water-filling allocation of `p`: seed
-    /// every edge with the greedy flow (a valid, near-maximal flow over the
-    /// snapshot's capacities) and augment only the undershoot: the rest of
-    /// a solve the sweep declined.
-    fn solve_seeded(&mut self, p: &[f64], sweep: &SweepFlow) -> f64 {
-        self.restart(p, sweep);
-        for (i, &e) in self.source_edges.iter().enumerate() {
-            self.net.set_flow(e, sweep.routed(i));
+    /// Start over from the sweep's water-filling allocation of the demands:
+    /// seed every edge with the greedy flow (a valid, near-maximal flow
+    /// over the snapshot's capacities) and augment only the undershoot:
+    /// the rest of a solve the sweep declined.
+    fn solve_seeded(&mut self, jobs: &[usize], p: &[f64], sweep: &SweepFlow) -> f64 {
+        self.restart(jobs, p, sweep);
+        for &i in jobs {
+            self.net.set_flow(self.source_edges[i], sweep.routed(i));
         }
         // A job that is not live has no demand and its edges no flow.
-        let live = self
-            .job_edges
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.live[i]);
-        for (i, edges) in live {
+        for &i in &self.live_jobs {
             // Both lists are ascending in cell index; walk them in lockstep
             // (the sweep allocates only into open cells, all of which have
             // edges).
             let mut alloc = sweep.allocs_of(i);
             let mut cur = alloc.next();
-            for &(j, e) in edges {
+            for &(j, e) in &self.job_edges[i] {
                 while let Some((c, _)) = cur {
                     if c < j {
                         cur = alloc.next();
@@ -335,8 +381,8 @@ impl FlowState {
                 self.net.set_flow(e, f);
             }
         }
-        for (j, &e) in self.sink_edges.iter().enumerate() {
-            self.net.set_flow(e, sweep.cell_usage(j));
+        for j in self.span.clone() {
+            self.net.set_flow(self.sink_edges[j], sweep.cell_usage(j));
         }
         ssp_probe::counter!("maxflow.dinic.seeded_resumes");
         self.net.resume_max_flow(0, self.sink)
@@ -361,16 +407,16 @@ impl FlowState {
 
 /// A persistent WAP feasibility solver: a certificate-gated sweep over a
 /// structure snapshot, finished on a Dinic engine over the same snapshot
-/// when the sweep declines (see [`WapSolver::solve`]); a
+/// when the sweep declines (see [`WapSolver::solve_jobs`]); a
 /// [`WapKernel::Flow`] solver runs the engine alone.
-/// [`WapSolver::reparameterize`] moves the snapshot to new capacities in
-/// place, inside the cells open at the build. Counters: `wap.flow_calls`
-/// (every solve), `wap.fast_path` (certified sweep solves),
-/// `wap.fast_fallback` (a decline: the engine, built at the solver's first
-/// decline, starts from the greedy flow), `wap.sweep_ops` (sweep kernel
-/// work measure). Every solve of an [`WapKernel::Auto`] solver lands in
-/// exactly one of `fast_path` and `fast_fallback`, so the two sum to its
-/// `flow_calls`.
+/// [`WapSolver::reparameterize`] moves a span of the snapshot to new
+/// capacities in place, inside the cells open at the build. Counters:
+/// `wap.flow_calls` (every solve), `wap.fast_path` (certified sweep
+/// solves), `wap.fast_fallback` (a decline: the engine, built at the
+/// solver's first decline, starts from the greedy flow), `wap.sweep_ops`
+/// (sweep kernel work measure). Every solve of an [`WapKernel::Auto`]
+/// solver lands in exactly one of `fast_path` and `fast_fallback`, so the
+/// two sum to its `flow_calls`.
 #[derive(Debug)]
 pub struct WapSolver {
     /// The structure snapshot and the fast path.
@@ -390,7 +436,24 @@ pub struct WapSolver {
 }
 
 impl WapSolver {
-    /// Route the demand vector `p` and return the achieved flow value.
+    /// Route the demand vector `p` (one demand per job) and return the
+    /// achieved flow value: [`WapSolver::solve_jobs`] over every job.
+    pub fn solve(&mut self, p: &[f64]) -> f64 {
+        assert_eq!(
+            p.len(),
+            self.sweep.num_jobs(),
+            "demand vector length mismatch"
+        );
+        let jobs: Vec<usize> = (0..p.len()).collect();
+        self.solve_jobs(&jobs, p)
+    }
+
+    /// Route demand `p[k]` for job `jobs[k]` (distinct jobs; every other
+    /// job has no demand) and return the achieved flow value. The solve
+    /// touches only these jobs and the cells of their span, the run of
+    /// cells from their earliest window start to their latest window end:
+    /// no other job has demand, so no flow, cut or readback depends on the
+    /// cells outside the span, whatever capacities they hold.
     ///
     /// Dispatch is one rule, and every solve starts over: an
     /// [`WapKernel::Auto`] solver tries the sweep, and a certified sweep
@@ -398,26 +461,23 @@ impl WapSolver {
     /// snapshot at the solver's first decline, starts from the greedy flow
     /// and augments only the undershoot. A forced-[`WapKernel::Flow`]
     /// solver runs cold Dinic.
-    pub fn solve(&mut self, p: &[f64]) -> f64 {
+    pub fn solve_jobs(&mut self, jobs: &[usize], p: &[f64]) -> f64 {
         let _span = ssp_probe::span("wap.solve");
         ssp_probe::counter!("wap.flow_calls");
-        assert_eq!(
-            p.len(),
-            self.sweep.num_jobs(),
-            "demand vector length mismatch"
-        );
+        assert_eq!(jobs.len(), p.len(), "one demand per job");
         for &demand in p {
             assert!(
                 demand >= 0.0 && demand.is_finite(),
                 "demand must be finite/nonnegative"
             );
         }
-        self.demand = p.iter().sum();
+        // Summed from +0.0, so a job listed without demand changes no bit.
+        self.demand = p.iter().fold(0.0, |total, &demand| total + demand);
         let auto = self.kernel == WapKernel::Auto;
         if auto {
             let v = {
                 let _s = ssp_probe::span("wap.sweep");
-                self.sweep.solve(p)
+                self.sweep.solve_jobs(jobs, p)
             };
             ssp_probe::counter!("wap.sweep_ops", self.sweep.ops());
             if self.sweep.certified() {
@@ -437,35 +497,35 @@ impl WapSolver {
             .get_or_insert_with(|| Box::new(FlowState::build(sweep, open)));
         let _s = ssp_probe::span("wap.fallback_solve");
         self.value = if auto {
-            fs.solve_seeded(p, sweep)
+            fs.solve_seeded(jobs, p, sweep)
         } else {
-            fs.solve_cold(p, sweep)
+            fs.solve_cold(jobs, p, sweep)
         };
         self.engine_answered = true;
         self.value
     }
 
-    /// Move the solver to `wap`'s current capacities in place: BAL's step
-    /// from one decomposition node to the next. `wap` must be the instance
-    /// this solver was built from, up to [`Wap::set_capacity`] calls that
-    /// open no cell closed at the build (every node's open cells lie inside
-    /// the root's). The sweep snapshot takes the new capacities cell by
-    /// cell. A built engine is kept: its next solve sets its job and sink
-    /// edges from the new snapshot and answers bit for bit what a fresh
-    /// [`Wap::solver`] answers. The last solve's results are void until the
-    /// next solve.
-    pub fn reparameterize(&mut self, wap: &Wap) {
+    /// Move the cells `lo..lo + caps.len()` to capacities `caps` in place:
+    /// BAL's step from one decomposition node to the next, over the node's
+    /// span. `wap` must be the instance this solver was built from; it
+    /// gives the lengths, and each capacity is snapped as
+    /// [`Wap::set_capacity`] snaps it. No capacity may open a cell closed
+    /// at the build (every node's open cells lie inside the root's). The
+    /// sweep snapshot takes the new capacities cell by cell; the other
+    /// cells keep theirs. A built engine is kept: its next solve sets its
+    /// job and sink edges from the new snapshot and answers bit for bit
+    /// what a fresh [`Wap::solver`] at these capacities answers for jobs
+    /// whose span lies inside these cells. The last solve's results are
+    /// void until the next solve.
+    pub fn reparameterize(&mut self, wap: &Wap, lo: usize, caps: &[f64]) {
         assert_eq!(
             (wap.num_jobs(), wap.num_intervals()),
             (self.sweep.num_jobs(), self.sweep.num_cells()),
             "re-parameterized with another WAP's shape"
         );
-        debug_assert!(
-            (0..wap.num_jobs()).all(|i| wap.window_of(i) == self.sweep.window(i)),
-            "re-parameterized with another WAP's windows"
-        );
-        for j in 0..wap.num_intervals() {
-            let (edge_cap, cell_cap) = wap.cell_caps(j);
+        for (j, &c) in (lo..).zip(caps) {
+            assert!(c >= 0.0);
+            let (edge_cap, cell_cap) = wap.cell_caps(j, wap.snapped(j, c));
             assert!(
                 cell_cap <= 0.0 || self.built_open[j],
                 "re-parameterization opens cell {j}, closed at the solver's build"
@@ -524,16 +584,33 @@ impl WapSolver {
     /// flows, so the sides are identical whichever kernel produced the flow
     /// (the sweep only reports sides it has certified).
     pub fn cut_sides(&self) -> (Vec<bool>, Vec<bool>) {
+        let jobs: Vec<usize> = (0..self.sweep.num_jobs()).collect();
+        self.cut_sides_of(&jobs, 0..self.sweep.num_cells())
+    }
+
+    /// [`WapSolver::cut_sides`] read over `jobs` and `cells` only: the
+    /// flags of `jobs[k]` and of cell `cells.start + k`, in that order.
+    pub(crate) fn cut_sides_of(
+        &self,
+        jobs: &[usize],
+        cells: Range<usize>,
+    ) -> (Vec<bool>, Vec<bool>) {
         match self.answering() {
             Some(fs) => {
                 let side = fs.net.residual_reachable_from_source();
                 let n = self.sweep.num_jobs();
-                (side[1..=n].to_vec(), side[n + 1..fs.sink].to_vec())
+                (
+                    jobs.iter().map(|&i| side[1 + i]).collect(),
+                    cells.map(|j| side[1 + n + j]).collect(),
+                )
             }
-            None => (
-                self.sweep.job_side().to_vec(),
-                self.sweep.cell_side().to_vec(),
-            ),
+            None => {
+                let (job_side, cell_side) = (self.sweep.job_side(), self.sweep.cell_side());
+                (
+                    jobs.iter().map(|&i| job_side[i]).collect(),
+                    cell_side[cells].to_vec(),
+                )
+            }
         }
     }
 }
@@ -819,8 +896,8 @@ mod tests {
     }
 
     /// `Wap::set_capacity` after building one solver must be visible to the
-    /// *next* solver on both kernels, and to the existing one only once it
-    /// is re-parameterized (snapshot semantics).
+    /// *next* solver on both kernels, and to the existing one only once its
+    /// span is re-parameterized (snapshot semantics).
     #[test]
     fn reparameterized_capacities_reach_fresh_solvers_on_both_kernels() {
         let instance = inst(vec![Job::new(0, 2.0, 0.0, 2.0)], 2);
@@ -838,16 +915,22 @@ mod tests {
             assert!(!s.feasible());
         }
         // The pre-existing solver keeps its snapshot (documented contract)
-        // until it is re-parameterized.
-        assert!(before.solve(&[2.0]) >= 2.0 - 1e-12);
-        before.reparameterize(&wap);
-        assert_eq!(before.solve(&[2.0]), 0.0);
+        // until the job's span is re-parameterized.
+        assert!(before.solve_jobs(&[0], &[2.0]) >= 2.0 - 1e-12);
+        before.reparameterize(&wap, 0, &[wap.capacity(0)]);
+        assert_eq!(before.solve_jobs(&[0], &[2.0]), 0.0);
         assert!(!before.feasible());
     }
 
     /// Everything a consumer reads off a solve, as bits: value, verdict,
-    /// cut sides and allotments.
-    type Readback = (u64, bool, (Vec<bool>, Vec<bool>), Vec<Vec<(usize, u64)>>);
+    /// cut sides, allotments and interval usage.
+    type Readback = (
+        u64,
+        bool,
+        (Vec<bool>, Vec<bool>),
+        Vec<Vec<(usize, u64)>>,
+        Vec<u64>,
+    );
 
     fn readback(s: &WapSolver, jobs: usize) -> Readback {
         let allotments = (0..jobs)
@@ -858,7 +941,16 @@ mod tests {
                     .collect()
             })
             .collect();
-        (s.value().to_bits(), s.feasible(), s.cut_sides(), allotments)
+        let usage = (0..s.sweep.num_cells())
+            .map(|j| s.interval_usage(j).to_bits())
+            .collect();
+        (
+            s.value().to_bits(),
+            s.feasible(),
+            s.cut_sides(),
+            allotments,
+            usage,
+        )
     }
 
     /// What the solves of [`replay_bal_rounds`] did on the re-parameterized
@@ -875,13 +967,16 @@ mod tests {
     /// of the round's speed.
     const PROBES: [f64; 6] = [0.5, 0.97, 1.0 - 1e-9, 1.0, 1.03, 2.0];
 
-    /// Replay BAL's rounds on one solver re-parameterized between them and
-    /// on a fresh solver per round, probing each round at speeds around its
-    /// critical speed, and require every solve to read back bit for bit
-    /// alike. Between rounds the capacities change as BAL changes them: the
-    /// saturated intervals close, every other interval of a critical job's
-    /// window loses one machine (`|I_j|`), and the critical jobs' demands
-    /// go to zero.
+    /// Replay BAL's rounds on one solver re-parameterized between them over
+    /// the span of the jobs still to place, solving only those jobs, and on
+    /// a fresh full-width solver per round, solving every job (demand 0 for
+    /// the placed ones); probe each round at speeds around its critical
+    /// speed, and require every solve to read back bit for bit alike. The
+    /// cells outside the span keep what earlier rounds left there. Between
+    /// rounds the capacities change as BAL changes them: the saturated
+    /// intervals close, every other interval of a critical job's window
+    /// loses one machine (`|I_j|`), and the critical jobs' demands go to
+    /// zero.
     fn replay_bal_rounds(instance: &Instance, kernel: WapKernel) -> (Reuse, usize) {
         let rounds = crate::bal::bal(instance).rounds;
         let (mut wap, ivals) = Wap::from_instance(instance);
@@ -891,15 +986,19 @@ mod tests {
         let mut reuse = Reuse::default();
         let engine = |s: &WapSolver| s.engine.as_deref().map(|e| e as *const FlowState);
         for (r, round) in rounds.iter().enumerate() {
+            let left: Vec<usize> = (0..works.len()).filter(|&i| works[i] > 0.0).collect();
+            let span = reused.sweep.span_of(&left);
             if r > 0 {
-                reused.reparameterize(&wap);
+                let caps: Vec<f64> = span.clone().map(|j| wap.capacity(j)).collect();
+                reused.reparameterize(&wap, span.start, &caps);
             }
             let mut fresh = wap.solver();
             for f in PROBES {
                 let v = round.speed * f;
                 let p: Vec<f64> = works.iter().map(|&w| w / v).collect();
+                let p_left: Vec<f64> = left.iter().map(|&i| p[i]).collect();
                 let before = engine(&reused);
-                reused.solve(&p);
+                reused.solve_jobs(&left, &p_left);
                 fresh.solve(&p);
                 assert_eq!(
                     readback(&reused, works.len()),
@@ -929,12 +1028,13 @@ mod tests {
         (reuse, rounds.len())
     }
 
-    /// One solver re-parameterized between BAL's rounds answers every probe
-    /// bit for bit like a fresh solver per round: on the sweep, on a
-    /// decline that seeds the engine an earlier round built (edges into
-    /// cells closed since then stay at capacity 0), and on a forced-`Flow`
-    /// solver, whose engine solves every probe cold. Either way the engine
-    /// is built once.
+    /// One solver re-parameterized over each round's span between BAL's
+    /// rounds answers every probe bit for bit like a fresh full-width
+    /// solver per round: on the sweep, on a decline that seeds the engine
+    /// an earlier round built (edges into cells closed since then stay at
+    /// capacity 0, sink edges outside the span keep stale capacities), and
+    /// on a forced-`Flow` solver, whose engine solves every probe cold.
+    /// Either way the engine is built once.
     #[test]
     fn reparameterized_solver_answers_like_a_fresh_one() {
         let instance = ssp_workloads::families::general(40, 3, 2.0).gen(11);
@@ -955,14 +1055,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "closed at the solver's build")]
     fn opening_a_cell_closed_at_the_build_is_refused() {
-        let mut wap = starvation_wap();
+        let wap = starvation_wap();
         let mut s = wap.solver();
-        wap.set_capacity(0, 0.0);
-        s.reparameterize(&wap);
-        wap.set_capacity(0, 8.0);
-        s.reparameterize(&wap);
-        wap.set_capacity(2, 1.0);
-        s.reparameterize(&wap);
+        s.reparameterize(&wap, 0, &[0.0]);
+        s.reparameterize(&wap, 0, &[8.0]);
+        s.reparameterize(&wap, 1, &[6.0, 1.0]);
     }
 
     /// The forced Flow kernel agrees with Auto on elementary-interval

@@ -17,23 +17,14 @@
 //! summary into its notes. This test sits in its own binary so no other
 //! test shares its probe session.
 
+mod census;
+
+use census::instance;
 use ssp_migratory::bal::{try_bal, BalSolution};
-use ssp_model::{Budget, Instance};
-use ssp_workloads::{families, subseed};
+use ssp_model::Budget;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-/// Seeds per family and size: 4 keeps the debug-build test near a second.
-const SEEDS: u64 = 4;
-const SIZES: [usize; 3] = [20, 50, 100];
-const FAMILIES: [&str; 6] = [
-    "general",
-    "unit_arbitrary",
-    "weighted_agreeable",
-    "bursty",
-    "laminar_nested",
-    "crossing",
-];
 const SNAPSHOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/bal_census.tsv");
 
 /// The columns before the counters; the first three are the instance key,
@@ -52,19 +43,6 @@ const FIXED: [&str; 11] = [
     "span:wap.fallback_build",
 ];
 const FLOAT_COLUMNS: [&str; 2] = ["energy", "bound"];
-
-fn instance(family: &str, n: usize, seed: u64) -> Instance {
-    let (m, alpha) = (4, 2.0);
-    match family {
-        "general" => families::general(n, m, alpha).gen(seed),
-        "unit_arbitrary" => families::unit_arbitrary(n, m, alpha).gen(seed),
-        "weighted_agreeable" => families::weighted_agreeable(n, m, alpha).gen(seed),
-        "bursty" => families::bursty(n, m, alpha).gen(seed),
-        "laminar_nested" => families::laminar_nested(n, m, alpha, seed),
-        "crossing" => families::crossing(n, m, alpha, seed),
-        _ => unreachable!("unknown family {family}"),
-    }
-}
 
 /// FNV-1a over 64-bit words.
 #[derive(Clone, Copy)]
@@ -247,14 +225,10 @@ fn mismatch_summary(committed: &str, fresh: &str) -> Option<String> {
 
 #[test]
 fn bal_census_matches_the_committed_snapshot() {
-    let mut lines = Vec::new();
-    for family in FAMILIES {
-        for n in SIZES {
-            for k in 0..SEEDS {
-                lines.push(census_line(family, n, subseed(1, k)));
-            }
-        }
-    }
+    let lines: Vec<_> = census::keys()
+        .into_iter()
+        .map(|(family, n, seed)| census_line(family, n, seed))
+        .collect();
     let fresh = render(&lines);
     if std::env::var_os("SSP_BLESS").is_some() {
         std::fs::write(SNAPSHOT, &fresh).expect("write the census snapshot");

@@ -13,9 +13,11 @@
 //! On top of that, one forced-`Flow` WAP solver driven through a sequence
 //! of demands must match the exact reference and certify at every step,
 //! and the engine's one warm start, a flow seeded from the sweep's greedy
-//! allocation, must resume to the exact value. Above the engines, the WAP
-//! solver's sweep-first dispatch must answer every solve of a demand
-//! sequence exactly as the forced flow engine does.
+//! allocation, must resume to the exact value. The sweep moved cell by cell
+//! with `set_cell` and solved on subsets of the jobs must read back bit for
+//! bit what a fresh sweep reads back. Above the engines, the WAP solver's
+//! sweep-first dispatch must answer every solve of a demand sequence
+//! exactly as the forced flow engine does.
 
 use ssp_maxflow::reference::IntFlowNetwork;
 use ssp_maxflow::{EdgeId, FlowNetwork, SweepFlow};
@@ -373,41 +375,105 @@ fn sweep_matches_engines_on_random_wap_instances() {
     });
 }
 
-/// Randomized capacity re-parameterizations: each round rescales demands and
-/// caps and the sweep is rebuilt (its constructor is the re-parameterization
-/// path the `WapSolver` uses). A certified sweep must match the exact
-/// reference at every round, and an uncertified one must never exceed it.
+/// Everything a consumer reads off a sweep solve, as bits: value, demand,
+/// certificate, cut sides, and every job's allotment and every cell's
+/// usage.
+type SweepReadback = (
+    u64,
+    u64,
+    bool,
+    Vec<bool>,
+    Vec<bool>,
+    Vec<Vec<(usize, u64)>>,
+    Vec<u64>,
+);
+
+fn sweep_readback(sweep: &SweepFlow) -> SweepReadback {
+    let bits = |t: f64| t.to_bits();
+    (
+        bits(sweep.value()),
+        bits(sweep.demand()),
+        sweep.certified(),
+        sweep.job_side().to_vec(),
+        sweep.cell_side().to_vec(),
+        (0..sweep.num_jobs())
+            .map(|i| {
+                let mut cells: Vec<(usize, u64)> =
+                    sweep.allocs_of(i).map(|(j, t)| (j, bits(t))).collect();
+                cells.push((usize::MAX, bits(sweep.routed(i))));
+                cells
+            })
+            .collect(),
+        (0..sweep.num_cells())
+            .map(|j| bits(sweep.cell_usage(j)))
+            .collect(),
+    )
+}
+
+/// The sweep's re-parameterization path, the one a `WapSolver` takes from
+/// one BAL node to the next: one `SweepFlow` moved cell by cell with
+/// `set_cell` and solved on a random subset of the jobs with `solve_jobs`,
+/// next to a second one that takes only the subset's span, so the cells
+/// outside it keep stale capacities. Each round changes some cells and
+/// demands. Both must read back bit for bit what a fresh `SweepFlow` built
+/// at the round's capacities reads back when it solves every job with
+/// demand 0 outside the subset, and a certified solve must match the exact
+/// reference.
 #[test]
-fn sweep_reparameterization_tracks_warm_and_exact_engines() {
+fn set_cell_span_solves_match_fresh_sweeps_and_the_exact_reference() {
     check::cases(64, 0xD1FF_0006, |rng| {
         let mut shape = random_wap_shape(rng);
-        let m = shape.cell_cap.len();
-        for _round in 0..5 {
-            for d in shape.demands.iter_mut() {
-                if rng.gen_range(0u32..3) == 0 {
-                    *d = rng.gen_range(0u32..12) as f64;
-                }
-            }
+        let (n, m) = (shape.windows.len(), shape.cell_cap.len());
+        let build = |shape: &WapShape| {
+            SweepFlow::new(
+                shape.windows.clone(),
+                shape.edge_cap.clone(),
+                shape.cell_cap.clone(),
+            )
+        };
+        let mut everywhere = build(&shape);
+        let mut span_only = build(&shape);
+        let demands = shape.demands.clone();
+        for round in 0..5 {
             for j in 0..m {
                 if rng.gen_range(0u32..3) == 0 {
                     shape.cell_cap[j] = rng.gen_range(0u32..10) as f64;
                     shape.edge_cap[j] = shape.edge_cap[j].min(shape.cell_cap[j]);
+                    everywhere.set_cell(j, shape.edge_cap[j], shape.cell_cap[j]);
                 }
             }
+            let jobs: Vec<usize> = (0..n).filter(|_| rng.gen_range(0u32..3) > 0).collect();
+            for (i, d) in shape.demands.iter_mut().enumerate() {
+                *d = if jobs.contains(&i) {
+                    demands[i] + rng.gen_range(0u32..4) as f64
+                } else {
+                    0.0
+                };
+            }
+            for j in span_only.span_of(&jobs) {
+                span_only.set_cell(j, shape.edge_cap[j], shape.cell_cap[j]);
+            }
+            let p: Vec<f64> = jobs.iter().map(|&i| shape.demands[i]).collect();
+            let mut fresh = build(&shape);
+            let value = fresh.solve(&shape.demands);
+            let expected = sweep_readback(&fresh);
+            for (name, sweep) in [("everywhere", &mut everywhere), ("span", &mut span_only)] {
+                let v = sweep.solve_jobs(&jobs, &p);
+                assert_eq!(v.to_bits(), value.to_bits(), "{name} round {round}: value");
+                assert_eq!(
+                    sweep_readback(sweep),
+                    expected,
+                    "{name} round {round}: jobs {jobs:?}"
+                );
+            }
             let exact = exact_value(&shape);
-            let mut sweep = SweepFlow::new(
-                shape.windows.clone(),
-                shape.edge_cap.clone(),
-                shape.cell_cap.clone(),
-            );
-            let sweep_value = sweep.solve(&shape.demands);
-            if sweep.certified() {
+            if fresh.certified() {
                 assert!(
-                    (sweep_value - exact).abs() <= 1e-9 * (1.0 + exact),
-                    "certified sweep {sweep_value} vs exact {exact}"
+                    (value - exact).abs() <= 1e-9 * (1.0 + exact),
+                    "certified sweep {value} vs exact {exact}"
                 );
             } else {
-                assert!(sweep_value <= exact + 1e-9 * (1.0 + exact));
+                assert!(value <= exact + 1e-9 * (1.0 + exact));
             }
         }
     });
