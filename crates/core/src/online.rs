@@ -34,8 +34,7 @@ pub fn try_avr_m(instance: &Instance) -> Result<Schedule, SolveError> {
     let m = instance.machines();
     let ivals = IntervalSet::from_jobs(instance.jobs());
     let mut schedule = Schedule::new(m);
-    for j in 0..ivals.len() {
-        let alive = ivals.alive(j);
+    for (j, alive) in ivals.alive_lists().iter().enumerate() {
         if alive.is_empty() {
             continue;
         }
@@ -211,8 +210,7 @@ pub fn avr_m_energy(instance: &Instance) -> f64 {
     let ivals = IntervalSet::from_jobs(instance.jobs());
     let alpha = instance.alpha();
     let mut total = 0.0;
-    for j in 0..ivals.len() {
-        let alive = ivals.alive(j);
+    for (j, alive) in ivals.alive_lists().iter().enumerate() {
         if alive.is_empty() {
             continue;
         }

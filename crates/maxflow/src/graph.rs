@@ -1,11 +1,12 @@
 //! Dinic's max-flow over `f64` capacities, with residual-reachability
-//! queries, per-edge flow readback, and **one warm start**: the caller
-//! seeds a valid flow edge by edge ([`FlowNetwork::set_flow`]) and
-//! [`FlowNetwork::resume_max_flow`] augments it to a maximum one instead
-//! of solving from scratch — the
+//! queries read off the last solve's final BFS, per-edge flow readback, and
+//! **one warm start**: the caller seeds a valid flow edge by edge
+//! ([`FlowNetwork::set_flow`]) and [`FlowNetwork::resume_max_flow`]
+//! augments it to a maximum one instead of solving from scratch — the
 //! primitive behind the WAP solver's sweep-seeded fallback (see `DESIGN.md`
 //! §"Parametric max-flow"). Conservation of the seeded flow is the caller's,
-//! which knows the network's shape.
+//! which knows the network's shape. A reachability query after an edge
+//! change, with no solve in between, is refused.
 //!
 //! Layout: the edge store is flat structure-of-arrays (`to`/`cap`/`orig`/
 //! `eps`, pairs at `2k`/`2k+1`) and adjacency is a CSR index built from the
@@ -52,13 +53,12 @@ pub struct FlowNetwork {
     csr_edges: Vec<u32>,
     /// Set by `add_edge`; the next solve rebuilds the CSR.
     csr_stale: bool,
-    /// Source and sink of the last solve (for the reachability queries).
-    terminals: Option<(usize, usize)>,
     // Scratch buffers reused across blocking-flow phases.
     level: Vec<i32>,
     /// Set when a solve ends, cleared by every later change to the edges:
     /// `level` then holds the last solve's final BFS, which never reached
-    /// the sink and so labelled exactly the residual-reachable nodes.
+    /// the sink and so labelled exactly the residual-reachable nodes. The
+    /// reachability queries read only these levels.
     levels_current: bool,
     /// BFS queue: each node is pushed at most once per BFS.
     queue: Vec<u32>,
@@ -79,7 +79,6 @@ impl FlowNetwork {
             csr_start: vec![0; n + 1],
             csr_edges: Vec::new(),
             csr_stale: false,
-            terminals: None,
             level: vec![-1; n],
             levels_current: false,
             queue: Vec::with_capacity(n),
@@ -143,27 +142,6 @@ impl FlowNetwork {
         self.csr_stale = false;
     }
 
-    /// Fresh CSR adjacency ignoring (not updating) the cached one — the
-    /// slow path for `&self` queries issued while the cache is stale.
-    fn build_csr_fresh(&self) -> (Vec<u32>, Vec<u32>) {
-        let n = self.num_nodes;
-        let mut start = vec![0u32; n + 1];
-        for id in 0..self.to.len() {
-            start[self.to[id ^ 1] as usize + 1] += 1;
-        }
-        for u in 0..n {
-            start[u + 1] += start[u];
-        }
-        let mut cursor: Vec<u32> = start[..n].to_vec();
-        let mut edges = vec![0u32; self.to.len()];
-        for id in 0..self.to.len() {
-            let u = self.to[id ^ 1] as usize;
-            edges[cursor[u] as usize] = id as u32;
-            cursor[u] += 1;
-        }
-        (start, edges)
-    }
-
     fn ensure_csr(&mut self) {
         if self.csr_stale {
             self.rebuild_csr();
@@ -207,8 +185,8 @@ impl FlowNetwork {
         value
     }
 
-    /// Check the terminals, refresh the CSR and remember the terminals for
-    /// the reachability queries: the common prologue of both solves.
+    /// Check the terminals and refresh the CSR: the common prologue of both
+    /// solves.
     fn begin_solve(&mut self, s: usize, t: usize) {
         assert!(
             s < self.num_nodes && t < self.num_nodes,
@@ -216,7 +194,6 @@ impl FlowNetwork {
         );
         assert_ne!(s, t, "source and sink must differ");
         self.ensure_csr();
-        self.terminals = Some((s, t));
         self.levels_current = false;
     }
 
@@ -391,44 +368,22 @@ impl FlowNetwork {
         0.0
     }
 
-    /// Nodes reachable from the source of the last `max_flow` call in the
-    /// residual graph. After a max flow, this is the source side `X` of the
+    /// Nodes reachable from the source of the last solve in the residual
+    /// graph. After a max flow, this is the source side `X` of the
     /// canonical minimum cut, and precisely the set of *upstream* nodes
-    /// (nodes on the source side of **every** minimum cut). Right after a
-    /// solve this reads the solve's last BFS; once an edge has changed it
-    /// runs a BFS of its own over the cached CSR, or a fresh one while the
-    /// cache is stale.
+    /// (nodes on the source side of **every** minimum cut). It reads the
+    /// last solve's final BFS, so it must follow the solve: a query before
+    /// any solve, or after an edge changed since the last one, is refused.
     pub fn residual_reachable_from_source(&self) -> Vec<bool> {
-        let (s, _) = self.terminals.expect("call max_flow first");
-        if self.levels_current {
-            return self.level.iter().map(|&l| l >= 0).collect();
-        }
-        let storage;
-        let (start, edges): (&[u32], &[u32]) = if self.csr_stale {
-            storage = self.build_csr_fresh();
-            (&storage.0, &storage.1)
-        } else {
-            (&self.csr_start, &self.csr_edges)
-        };
-        let mut seen = vec![false; self.num_nodes];
-        let mut queue = std::collections::VecDeque::new();
-        seen[s] = true;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for idx in start[u]..start[u + 1] {
-                let ei = edges[idx as usize] as usize;
-                let v = self.to[ei] as usize;
-                if self.cap[ei] > self.eps[ei] && !seen[v] {
-                    seen[v] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        seen
+        assert!(
+            self.levels_current,
+            "reachability is read from the last solve: solve after every edge change"
+        );
+        self.level.iter().map(|&l| l >= 0).collect()
     }
 
-    /// The minimum-cut edges of the last `max_flow` call: forward edges from
-    /// the residual-reachable side to the rest. Their capacities sum to the
+    /// The minimum-cut edges of the last solve: forward edges from the
+    /// residual-reachable side to the rest. Their capacities sum to the
     /// flow value (max-flow/min-cut theorem).
     pub fn min_cut_edges(&self) -> Vec<EdgeId> {
         let side = self.residual_reachable_from_source();
@@ -618,24 +573,12 @@ mod tests {
         assert!((g.max_flow(0, 5) - cold_value(&g, 0, 5)).abs() < 1e-12);
     }
 
-    #[test]
-    fn queries_survive_edges_added_after_a_solve() {
-        // Adding an edge staleness-marks the CSR; `&self` reachability
-        // queries must still answer (over the up-to-date topology) without
-        // a solve in between.
-        let (mut g, _) = clrs();
-        g.max_flow(0, 5);
-        let before = g.residual_reachable_from_source();
-        g.add_edge(0, 4, 0.0); // zero-cap: reachability unchanged
-        let after = g.residual_reachable_from_source();
-        assert_eq!(before, after);
-    }
-
-    /// Residual reachability from the last source by a full BFS over the
-    /// edge list, independent of the CSR and the kept levels.
+    /// Residual reachability from node 0, the source of every solve here,
+    /// by a full BFS over the edge list, independent of the CSR and the
+    /// kept levels.
     fn full_bfs(g: &FlowNetwork) -> Vec<bool> {
         let mut seen = vec![false; g.num_nodes];
-        seen[g.terminals.expect("solved").0] = true;
+        seen[0] = true;
         let mut grew = true;
         while grew {
             grew = false;
@@ -650,44 +593,19 @@ mod tests {
         seen
     }
 
-    /// The source side is read from a solve's last BFS, so every edge
-    /// change after a solve must reach the next query without a solve in
-    /// between; right after `max_flow` and `resume_max_flow` the kept side
-    /// equals a full BFS.
+    /// The source side is read from a solve's last BFS, so a query after
+    /// an edge change, with no solve in between, is refused.
     #[test]
-    fn reachability_follows_every_edge_change_after_a_solve() {
+    #[should_panic(expected = "reachability is read from the last solve")]
+    fn reachability_after_an_edge_change_is_refused() {
         // s → a → t, both edges saturated by the max flow: a is cut off.
-        let solved = || {
-            let mut g = FlowNetwork::new(3);
-            let sa = g.add_edge(0, 1, 5.0);
-            g.add_edge(1, 2, 5.0);
-            assert_eq!(g.max_flow(0, 2), 5.0);
-            assert!(g.levels_current);
-            assert_eq!(g.residual_reachable_from_source(), full_bfs(&g));
-            assert_eq!(g.residual_reachable_from_source(), [true, false, false]);
-            (g, sa)
-        };
-
-        let (mut g, sa) = solved();
+        let mut g = FlowNetwork::new(3);
+        let sa = g.add_edge(0, 1, 5.0);
+        g.add_edge(1, 2, 5.0);
+        assert_eq!(g.max_flow(0, 2), 5.0);
+        assert_eq!(g.residual_reachable_from_source(), [true, false, false]);
         g.set_capacity(sa, 8.0);
-        assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
-
-        let (mut g, sa) = solved();
-        g.set_flow(sa, 4.0);
-        assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
-
-        let (mut g, _) = solved();
-        g.add_edge(0, 1, 1.0);
-        assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
-
-        // After a resume the kept side is current again, and equals a full
-        // BFS.
-        let (mut g, sa) = solved();
-        g.set_capacity(sa, 8.0);
-        assert_eq!(g.resume_max_flow(0, 2), 5.0);
-        assert!(g.levels_current);
-        assert_eq!(g.residual_reachable_from_source(), full_bfs(&g));
-        assert_eq!(g.residual_reachable_from_source(), [true, true, false]);
+        g.residual_reachable_from_source();
     }
 
     /// On a network where the sink is found long before the BFS could

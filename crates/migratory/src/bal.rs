@@ -378,8 +378,8 @@ impl Node {
     /// The slower child once `fast` is split off along the cut whose
     /// intervals are `cell_side` (over the node's span): the cut's
     /// intervals close, every other interval gives up `e_j` per job of
-    /// `fast` alive there, and small remainders snap to 0 as
-    /// [`Wap::set_capacity`] snaps them.
+    /// `fast` alive there, and a remainder at or below `1e-9·|I_j|` snaps
+    /// to 0.
     fn slow_child(&self, wap: &Wap, fast: &[usize], slow: Vec<usize>, cell_side: &[bool]) -> Node {
         let span = wap.span_of(&slow);
         let caps = self.caps[span.start - self.lo..span.end - self.lo].to_vec();

@@ -125,11 +125,12 @@ impl std::error::Error for KktViolation {}
 ///
 /// One pass over each job's allotment, merged per interval and sorted by
 /// it, checks the job's own conditions (span, range, conservation) and
-/// walks its window, filing the job's speed under its interval's runner
-/// classes: zero or not, full or not, partial. Each condition across jobs
-/// is then one comparison of class extremes per interval: P2 compares the
-/// fastest idle job with the slowest runner, P3 the slowest full job with
-/// the fastest non-full one, P4 the partial runners' extremes. `Tol`'s
+/// walks its window, counting the job among its interval's alive jobs and
+/// filing its speed under the interval's runner classes: zero or not, full
+/// or not, partial. Each condition across jobs is then one comparison per
+/// interval: P5 reads the alive count, P2 compares the fastest idle job
+/// with the slowest runner, P3 the slowest full job with the fastest
+/// non-full one, P4 the partial runners' extremes. `Tol`'s
 /// comparisons are monotone on finite speeds (for `rel < 1`), so that
 /// comparison fails exactly when some pair of the class fails, and the
 /// verdict is the pairwise one. A non-finite speed is not ordered by them
@@ -154,11 +155,7 @@ pub fn certify(instance: &Instance, sol: &BalSolution, tol: Tol) -> Result<(), K
     let mut runners = vec![Runners::default(); ivals.len()];
     let mut row: Vec<(usize, f64)> = Vec::new();
     for i in 0..instance.len() {
-        let (first, last) = match ivals.intervals_of(i) {
-            [] => (1, 0), // alive nowhere
-            span => (span[0], span[span.len() - 1]),
-        };
-        let window = first..=last;
+        let window = ivals.intervals_of(i);
         row.clear();
         for &(j, time) in sol.allotments.get(i).map_or(&[][..], Vec::as_slice) {
             if !window.contains(&j) {
@@ -222,12 +219,11 @@ pub fn certify(instance: &Instance, sol: &BalSolution, tol: Tol) -> Result<(), K
     }
     for (j, r) in runners.iter().enumerate() {
         // P5: few alive jobs => all full.
-        let alive = ivals.alive(j).len();
-        if let Some(job) = r.short.jobs().next().filter(|_| alive <= m) {
+        if let Some(job) = r.short.jobs().next().filter(|_| r.alive <= m) {
             return Err(KktViolation::UnderloadedIntervalNotFull {
                 job,
                 interval: j,
-                alive,
+                alive: r.alive,
             });
         }
         // P2: an idle job is never faster than a runner.
@@ -263,6 +259,8 @@ pub fn certify(instance: &Instance, sol: &BalSolution, tol: Tol) -> Result<(), K
 /// One interval's alive jobs filed by how much of it each one runs.
 #[derive(Debug, Clone, Default)]
 struct Runners {
+    /// How many jobs are alive in the interval: every one is filed once.
+    alive: usize,
     idle: Ends,
     running: Ends,
     full: Ends,
@@ -272,6 +270,7 @@ struct Runners {
 
 impl Runners {
     fn file(&mut self, i: u32, speeds: &[f64], zero: bool, full: bool) {
+        self.alive += 1;
         if zero {
             self.idle.add(i, speeds);
         } else {
@@ -422,9 +421,8 @@ mod tests {
                 });
             }
         }
-        for j in 0..ivals.len() {
+        for (j, alive) in ivals.alive_lists().iter().enumerate() {
             let len = ivals.length(j);
-            let alive = ivals.alive(j);
             let is_zero = |i: usize| t[i][j] <= tol.margin(len);
             let is_full = |i: usize| t[i][j] >= len - tol.margin(len);
             if alive.len() <= instance.machines() {
@@ -536,7 +534,7 @@ mod tests {
                 interval: j,
                 alive: count,
             } => {
-                count == ivals.alive(j).len()
+                count == (0..sol.speeds.len()).filter(|&i| alive(i, j)).count()
                     && count <= instance.machines()
                     && alive(job, j)
                     && !full(job, j)

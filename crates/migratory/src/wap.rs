@@ -22,13 +22,15 @@
 //! identical verdicts and canonical cut sides, so every downstream consumer
 //! (BAL's splits, schedule readback) is kernel-agnostic.
 //!
-//! A solve may route a subset of the jobs ([`WapSolver::solve_jobs`]); it
-//! then touches only those jobs and their *span*, the cells from their
-//! earliest window start to their latest window end, and
-//! [`WapSolver::reparameterize`] moves a span's capacities in place. That is
-//! how BAL's decomposition nodes each cost their own size on one solver. A
-//! whole-WAP solve ([`WapSolver::solve`], [`Wap::solve`]) is the subset of
-//! every job.
+//! Every job is alive on one contiguous run of intervals, its *window*
+//! ([`IntervalSet::intervals_of`]); the WAP, the sweep and the Dinic
+//! engine's job edges all follow the windows. A solve may route a subset of
+//! the jobs ([`WapSolver::solve_jobs`]); it then touches only those jobs and
+//! their *span*, the cells from their earliest window start to their latest
+//! window end, and [`WapSolver::reparameterize`] moves a span's capacities
+//! in place. That is how BAL's decomposition nodes each cost their own size
+//! on one solver. A whole-WAP solve ([`WapSolver::solve`], [`Wap::solve`])
+//! is the subset of every job.
 
 use ssp_maxflow::{EdgeId, FlowNetwork, SweepFlow};
 use ssp_model::numeric::Tol;
@@ -49,7 +51,8 @@ pub enum WapKernel {
     Flow,
 }
 
-/// A WAP instance: per-job alive windows plus capacities.
+/// A WAP instance: per-job alive windows plus capacities, fixed at
+/// construction.
 ///
 /// Job indexing is the caller's (for [`Wap::from_instance`] it is the
 /// instance's internal indexing); interval indexing refers to the interval
@@ -70,7 +73,11 @@ pub struct Wap {
 
 impl Wap {
     /// Build from explicit parts: `windows[i] = (lo, hi)` is job `i`'s
-    /// inclusive alive window (`lo > hi` for a job alive nowhere).
+    /// inclusive alive window (`lo > hi` for a job alive nowhere). A
+    /// capacity at or below `1e-9·|I_j|` is stored as exactly zero: `c −
+    /// e_j·k` updates on non-dyadic lengths leave ~1e-16 residues, and an
+    /// "open" interval with no real capacity would let a later node allot a
+    /// full machine that does not exist.
     pub fn new(windows: Vec<(u32, u32)>, lengths: Vec<f64>, capacity: Vec<f64>) -> Self {
         assert_eq!(lengths.len(), capacity.len());
         for &(lo, hi) in &windows {
@@ -79,22 +86,27 @@ impl Wap {
                 "alive window out of range"
             );
         }
-        Wap {
+        let mut wap = Wap {
             windows,
             lengths,
             capacity,
             kernel: WapKernel::Auto,
+        };
+        for j in 0..wap.capacity.len() {
+            wap.capacity[j] = wap.snapped(j, wap.capacity[j]);
         }
+        wap
     }
 
     /// Build over `intervals` (a decomposition of `instance`'s jobs) with
-    /// per-interval capacities `capacity`.
+    /// per-interval capacities `capacity`: each job's window is its
+    /// interval-set window.
     pub fn over(instance: &Instance, intervals: &IntervalSet, capacity: Vec<f64>) -> Self {
         let lengths = (0..intervals.len()).map(|j| intervals.length(j)).collect();
         let windows = (0..instance.len())
             .map(|i| match intervals.intervals_of(i) {
-                [] => (1, 0), // alive nowhere
-                run => (run[0] as u32, run[run.len() - 1] as u32),
+                run if run.is_empty() => (1, 0), // alive nowhere
+                run => (run.start as u32, (run.end - 1) as u32),
             })
             .collect();
         Wap::new(windows, lengths, capacity)
@@ -141,18 +153,8 @@ impl Wap {
         self.kernel = kernel;
     }
 
-    /// Mutate a capacity (BAL's per-node capacities). Values below a relative
-    /// epsilon of the interval length snap to exactly zero: `c − e_j·k`
-    /// updates on non-dyadic lengths leave ~1e-16 residues, and an "open"
-    /// interval with no real capacity would let a later node allot a full
-    /// machine that does not exist.
-    pub fn set_capacity(&mut self, j: usize, c: f64) {
-        assert!(c >= 0.0);
-        self.capacity[j] = self.snapped(j, c);
-    }
-
-    /// Capacity `c` of interval `j` as [`Wap::set_capacity`] stores it:
-    /// exactly zero below `1e-9·|I_j|`.
+    /// Capacity `c` of interval `j` as [`Wap::new`] stores it: exactly zero
+    /// at or below `1e-9·|I_j|`.
     pub(crate) fn snapped(&self, j: usize, c: f64) -> f64 {
         if c <= 1e-9 * self.lengths[j] {
             0.0
@@ -201,25 +203,19 @@ impl Wap {
         (if c > 0.0 { self.lengths[j].min(c) } else { 0.0 }, c)
     }
 
-    /// Build a persistent solver over the *current* capacities: a sweep
-    /// snapshot of the structure (each sweep solve is an independent
-    /// `O(n log n)` pass) plus a Dinic engine over the same snapshot, built
-    /// the first time the engine has to answer. Every solve starts over:
-    /// no flow carries from one solve to the next.
-    ///
-    /// Snapshot semantics: later [`Wap::set_capacity`] calls do not reach
-    /// an existing solver; [`WapSolver::reparameterize`] moves a span of
+    /// Build a persistent solver over these capacities: a sweep snapshot of
+    /// the structure (each sweep solve is an independent `O(n log n)` pass)
+    /// plus a Dinic engine over the same snapshot, built the first time the
+    /// engine has to answer. Every solve starts over: no flow carries from
+    /// one solve to the next. [`WapSolver::reparameterize`] moves a span of
     /// its cells to new capacities, which BAL does once per decomposition
-    /// node on the one solver it builds per solve. The cells open now are
-    /// the only cells the solver can ever open: the Dinic engine has job
-    /// edges into exactly these.
+    /// node on the one solver it builds per solve.
     pub fn solver(&self) -> WapSolver {
         let _span = ssp_probe::span("wap.solver_build");
         let (edge_cap, cell_cap): (Vec<f64>, Vec<f64>) = (0..self.num_intervals())
             .map(|j| self.cell_caps(j, self.capacity[j]))
             .unzip();
         WapSolver {
-            built_open: cell_cap.iter().map(|&c| c > 0.0).collect(),
             sweep: SweepFlow::new(self.windows.clone(), edge_cap, cell_cap),
             engine: None,
             kernel: self.kernel,
@@ -267,10 +263,10 @@ struct FlowState {
 }
 
 impl FlowState {
-    /// Build Horn's network over a sweep snapshot's structure: job edges
-    /// exist only into the cells `open` (the cells open when the solver was
-    /// built). Every capacity starts at zero: each solve sets them.
-    fn build(sweep: &SweepFlow, open: &[bool]) -> FlowState {
+    /// Build Horn's network over a sweep snapshot's structure: a job edge
+    /// into every cell of each job's window. Every capacity starts at zero:
+    /// each solve sets them.
+    fn build(sweep: &SweepFlow) -> FlowState {
         let _span = ssp_probe::span("wap.fallback_build");
         let (n, l) = (sweep.num_jobs(), sweep.num_cells());
         let sink = n + l + 1;
@@ -279,7 +275,7 @@ impl FlowState {
         let mut job_edges: Vec<Vec<(usize, EdgeId)>> = vec![Vec::new(); n];
         for (i, edges) in job_edges.iter_mut().enumerate() {
             if let Some((lo, hi)) = sweep.window(i) {
-                for j in (lo..=hi).filter(|&j| open[j]) {
+                for j in lo..=hi {
                     edges.push((j, net.add_edge(1 + i, 1 + n + j, 0.0)));
                 }
             }
@@ -301,9 +297,9 @@ impl FlowState {
     /// to the snapshot's single-job cap, the edges of a job whose demand is
     /// gone to 0 (the clamp empties them), the sink edges of the jobs' span
     /// to the cells' capacities and the source edges to the demands, as a
-    /// fresh build over this snapshot would for every path a flow can take:
-    /// edges into cells closed since the solver's build get capacity 0, and
-    /// a zero-capacity edge carrying no flow is never residual. A sink edge
+    /// fresh build over this snapshot would: edges into closed cells get
+    /// capacity 0, and a zero-capacity edge carrying no flow is never
+    /// residual, so it changes no path, flow or cut. A sink edge
     /// outside the span keeps its capacity and gives up its flow: no job
     /// with demand reaches it. The flows are the caller's to reset (a cold
     /// solve) or to seed. The CSR keeps insertion order, so every Dinic
@@ -362,8 +358,7 @@ impl FlowState {
         // A job that is not live has no demand and its edges no flow.
         for &i in &self.live_jobs {
             // Both lists are ascending in cell index; walk them in lockstep
-            // (the sweep allocates only into open cells, all of which have
-            // edges).
+            // (every cell of the job's window has an edge).
             let mut alloc = sweep.allocs_of(i);
             let mut cur = alloc.next();
             for &(j, e) in &self.job_edges[i] {
@@ -410,7 +405,7 @@ impl FlowState {
 /// when the sweep declines (see [`WapSolver::solve_jobs`]); a
 /// [`WapKernel::Flow`] solver runs the engine alone.
 /// [`WapSolver::reparameterize`] moves a span of the snapshot to new
-/// capacities in place, inside the cells open at the build. Counters:
+/// capacities in place. Counters:
 /// `wap.flow_calls` (every solve), `wap.fast_path` (certified sweep
 /// solves), `wap.fast_fallback` (a decline: the engine, built at the
 /// solver's first decline, starts from the greedy flow), `wap.sweep_ops`
@@ -421,9 +416,6 @@ impl FlowState {
 pub struct WapSolver {
     /// The structure snapshot and the fast path.
     sweep: SweepFlow,
-    /// The cells open at the build: the engine's job edges lead into
-    /// these, and no re-parameterization opens another.
-    built_open: Vec<bool>,
     /// Dinic over the same snapshot, built the first time it has to answer
     /// and kept across re-parameterizations.
     engine: Option<Box<FlowState>>,
@@ -491,10 +483,10 @@ impl WapSolver {
             // with the greedy flow so only the undershoot needs augmenting.
             ssp_probe::counter!("wap.fast_fallback");
         }
-        let (sweep, open) = (&self.sweep, &self.built_open);
+        let sweep = &self.sweep;
         let fs = self
             .engine
-            .get_or_insert_with(|| Box::new(FlowState::build(sweep, open)));
+            .get_or_insert_with(|| Box::new(FlowState::build(sweep)));
         let _s = ssp_probe::span("wap.fallback_solve");
         self.value = if auto {
             fs.solve_seeded(jobs, p, sweep)
@@ -507,16 +499,14 @@ impl WapSolver {
 
     /// Move the cells `lo..lo + caps.len()` to capacities `caps` in place:
     /// BAL's step from one decomposition node to the next, over the node's
-    /// span. `wap` must be the instance this solver was built from; it
-    /// gives the lengths, and each capacity is snapped as
-    /// [`Wap::set_capacity`] snaps it. No capacity may open a cell closed
-    /// at the build (every node's open cells lie inside the root's). The
-    /// sweep snapshot takes the new capacities cell by cell; the other
-    /// cells keep theirs. A built engine is kept: its next solve sets its
-    /// job and sink edges from the new snapshot and answers bit for bit
-    /// what a fresh [`Wap::solver`] at these capacities answers for jobs
-    /// whose span lies inside these cells. The last solve's results are
-    /// void until the next solve.
+    /// span. `wap` must have this solver's shape; it gives the lengths, and
+    /// each capacity is snapped as [`Wap::new`] snaps it: exactly zero at
+    /// or below `1e-9·|I_j|`. The sweep snapshot takes the new capacities
+    /// cell by cell; the other cells keep theirs. A built engine is kept:
+    /// its next solve sets its job and sink edges from the new snapshot and
+    /// answers bit for bit what a fresh [`Wap::solver`] at these capacities
+    /// answers for jobs whose span lies inside these cells. The last
+    /// solve's results are void until the next solve.
     pub fn reparameterize(&mut self, wap: &Wap, lo: usize, caps: &[f64]) {
         assert_eq!(
             (wap.num_jobs(), wap.num_intervals()),
@@ -526,10 +516,6 @@ impl WapSolver {
         for (j, &c) in (lo..).zip(caps) {
             assert!(c >= 0.0);
             let (edge_cap, cell_cap) = wap.cell_caps(j, wap.snapped(j, c));
-            assert!(
-                cell_cap <= 0.0 || self.built_open[j],
-                "re-parameterization opens cell {j}, closed at the solver's build"
-            );
             self.sweep.set_cell(j, edge_cap, cell_cap);
         }
     }
@@ -736,12 +722,12 @@ mod tests {
     #[test]
     fn effective_density_with_closed_intervals() {
         let instance = inst(vec![Job::new(0, 2.0, 0.0, 4.0)], 1);
-        let (mut wap, ivals) = Wap::from_instance(&instance);
+        let (wap, ivals) = Wap::from_instance(&instance);
         assert_eq!(ivals.len(), 1);
         assert_eq!(wap.open_time_of(0), 4.0);
-        wap.set_capacity(0, 0.0);
-        assert_eq!(wap.open_time_of(0), 0.0);
-        assert_eq!(wap.open_intervals_of(0).count(), 0);
+        let closed = Wap::over(&instance, &ivals, vec![0.0]);
+        assert_eq!(closed.open_time_of(0), 0.0);
+        assert_eq!(closed.open_intervals_of(0).count(), 0);
     }
 
     #[test]
@@ -895,29 +881,29 @@ mod tests {
         );
     }
 
-    /// `Wap::set_capacity` after building one solver must be visible to the
-    /// *next* solver on both kernels, and to the existing one only once its
-    /// span is re-parameterized (snapshot semantics).
+    /// A solver answers at the capacities it was built with: a `Wap` with
+    /// the only interval closed reaches fresh solvers on both kernels, and
+    /// an existing solver only once its span is re-parameterized to it.
     #[test]
     fn reparameterized_capacities_reach_fresh_solvers_on_both_kernels() {
         let instance = inst(vec![Job::new(0, 2.0, 0.0, 2.0)], 2);
-        let (mut wap, _) = Wap::from_instance(&instance);
-        let mut before = wap.solver();
+        let (open, ivals) = Wap::from_instance(&instance);
+        let closed = Wap::over(&instance, &ivals, vec![0.0]);
+        let mut before = open.solver();
         assert!(before.solve(&[2.0]) >= 2.0 - 1e-12);
         assert!(before.feasible());
-        // Close the only interval; a fresh solver must see zero capacity.
-        wap.set_capacity(0, 0.0);
+        // A fresh solver over the closed interval sees zero capacity.
         for kernel in [WapKernel::Auto, WapKernel::Flow] {
-            let mut w = wap.clone();
+            let mut w = closed.clone();
             w.set_kernel(kernel);
             let mut s = w.solver();
             assert_eq!(s.solve(&[2.0]), 0.0, "{kernel:?} must see closed interval");
             assert!(!s.feasible());
         }
-        // The pre-existing solver keeps its snapshot (documented contract)
-        // until the job's span is re-parameterized.
+        // The existing solver keeps its capacities until the job's span is
+        // re-parameterized.
         assert!(before.solve_jobs(&[0], &[2.0]) >= 2.0 - 1e-12);
-        before.reparameterize(&wap, 0, &[wap.capacity(0)]);
+        before.reparameterize(&closed, 0, &[closed.capacity(0)]);
         assert_eq!(before.solve_jobs(&[0], &[2.0]), 0.0);
         assert!(!before.feasible());
     }
@@ -976,21 +962,29 @@ mod tests {
     /// rounds the capacities change as BAL changes them: the saturated
     /// intervals close, every other interval of a critical job's window
     /// loses one machine (`|I_j|`), and the critical jobs' demands go to
-    /// zero.
+    /// zero. Each round's capacities make a `Wap` of their own.
     fn replay_bal_rounds(instance: &Instance, kernel: WapKernel) -> (Reuse, usize) {
         let rounds = crate::bal::bal(instance).rounds;
-        let (mut wap, ivals) = Wap::from_instance(instance);
-        wap.set_kernel(kernel);
+        let (root, ivals) = Wap::from_instance(instance);
+        let mut caps: Vec<f64> = (0..root.num_intervals())
+            .map(|j| root.capacity(j))
+            .collect();
+        let round_wap = |caps: &[f64]| {
+            let mut wap = Wap::over(instance, &ivals, caps.to_vec());
+            wap.set_kernel(kernel);
+            wap
+        };
         let mut works: Vec<f64> = instance.jobs().iter().map(|j| j.work).collect();
-        let mut reused = wap.solver();
+        let mut reused = round_wap(&caps).solver();
         let mut reuse = Reuse::default();
         let engine = |s: &WapSolver| s.engine.as_deref().map(|e| e as *const FlowState);
         for (r, round) in rounds.iter().enumerate() {
+            let wap = round_wap(&caps);
             let left: Vec<usize> = (0..works.len()).filter(|&i| works[i] > 0.0).collect();
             let span = reused.sweep.span_of(&left);
             if r > 0 {
-                let caps: Vec<f64> = span.clone().map(|j| wap.capacity(j)).collect();
-                reused.reparameterize(&wap, span.start, &caps);
+                let span_caps: Vec<f64> = span.clone().map(|j| wap.capacity(j)).collect();
+                reused.reparameterize(&wap, span.start, &span_caps);
             }
             let mut fresh = wap.solver();
             for f in PROBES {
@@ -1013,14 +1007,13 @@ mod tests {
                 }
             }
             for &j in &round.saturated {
-                wap.set_capacity(j, 0.0);
+                caps[j] = 0.0;
             }
             for &i in &round.jobs {
                 works[i] = 0.0;
-                for j in ivals.intervals_of(i).iter().copied() {
-                    if wap.capacity(j) > 0.0 && !round.saturated.contains(&j) {
-                        let c = wap.capacity(j) - ivals.length(j);
-                        wap.set_capacity(j, c.max(0.0));
+                for j in ivals.intervals_of(i) {
+                    if caps[j] > 0.0 && !round.saturated.contains(&j) {
+                        caps[j] = (caps[j] - ivals.length(j)).max(0.0);
                     }
                 }
             }
@@ -1047,19 +1040,6 @@ mod tests {
         assert_eq!(flow.builds, 1, "{flow:?}");
         assert_eq!(flow.engine_answers, PROBES.len() * rounds, "{flow:?}");
         assert_eq!(flow.later_sweep_answers, 0, "{flow:?}");
-    }
-
-    /// A re-parameterization may close cells and reopen cells closed since
-    /// the build, but never open a cell closed at the build: the engine has
-    /// no edges into it.
-    #[test]
-    #[should_panic(expected = "closed at the solver's build")]
-    fn opening_a_cell_closed_at_the_build_is_refused() {
-        let wap = starvation_wap();
-        let mut s = wap.solver();
-        s.reparameterize(&wap, 0, &[0.0]);
-        s.reparameterize(&wap, 0, &[8.0]);
-        s.reparameterize(&wap, 1, &[6.0, 1.0]);
     }
 
     /// The forced Flow kernel agrees with Auto on elementary-interval
@@ -1094,5 +1074,19 @@ mod tests {
     #[should_panic(expected = "alive window out of range")]
     fn new_rejects_a_window_past_the_last_interval() {
         Wap::new(vec![(0, 1), (1, 2)], vec![1.0, 1.0], vec![1.0, 1.0]);
+    }
+
+    /// `Wap::new` stores a capacity at or below `1e-9·|I_j|` as exactly
+    /// zero, so a peeling residue closes its interval, and keeps any
+    /// capacity above it.
+    #[test]
+    fn new_snaps_residual_capacities_to_zero() {
+        let lengths = vec![2.0, 0.1, 4.0];
+        let residue = 0.1 - (0.3 - 0.2); // a few ulps, not 0
+        assert!(residue != 0.0);
+        let wap = Wap::new(vec![(0, 2)], lengths, vec![2e-9, residue, 4.1e-9]);
+        let caps: Vec<f64> = (0..3).map(|j| wap.capacity(j)).collect();
+        assert_eq!(caps, [0.0, 0.0, 4.1e-9]);
+        assert_eq!(wap.open_intervals_of(0).collect::<Vec<_>>(), [2]);
     }
 }

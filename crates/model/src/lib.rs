@@ -6,7 +6,8 @@
 //!   deadlines, to be run on `m` identical variable-speed processors with power
 //!   function `P(s) = s^alpha`.
 //! * [`interval`] — the canonical decomposition of the time axis at release
-//!   dates / deadlines, and alive-set bookkeeping (`A(j)` in the papers).
+//!   dates / deadlines, with each job's window of elementary intervals (the
+//!   alive sets `A(j)` of the papers, derived from the windows on demand).
 //! * [`Schedule`] — the output side: explicit per-processor segments with
 //!   speeds, plus an audited validator ([`Schedule::validate`]) and energy
 //!   accounting.
@@ -48,7 +49,7 @@ pub mod svg;
 pub use arrival::{ArrivalReader, ArrivalWriter, TraceHeader};
 pub use error::{ModelError, SolveError, ValidationError};
 pub use instance::Instance;
-pub use interval::{IntervalSet, Timeline};
+pub use interval::IntervalSet;
 pub use job::{Job, JobId};
 pub use resource::{Budget, Meter};
 pub use schedule::{Schedule, ScheduleStats, Segment};

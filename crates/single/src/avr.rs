@@ -16,9 +16,12 @@ use ssp_model::{IntervalSet, Job, Schedule};
 pub fn avr_energy(jobs: &[Job], alpha: f64) -> f64 {
     let ivals = IntervalSet::from_jobs(jobs);
     let dens: Vec<f64> = jobs.iter().map(Job::density).collect();
-    (0..ivals.len())
-        .map(|j| {
-            let s: f64 = ivals.alive(j).iter().map(|&i| dens[i]).sum();
+    ivals
+        .alive_lists()
+        .iter()
+        .enumerate()
+        .map(|(j, alive)| {
+            let s: f64 = alive.iter().map(|&i| dens[i]).sum();
             ivals.length(j) * pow_alpha(s, alpha)
         })
         .sum()
@@ -30,8 +33,7 @@ pub fn avr_schedule(jobs: &[Job], machine: usize) -> Schedule {
     let ivals = IntervalSet::from_jobs(jobs);
     let dens: Vec<f64> = jobs.iter().map(Job::density).collect();
     let mut schedule = Schedule::new(machine + 1);
-    for j in 0..ivals.len() {
-        let alive = ivals.alive(j);
+    for (j, alive) in ivals.alive_lists().iter().enumerate() {
         if alive.is_empty() {
             continue;
         }

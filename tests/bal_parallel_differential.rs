@@ -40,7 +40,10 @@ use std::collections::HashMap;
 /// `None` when no finite speed fits or a remaining job has no open
 /// interval left.
 fn oracle(instance: &Instance) -> Option<(Vec<Vec<usize>>, Vec<f64>)> {
-    let (mut wap, intervals) = Wap::from_instance(instance);
+    let (root, intervals) = Wap::from_instance(instance);
+    let mut caps: Vec<f64> = (0..root.num_intervals())
+        .map(|j| root.capacity(j))
+        .collect();
     let n = instance.len();
     let (mut speeds, mut classes) = (vec![0.0; n], Vec::new());
     let mut remaining = vec![true; n];
@@ -61,6 +64,8 @@ fn oracle(instance: &Instance) -> Option<(Vec<Vec<usize>>, Vec<f64>)> {
         solver.solve(&p) >= demand * (1.0 - 1e-12)
     };
     while remaining.contains(&true) {
+        // Each round's capacities make a `Wap` of their own.
+        let wap = Wap::over(instance, &intervals, caps.clone());
         let live = || (0..n).filter(|&i| remaining[i]);
         if live().any(|i| wap.open_time_of(i) <= 0.0) {
             return None; // peeling rounded a job's last interval away
@@ -85,14 +90,14 @@ fn oracle(instance: &Instance) -> Option<(Vec<Vec<usize>>, Vec<f64>)> {
             class.push(densest);
         }
         for (j, _) in cell_side.iter().enumerate().filter(|&(_, &cut)| cut) {
-            wap.set_capacity(j, 0.0);
+            caps[j] = 0.0;
         }
         for &i in &class {
             remaining[i] = false;
             speeds[i] = v;
-            for &j in intervals.intervals_of(i) {
-                if wap.capacity(j) > 0.0 {
-                    wap.set_capacity(j, (wap.capacity(j) - intervals.length(j)).max(0.0));
+            for j in intervals.intervals_of(i) {
+                if caps[j] > 0.0 {
+                    caps[j] = (caps[j] - intervals.length(j)).max(0.0);
                 }
             }
         }

@@ -589,13 +589,17 @@ fn wap_dispatch_sequences_match_the_flow_engine() {
                 "crossing" => families::crossing(n, 3, 2.0, seed),
                 _ => families::general(n, 3, 2.0).gen(seed),
             };
-            let (mut wap, _) = Wap::from_instance(&instance);
-            for j in 0..wap.num_intervals() {
+            let (root, ivals) = Wap::from_instance(&instance);
+            let mut caps: Vec<f64> = (0..root.num_intervals())
+                .map(|j| root.capacity(j))
+                .collect();
+            for (j, c) in caps.iter_mut().enumerate() {
                 if rng.gen_range(0u32..4) == 0 {
                     let machines_left = rng.gen_range(0u32..3) as f64;
-                    wap.set_capacity(j, machines_left * wap.length(j));
+                    *c = machines_left * root.length(j);
                 }
             }
+            let wap = Wap::over(&instance, &ivals, caps);
             // Jobs with no open time left take no demand, as in BAL.
             let works: Vec<f64> = (0..n)
                 .map(|i| {
